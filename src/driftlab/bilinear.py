@@ -241,7 +241,9 @@ def run_until_opt(
     objective, "corrected" the objective with its tie-breaking terms (see
     the module docstring).  Under "corrected" the loop body mirrors
     rls_pd_step with the value arithmetic inlined; tests pin the two
-    paths to identical draw-for-draw behaviour.
+    paths to identical draw-for-draw behaviour.  Flip positions come from
+    stream.indices, the block form of the next_index calls rls_pd_step
+    makes.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -249,17 +251,16 @@ def run_until_opt(
         raise ValueError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
     pair = random_pair(stream, params) if init is None else init
     n, an, bn = params.n, params.an, params.bn
-    n3 = n**3
     x, y = pair.x, pair.y
     ox, oy = pair.ones_x, pair.ones_y
-    next_index = stream.next_index
-    two_n = 2 * n
     m = abs(bn - ox) + abs(an - oy)
     values = [m] if record else None
     t = 0
+    # block draws continue from wherever random_pair's scalar draws stopped
+    next_pos = stream.indices(2 * n).__next__
     if payoff == "plain":
         while m != 0 and t < cap:
-            pos = next_index(two_n)
+            pos = next_pos()
             if pos < n:
                 d = -1 if x[pos] else 1
                 # x-flip dominance reduces to a sign test on the bare payoff
@@ -280,7 +281,7 @@ def run_until_opt(
         # sign form of the dominance chain; accepts_x_flip/accepts_y_flip
         # inlined for speed, equivalence to rls_pd_step pinned by tests
         while m != 0 and t < cap:
-            pos = next_index(two_n)
+            pos = next_pos()
             if pos < n:
                 nox = ox + (-1 if x[pos] else 1)
                 if (
@@ -339,14 +340,13 @@ def run_forgetting(
     n, an, bn = params.n, params.an, params.bn
     x, y = pair.x, pair.y
     ox, oy = pair.ones_x, pair.ones_y
-    next_index = stream.next_index
-    two_n = 2 * n
+    next_pos = stream.indices(2 * n).__next__
     m = 0
     values = [m] if record else None
     t = 0
     # same sign-form acceptance as run_until_opt's corrected branch
     while m < threshold and t < cap:
-        pos = next_index(two_n)
+        pos = next_pos()
         if pos < n:
             nox = ox + (-1 if x[pos] else 1)
             if (

@@ -356,6 +356,11 @@ def _validate_params(config: ExperimentConfig) -> None:
             for name, mu in (("mu1", mu1), ("mu2", mu2)):
                 if not 0.0 <= mu <= 1.0:
                     raise ConfigError(f"{where}.{name}: must lie in [0, 1]")
+            if mu1 == mu2 and mu1 in (0.0, 1.0):
+                # both arms always pay the same, so a challenge's walk never moves
+                raise ConfigError(
+                    f"{where}: mu1 == mu2 == {mu1!r} makes every challenge endless"
+                )
             accounting = _optional(p, "accounting", str, where, "mean_gap")
             if accounting not in ACCOUNTING_MODES:
                 raise ConfigError(
@@ -517,7 +522,7 @@ def build_report(
 
     summary_table is null when every sample is censored; tail_report only
     appears when the block carries a grid and a bound; the drift sections
-    only when trajectories were recorded.
+    only when the recorded trajectories hold at least one transition.
     """
     report: dict = {
         "sample_count": len(samples),
@@ -555,24 +560,25 @@ def build_report(
         }
     else:
         report["tail_report"] = None
-    if trajectories:
+    report["drift_estimate"] = None
+    report["step_tail_fit"] = None
+    try:
         drift = estimate_drift(trajectories)
-        report["drift_estimate"] = {
-            "mean_drift": drift.mean_drift,
-            "second_moment": drift.second_moment,
-            "transitions": drift.transitions,
-            "per_state_mean": {str(s): v for s, v in drift.per_state_mean.items()},
-        }
         step = fit_step_tail(trajectories)
-        report["step_tail_fit"] = {
-            "r": step.r,
-            "eta": step.eta,
-            "max_violation": step.max_violation,
-            "range_constant": step.range_constant,
-        }
-    else:
-        report["drift_estimate"] = None
-        report["step_tail_fit"] = None
+    except EmptySampleError:
+        return report  # no trajectories, or not one transition among them
+    report["drift_estimate"] = {
+        "mean_drift": drift.mean_drift,
+        "second_moment": drift.second_moment,
+        "transitions": drift.transitions,
+        "per_state_mean": {str(s): v for s, v in drift.per_state_mean.items()},
+    }
+    report["step_tail_fit"] = {
+        "r": step.r,
+        "eta": step.eta,
+        "max_violation": step.max_violation,
+        "range_constant": step.range_constant,
+    }
     return report
 
 

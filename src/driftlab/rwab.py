@@ -48,6 +48,9 @@ class BanditEnv:
         for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
             if not 0.0 <= mu <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {mu!r}")
+        if self.mu1 == self.mu2 and self.mu1 in (0.0, 1.0):
+            # both arms always pay the same, so a challenge's walk never moves
+            raise ValueError(f"mu1 == mu2 == {self.mu1!r} makes every challenge endless")
         if len(set(self.change_times)) != len(self.change_times):
             raise ValueError("change times must be distinct")
         for t in self.change_times:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from driftlab.bilinear import (
     AT_OPTIMUM,
+    PAYOFFS,
     BilinearParams,
     SearchPair,
     accepts_x_flip,
@@ -188,9 +189,9 @@ def test_corrected_run_matches_iterated_single_steps():
     for seed in range(10):
         init = random_pair(RngStream(seed, stream_id=1), params)
         cap = 4000
+        fast_stream = RngStream(seed, stream_id=2)
         fast = run_until_opt(
-            params, RngStream(seed, stream_id=2), cap=cap,
-            init=init.copy(), payoff="corrected",
+            params, fast_stream, cap=cap, init=init.copy(), payoff="corrected",
         )
         pair = init.copy()
         stream = RngStream(seed, stream_id=2)
@@ -202,6 +203,53 @@ def test_corrected_run_matches_iterated_single_steps():
         assert bytes(fast.pair.x) == bytes(pair.x)
         assert bytes(fast.pair.y) == bytes(pair.y)
         assert fast.censored == (manhattan_distance(params, pair) != 0)
+        assert fast_stream.draw_counter == stream.draw_counter
+
+
+def plain_value(params, ox, oy):
+    """The plain payoff: the bare objective, without correction terms."""
+    return oy * (ox - params.bn) - params.an * ox
+
+
+def plain_step(params, pair, stream):
+    """One scalar-path step under the plain payoff, by the dominance chain."""
+    pos = stream.next_index(2 * params.n)
+    cand = pair.copy()
+    if pos < params.n:
+        cand.x[pos] ^= 1
+        cand.ones_x += 1 if cand.x[pos] else -1
+    else:
+        cand.y[pos - params.n] ^= 1
+        cand.ones_y += 1 if cand.y[pos - params.n] else -1
+    a = plain_value(params, cand.ones_x, pair.ones_y)
+    b = plain_value(params, cand.ones_x, cand.ones_y)
+    c = plain_value(params, pair.ones_x, cand.ones_y)
+    return cand if a >= b >= c else pair
+
+
+@pytest.mark.parametrize("payoff", PAYOFFS)
+def test_run_from_a_drawn_start_continues_the_same_stream(payoff):
+    # init=None draws the start pair on the scalar path (2n = 1000 words),
+    # then the walk's block draws pick up at that counter and cross the
+    # first block boundary at word 1024
+    params = BilinearParams(n=500, alpha=0.5, beta=0.5)
+    step = plain_step if payoff == "plain" else (lambda *args: rls_pd_step(*args)[0])
+    for seed in range(10):
+        stream = RngStream(seed, stream_id=4)
+        fast = run_until_opt(params, stream, cap=3000, payoff=payoff)
+        ref = RngStream(seed, stream_id=4)
+        pair = random_pair(ref, params)
+        assert ref.draw_counter == 2 * params.n
+        t = 0
+        while manhattan_distance(params, pair) != 0 and t < 3000:
+            pair = step(params, pair, ref)
+            t += 1
+        assert fast.iterations == t
+        assert bytes(fast.pair.x) == bytes(pair.x)
+        assert bytes(fast.pair.y) == bytes(pair.y)
+        assert stream.draw_counter == ref.draw_counter
+        fresh = RngStream(seed, stream_id=4, draw_counter=stream.draw_counter)
+        assert stream.next_u64() == fresh.next_u64()
 
 
 def test_plain_run_reaches_the_optimum_and_records_distance():
@@ -236,7 +284,8 @@ def test_forgetting_matches_iterated_single_steps():
     threshold = 2 * sqrt(8)
     for seed in range(10):
         cap = 5000
-        fast = run_forgetting(params, RngStream(seed, stream_id=3), threshold, cap=cap)
+        fast_stream = RngStream(seed, stream_id=3)
+        fast = run_forgetting(params, fast_stream, threshold, cap=cap)
         pair = canonical_opt_pair(params)
         stream = RngStream(seed, stream_id=3)
         t = 0
@@ -246,6 +295,7 @@ def test_forgetting_matches_iterated_single_steps():
         assert fast.iterations == t
         assert bytes(fast.pair.x) == bytes(pair.x)
         assert bytes(fast.pair.y) == bytes(pair.y)
+        assert fast_stream.draw_counter == stream.draw_counter
 
 
 def test_forgetting_records_distance_from_zero():

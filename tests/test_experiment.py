@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import driftlab
 from driftlab.cli import main
 from driftlab.errors import ConfigError, FormatError
 from driftlab.experiment import (
@@ -91,6 +94,9 @@ def test_config_rejections_name_the_field(tmp_path, overrides, fragment):
             {"horizon": 100, "mu1": 0.2, "mu2": 0.8, "changes": 5, "accounting": "hopeful"},
             "accounting",
         ),
+        # equal certain rewards: a challenge's difference walk never moves
+        ("rwab", {"horizon": 50, "mu1": 1.0, "mu2": 1.0, "changes": 2}, "mu1 == mu2"),
+        ("rwab", {"horizon": 50, "mu1": 0.0, "mu2": 0.0, "changes": 2}, "mu1 == mu2"),
     ],
 )
 def test_kind_specific_param_rejections(tmp_path, kind, params, fragment):
@@ -181,6 +187,41 @@ def test_recorded_trajectories_reanalyze_to_the_same_report(tmp_path):
         assert fh.read() == original
     with open(report_path) as fh:
         assert json.load(fh)["drift_estimate"] is not None
+
+
+def test_trajectories_without_transitions_get_null_drift_sections(tmp_path):
+    # x0 = 0 is absorbing at once: every trajectory is the single value 0
+    config = ExperimentConfig.from_dict(
+        base_config(
+            tmp_path, params={"b": 4, "x0": 0}, cap=10, record_trajectories=True
+        )
+    )
+    artifacts = run_experiment(config)
+    assert len(os.listdir(artifacts.trajectory_dir)) == 5
+    with open(artifacts.report_path) as fh:
+        report = json.load(fh)
+    assert report["drift_estimate"] is None
+    assert report["step_tail_fit"] is None
+    assert report["summary_table"]["mean"] == 0.0
+
+
+def test_analyze_files_without_transitions_gets_null_drift_sections(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(sample_rows([0, 0]))
+    trajectories = tmp_path / "trajectories"
+    trajectories.mkdir()
+    for i in range(2):
+        (trajectories / f"run_{i:05d}.csv").write_text("step,value\n0,0\n")
+    report_path = analyze_files(
+        str(samples), AnalysisBlock(k_list=(1.0,)), trajectory_dir=str(trajectories)
+    )
+    with open(report_path) as fh:
+        report = json.load(fh)
+    assert report["drift_estimate"] is None
+    assert report["step_tail_fit"] is None
+    analysis = write_json(tmp_path / "analysis.json", {"k_list": [1.0]})
+    argv = ["analyze", str(samples), analysis, "--trajectories", str(trajectories)]
+    assert main(argv) == 0
 
 
 def test_bandit_experiment_uses_its_own_schema(tmp_path):
@@ -365,6 +406,27 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
 
     bad_spec = write_json(tmp_path / "spec.json", {"bound": {"kind": "Additive"}})
     assert main(["bounds", bad_spec]) == 2
+
+    endless = base_config(
+        tmp_path,
+        kind="rwab",
+        params={"horizon": 50, "mu1": 1.0, "mu2": 1.0, "changes": 2},
+        cap=None,
+    )
+    assert main(["run", write_json(tmp_path / "endless.json", endless)]) == 2
+    assert "mu1 == mu2" in capsys.readouterr().err
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # numpy's import alone would add ~11 MB of resident memory to every run
+    src = os.path.dirname(os.path.dirname(driftlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, driftlab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_missing_files_exit_three(tmp_path, capsys):

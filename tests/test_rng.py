@@ -104,6 +104,9 @@ def test_index_rejects_bad_k():
         s.next_index(-3)
     with pytest.raises(ValueError):
         s.next_index(2.0)
+    with pytest.raises(ValueError):
+        s.next_index((1 << 64) + 1)  # every word would be rejected
+    assert s.draw_counter == 0
 
 
 def test_index_k_one_is_free_of_bias():
@@ -147,3 +150,39 @@ def test_replay_is_exact(seed):
     first = [a.next_u64() for _ in range(6)]
     b = RngStream(master_seed=seed, stream_id=17)
     assert [b.next_u64() for _ in range(6)] == first
+
+
+# k values near 2**63 reject about half of all words; k = 2**64 rejects none
+INDEX_KS = st.one_of(
+    st.sampled_from([1, 2, 3, 2000, 2**63 + 1, 2**64]),
+    st.integers(min_value=2**63 - 2**20, max_value=2**63 + 2**20),
+    st.integers(min_value=1, max_value=MASK),
+)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=MASK),
+    sid=st.integers(min_value=0, max_value=2**32),
+    start=st.sampled_from([0, 1023, 1024, 1025]),
+    k=INDEX_KS,
+    taken=st.integers(min_value=0, max_value=2100),
+)
+@settings(max_examples=60, deadline=None)
+def test_indices_match_scalar_next_index(seed, sid, start, k, taken):
+    block = RngStream(master_seed=seed, stream_id=sid, draw_counter=start)
+    scalar = RngStream(master_seed=seed, stream_id=sid, draw_counter=start)
+    values = block.indices(k)
+    for _ in range(taken):
+        assert next(values) == scalar.next_index(k)
+        assert block.draw_counter == scalar.draw_counter
+    assert block.draw_counter == scalar.draw_counter
+    # a stream left by the block path continues on the scalar path
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_indices_reject_bad_k_at_the_call():
+    s = RngStream(master_seed=0)
+    for k in (0, -3, 2.0, (1 << 64) + 1):
+        with pytest.raises(ValueError):
+            s.indices(k)
+    assert s.draw_counter == 0

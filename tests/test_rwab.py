@@ -24,6 +24,9 @@ from driftlab.rwab import (
         dict(horizon=10, mu1=0.5, mu2=0.5, change_times=(1,)),
         dict(horizon=10, mu1=0.5, mu2=0.5, change_times=(11,)),
         dict(horizon=3, mu1=0.5, mu2=0.5, change_times=(2, 3, 4)),
+        # both arms always pay the same, so a challenge could never end
+        dict(horizon=50, mu1=0.0, mu2=0.0, change_times=(10, 20)),
+        dict(horizon=50, mu1=1.0, mu2=1.0, change_times=(10, 20)),
     ],
 )
 def test_env_validation(kwargs):
