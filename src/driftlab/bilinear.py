@@ -31,6 +31,7 @@ optimum; quadrant() names which side of the optimum a pair sits on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import sqrt
 
 from driftlab.rng import RngStream
@@ -92,8 +93,9 @@ class SearchPair:
 
 
 def random_pair(stream: RngStream, params: BilinearParams) -> SearchPair:
-    x = bytearray(1 if stream.next_bernoulli(0.5) else 0 for _ in range(params.n))
-    y = bytearray(1 if stream.next_bernoulli(0.5) else 0 for _ in range(params.n))
+    draws = stream.uniforms()
+    x = bytearray(1 if u < 0.5 else 0 for u in islice(draws, params.n))
+    y = bytearray(1 if u < 0.5 else 0 for u in islice(draws, params.n))
     return SearchPair(x=x, y=y, ones_x=sum(x), ones_y=sum(y))
 
 
@@ -256,7 +258,7 @@ def run_until_opt(
     m = abs(bn - ox) + abs(an - oy)
     values = [m] if record else None
     t = 0
-    # block draws continue from wherever random_pair's scalar draws stopped
+    # index draws continue from wherever random_pair's draws stopped
     next_pos = stream.indices(2 * n).__next__
     if payoff == "plain":
         while m != 0 and t < cap:

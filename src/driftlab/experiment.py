@@ -48,6 +48,7 @@ from driftlab.rng import RngStream
 from driftlab.rwab import (
     ACCOUNTING_MODES,
     BanditEnv,
+    check_challenges_end,
     run_rwab,
     sample_change_times,
 )
@@ -356,11 +357,7 @@ def _validate_params(config: ExperimentConfig) -> None:
             for name, mu in (("mu1", mu1), ("mu2", mu2)):
                 if not 0.0 <= mu <= 1.0:
                     raise ConfigError(f"{where}.{name}: must lie in [0, 1]")
-            if mu1 == mu2 and mu1 in (0.0, 1.0):
-                # both arms always pay the same, so a challenge's walk never moves
-                raise ConfigError(
-                    f"{where}: mu1 == mu2 == {mu1!r} makes every challenge endless"
-                )
+            check_challenges_end(horizon, mu1, mu2)
             accounting = _optional(p, "accounting", str, where, "mean_gap")
             if accounting not in ACCOUNTING_MODES:
                 raise ConfigError(

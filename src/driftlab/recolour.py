@@ -15,6 +15,7 @@ triangle search a short chain of AND operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from driftlab.errors import FormatError
 from driftlab.rng import RngStream
@@ -71,15 +72,16 @@ def generate_3colorable(stream: RngStream, n: int, edge_prob: float) -> Colorabl
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob!r}")
     classes = tuple(v % 3 for v in range(n))
     edges = []
+    draw = stream.uniforms().__next__
     for u in range(n):
         for v in range(u + 1, n):
-            if classes[u] != classes[v] and stream.next_bernoulli(edge_prob):
+            if classes[u] != classes[v] and draw() < edge_prob:
                 edges.append((u, v))
     return ColorableGraph(n=n, edges=tuple(edges), classes=classes)
 
 
 def random_colouring(stream: RngStream, n: int) -> bytearray:
-    return bytearray(1 if stream.next_bernoulli(0.5) else 0 for _ in range(n))
+    return bytearray(1 if u < 0.5 else 0 for u in islice(stream.uniforms(), n))
 
 
 def seek_monochromatic_triangle(
@@ -161,6 +163,7 @@ def run_recolour(
         )
         values: list[float] = [y]
 
+    pick = stream.indices(3).__next__
     t = 0
     censored = False
     while True:
@@ -170,7 +173,7 @@ def run_recolour(
         if t >= cap:
             censored = True
             break
-        v = tri[stream.next_index(3)]
+        v = tri[pick()]
         colouring[v] ^= 1
         t += 1
         if record:

@@ -18,10 +18,19 @@ yields the same output on every platform and Python build.
 
 Because the n-th word depends on n alone, words can also be computed a
 block at a time (the counter-based design of Random123, Salmon et al.,
-SC'11).  :meth:`RngStream.indices` does so for the bilinear kernels' hot
-loops: it yields exactly the values that repeated ``next_index(k)`` calls
-would, and leaves ``draw_counter`` where they would.  The scalar methods
-stay the reference the block path is tested against.
+SC'11), and every draw reads them that way.  A stream caches its current
+block: an ``array('Q')`` of words and the position of the first.  Blocks
+start at 64 words and double up to 1024 while draws continue where the
+cached block ends; after ``draw_counter`` jumps the next block starts small
+again, so a short run does not pay for words it never uses.  The scalar
+methods (``next_u64``, ``next_uniform``, ``next_index``, ``next_bernoulli``)
+read the cache inline.  The iterators ``uniforms()`` and ``indices(k)`` walk
+it without a method call per value and yield exactly what repeated
+``next_uniform()`` / ``next_index(k)`` calls would.  After every value, by
+either route, ``draw_counter`` points just past the last word used, so a
+kernel may stop anywhere and leave the stream where scalar draws would.  The
+formula above, through :func:`_mix64`, stays the reference the cache is
+tested against.
 """
 
 from __future__ import annotations
@@ -36,10 +45,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # 1 / 2**53, scales a 53-bit integer into [0, 1)
 _INV53 = 1.0 / (1 << 53)
 
-# Block path: _BLOCK counters packed into one Python int, lane i at bit
-# 128*i.  A lane holds a 64-bit word, so a lane-wise 64x64-bit product
+# Block path: up to _BLOCK counters packed into one Python int, lane i at
+# bit 128*i.  A lane holds a 64-bit word, so a lane-wise 64x64-bit product
 # stays below the next lane and one big-int operation steps every lane.
 _BLOCK = 1024
+_MIN_BLOCK = 64
 _LANE_BYTES = 16
 # 1 in every lane; the all-ones word in every lane; i*GOLDEN in lane i
 _ONES = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * _BLOCK, "little")
@@ -59,19 +69,29 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _block(key: int, counter: int) -> array:
-    """The _BLOCK words a stream with this key draws after position counter.
+# block size -> (_ONES, _LANES, _STEPS) cut to that many lanes, built at
+# first use so importing the module pays for the full-size tables only
+_TABLES = {_BLOCK: (_ONES, _LANES, _STEPS)}
+
+
+def _block(key: int, counter: int, size: int = _BLOCK) -> array:
+    """The size (<= _BLOCK) words a stream with this key draws after counter.
 
     Lane i starts as key + (counter + 1 + i) * GOLDEN and goes through
     _mix64.  Each shift spills the low bits of lane i+1 into the unused
     top half of lane i; masking before each multiply drops the spill.
     """
+    tables = _TABLES.get(size)
+    if tables is None:
+        mask = (1 << (size * _LANE_BYTES * 8)) - 1
+        tables = _TABLES[size] = tuple(t & mask for t in _TABLES[_BLOCK])
+    ones, lanes, steps = tables
     base = (key + (counter + 1) * _GOLDEN) & _MASK64
-    z = (base * _ONES + _STEPS) & _LANES
-    z = ((z ^ (z >> 30)) & _LANES) * 0xBF58476D1CE4E5B9 & _LANES
-    z = ((z ^ (z >> 27)) & _LANES) * 0x94D049BB133111EB & _LANES
+    z = (base * ones + steps) & lanes
+    z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
+    z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
     z ^= z >> 31
-    words = array("Q", z.to_bytes(_BLOCK * _LANE_BYTES, "little"))
+    words = array("Q", z.to_bytes(size * _LANE_BYTES, "little"))
     if sys.byteorder == "big":
         words.byteswap()
     # every lane is its word followed by the spill of the last shift
@@ -93,12 +113,17 @@ class RngStream:
     master_seed identifies the experiment, stream_id the replication within
     it, draw_counter the position in the stream.  Identical triples produce
     identical draws; the counter advances by one per raw 64-bit word drawn.
+    The cached block (_words[i] is the word drawn at position _first + i)
+    only speeds draws up: it is left out of equality and repr, and
+    draw_counter may be reassigned at any time.
     """
 
     master_seed: int
     stream_id: int = 0
     draw_counter: int = 0
     _key: int = field(init=False, repr=False)
+    _words: array = field(init=False, repr=False, compare=False)
+    _first: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id", "draw_counter"):
@@ -106,15 +131,54 @@ class RngStream:
             if not isinstance(v, int) or not 0 <= v <= _MASK64:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
         self._key = _mix64((self.master_seed + (self.stream_id + 1) * _GOLDEN) & _MASK64)
+        self._words = array("Q")
+        self._first = 0
+
+    def _fill(self, n: int) -> array:
+        """Cache and return the block of words drawn after position n.
+
+        The block doubles (up to _BLOCK) when it continues the cached one
+        and is _MIN_BLOCK words after a jump.
+        """
+        cached = len(self._words)
+        size = _MIN_BLOCK
+        if n == self._first + cached:
+            size = min(max(2 * cached, _MIN_BLOCK), _BLOCK)
+        self._words = words = _block(self._key, n, size)
+        self._first = n
+        return words
 
     def next_u64(self) -> int:
         """Next raw 64-bit word; advances the counter by exactly 1."""
-        self.draw_counter += 1
-        return _mix64((self._key + self.draw_counter * _GOLDEN) & _MASK64)
+        n = self.draw_counter
+        words = self._words
+        i = n - self._first
+        if not 0 <= i < len(words):
+            words, i = self._fill(n), 0
+        self.draw_counter = n + 1
+        return words[i]
 
     def next_uniform(self) -> float:
         """Uniform float in [0, 1) with 53-bit resolution; one word consumed."""
-        return (self.next_u64() >> 11) * _INV53
+        n = self.draw_counter
+        words = self._words
+        i = n - self._first
+        if not 0 <= i < len(words):
+            words, i = self._fill(n), 0
+        self.draw_counter = n + 1
+        return (words[i] >> 11) * _INV53
+
+    def next_bernoulli(self, p: float) -> bool:
+        """True with probability p; one word consumed regardless of outcome."""
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p!r}")
+        n = self.draw_counter
+        words = self._words
+        i = n - self._first
+        if not 0 <= i < len(words):
+            words, i = self._fill(n), 0
+        self.draw_counter = n + 1
+        return (words[i] >> 11) * _INV53 < p
 
     def next_index(self, k: int) -> int:
         """Uniform integer in {0, ..., k-1}.
@@ -123,33 +187,62 @@ class RngStream:
         2**64.  Consumes a variable (almost always 1) number of words.
         """
         limit = _index_limit(k)
+        n = self.draw_counter
+        words = self._words
+        i = n - self._first
         while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % k
+            if not 0 <= i < len(words):
+                words, i = self._fill(n), 0
+            w = words[i]
+            n += 1
+            if w < limit:
+                self.draw_counter = n
+                return w % k
+            i += 1
+
+    def uniforms(self) -> Iterator[float]:
+        """Endless iterator over the values repeated next_uniform() would return.
+
+        After each value draw_counter points just past its word, so a caller
+        may stop at any value and leave the stream exactly where the scalar
+        calls would.  Nothing else may draw from the stream while the
+        iterator is in use; after other draws, make a fresh one (cheap, it
+        starts from the cached block).
+        """
+        for words, n in self._walk():
+            for n, w in enumerate(words, n):
+                self.draw_counter = n
+                yield (w >> 11) * _INV53
 
     def indices(self, k: int) -> Iterator[int]:
         """Endless iterator over the values repeated next_index(k) would return.
 
-        Words are computed _BLOCK at a time.  After each value, draw_counter
-        counts the words consumed up to and including the one that produced
-        it, so a caller may stop at any value and leave the stream exactly
-        where the scalar calls would.  Nothing else may draw from the stream
-        while the iterator is in use.
+        Same contract as uniforms(); k is checked at the call, not at the
+        first value.
         """
         return self._indices(k, _index_limit(k))
 
     def _indices(self, k: int, limit: int) -> Iterator[int]:
-        counter = self.draw_counter
-        while True:
-            for n, w in enumerate(_block(self._key, counter), counter + 1):
+        for words, n in self._walk():
+            for n, w in enumerate(words, n):
                 if w < limit:
                     self.draw_counter = n
                     yield w % k
-            counter += _BLOCK
 
-    def next_bernoulli(self, p: float) -> bool:
-        """True with probability p; one word consumed regardless of outcome."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p!r}")
-        return self.next_uniform() < p
+    def _walk(self) -> Iterator[tuple[array, int]]:
+        """The block walker behind the iterators.
+
+        Yields the cached words from draw_counter on, then each following
+        block, each with the position its first word advances the counter
+        to.  It keeps its own place, so words an iterator skips (rejected
+        indices) are not revisited.
+        """
+        n = self.draw_counter
+        words = self._words
+        i = n - self._first
+        if not 0 <= i < len(words):
+            words, i = self._fill(n), 0
+        while True:
+            yield (words[i:] if i else words), n + 1
+            n += len(words) - i
+            words, i = self._fill(n), 0

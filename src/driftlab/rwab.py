@@ -32,6 +32,31 @@ from driftlab.rng import RngStream
 
 ACCOUNTING_MODES = ("mean_gap", "realized")
 
+# Largest accepted estimate of one run's inner challenge iterations (see
+# check_challenges_end): at about a microsecond each, minutes per run.
+MAX_CHALLENGE_ITERATIONS = 10**8
+
+
+def check_challenges_end(horizon: int, mu1: float, mu2: float) -> None:
+    """Raise ValueError when a run's challenges would not finish in practice.
+
+    A challenge's difference walk moves with probability
+    q = mu1 (1 - mu2) + mu2 (1 - mu1) per inner iteration (the same after
+    the means swap).  At zero drift a run holds about sqrt(L T) challenges
+    of about sqrt(T / L) / q iterations each, so about T / q in all.  q = 0
+    (mu1 == mu2 in {0, 1}) means no challenge ever ends.
+    """
+    q = mu1 * (1.0 - mu2) + mu2 * (1.0 - mu1)
+    if q == 0.0:
+        # both arms always pay the same, so a challenge's walk never moves
+        raise ValueError(f"mu1 == mu2 == {mu1!r} makes every challenge endless")
+    if horizon / q > MAX_CHALLENGE_ITERATIONS:
+        raise ValueError(
+            f"mu1 = {mu1!r}, mu2 = {mu2!r} move a challenge's walk with probability "
+            f"{q:.3g}, so a run would need ~{horizon / q:.3g} challenge iterations "
+            f"(limit {MAX_CHALLENGE_ITERATIONS:.0e})"
+        )
+
 
 @dataclass(frozen=True)
 class BanditEnv:
@@ -48,9 +73,7 @@ class BanditEnv:
         for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
             if not 0.0 <= mu <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {mu!r}")
-        if self.mu1 == self.mu2 and self.mu1 in (0.0, 1.0):
-            # both arms always pay the same, so a challenge's walk never moves
-            raise ValueError(f"mu1 == mu2 == {self.mu1!r} makes every challenge endless")
+        check_challenges_end(self.horizon, self.mu1, self.mu2)
         if len(set(self.change_times)) != len(self.change_times):
             raise ValueError("change times must be distinct")
         for t in self.change_times:
@@ -119,19 +142,33 @@ def run_challenge(
     r+ - r- to S, and charges the a+ pull's regret.  Exit at S >= 1 keeps
     the order, at S <= -s swaps it.
     """
-    misranked = mu[a_plus] < mu[a_minus]
-    gap = mu[a_minus] - mu[a_plus]
+    for m in (mu[a_plus], mu[a_minus]):
+        if not 0.0 <= m <= 1.0:
+            raise ValueError(f"arm means must lie in [0, 1], got {m!r}")
+    draw = stream.uniforms().__next__
+    return _challenge(mu, a_plus, a_minus, draw, s_threshold, accounting == "realized")
+
+
+def _challenge(mu, a_plus, a_minus, draw, s_threshold, realized) -> ChallengeOutcome:
+    """run_challenge's loop; draw returns the stream's next uniform.
+
+    run_rwab passes the draw of its own uniforms() iterator, so a run keeps
+    one iterator over its stream from the first round to the last.
+    """
+    mu_plus, mu_minus = mu[a_plus], mu[a_minus]
+    misranked = mu_plus < mu_minus
+    gap = mu_minus - mu_plus
     s_val = 0.0
     inner = 0
     regret = 0.0
     while True:
-        r_plus = 1.0 if stream.next_bernoulli(mu[a_plus]) else 0.0
-        r_minus = 1.0 if stream.next_bernoulli(mu[a_minus]) else 0.0
+        r_plus = 1.0 if draw() < mu_plus else 0.0
+        r_minus = 1.0 if draw() < mu_minus else 0.0
         s_val += r_plus - r_minus
         inner += 1
         if misranked:
             # the better arm's realized draw is r_minus, already in hand
-            regret += (r_minus - r_plus) if accounting == "realized" else gap
+            regret += (r_minus - r_plus) if realized else gap
         if s_val >= 1.0:
             return ChallengeOutcome(a_plus, a_minus, False, inner, regret)
         if s_val <= -s_threshold:
@@ -170,6 +207,8 @@ def run_rwab(
     prev_pair: tuple | None = None
     per_round: list[float] | None = [] if record_per_round else None
     plain_rounds = challenge_rounds = 0
+    realized = accounting == "realized"
+    draw = stream.uniforms().__next__
 
     for clock in range(1, horizon + 1):
         if clock in change_set:
@@ -179,10 +218,10 @@ def run_rwab(
         if pair != prev_pair:
             sub_eras += 1
             prev_pair = pair
-        if stream.next_bernoulli(p):
+        if draw() < p:
             challenge_rounds += 1
             started_correct = mu[a_plus] >= mu[a_minus]
-            out = run_challenge(mu, a_plus, a_minus, stream, s_threshold, accounting)
+            out = _challenge(mu, a_plus, a_minus, draw, s_threshold, realized)
             pulls += 2 * out.inner_rounds
             if out.swap:
                 swaps += 1
@@ -196,15 +235,15 @@ def run_rwab(
             plain_rounds += 1
             pulls += 1
             if mu[a_plus] < mu[a_minus]:
-                if accounting == "realized":
-                    r_plus = 1.0 if stream.next_bernoulli(mu[a_plus]) else 0.0
-                    r_best = 1.0 if stream.next_bernoulli(mu[a_minus]) else 0.0
+                if realized:
+                    r_plus = 1.0 if draw() < mu[a_plus] else 0.0
+                    r_best = 1.0 if draw() < mu[a_minus] else 0.0
                     round_regret = r_best - r_plus
                 else:
                     round_regret = mu[a_minus] - mu[a_plus]
             else:
-                if accounting == "realized":
-                    stream.next_bernoulli(mu[a_plus])  # the pull itself
+                if realized:
+                    draw()  # the pull itself
                 round_regret = 0.0
         total += round_regret
         if per_round is not None:

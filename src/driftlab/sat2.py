@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 
 from driftlab.errors import FormatError
 from driftlab.rng import RngStream
@@ -71,7 +72,7 @@ def agreement_count(a, b) -> int:
 
 
 def random_assignment(stream: RngStream, n: int) -> bytearray:
-    return bytearray(1 if stream.next_bernoulli(0.5) else 0 for _ in range(n))
+    return bytearray(1 if u < 0.5 else 0 for u in islice(stream.uniforms(), n))
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,13 @@ def run_walk(
         if clause[1][0] != clause[0][0]:
             occ[clause[1][0]].append(idx)
 
+    # clause_satisfied, inlined below: a literal (var, neg) holds when
+    # bool(assignment[var]) != neg, and bool(byte) is byte != 0
     unsat = bytearray(formula.m)
     heap: list[int] = []
     unsat_count = 0
-    for idx, clause in enumerate(clauses):
-        if not clause_satisfied(clause, assignment):
+    for idx, ((u, nu), (v, nv)) in enumerate(clauses):
+        if (assignment[u] != 0) == nu and (assignment[v] != 0) == nv:
             unsat[idx] = 1
             unsat_count += 1
             heap.append(idx)
@@ -161,15 +164,17 @@ def run_walk(
         agree = agreement_count(assignment, reference)
         values: list[float] = [agree]
 
+    pick = stream.indices(2).__next__
     t = 0
     while unsat_count > 0 and t < cap:
         while not unsat[heap[0]]:
             heapq.heappop(heap)  # stale entry: clause got satisfied meanwhile
         chosen = clauses[heap[0]]
-        var = chosen[stream.next_index(2)][0]
+        var = chosen[pick()][0]
         assignment[var] ^= 1
         for idx in occ[var]:
-            now_sat = clause_satisfied(clauses[idx], assignment)
+            (u, nu), (v, nv) = clauses[idx]
+            now_sat = (assignment[u] != 0) != nu or (assignment[v] != 0) != nv
             if now_sat and unsat[idx]:
                 unsat[idx] = 0
                 unsat_count -= 1

@@ -11,8 +11,9 @@ tails can be compared against theory with no modelling slack:
   at the ceiling b only a down-move (probability delta) or a hold is
   possible; absorbed at 0.
 
-Each simulator consumes one raw draw per step (none on forced moves) and
-reports a HittingTimeSample plus, on request, the full trajectory.  The
+Each simulator consumes one raw draw per step (none on forced moves)
+through the stream's ``uniforms()`` iterator, and reports a
+HittingTimeSample plus, on request, the full trajectory.  The
 ``*_mean_*`` functions are independent oracles: exact expected hitting
 times from the one-step recurrences, no simulation involved.
 """
@@ -44,8 +45,9 @@ def simulate_fair_walk(
         raise ValueError("cap must be nonnegative")
     x, t = x0, 0
     values = [x] if record else None
+    draw = stream.uniforms().__next__
     while 0 < x < b and t < cap:
-        x += 1 if stream.next_bernoulli(0.5) else -1
+        x += 1 if draw() < 0.5 else -1
         t += 1
         if record:
             values.append(x)
@@ -69,11 +71,12 @@ def simulate_biased_walk(
         raise ValueError("cap must be nonnegative")
     x, t = x0, 0
     values = [x] if record else None
+    draw = stream.uniforms().__next__
     while x < b and t < cap:
         if x == 0:
             x = 1
         else:
-            x += 1 if stream.next_bernoulli(p_up) else -1
+            x += 1 if draw() < p_up else -1
         t += 1
         if record:
             values.append(x)
@@ -97,14 +100,16 @@ def simulate_lazy_walk(
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
+    half = delta / 2.0
     x, t = x0, 0
     values = [x] if record else None
+    draw = stream.uniforms().__next__
     while x > 0 and t < cap:
-        u = stream.next_uniform()
+        u = draw()
         if x == b:
             if u < delta:
                 x -= 1
-        elif u < delta / 2.0:
+        elif u < half:
             x -= 1
         elif u < delta:
             x += 1

@@ -97,6 +97,12 @@ def test_config_rejections_name_the_field(tmp_path, overrides, fragment):
         # equal certain rewards: a challenge's difference walk never moves
         ("rwab", {"horizon": 50, "mu1": 1.0, "mu2": 1.0, "changes": 2}, "mu1 == mu2"),
         ("rwab", {"horizon": 50, "mu1": 0.0, "mu2": 0.0, "changes": 2}, "mu1 == mu2"),
+        # near-equal certain rewards: it moves, but a run would need ~2.5e10 pulls
+        (
+            "rwab",
+            {"horizon": 50, "mu1": 1e-9, "mu2": 1e-9, "changes": 2},
+            "challenge iterations",
+        ),
     ],
 )
 def test_kind_specific_param_rejections(tmp_path, kind, params, fragment):
@@ -415,6 +421,11 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     )
     assert main(["run", write_json(tmp_path / "endless.json", endless)]) == 2
     assert "mu1 == mu2" in capsys.readouterr().err
+
+    endless["params"].update(mu1=1e-9, mu2=1e-9)
+    assert main(["run", write_json(tmp_path / "near.json", endless)]) == 2
+    assert "challenge iterations" in capsys.readouterr().err
+    assert not os.path.exists(endless["output_dir"])
 
 
 def test_importing_the_package_leaves_numpy_unloaded():

@@ -1,0 +1,260 @@
+"""Kernel outputs pinned to values computed on the scalar draw path.
+
+The walk, sat2, recolour and rwab kernels draw through the stream's cached
+block words (``RngStream.uniforms`` / ``indices``).  Every value below was
+computed when they still drew one scalar ``next_bernoulli`` /
+``next_uniform`` / ``next_index`` call at a time, so a change that moves any
+output, or leaves a stream at another position, fails here even though
+criterion 11 (reruns of the same code) would still pass.
+
+Each case runs from a chosen start counter (0, inside the first cached
+block, or far along the stream) and pins its headline number, the first
+16 hex digits of the sha256 of the canonical JSON of all its outputs, and
+the stream's final ``draw_counter``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from driftlab.recolour import generate_3colorable, random_colouring, run_recolour
+from driftlab.rng import RngStream
+from driftlab.rwab import BanditEnv, run_rwab, sample_change_times
+from driftlab.sat2 import generate_planted, random_assignment, run_walk
+from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _walk_case(simulate, *args, cap):
+    def case(seed, start):
+        stream = RngStream(master_seed=seed, stream_id=3, draw_counter=start)
+        sample, traj = simulate(stream, *args, cap, record=True)
+        outputs = [sample.stopping_time, sample.censored, traj.values]
+        return sample.stopping_time, _digest(outputs), stream.draw_counter
+
+    return case
+
+
+def _rwab_case(accounting, horizon, mu1, mu2, changes):
+    def case(seed, start):
+        stream = RngStream(master_seed=seed, stream_id=5, draw_counter=start)
+        times = sample_change_times(stream, horizon, changes)
+        env = BanditEnv(horizon=horizon, mu1=mu1, mu2=mu2, change_times=times)
+        ledger = run_rwab(env, stream, accounting=accounting, record_per_round=True)
+        outputs = [
+            ledger.total_regret.hex(),
+            ledger.swaps,
+            ledger.mistakes,
+            ledger.eras,
+            ledger.sub_eras,
+            ledger.rounds,
+            ledger.pulls,
+            [r.hex() for r in ledger.per_round],
+        ]
+        return ledger.total_regret, _digest(outputs), stream.draw_counter
+
+    return case
+
+
+def _sat2_case(n, m, cap):
+    def case(seed, start):
+        stream = RngStream(master_seed=seed, stream_id=9, draw_counter=start)
+        instance = generate_planted(stream, n, m)
+        init = random_assignment(stream, n)
+        result = run_walk(instance.formula, init, stream, cap, reference=instance.witness)
+        outputs = [
+            instance.formula.clauses,
+            instance.witness.hex(),
+            init.hex(),
+            result.assignment.hex(),
+            result.iterations,
+            result.censored,
+            result.trajectory.values,
+        ]
+        return result.iterations, _digest(outputs), stream.draw_counter
+
+    return case
+
+
+def _recolour_case(n, edge_prob, cap):
+    def case(seed, start):
+        stream = RngStream(master_seed=seed, stream_id=11, draw_counter=start)
+        graph = generate_3colorable(stream, n, edge_prob)
+        init = random_colouring(stream, n)
+        result = run_recolour(graph, init, stream, cap, potential_spec=((0, 1), (0, 1)))
+        outputs = [
+            graph.edges,
+            init.hex(),
+            result.colouring.hex(),
+            result.iterations,
+            result.censored,
+            result.trajectory.values,
+        ]
+        return result.iterations, _digest(outputs), stream.draw_counter
+
+    return case
+
+
+CASES = {
+    "fair": _walk_case(simulate_fair_walk, 20, 10, cap=10**6),
+    "fair_capped": _walk_case(simulate_fair_walk, 40, 20, cap=150),
+    "biased": _walk_case(simulate_biased_walk, 50, 0, 0.75, cap=10**6),
+    "lazy": _walk_case(simulate_lazy_walk, 10, 10, 0.5, cap=10**6),
+    "rwab_mean_gap": _rwab_case("mean_gap", 300, 0.7, 0.3, 4),
+    "rwab_realized": _rwab_case("realized", 300, 0.7, 0.3, 4),
+    "rwab_close_mean_gap": _rwab_case("mean_gap", 500, 0.55, 0.45, 2),
+    "rwab_close_realized": _rwab_case("realized", 500, 0.55, 0.45, 2),
+    "sat2": _sat2_case(20, 60, 2400),
+    "sat2_capped": _sat2_case(30, 90, 40),
+    "recolour": _recolour_case(15, 0.8, 1350),
+    "recolour_capped": _recolour_case(21, 0.9, 5),
+}
+
+SEEDS = (1, 2024, 7919)
+STARTS = (0, 40, 5000)
+
+# case -> {(seed, start): outputs}, computed on the scalar draw path
+PINS = {
+    "biased": {
+        (1, 0): (74, "1c3cbf96f2b19409", 72),
+        (1, 40): (70, "8ed3e1215753628e", 109),
+        (1, 5000): (82, "03f383b5f55e4d74", 5081),
+        (2024, 0): (106, "a3baa47554599d1c", 105),
+        (2024, 40): (92, "0026c527198c5252", 131),
+        (2024, 5000): (80, "5930050ff538f504", 5079),
+        (7919, 0): (110, "b1fd14e5214fb78f", 108),
+        (7919, 40): (110, "3ff9c72d57ace434", 148),
+        (7919, 5000): (106, "2f2bd8c0b4a75ca6", 5104),
+    },
+    "fair": {
+        (1, 0): (46, "493ac08db1f99aa7", 46),
+        (1, 40): (22, "8298baed36d07209", 62),
+        (1, 5000): (146, "8e852fd7fd674dd6", 5146),
+        (2024, 0): (76, "a67e3cb1c9a62d84", 76),
+        (2024, 40): (36, "5352bc6071b75104", 76),
+        (2024, 5000): (54, "faf38fb652ae6169", 5054),
+        (7919, 0): (46, "4feffd5399759b7a", 46),
+        (7919, 40): (12, "361392954dec288e", 52),
+        (7919, 5000): (138, "a5437e81eb69a437", 5138),
+    },
+    "fair_capped": {
+        (1, 0): (64, "6bc5bbff9550f940", 64),
+        (1, 40): (76, "a2a7a4d70743b155", 116),
+        (1, 5000): (150, "161049bacdc7bef9", 5150),
+        (2024, 0): (150, "e201de7ace59b111", 150),
+        (2024, 40): (120, "59e9fe07cce2f387", 160),
+        (2024, 5000): (150, "abc22a2ece57f62e", 5150),
+        (7919, 0): (74, "12bdffdf5fa17c6e", 74),
+        (7919, 40): (82, "66b37c719ecc3787", 122),
+        (7919, 5000): (150, "2eb1ca5aa6b9e1a1", 5150),
+    },
+    "lazy": {
+        (1, 0): (33, "83fded21e8a23013", 33),
+        (1, 40): (50, "be7a7eeead775122", 90),
+        (1, 5000): (165, "81dc4e55528c5f6f", 5165),
+        (2024, 0): (143, "5f688688e1af4e8a", 143),
+        (2024, 40): (103, "1065071acd343bc1", 143),
+        (2024, 5000): (109, "72ff9689be4ca15d", 5109),
+        (7919, 0): (241, "31613896187a9c91", 241),
+        (7919, 40): (201, "bae6304f638a0391", 241),
+        (7919, 5000): (68, "cb3e9f7925ece192", 5068),
+    },
+    "recolour": {
+        (1, 0): (15, "62535d276a7d5cb2", 105),
+        (1, 40): (11, "636eb14bca962d22", 141),
+        (1, 5000): (34, "75e95ec8709ff3ab", 5124),
+        (2024, 0): (10, "dee742119ca18b17", 100),
+        (2024, 40): (9, "1c147d90c01c0f75", 139),
+        (2024, 5000): (6, "6f00d0f7241681ff", 5096),
+        (7919, 0): (6, "bc6e792329cb7db6", 96),
+        (7919, 40): (6, "137270ed26c8fe3a", 136),
+        (7919, 5000): (5, "0e9682e7783534c4", 5095),
+    },
+    "recolour_capped": {
+        (1, 0): (5, "22fc8d667d563c79", 173),
+        (1, 40): (5, "eccbdfb0617c7bcf", 213),
+        (1, 5000): (5, "8f9073edbe5ffd53", 5173),
+        (2024, 0): (5, "cceb67e50d4688de", 173),
+        (2024, 40): (5, "a24c665ca88831a8", 213),
+        (2024, 5000): (5, "6100039c3b989d85", 5173),
+        (7919, 0): (5, "42da58290b02c9ce", 173),
+        (7919, 40): (5, "3c18e9a9d62b1bb0", 213),
+        (7919, 5000): (5, "459586f57469afdd", 5173),
+    },
+    "rwab_close_mean_gap": {
+        (1, 0): (25.599999999999977, "1c9dbba5ffff90a8", 1828),
+        (1, 40): (34.99999999999998, "6724006b059d0f22", 1920),
+        (1, 5000): (31.89999999999993, "75fb18c116993f78", 6220),
+        (2024, 0): (33.49999999999997, "785b73ecf43a4648", 1654),
+        (2024, 40): (37.099999999999994, "f7e616abe8d541f0", 1460),
+        (2024, 5000): (35.29999999999999, "3083fb203645a95e", 6566),
+        (7919, 0): (58.800000000000125, "afaed2e587c27644", 1842),
+        (7919, 40): (44.60000000000019, "fc9c53dd24e34e4f", 1952),
+        (7919, 5000): (43.30000000000005, "5fc07a9794c9e12e", 6560),
+    },
+    "rwab_close_realized": {
+        (1, 0): (-4.0, "a283361189645d03", 1758),
+        (1, 40): (25.0, "c73dc2a790811bf3", 2222),
+        (1, 5000): (8.0, "e60a5b1fa632064c", 6660),
+        (2024, 0): (39.0, "d526474a8ef8a52a", 1828),
+        (2024, 40): (34.0, "65035e70b92b0566", 2146),
+        (2024, 5000): (37.0, "4f59b7401a4b1fb6", 7068),
+        (7919, 0): (24.0, "b0c690976f2af9af", 1708),
+        (7919, 40): (49.0, "c95be9c490dcfbd2", 2078),
+        (7919, 5000): (55.0, "fabe5f762721e195", 7361),
+    },
+    "rwab_mean_gap": {
+        (1, 0): (30.4, "519b6d5b5bcccfe1", 584),
+        (1, 40): (23.200000000000003, "56319380fa72d4f8", 582),
+        (1, 5000): (65.99999999999993, "6a01965fbaaed263", 5566),
+        (2024, 0): (29.20000000000001, "6713eacbd34ba208", 544),
+        (2024, 40): (59.59999999999997, "5f55f267021b1645", 702),
+        (2024, 5000): (46.799999999999976, "a42abf90c3af939b", 5574),
+        (7919, 0): (25.20000000000001, "a6a925f70e0c0fb1", 552),
+        (7919, 40): (40.4, "8b938e4c3a5ae0fb", 660),
+        (7919, 5000): (45.60000000000001, "7ebcc0469b77d107", 5680),
+    },
+    "rwab_realized": {
+        (1, 0): (21.0, "c21772b06c19be68", 866),
+        (1, 40): (29.0, "68b541ed8b0b8b39", 889),
+        (1, 5000): (48.0, "dc140b1cbddce38e", 5898),
+        (2024, 0): (45.0, "ea33350db59244dc", 899),
+        (2024, 40): (50.0, "14e1933082d06643", 901),
+        (2024, 5000): (46.0, "94c42d364797eb36", 5862),
+        (7919, 0): (24.0, "bb5f483d41bc368f", 803),
+        (7919, 40): (50.0, "392ff50cc5333a02", 961),
+        (7919, 5000): (50.0, "4e21dcd7c77c17ba", 5930),
+    },
+    "sat2": {
+        (1, 0): (16, "0ce9d5d0907bc8d9", 386),
+        (1, 40): (46, "9ad74e41153b71a2", 432),
+        (1, 5000): (44, "1603fbd26e3da5a5", 5420),
+        (2024, 0): (31, "79ae81a92060b722", 455),
+        (2024, 40): (56, "5735de609f516e9c", 496),
+        (2024, 5000): (24, "55fd040483ff3734", 5430),
+        (7919, 0): (67, "fcfe15f076b4c5c2", 415),
+        (7919, 40): (19, "f84964f7e7129580", 429),
+        (7919, 5000): (60, "0eb1cb91000a1d1b", 5412),
+    },
+    "sat2_capped": {
+        (1, 0): (19, "ca2985299cc918a5", 539),
+        (1, 40): (40, "a479c61250c72ed4", 604),
+        (1, 5000): (26, "ba7ad58b6920f8ac", 5552),
+        (2024, 0): (40, "d91817d296edb8d1", 552),
+        (2024, 40): (32, "1ba1c9cf99c32e15", 582),
+        (2024, 5000): (40, "7c80c99144afd18d", 5624),
+        (7919, 0): (40, "cc17e627a60de832", 578),
+        (7919, 40): (40, "4d42c22dd4d0b174", 618),
+        (7919, 5000): (40, "a1d40424c5e769bb", 5580),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kernel_outputs_match_scalar_path_pins(name):
+    got = {(seed, start): CASES[name](seed, start) for seed in SEEDS for start in STARTS}
+    assert got == PINS[name]

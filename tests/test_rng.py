@@ -1,6 +1,7 @@
 """Determinism and distribution checks for the counter-based streams."""
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -186,3 +187,155 @@ def test_indices_reject_bad_k_at_the_call():
         with pytest.raises(ValueError):
             s.indices(k)
     assert s.draw_counter == 0
+
+
+# ---------------------------------------------------------------------------
+# The cached block path against the defining formula.  A fresh stream that
+# draws sequentially fills blocks of 64, 128, 256, 512, 1024, 1024, ...
+# words, starting at these positions; each edge is tested from both sides.
+GROWTH_EDGES = [0, 63, 64, 191, 192, 447, 448, 959, 960, 1983, 1984]
+
+
+class FormulaStream:
+    """The draw methods straight from the formula in the rng module docstring."""
+
+    def __init__(self, seed, sid, counter=0):
+        self.key = _mix64((seed + (sid + 1) * _GOLDEN) & MASK)
+        self.draw_counter = counter
+
+    def next_u64(self):
+        self.draw_counter += 1
+        return _mix64((self.key + self.draw_counter * _GOLDEN) & MASK)
+
+    def next_uniform(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def next_index(self, k):
+        limit = (1 << 64) - (1 << 64) % k
+        while True:
+            w = self.next_u64()
+            if w < limit:
+                return w % k
+
+
+def _stream_at(seed, sid, start, warm):
+    """A stream at position start; warm streams got there by drawing from 0."""
+    if not warm:
+        return RngStream(master_seed=seed, stream_id=sid, draw_counter=start)
+    stream = RngStream(master_seed=seed, stream_id=sid)
+    for _ in range(start):
+        stream.next_u64()
+    return stream
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=MASK),
+    sid=st.integers(min_value=0, max_value=2**32),
+    positions=st.lists(
+        st.one_of(
+            st.sampled_from(GROWTH_EDGES),
+            st.integers(min_value=0, max_value=5000),
+            st.integers(min_value=0, max_value=MASK),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    run=st.integers(min_value=1, max_value=300),
+)
+@settings(max_examples=60, deadline=None)
+def test_next_u64_matches_formula_at_reassigned_positions(seed, sid, positions, run):
+    stream = RngStream(master_seed=seed, stream_id=sid)
+    for pos in positions:
+        stream.draw_counter = pos
+        oracle = FormulaStream(seed, sid, pos)
+        for _ in range(run):
+            assert stream.next_u64() == oracle.next_u64()
+            assert stream.draw_counter == oracle.draw_counter
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=MASK),
+    sid=st.integers(min_value=0, max_value=2**32),
+    start=st.sampled_from(GROWTH_EDGES),
+    warm=st.booleans(),
+    k=st.one_of(st.none(), INDEX_KS),
+    taken=st.integers(min_value=0, max_value=2100),
+)
+@settings(max_examples=60, deadline=None)
+def test_iterators_match_scalar_calls_across_growth_edges(seed, sid, start, warm, k, taken):
+    block = _stream_at(seed, sid, start, warm)
+    scalar = _stream_at(seed, sid, start, not warm)
+    oracle = FormulaStream(seed, sid, start)
+    if k is None:
+        values, draw, reference = block.uniforms(), scalar.next_uniform, oracle.next_uniform
+    else:
+        values = block.indices(k)
+        draw, reference = partial(scalar.next_index, k), partial(oracle.next_index, k)
+    for _ in range(taken):
+        expected = reference()
+        assert next(values) == expected
+        assert draw() == expected
+        assert block.draw_counter == scalar.draw_counter == oracle.draw_counter
+    assert block.next_u64() == scalar.next_u64() == oracle.next_u64()
+
+
+# one step of an interleaved script: how to draw, k for indices, how many
+STEPS = st.tuples(
+    st.sampled_from(["uniforms", "indices", "next_uniform", "next_index", "jump"]),
+    st.sampled_from([2, 3, 2000, 2**63 + 1]),
+    st.integers(min_value=0, max_value=700),
+)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=MASK),
+    sid=st.integers(min_value=0, max_value=2**32),
+    script=st.lists(STEPS, min_size=1, max_size=10),
+)
+@settings(max_examples=60, deadline=None)
+def test_interleaved_iterators_and_scalar_calls_match_formula(seed, sid, script):
+    stream = RngStream(master_seed=seed, stream_id=sid)
+    oracle = FormulaStream(seed, sid)
+    for how, k, count in script:
+        if how == "jump":  # reassign the counter, forward or back
+            stream.draw_counter = oracle.draw_counter = count * 7
+            continue
+        if how == "uniforms":
+            draw, reference = stream.uniforms().__next__, oracle.next_uniform
+        elif how == "indices":
+            draw, reference = stream.indices(k).__next__, partial(oracle.next_index, k)
+        elif how == "next_uniform":
+            draw, reference = stream.next_uniform, oracle.next_uniform
+        else:
+            draw, reference = partial(stream.next_index, k), partial(oracle.next_index, k)
+        for _ in range(count):
+            assert draw() == reference()
+            assert stream.draw_counter == oracle.draw_counter
+    assert stream.next_u64() == oracle.next_u64()
+
+
+def test_equality_ignores_the_cached_block():
+    a = RngStream(master_seed=42, stream_id=3)
+    b = RngStream(master_seed=42, stream_id=3)
+    for _ in range(500):
+        a.next_u64()
+    a.draw_counter = 0  # a caches words 448..959, b caches nothing
+    assert a == b
+    assert repr(a) == repr(b)
+    b.next_u64()
+    assert a != b
+    a.next_u64()
+    assert a == b
+
+
+def test_block_sizes_grow_while_sequential_and_restart_after_a_jump():
+    s = RngStream(master_seed=5)
+    sizes = []
+    for _ in range(2100):
+        s.next_u64()
+        if s.draw_counter - 1 == s._first:  # the word just drawn opened a block
+            sizes.append(len(s._words))
+    assert sizes == [64, 128, 256, 512, 1024, 1024]
+    s.draw_counter = 10
+    s.next_u64()
+    assert (s._first, len(s._words)) == (10, 64)

@@ -6,6 +6,7 @@ import pytest
 
 from driftlab.rng import RngStream
 from driftlab.rwab import (
+    MAX_CHALLENGE_ITERATIONS,
     BanditEnv,
     run_challenge,
     run_rwab,
@@ -27,11 +28,23 @@ from driftlab.rwab import (
         # both arms always pay the same, so a challenge could never end
         dict(horizon=50, mu1=0.0, mu2=0.0, change_times=(10, 20)),
         dict(horizon=50, mu1=1.0, mu2=1.0, change_times=(10, 20)),
+        # the walk moves with probability ~2e-9 per iteration: ~2.5e10 in all
+        dict(horizon=50, mu1=1e-9, mu2=1e-9, change_times=(10, 20)),
+        dict(horizon=50, mu1=1.0 - 1e-9, mu2=1.0, change_times=(10, 20)),
     ],
 )
 def test_env_validation(kwargs):
     with pytest.raises(ValueError):
         BanditEnv(**kwargs)
+
+
+def test_challenge_length_limit_sits_at_the_constant():
+    # mu1 = 0 makes the move probability exactly mu2 = 2**-20, so the
+    # estimate horizon / q = horizon * 2**20 crosses 1e8 between 95 and 96
+    assert MAX_CHALLENGE_ITERATIONS == 10**8
+    BanditEnv(horizon=95, mu1=0.0, mu2=2.0**-20, change_times=(10,))
+    with pytest.raises(ValueError, match="challenge iterations"):
+        BanditEnv(horizon=96, mu1=0.0, mu2=2.0**-20, change_times=(10,))
 
 
 def test_change_time_sampling_shapes():
