@@ -79,23 +79,6 @@ def estimate_drift(trajectories: Iterable[Trajectory]) -> DriftEstimate:
     )
 
 
-def classify_drift(
-    est: DriftEstimate, n: int, c: float, delta_hat: float, tol: float
-) -> str:
-    """Label an estimate against the two hypothesis regimes.
-
-    "variance_dominated": drift nonnegative up to tol and second moment at
-    least delta_hat.  "variance_transformed": drift negative but no worse
-    than -c/n - tol, same second-moment floor.  Anything else: "neither".
-    """
-    if est.second_moment >= delta_hat:
-        if est.mean_drift >= -tol:
-            return "variance_dominated"
-        if est.mean_drift >= -(c / n) - tol:
-            return "variance_transformed"
-    return "neither"
-
-
 # ---------------------------------------------------------------------------
 # Step-size tail fitting: find (r, eta) with
 # freq(|step| >= j) <= r / (1 + eta)^j for all j >= 0, minimizing the

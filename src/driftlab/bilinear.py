@@ -14,15 +14,22 @@ incumbent: g(x1, y2) >= g(x1, y1) >= g(x2, y1) for candidate (x1, y1) and
 incumbent (x2, y2).  All comparisons run on the integer-scaled value
 n^3 * g, which is exact, so acceptance never hinges on float rounding.
 
-run_until_opt supports two payoffs for its acceptance rule: "corrected"
-is g above, the payoff that bilinear_value, dominates and rls_pd_step
-use; "plain" drops the correction terms and ranks by the bare objective
+run_search is the one search loop: it flips one position per step while
+the Manhattan distance m to the optimum satisfies lo < m < hi, up to a
+cap.  run_until_opt runs it until m = 0 (optimum hitting), run_forgetting
+from the optimum until m reaches a threshold (forgetting).  The loop
+knows two payoffs: "corrected" is g above, the payoff that
+bilinear_value, dominates and rls_pd_step use; "plain" drops the
+correction terms and ranks by the bare objective
 |y|(|x| - beta*n) - alpha*n*|x| alone.  Under the plain payoff every
 flip along the target row |y| = alpha*n (or column |x| = beta*n) ties
 and is accepted, so the approach to the optimum mixes ratchet phases
 with long unbiased excursions and the hitting times come out severalfold
-larger; the plain payoff is the default because its hitting-time
-statistics are the ones the optimum-hitting experiment reports.
+larger; the plain payoff is run_until_opt's default because its
+hitting-time statistics are the ones the optimum-hitting experiment
+reports.  Forgetting always runs the corrected payoff.  rls_pd_step and
+dominates stay as the exact single-step oracles the loop is tested
+against.
 
 Progress is measured by the Manhattan distance of the count pair to the
 optimum; quadrant() names which side of the optimum a pair sits on.
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from math import sqrt
+from math import inf, sqrt
 
 from driftlab.rng import RngStream
 from driftlab.trajectory import Trajectory
@@ -190,30 +197,6 @@ def rls_pd_step(
     return pair, False
 
 
-def accepts_x_flip(params: BilinearParams, ox: int, nox: int, oy: int) -> bool:
-    """Dominance verdict for a single x-flip under the corrected payoff.
-
-    The correction terms are O(n^2)/n^3 while the payoff terms move in
-    units of n^3, so away from the row |y| = alpha*n the sign of oy - an
-    decides; on the row only the E2 plateau matters.  Tests pin this
-    reduction to dominates() exhaustively.
-    """
-    if oy > params.an:
-        return nox > ox
-    if oy < params.an:
-        return nox < ox
-    return abs(params.bn - nox) <= max(abs(params.bn - ox), 1)
-
-
-def accepts_y_flip(params: BilinearParams, ox: int, oy: int, noy: int) -> bool:
-    """Dominance verdict for a single y-flip under the corrected payoff."""
-    if ox > params.bn:
-        return noy < oy
-    if ox < params.bn:
-        return noy > oy
-    return abs(params.an - noy) <= max(abs(params.an - oy), 1)
-
-
 @dataclass
 class BilinearRunResult:
     pair: SearchPair
@@ -228,87 +211,66 @@ def default_cap(params: BilinearParams) -> int:
     return int(20 * params.n * sqrt(params.n))
 
 
-def run_until_opt(
+
+
+def run_search(
     params: BilinearParams,
     stream: RngStream,
+    pair: SearchPair,
     cap: int,
-    init: SearchPair | None = None,
+    lo: float,
+    hi: float,
+    plain: bool,
     record: bool = False,
-    payoff: str = "plain",
 ) -> BilinearRunResult:
-    """Iterate single-flip dominance steps until the optimum region or cap.
+    """Single-flip dominance steps while lo < m < hi and fewer than cap steps.
 
-    The trajectory, when recorded, is the Manhattan distance after each
-    step.  payoff picks the acceptance ranking: "plain" compares the bare
-    objective, "corrected" the objective with its tie-breaking terms (see
-    the module docstring).  Under "corrected" the loop body mirrors
-    rls_pd_step with the value arithmetic inlined; tests pin the two
-    paths to identical draw-for-draw behaviour.  Flip positions come from
-    stream.indices, the block form of the next_index calls rls_pd_step
-    makes.
+    m is the Manhattan distance of the count pair to the optimum; the
+    trajectory, when recorded, is m after each step.  The pair is updated
+    in place.  Flip positions come from stream.indices, the block form of
+    the next_index calls rls_pd_step makes.
+
+    Acceptance is the dominance chain reduced to a sign test.  The payoff
+    terms move in units of n^3 and the correction terms are O(n^2), so off
+    the row |y| = alpha*n an x-flip by d = +-1 is kept iff
+    (|y| - alpha*n) * d > 0, under either payoff; off the column
+    |x| = beta*n a y-flip is kept iff (beta*n - |x|) * d > 0.  On the row
+    (column) the plain payoff ties, so it keeps every flip; the corrected
+    one keeps a flip iff it stays on the E2 (E1) plateau:
+    |beta*n - new| <= max(|beta*n - old|, 1).  Tests pin this rule to
+    rls_pd_step and to the plain dominance chain at every count pair and
+    flip position.
     """
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    if payoff not in PAYOFFS:
-        raise ValueError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
-    pair = random_pair(stream, params) if init is None else init
     n, an, bn = params.n, params.an, params.bn
     x, y = pair.x, pair.y
     ox, oy = pair.ones_x, pair.ones_y
     m = abs(bn - ox) + abs(an - oy)
     values = [m] if record else None
     t = 0
-    # index draws continue from wherever random_pair's draws stopped
+    # index draws continue from wherever the stream's earlier draws stopped
     next_pos = stream.indices(2 * n).__next__
-    if payoff == "plain":
-        while m != 0 and t < cap:
-            pos = next_pos()
-            if pos < n:
-                d = -1 if x[pos] else 1
-                # x-flip dominance reduces to a sign test on the bare payoff
-                if (oy - an) * d >= 0:
-                    x[pos] ^= 1
-                    ox += d
-                    m = abs(bn - ox) + abs(an - oy)
-            else:
-                d = -1 if y[pos - n] else 1
-                if (ox - bn) * d <= 0:
-                    y[pos - n] ^= 1
-                    oy += d
-                    m = abs(bn - ox) + abs(an - oy)
-            t += 1
-            if record:
-                values.append(m)
-    else:
-        # sign form of the dominance chain; accepts_x_flip/accepts_y_flip
-        # inlined for speed, equivalence to rls_pd_step pinned by tests
-        while m != 0 and t < cap:
-            pos = next_pos()
-            if pos < n:
-                nox = ox + (-1 if x[pos] else 1)
-                if (
-                    (nox > ox if oy > an else nox < ox)
-                    if oy != an
-                    else abs(bn - nox) <= max(abs(bn - ox), 1)
-                ):
-                    x[pos] ^= 1
-                    ox = nox
-                    m = abs(bn - ox) + abs(an - oy)
-            else:
-                noy = oy + (-1 if y[pos - n] else 1)
-                if (
-                    (noy < oy if ox > bn else noy > oy)
-                    if ox != bn
-                    else abs(an - noy) <= max(abs(an - oy), 1)
-                ):
-                    y[pos - n] ^= 1
-                    oy = noy
-                    m = abs(bn - ox) + abs(an - oy)
-            t += 1
-            if record:
-                values.append(m)
+    while lo < m < hi and t < cap:
+        pos = next_pos()
+        if pos < n:
+            d = -1 if x[pos] else 1
+            s = (oy - an) * d
+            if s > 0 or (s == 0 and (plain or abs(bn - ox - d) <= max(abs(bn - ox), 1))):
+                x[pos] ^= 1
+                ox += d
+                m = abs(bn - ox) + abs(an - oy)
+        else:
+            pos -= n
+            d = -1 if y[pos] else 1
+            s = (bn - ox) * d
+            if s > 0 or (s == 0 and (plain or abs(an - oy - d) <= max(abs(an - oy), 1))):
+                y[pos] ^= 1
+                oy += d
+                m = abs(bn - ox) + abs(an - oy)
+        t += 1
+        if record:
+            values.append(m)
     pair.ones_x, pair.ones_y = ox, oy
-    censored = m != 0
+    censored = lo < m < hi
     traj = None
     if record:
         traj = Trajectory(values=values, censored=censored, cap=cap if censored else None)
@@ -319,6 +281,28 @@ def run_until_opt(
         trajectory=traj,
         quadrant_at_end=quadrant(params, pair),
     )
+
+
+def run_until_opt(
+    params: BilinearParams,
+    stream: RngStream,
+    cap: int,
+    init: SearchPair | None = None,
+    record: bool = False,
+    payoff: str = "plain",
+) -> BilinearRunResult:
+    """Search from init (or a drawn pair) until the optimum region or cap.
+
+    payoff picks the acceptance ranking: "plain" compares the bare
+    objective, "corrected" the objective with its tie-breaking terms (see
+    the module docstring).
+    """
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    if payoff not in PAYOFFS:
+        raise ValueError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
+    pair = random_pair(stream, params) if init is None else init
+    return run_search(params, stream, pair, cap, 0, inf, payoff == "plain", record)
 
 
 def run_forgetting(
@@ -330,57 +314,13 @@ def run_forgetting(
 ) -> BilinearRunResult:
     """Start at the canonical optimum; run until Manhattan distance >= threshold.
 
-    Measures how long the dominance rule retains the optimum once reached:
-    the error terms allow drifting moves along the optimum boundary, so
-    the distance performs a slow random walk away from zero.
+    Measures how long the corrected dominance rule retains the optimum once
+    reached: the error terms allow drifting moves along the optimum
+    boundary, so the distance performs a slow random walk away from zero.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     pair = canonical_opt_pair(params)
-    n, an, bn = params.n, params.an, params.bn
-    x, y = pair.x, pair.y
-    ox, oy = pair.ones_x, pair.ones_y
-    next_pos = stream.indices(2 * n).__next__
-    m = 0
-    values = [m] if record else None
-    t = 0
-    # same sign-form acceptance as run_until_opt's corrected branch
-    while m < threshold and t < cap:
-        pos = next_pos()
-        if pos < n:
-            nox = ox + (-1 if x[pos] else 1)
-            if (
-                (nox > ox if oy > an else nox < ox)
-                if oy != an
-                else abs(bn - nox) <= max(abs(bn - ox), 1)
-            ):
-                x[pos] ^= 1
-                ox = nox
-                m = abs(bn - ox) + abs(an - oy)
-        else:
-            noy = oy + (-1 if y[pos - n] else 1)
-            if (
-                (noy < oy if ox > bn else noy > oy)
-                if ox != bn
-                else abs(an - noy) <= max(abs(an - oy), 1)
-            ):
-                y[pos - n] ^= 1
-                oy = noy
-                m = abs(bn - ox) + abs(an - oy)
-        t += 1
-        if record:
-            values.append(m)
-    pair.ones_x, pair.ones_y = ox, oy
-    censored = m < threshold
-    traj = None
-    if record:
-        traj = Trajectory(values=values, censored=censored, cap=cap if censored else None)
-    return BilinearRunResult(
-        pair=pair,
-        iterations=t,
-        censored=censored,
-        trajectory=traj,
-        quadrant_at_end=quadrant(params, pair),
-    )
+    return run_search(params, stream, pair, cap, -1, threshold, False, record)

@@ -62,11 +62,11 @@ class BoundSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}; choose from {KINDS}")
         if self.kind == "KotzingPolynomial":
-            if self.ell is None or self.ell <= 0:
+            if self.ell is None or not self.ell > 0:
                 raise ValueError("KotzingPolynomial requires ell > 0")
-            if self.c is None or self.c <= 1:
+            if self.c is None or not self.c > 1:
                 raise ValueError("KotzingPolynomial requires c > 1")
-            if self.n is None or self.n < 2:
+            if self.n is None or not self.n >= 2:
                 raise ValueError("KotzingPolynomial requires integer n >= 2")
             return
         if not self.b > 0:
@@ -74,10 +74,10 @@ class BoundSpec:
         if not 0 <= self.x0 <= self.b:
             raise ValueError(f"x0 must lie in [0, b], got {self.x0!r}")
         if self.kind in _NEEDS_DELTA:
-            if self.delta is None or self.delta <= 0:
+            if self.delta is None or not self.delta > 0:
                 raise ValueError(f"{self.kind} requires delta > 0")
         if self.kind == "Additive":
-            if self.epsilon is None or self.epsilon <= 0:
+            if self.epsilon is None or not self.epsilon > 0:
                 raise ValueError("Additive requires epsilon > 0")
 
 
@@ -97,7 +97,7 @@ def expected_time_upper(spec: BoundSpec) -> float:
 
 def tail_probability_upper(spec: BoundSpec, tau: float) -> float:
     """Probability ceiling for the event {T at least tau}, clamped to [0, 1]."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau!r}")
     if spec.kind in ("NegativeDriftVariance", "StandardVariance"):
         raw = math.exp(-tau * spec.delta / (math.e * spec.b**2))

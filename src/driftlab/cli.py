@@ -17,6 +17,7 @@ from driftlab.experiment import (
     AnalysisBlock,
     ExperimentConfig,
     analyze_files,
+    number_list,
     parse_bound_spec,
     run_experiment,
 )
@@ -85,12 +86,9 @@ def _cmd_bounds(args) -> int:
         raise ConfigError("bounds spec: expected an object")
     if "bound" not in obj:
         raise ConfigError("bounds spec: missing field bound")
-    grid = obj.get("tau_grid")
-    if not isinstance(grid, list) or not grid or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) and t >= 0
-        for t in grid
-    ):
-        raise ConfigError("bounds spec: tau_grid must be a nonempty list of nonnegative numbers")
+    grid = number_list(obj.get("tau_grid"), "bounds spec.tau_grid")
+    if not grid:
+        raise ConfigError("bounds spec.tau_grid: expected a nonempty list")
     spec = parse_bound_spec(obj["bound"])
     sys.stdout.write(bounds_csv(spec, grid))
     return EXIT_OK

@@ -19,7 +19,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from driftlab.analysis import (
     DEFAULT_CONFIDENCE,
@@ -54,6 +55,8 @@ from driftlab.rwab import (
 )
 from driftlab.sat2 import generate_planted, random_assignment, run_walk, satisfies
 from driftlab.trajectory import (
+    REGRET_COLUMNS,
+    SAMPLE_COLUMNS,
     HittingTimeSample,
     Trajectory,
     format_value,
@@ -62,32 +65,6 @@ from driftlab.trajectory import (
     write_text,
 )
 from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
-
-KINDS = (
-    "sat2",
-    "recolour",
-    "rlspd",
-    "rlspd_forgetting",
-    "rwab",
-    "synthetic_fair",
-    "synthetic_biased",
-    "synthetic_lazy",
-)
-
-# per-run diagnostic columns appended after run_id,seed,stopping_time,censored;
-# rwab has its own fixed schema (see RWAB_HEADER) because its scalar is a
-# regret, not a stopping time, and its runs cannot be censored
-EXTRA_COLUMNS = {
-    "sat2": ("satisfied",),
-    "recolour": ("triangle_free",),
-    "rlspd": ("quadrant_at_end",),
-    "rlspd_forgetting": ("quadrant_at_end",),
-    "synthetic_fair": (),
-    "synthetic_biased": (),
-    "synthetic_lazy": (),
-}
-
-RWAB_HEADER = "run_id,seed,total_regret,swaps,mistakes,sub_eras"
 
 _CONFIG_KEYS = {
     "kind",
@@ -106,6 +83,34 @@ _ANALYSIS_KEYS = {"k_list", "tau_grid", "confidence", "bound", "histogram_bins"}
 DEFAULT_K_LIST = (1.0, 2.0)
 
 
+def finite_number(value, where: str) -> float:
+    """A JSON number as a finite float, or a ConfigError naming where.
+
+    NaN, the infinities and integers too large for a float are rejected:
+    a run configured with one reports results that mean nothing.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number")
+    return number
+
+
+def number_list(value, where: str, positive: bool = False) -> tuple[float, ...]:
+    """A JSON list of finite numbers, each > 0 if positive, else >= 0."""
+    what = "positive" if positive else "nonnegative"
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list of {what} numbers")
+    numbers = tuple(finite_number(v, where) for v in value)
+    if not all(v > 0 if positive else v >= 0 for v in numbers):
+        raise ConfigError(f"{where}: expected a list of {what} numbers")
+    return numbers
+
+
 def _need(obj: dict, key: str, kinds, where: str):
     if key not in obj:
         raise ConfigError(f"{where}.{key}: required field is missing")
@@ -119,9 +124,7 @@ def _need(obj: dict, key: str, kinds, where: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
     elif kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-        value = float(value)
+        value = finite_number(value, f"{where}.{key}")
     elif kinds is str:
         if not isinstance(value, str):
             raise ConfigError(f"{where}.{key}: expected a string, got {value!r}")
@@ -160,18 +163,10 @@ class AnalysisBlock:
         if not isinstance(obj, dict):
             raise ConfigError(f"{where}: expected an object, got {obj!r}")
         _reject_unknown(obj, _ANALYSIS_KEYS, where)
-        k_list = obj.get("k_list", list(DEFAULT_K_LIST))
-        if not isinstance(k_list, list) or not all(
-            isinstance(k, (int, float)) and not isinstance(k, bool) and k > 0
-            for k in k_list
-        ):
-            raise ConfigError(f"{where}.k_list: expected a list of positive numbers")
-        tau_grid = obj.get("tau_grid", [])
-        if not isinstance(tau_grid, list) or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) and t >= 0
-            for t in tau_grid
-        ):
-            raise ConfigError(f"{where}.tau_grid: expected a list of nonnegative numbers")
+        k_list = number_list(
+            obj.get("k_list", list(DEFAULT_K_LIST)), f"{where}.k_list", positive=True
+        )
+        tau_grid = number_list(obj.get("tau_grid", []), f"{where}.tau_grid")
         confidence = _optional(obj, "confidence", float, where, DEFAULT_CONFIDENCE)
         if not 0.0 < confidence < 1.0:
             raise ConfigError(f"{where}.confidence: must lie strictly between 0 and 1")
@@ -184,8 +179,8 @@ class AnalysisBlock:
         if bins is not None and bins < 1:
             raise ConfigError(f"{where}.histogram_bins: must be positive")
         return cls(
-            k_list=tuple(float(k) for k in k_list),
-            tau_grid=tuple(float(t) for t in tau_grid),
+            k_list=k_list,
+            tau_grid=tau_grid,
             confidence=confidence,
             bound=bound,
             histogram_bins=bins,
@@ -209,6 +204,193 @@ def parse_bound_spec(obj: dict, where: str = "bound") -> BoundSpec:
         return BoundSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# The experiment kinds.  A kind's check raises ConfigError (or a ValueError
+# from a domain constructor) for a bad params block.  Its simulate function
+# runs one replication from (params, stream, cap, record) and returns the
+# scalar (a stopping time or a total regret), the censored flag, the values
+# of its extra samples.csv columns and the trajectory or None.  Simulators
+# are called through this module's globals, so rebinding one of those names
+# reaches every call.
+
+
+def _check_walk(p: dict, where: str, rate: str | None = None, low: float = 0.0) -> None:
+    """b >= 1 and 0 <= x0 <= b, plus the named rate in (low, 1]."""
+    b = _need(p, "b", int, where)
+    x0 = _need(p, "x0", int, where)
+    if b < 1 or not 0 <= x0 <= b:
+        raise ConfigError(f"{where}: need b >= 1 and 0 <= x0 <= b")
+    if rate is not None and not low < _need(p, rate, float, where) <= 1.0:
+        raise ConfigError(f"{where}.{rate}: must lie in ({low:g}, 1]")
+    _reject_unknown(p, {"b", "x0"} if rate is None else {"b", "x0", rate}, where)
+
+
+def _walk(sample_and_trajectory) -> tuple:
+    sample, traj = sample_and_trajectory
+    return sample.stopping_time, sample.censored, (), traj
+
+
+def _simulate_fair(p, stream, cap, record):
+    return _walk(simulate_fair_walk(stream, p["b"], p["x0"], cap, record=record))
+
+
+def _simulate_biased(p, stream, cap, record):
+    walk = simulate_biased_walk(stream, p["b"], p["x0"], p["p_up"], cap, record=record)
+    return _walk(walk)
+
+
+def _simulate_lazy(p, stream, cap, record):
+    walk = simulate_lazy_walk(stream, p["b"], p["x0"], p["delta"], cap, record=record)
+    return _walk(walk)
+
+
+def _check_sat2(p: dict, where: str) -> None:
+    _reject_unknown(p, {"n", "m"}, where)
+    n = _need(p, "n", int, where)
+    m = _need(p, "m", int, where)
+    if n < 2:
+        raise ConfigError(f"{where}.n: must be at least 2")
+    if m < 1:
+        raise ConfigError(f"{where}.m: must be at least 1")
+
+
+def _simulate_sat2(p, stream, cap, record):
+    instance = generate_planted(stream, p["n"], p["m"])
+    init = random_assignment(stream, p["n"])
+    reference = instance.witness if record else None
+    result = run_walk(instance.formula, init, stream, cap, reference=reference)
+    satisfied = satisfies(instance.formula, result.assignment)
+    return result.iterations, result.censored, (satisfied,), result.trajectory
+
+
+def _check_recolour(p: dict, where: str) -> None:
+    _reject_unknown(p, {"n", "edge_prob"}, where)
+    n = _need(p, "n", int, where)
+    edge_prob = _need(p, "edge_prob", float, where)
+    if n < 3:
+        raise ConfigError(f"{where}.n: must be at least 3")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ConfigError(f"{where}.edge_prob: must lie in [0, 1]")
+
+
+def _simulate_recolour(p, stream, cap, record):
+    graph = generate_3colorable(stream, p["n"], p["edge_prob"])
+    init = random_colouring(stream, p["n"])
+    spec = ((0, 1), (0, 1)) if record else None
+    result = run_recolour(graph, init, stream, cap, potential_spec=spec)
+    triangle_free = seek_monochromatic_triangle(graph, result.colouring) is None
+    return result.iterations, result.censored, (triangle_free,), result.trajectory
+
+
+def _bilinear(p: dict) -> BilinearParams:
+    return BilinearParams(p["n"], p["alpha"], p["beta"])
+
+
+def _check_bilinear(p: dict, where: str, others: set) -> None:
+    _reject_unknown(p, {"n", "alpha", "beta"} | others, where)
+    BilinearParams(
+        _need(p, "n", int, where),
+        _need(p, "alpha", float, where),
+        _need(p, "beta", float, where),
+    )
+
+
+def _check_rlspd(p: dict, where: str) -> None:
+    _check_bilinear(p, where, {"payoff"})
+    if _optional(p, "payoff", str, where, "plain") not in PAYOFFS:
+        raise ConfigError(f"{where}.payoff: choose from {', '.join(PAYOFFS)}")
+
+
+def _simulate_rlspd(p, stream, cap, record):
+    payoff = p.get("payoff", "plain")
+    result = run_until_opt(_bilinear(p), stream, cap, record=record, payoff=payoff)
+    return result.iterations, result.censored, (result.quadrant_at_end,), result.trajectory
+
+
+def _check_forgetting(p: dict, where: str) -> None:
+    _check_bilinear(p, where, {"A", "B"})
+    a = _need(p, "A", float, where)
+    b = _need(p, "B", float, where)
+    if a <= 0 or b <= 0:
+        raise ConfigError(f"{where}: A and B must be positive")
+
+
+def _simulate_forgetting(p, stream, cap, record):
+    threshold = (p["A"] + p["B"]) * math.sqrt(p["n"])
+    result = run_forgetting(_bilinear(p), stream, threshold, cap, record=record)
+    return result.iterations, result.censored, (result.quadrant_at_end,), result.trajectory
+
+
+def _check_rwab(p: dict, where: str) -> None:
+    _reject_unknown(p, {"horizon", "mu1", "mu2", "changes", "accounting"}, where)
+    horizon = _need(p, "horizon", int, where)
+    changes = _need(p, "changes", int, where)
+    mu1 = _need(p, "mu1", float, where)
+    mu2 = _need(p, "mu2", float, where)
+    if horizon < 2:
+        raise ConfigError(f"{where}.horizon: must be at least 2")
+    if not 1 <= changes < horizon - 1:
+        raise ConfigError(f"{where}.changes: must lie in [1, horizon - 2]")
+    for name, mu in (("mu1", mu1), ("mu2", mu2)):
+        if not 0.0 <= mu <= 1.0:
+            raise ConfigError(f"{where}.{name}: must lie in [0, 1]")
+    check_challenges_end(horizon, mu1, mu2)
+    if _optional(p, "accounting", str, where, "mean_gap") not in ACCOUNTING_MODES:
+        raise ConfigError(f"{where}.accounting: choose from {', '.join(ACCOUNTING_MODES)}")
+
+
+def _simulate_rwab(p, stream, cap, record):
+    times = sample_change_times(stream, p["horizon"], p["changes"])
+    env = BanditEnv(horizon=p["horizon"], mu1=p["mu1"], mu2=p["mu2"], change_times=times)
+    ledger = run_rwab(env, stream, accounting=p.get("accounting", "mean_gap"))
+    return ledger.total_regret, False, (ledger.swaps, ledger.mistakes, ledger.sub_eras), None
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One experiment kind: params check, cap, simulator and CSV columns.
+
+    default_cap gives the cap from the params when the config sets none;
+    None means the config must set one.  samples.csv starts with lead and
+    ends with columns.  records says whether trajectories can be recorded.
+    """
+
+    check: Callable[[dict, str], None]
+    default_cap: Callable[[dict], int | None] | None
+    simulate: Callable[[dict, RngStream, int, bool], tuple]
+    columns: tuple[str, ...] = ()
+    lead: tuple[str, ...] = SAMPLE_COLUMNS
+    records: bool = True
+
+
+KINDS = {
+    "sat2": Kind(_check_sat2, None, _simulate_sat2, ("satisfied",)),
+    "recolour": Kind(_check_recolour, None, _simulate_recolour, ("triangle_free",)),
+    "rlspd": Kind(
+        _check_rlspd,
+        lambda p: default_cap(_bilinear(p)),
+        _simulate_rlspd,
+        ("quadrant_at_end",),
+    ),
+    "rlspd_forgetting": Kind(
+        _check_forgetting, lambda p: 100 * p["n"], _simulate_forgetting, ("quadrant_at_end",)
+    ),
+    # a bandit run ends at its horizon, so it takes no cap; its scalar is a
+    # regret, which is never censored, and it records no trajectory
+    "rwab": Kind(
+        _check_rwab,
+        lambda p: None,
+        _simulate_rwab,
+        ("swaps", "mistakes", "sub_eras"),
+        lead=REGRET_COLUMNS,
+        records=False,
+    ),
+    "synthetic_fair": Kind(_check_walk, None, _simulate_fair),
+    "synthetic_biased": Kind(partial(_check_walk, rate="p_up", low=0.5), None, _simulate_biased),
+    "synthetic_lazy": Kind(partial(_check_walk, rate="delta"), None, _simulate_lazy),
+}
 
 
 @dataclass(frozen=True)
@@ -251,7 +433,18 @@ class ExperimentConfig:
         if not isinstance(params, dict):
             raise ConfigError(f"config.params: expected an object, got {params!r}")
         analysis = AnalysisBlock.from_dict(obj.get("analysis", {}))
-        config = cls(
+        entry = KINDS[kind]
+        try:
+            entry.check(params, "config.params")
+        except ConfigError:
+            raise
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"config.params: {exc}") from exc
+        if cap is None and entry.default_cap is None:
+            raise ConfigError("config.cap: required for this kind")
+        if record and not entry.records:
+            raise ConfigError(f"config.record_trajectories: {kind} records no trajectories")
+        return cls(
             kind=kind,
             params=dict(params),
             runs=runs,
@@ -262,8 +455,6 @@ class ExperimentConfig:
             workers=workers,
             analysis=analysis,
         )
-        _validate_params(config)
-        return config
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -272,103 +463,6 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise FormatError(f"config is not valid JSON: {exc}", line=exc.lineno) from exc
         return cls.from_dict(obj)
-
-
-def _effective_cap(config: ExperimentConfig) -> int:
-    if config.cap is not None:
-        return config.cap
-    if config.kind == "rlspd":
-        p = config.params
-        return default_cap(BilinearParams(p["n"], p["alpha"], p["beta"]))
-    if config.kind == "rlspd_forgetting":
-        return 100 * config.params["n"]
-    raise AssertionError("cap resolution for a kind that requires one")
-
-
-def _validate_params(config: ExperimentConfig) -> None:
-    """Check the kind-specific block by building its domain objects early."""
-    kind, p = config.kind, config.params
-    where = "config.params"
-    try:
-        if kind in ("synthetic_fair", "synthetic_biased", "synthetic_lazy"):
-            allowed = {"b", "x0"}
-            b = _need(p, "b", int, where)
-            x0 = _need(p, "x0", int, where)
-            if b < 1 or not 0 <= x0 <= b:
-                raise ConfigError(f"{where}: need b >= 1 and 0 <= x0 <= b")
-            if kind == "synthetic_biased":
-                allowed.add("p_up")
-                p_up = _need(p, "p_up", float, where)
-                if not 0.5 < p_up <= 1.0:
-                    raise ConfigError(f"{where}.p_up: must lie in (1/2, 1]")
-            if kind == "synthetic_lazy":
-                allowed.add("delta")
-                delta = _need(p, "delta", float, where)
-                if not 0.0 < delta <= 1.0:
-                    raise ConfigError(f"{where}.delta: must lie in (0, 1]")
-            _reject_unknown(p, allowed, where)
-        elif kind == "sat2":
-            _reject_unknown(p, {"n", "m"}, where)
-            n = _need(p, "n", int, where)
-            m = _need(p, "m", int, where)
-            if n < 2:
-                raise ConfigError(f"{where}.n: must be at least 2")
-            if m < 1:
-                raise ConfigError(f"{where}.m: must be at least 1")
-        elif kind == "recolour":
-            _reject_unknown(p, {"n", "edge_prob"}, where)
-            n = _need(p, "n", int, where)
-            edge_prob = _need(p, "edge_prob", float, where)
-            if n < 3:
-                raise ConfigError(f"{where}.n: must be at least 3")
-            if not 0.0 <= edge_prob <= 1.0:
-                raise ConfigError(f"{where}.edge_prob: must lie in [0, 1]")
-        elif kind == "rlspd":
-            _reject_unknown(p, {"n", "alpha", "beta", "payoff"}, where)
-            BilinearParams(
-                _need(p, "n", int, where),
-                _need(p, "alpha", float, where),
-                _need(p, "beta", float, where),
-            )
-            payoff = _optional(p, "payoff", str, where, "plain")
-            if payoff not in PAYOFFS:
-                raise ConfigError(f"{where}.payoff: choose from {', '.join(PAYOFFS)}")
-        elif kind == "rlspd_forgetting":
-            _reject_unknown(p, {"n", "alpha", "beta", "A", "B"}, where)
-            BilinearParams(
-                _need(p, "n", int, where),
-                _need(p, "alpha", float, where),
-                _need(p, "beta", float, where),
-            )
-            a = _need(p, "A", float, where)
-            b = _need(p, "B", float, where)
-            if a <= 0 or b <= 0:
-                raise ConfigError(f"{where}: A and B must be positive")
-        elif kind == "rwab":
-            _reject_unknown(p, {"horizon", "mu1", "mu2", "changes", "accounting"}, where)
-            horizon = _need(p, "horizon", int, where)
-            changes = _need(p, "changes", int, where)
-            mu1 = _need(p, "mu1", float, where)
-            mu2 = _need(p, "mu2", float, where)
-            if horizon < 2:
-                raise ConfigError(f"{where}.horizon: must be at least 2")
-            if not 1 <= changes < horizon - 1:
-                raise ConfigError(f"{where}.changes: must lie in [1, horizon - 2]")
-            for name, mu in (("mu1", mu1), ("mu2", mu2)):
-                if not 0.0 <= mu <= 1.0:
-                    raise ConfigError(f"{where}.{name}: must lie in [0, 1]")
-            check_challenges_end(horizon, mu1, mu2)
-            accounting = _optional(p, "accounting", str, where, "mean_gap")
-            if accounting not in ACCOUNTING_MODES:
-                raise ConfigError(
-                    f"{where}.accounting: choose from {', '.join(ACCOUNTING_MODES)}"
-                )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{where}: {exc}") from exc
-    if config.cap is None and kind not in ("rlspd", "rlspd_forgetting", "rwab"):
-        raise ConfigError("config.cap: required for this kind")
 
 
 # ---------------------------------------------------------------------------
@@ -386,107 +480,14 @@ class Replication:
 
 def run_replication(config: ExperimentConfig, run_id: int) -> Replication:
     stream = RngStream(master_seed=config.master_seed, stream_id=run_id)
-    kind, p = config.kind, config.params
-    record = config.record_trajectories
-    traj = None
-    extra: tuple = ()
-
-    if kind == "synthetic_fair":
-        sample, traj = simulate_fair_walk(
-            stream, p["b"], p["x0"], _effective_cap(config), record=record, run_id=run_id
-        )
-    elif kind == "synthetic_biased":
-        sample, traj = simulate_biased_walk(
-            stream, p["b"], p["x0"], p["p_up"], _effective_cap(config),
-            record=record, run_id=run_id,
-        )
-    elif kind == "synthetic_lazy":
-        sample, traj = simulate_lazy_walk(
-            stream, p["b"], p["x0"], p["delta"], _effective_cap(config),
-            record=record, run_id=run_id,
-        )
-    elif kind == "sat2":
-        instance = generate_planted(stream, p["n"], p["m"])
-        init = random_assignment(stream, p["n"])
-        result = run_walk(
-            instance.formula,
-            init,
-            stream,
-            _effective_cap(config),
-            reference=instance.witness if record else None,
-        )
-        sample = HittingTimeSample(
-            run_id=run_id,
-            stopping_time=result.iterations,
-            censored=result.censored,
-            seed_used=run_id,
-        )
-        extra = (satisfies(instance.formula, result.assignment),)
-        traj = result.trajectory
-    elif kind == "recolour":
-        graph = generate_3colorable(stream, p["n"], p["edge_prob"])
-        init = random_colouring(stream, p["n"])
-        result = run_recolour(
-            graph,
-            init,
-            stream,
-            _effective_cap(config),
-            potential_spec=((0, 1), (0, 1)) if record else None,
-        )
-        sample = HittingTimeSample(
-            run_id=run_id,
-            stopping_time=result.iterations,
-            censored=result.censored,
-            seed_used=run_id,
-        )
-        extra = (seek_monochromatic_triangle(graph, result.colouring) is None,)
-        traj = result.trajectory
-    elif kind == "rlspd":
-        bp = BilinearParams(p["n"], p["alpha"], p["beta"])
-        result = run_until_opt(
-            bp,
-            stream,
-            _effective_cap(config),
-            record=record,
-            payoff=p.get("payoff", "plain"),
-        )
-        sample = HittingTimeSample(
-            run_id=run_id,
-            stopping_time=result.iterations,
-            censored=result.censored,
-            seed_used=run_id,
-        )
-        extra = (result.quadrant_at_end,)
-        traj = result.trajectory
-    elif kind == "rlspd_forgetting":
-        bp = BilinearParams(p["n"], p["alpha"], p["beta"])
-        threshold = (p["A"] + p["B"]) * math.sqrt(bp.n)
-        result = run_forgetting(
-            bp, stream, threshold, _effective_cap(config), record=record
-        )
-        sample = HittingTimeSample(
-            run_id=run_id,
-            stopping_time=result.iterations,
-            censored=result.censored,
-            seed_used=run_id,
-        )
-        extra = (result.quadrant_at_end,)
-        traj = result.trajectory
-    elif kind == "rwab":
-        times = sample_change_times(stream, p["horizon"], p["changes"])
-        env = BanditEnv(
-            horizon=p["horizon"], mu1=p["mu1"], mu2=p["mu2"], change_times=times
-        )
-        ledger = run_rwab(env, stream, accounting=p.get("accounting", "mean_gap"))
-        sample = HittingTimeSample(
-            run_id=run_id,
-            stopping_time=ledger.total_regret,
-            censored=False,
-            seed_used=run_id,
-        )
-        extra = (ledger.swaps, ledger.mistakes, ledger.sub_eras)
-    else:  # unreachable after validation
-        raise AssertionError(kind)
+    kind = KINDS[config.kind]
+    cap = config.cap if config.cap is not None else kind.default_cap(config.params)
+    scalar, censored, extra, traj = kind.simulate(
+        config.params, stream, cap, config.record_trajectories
+    )
+    sample = HittingTimeSample(
+        run_id=run_id, stopping_time=scalar, censored=censored, seed_used=run_id
+    )
     return Replication(sample=sample, extra=extra, trajectory=traj)
 
 
@@ -612,19 +613,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
 
     out = config.output_dir
     samples_path = os.path.join(out, "samples.csv")
-    if config.kind == "rwab":
-        lines = [RWAB_HEADER]
-        for s, ex in zip(samples, extras):
-            lines.append(
-                f"{s.run_id},{s.seed_used},{format_value(s.stopping_time)},"
-                f"{ex[0]},{ex[1]},{ex[2]}"
-            )
-        write_text(samples_path, "\n".join(lines) + "\n")
-    else:
-        write_text(
-            samples_path,
-            samples_to_csv(samples, EXTRA_COLUMNS[config.kind], extras),
-        )
+    kind = KINDS[config.kind]
+    write_text(samples_path, samples_to_csv(samples, kind.columns, extras, lead=kind.lead))
 
     trajectory_dir = None
     if config.record_trajectories:
@@ -678,21 +668,21 @@ def _parse_time(text: str, line: int):
 def read_samples_csv(text: str) -> list[HittingTimeSample]:
     """Parse a samples CSV back into memory, ignoring diagnostic columns.
 
-    Accepts the standard hitting-time schema and the bandit schema (third
-    column total_regret, no censored flag; such rows are never censored).
+    The header starts with SAMPLE_COLUMNS or REGRET_COLUMNS; regret rows
+    have no censored flag and are never censored.
     """
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty samples file", line=1)
-    header = lines[0].split(",")
-    bandit = header[:3] == ["run_id", "seed", "total_regret"]
-    if not bandit and header[:4] != ["run_id", "seed", "stopping_time", "censored"]:
+    header = tuple(lines[0].split(","))
+    leads = (SAMPLE_COLUMNS, REGRET_COLUMNS)
+    lead = next((lead for lead in leads if header[: len(lead)] == lead), None)
+    if lead is None:
         raise FormatError(
-            "header must start with run_id,seed,stopping_time,censored "
-            "or run_id,seed,total_regret",
+            "header must start with " + " or ".join(",".join(lead) for lead in leads),
             line=1,
         )
-    width = 3 if bandit else 4
+    width = len(lead)
     samples = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw:
@@ -700,12 +690,9 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
         cells = raw.split(",")
         if len(cells) < width:
             raise FormatError(f"row has fewer than {width} columns", line=lineno)
-        if bandit:
-            censored = False
-        elif cells[3] in ("true", "false"):
-            censored = cells[3] == "true"
-        else:
-            raise FormatError(f"bad censored flag {cells[3]!r}", line=lineno)
+        flag = cells[3] if lead is SAMPLE_COLUMNS else "false"
+        if flag not in ("true", "false"):
+            raise FormatError(f"bad censored flag {flag!r}", line=lineno)
         try:
             run_id = int(cells[0])
             seed = int(cells[1])
@@ -715,7 +702,7 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
             HittingTimeSample(
                 run_id=run_id,
                 stopping_time=_parse_time(cells[2], lineno),
-                censored=censored,
+                censored=flag == "true",
                 seed_used=seed,
             )
         )

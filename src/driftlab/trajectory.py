@@ -95,22 +95,31 @@ def format_value(v) -> str:
     return str(v)
 
 
+#: leading samples.csv columns of a stopping time, and of a scalar that is
+#: never censored (a bandit's total regret), which has no censored flag
+SAMPLE_COLUMNS = ("run_id", "seed", "stopping_time", "censored")
+REGRET_COLUMNS = ("run_id", "seed", "total_regret")
+
+
 def samples_to_csv(
     samples: Iterable[HittingTimeSample],
     extra_header: Sequence[str] = (),
     extra_rows: Sequence[Sequence] = (),
+    lead: Sequence[str] = SAMPLE_COLUMNS,
 ) -> str:
-    """Render samples as CSV text: run_id,seed,stopping_time,censored[,...].
+    """Render samples as CSV text: the lead columns, then the extra ones.
 
-    extra_header/extra_rows append per-run diagnostic columns; extra_rows
-    must be aligned with samples by position.
+    lead is SAMPLE_COLUMNS or REGRET_COLUMNS.  extra_header/extra_rows
+    append per-run diagnostic columns; extra_rows must be aligned with
+    samples by position.
     """
-    header = ["run_id", "seed", "stopping_time", "censored", *extra_header]
+    header = [*lead, *extra_header]
+    width = len(lead)
     lines = [",".join(header)]
     extras = list(extra_rows)
     for i, s in enumerate(samples):
         row = [str(s.run_id), str(s.seed_used), str(s.stopping_time),
-               format_value(s.censored)]
+               format_value(s.censored)][:width]
         if extras:
             row.extend(format_value(v) for v in extras[i])
         lines.append(",".join(row))

@@ -5,8 +5,6 @@ import math
 import pytest
 
 from driftlab.analysis import (
-    DriftEstimate,
-    classify_drift,
     compare_bound,
     estimate_drift,
     fit_step_tail,
@@ -77,21 +75,6 @@ def test_drift_estimate_recovers_walk_moments():
     assert abs(est.mean_drift) < 0.05
     assert est.per_state_mean[10] == pytest.approx(-0.5, abs=0.05)
     assert est.second_moment == pytest.approx(0.5, abs=0.02)
-
-
-def test_classify_drift_regimes():
-    dominated = DriftEstimate(mean_drift=0.001, second_moment=0.6, transitions=100)
-    assert classify_drift(dominated, n=100, c=1.0, delta_hat=0.5, tol=0.01) == (
-        "variance_dominated"
-    )
-    transformed = DriftEstimate(mean_drift=-0.005, second_moment=0.6, transitions=100)
-    assert classify_drift(transformed, n=100, c=1.0, delta_hat=0.5, tol=0.001) == (
-        "variance_transformed"
-    )
-    steep = DriftEstimate(mean_drift=-0.5, second_moment=0.6, transitions=100)
-    assert classify_drift(steep, n=100, c=1.0, delta_hat=0.5, tol=0.001) == "neither"
-    flat = DriftEstimate(mean_drift=0.0, second_moment=0.1, transitions=100)
-    assert classify_drift(flat, n=100, c=1.0, delta_hat=0.5, tol=0.001) == "neither"
 
 
 def test_step_tail_fit_on_unit_steps():

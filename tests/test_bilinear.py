@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import sqrt
+from math import inf, nan, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +13,6 @@ from driftlab.bilinear import (
     PAYOFFS,
     BilinearParams,
     SearchPair,
-    accepts_x_flip,
-    accepts_y_flip,
     bilinear_value,
     canonical_opt_pair,
     default_cap,
@@ -24,6 +22,7 @@ from driftlab.bilinear import (
     random_pair,
     rls_pd_step,
     run_forgetting,
+    run_search,
     run_until_opt,
 )
 from driftlab.rng import RngStream
@@ -107,21 +106,30 @@ def test_dominance_is_reflexive():
 
 @pytest.mark.parametrize("params", [HALVES4, THIRDS6])
 def test_flip_sign_rules_match_dominance_everywhere(params):
+    # one stream start per flip position: a counter whose next index draw
+    # lands on that position
     n = params.n
-    for ox, oy in product(range(n + 1), repeat=2):
-        inc = pair_with_counts(params, ox, oy)
-        for nox in (ox - 1, ox + 1):
-            if 0 <= nox <= n:
-                cand = pair_with_counts(params, nox, oy)
-                assert accepts_x_flip(params, ox, nox, oy) == dominates(
-                    params, cand, inc
-                ), (ox, nox, oy)
-        for noy in (oy - 1, oy + 1):
-            if 0 <= noy <= n:
-                cand = pair_with_counts(params, ox, noy)
-                assert accepts_y_flip(params, ox, oy, noy) == dominates(
-                    params, cand, inc
-                ), (ox, oy, noy)
+    starts = {}
+    counter = 0
+    while len(starts) < 2 * n:
+        starts.setdefault(RngStream(0, draw_counter=counter).next_index(2 * n), counter)
+        counter += 1
+    oracles = {"plain": plain_step, "corrected": lambda *args: rls_pd_step(*args)[0]}
+    for payoff, oracle in oracles.items():
+        for ox, oy in product(range(n + 1), repeat=2):
+            for pos, counter in starts.items():
+                stream = RngStream(0, draw_counter=counter)
+                # lo = -1 takes the step at the optimum as well
+                got = run_search(
+                    params, stream, pair_with_counts(params, ox, oy), 1, -1, inf,
+                    plain=payoff == "plain",
+                ).pair
+                ref = RngStream(0, draw_counter=counter)
+                want = oracle(params, pair_with_counts(params, ox, oy), ref)
+                assert (bytes(got.x), bytes(got.y), got.ones_x, got.ones_y) == (
+                    bytes(want.x), bytes(want.y), want.ones_x, want.ones_y
+                ), (payoff, ox, oy, pos)
+                assert stream.draw_counter == ref.draw_counter
 
 
 def test_search_pair_from_bits_and_copy():
@@ -313,6 +321,8 @@ def test_forgetting_validation():
         run_forgetting(HALVES4, RngStream(1), threshold=-1, cap=10)
     with pytest.raises(ValueError):
         run_forgetting(HALVES4, RngStream(1), threshold=1, cap=-5)
+    with pytest.raises(ValueError):
+        run_forgetting(HALVES4, RngStream(1), threshold=nan, cap=10)
 
 
 def test_default_cap_scales_with_n_to_the_three_halves():

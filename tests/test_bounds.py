@@ -135,9 +135,23 @@ def test_spec_rejects_bad_geometry():
         BoundSpec(kind="KotzingPolynomial", ell=1.0, c=1.0, n=10)  # c must exceed 1
     with pytest.raises(ValueError):
         BoundSpec(kind="KotzingPolynomial", ell=1.0, c=E, n=1)
+    # NaN fails every comparison, so it must fail every check
+    nan = math.nan
+    for kwargs in (
+        dict(kind="StandardVariance", b=nan, x0=0, delta=1.0),
+        dict(kind="StandardVariance", b=1, x0=nan, delta=1.0),
+        dict(kind="TwoAbsorbing", b=1, x0=0, delta=nan),
+        dict(kind="Additive", b=1, x0=0, epsilon=nan),
+        dict(kind="KotzingPolynomial", ell=nan, c=E, n=10),
+        dict(kind="KotzingPolynomial", ell=1.0, c=nan, n=10),
+    ):
+        with pytest.raises(ValueError):
+            BoundSpec(**kwargs)
 
 
 def test_tail_rejects_negative_tau():
     spec = BoundSpec(kind="StandardVariance", b=1, x0=0, delta=1.0)
     with pytest.raises(ValueError):
         tail_probability_upper(spec, -1.0)
+    with pytest.raises(ValueError):
+        tail_probability_upper(spec, math.nan)

@@ -5,22 +5,27 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftlab
+from driftlab.bilinear import PAYOFFS
 from driftlab.cli import main
 from driftlab.errors import ConfigError, FormatError
 from driftlab.experiment import (
+    KINDS,
     AnalysisBlock,
     ExperimentConfig,
-    RWAB_HEADER,
     analyze_files,
     build_report,
     read_samples_csv,
     read_trajectory_csv,
     run_experiment,
 )
+from driftlab.rwab import ACCOUNTING_MODES
 from driftlab.trajectory import HittingTimeSample
 
 
@@ -68,6 +73,29 @@ def test_config_defaults(tmp_path):
             dict(analysis={"tau_grid": [1.0], "bound": {"kind": "StandardVariance", "b": 0.0}}),
             "analysis.bound",
         ),
+        (dict(analysis={"k_list": [math.nan]}), "analysis.k_list"),
+        (dict(analysis={"k_list": [math.inf]}), "analysis.k_list"),
+        (dict(analysis={"confidence": math.nan}), "analysis.confidence"),
+        (dict(analysis={"tau_grid": [math.inf]}), "analysis.tau_grid"),
+        (dict(analysis={"tau_grid": [10**400]}), "analysis.tau_grid"),
+        (
+            dict(
+                analysis={
+                    "tau_grid": [1.0],
+                    "bound": {"kind": "Additive", "b": 1.0, "epsilon": math.nan},
+                }
+            ),
+            "analysis.bound.epsilon",
+        ),
+        # rwab records no trajectory, so asking for them is a mistake
+        (
+            dict(
+                kind="rwab",
+                params={"horizon": 60, "mu1": 0.2, "mu2": 0.8, "changes": 2},
+                record_trajectories=True,
+            ),
+            "config.record_trajectories",
+        ),
     ],
 )
 def test_config_rejections_name_the_field(tmp_path, overrides, fragment):
@@ -103,6 +131,20 @@ def test_config_rejections_name_the_field(tmp_path, overrides, fragment):
             {"horizon": 50, "mu1": 1e-9, "mu2": 1e-9, "changes": 2},
             "challenge iterations",
         ),
+        # NaN, infinities and integers too large for a float are not numbers
+        # to run with: a NaN threshold would make every run "forget" at once
+        (
+            "rlspd_forgetting",
+            {"n": 10, "alpha": 0.5, "beta": 0.5, "A": math.nan, "B": 1.0},
+            "config.params.A",
+        ),
+        ("synthetic_biased", {"b": 4, "x0": 2, "p_up": math.nan}, "config.params.p_up"),
+        ("synthetic_lazy", {"b": 4, "x0": 2, "delta": math.inf}, "config.params.delta"),
+        ("synthetic_biased", {"b": 4, "x0": 2, "p_up": 10**400}, "config.params.p_up"),
+        ("recolour", {"n": 10, "edge_prob": math.nan}, "config.params.edge_prob"),
+        ("rlspd", {"n": 10, "alpha": -math.inf, "beta": 0.5}, "config.params.alpha"),
+        ("rlspd", {"n": 10**400, "alpha": 0.5, "beta": 0.5}, "config.params"),
+        ("rwab", {"horizon": 50, "mu1": math.nan, "mu2": 0.5, "changes": 2}, "mu1"),
     ],
 )
 def test_kind_specific_param_rejections(tmp_path, kind, params, fragment):
@@ -244,7 +286,7 @@ def test_bandit_experiment_uses_its_own_schema(tmp_path):
     with open(artifacts.samples_path) as fh:
         text = fh.read()
     lines = text.splitlines()
-    assert lines[0] == RWAB_HEADER
+    assert lines[0] == "run_id,seed,total_regret,swaps,mistakes,sub_eras"
     assert len(lines) == 4
     samples = read_samples_csv(text)
     assert all(not s.censored for s in samples)
@@ -410,6 +452,20 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert main(["run", config_path]) == 2
     assert "config.kind" in capsys.readouterr().err
 
+    additive = {"kind": "Additive", "b": 1.0, "epsilon": 1.0}
+    for bound, grid, fragment in (
+        (dict(additive, epsilon=math.nan), [1.0], "bound.epsilon"),
+        (dict(additive, b=math.inf), [1.0], "bound.b"),
+        (additive, [10**400], "tau_grid"),
+        (additive, [math.nan], "tau_grid"),
+        (additive, [], "tau_grid"),
+    ):
+        spec = write_json(tmp_path / "spec.json", {"bound": bound, "tau_grid": grid})
+        assert main(["bounds", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert fragment in captured.err
+
     bad_spec = write_json(tmp_path / "spec.json", {"bound": {"kind": "Additive"}})
     assert main(["bounds", bad_spec]) == 2
 
@@ -425,7 +481,33 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     endless["params"].update(mu1=1e-9, mu2=1e-9)
     assert main(["run", write_json(tmp_path / "near.json", endless)]) == 2
     assert "challenge iterations" in capsys.readouterr().err
+
+    # no trajectory directory is promised for a kind that records none
+    bandit = dict(endless, record_trajectories=True)
+    bandit["params"] = {"horizon": 60, "mu1": 0.2, "mu2": 0.8, "changes": 2}
+    assert main(["run", write_json(tmp_path / "bandit.json", bandit)]) == 2
+    assert "config.record_trajectories" in capsys.readouterr().err
     assert not os.path.exists(endless["output_dir"])
+
+    # NaN (json writes it as the bare word NaN), Infinity and an integer too
+    # large for a float: exit 2 naming the field, never a traceback or exit 1
+    forgetting = base_config(
+        tmp_path,
+        kind="rlspd_forgetting",
+        params={"n": 16, "alpha": 0.5, "beta": 0.5, "A": math.nan, "B": 1.0},
+        cap=None,
+    )
+    biased = base_config(
+        tmp_path, kind="synthetic_biased", params={"b": 4, "x0": 2, "p_up": 10**400}
+    )
+    for name, obj, fragment in (
+        ("nan.json", forgetting, "config.params.A"),
+        ("inf.json", dict(forgetting, params=dict(forgetting["params"], A=math.inf)), "A"),
+        ("huge.json", biased, "config.params.p_up"),
+    ):
+        assert main(["run", write_json(tmp_path / name, obj)]) == 2
+        assert fragment in capsys.readouterr().err
+    assert not os.path.exists(forgetting["output_dir"])
 
 
 def test_importing_the_package_leaves_numpy_unloaded():
@@ -443,3 +525,97 @@ def test_importing_the_package_leaves_numpy_unloaded():
 def test_cli_missing_files_exit_three(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# -- every accepted config runs to a complete artifact set -------------------
+
+
+def walk_params(**rate):
+    return st.integers(1, 6).flatmap(
+        lambda b: st.fixed_dictionaries({"b": st.just(b), "x0": st.integers(0, b), **rate})
+    )
+
+
+def bilinear_params(**others):
+    # alpha * n and beta * n must be whole counts strictly inside (0, n)
+    return st.integers(2, 8).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {
+                "n": st.just(n),
+                "alpha": st.integers(1, n - 1).map(lambda a: a / n),
+                "beta": st.integers(1, n - 1).map(lambda b: b / n),
+                **others,
+            }
+        )
+    )
+
+
+def rwab_params():
+    # one mean from each side of 1/2 keeps every challenge short
+    return st.integers(3, 40).flatmap(
+        lambda horizon: st.fixed_dictionaries(
+            {
+                "horizon": st.just(horizon),
+                "changes": st.integers(1, horizon - 2),
+                "mu1": st.floats(0.0, 0.4),
+                "mu2": st.floats(0.6, 1.0),
+                "accounting": st.sampled_from(ACCOUNTING_MODES),
+            }
+        )
+    )
+
+
+# tiny but valid params for every kind; a kind added to the table without
+# an entry here fails test_every_kind_has_tiny_params
+TINY_PARAMS = {
+    "sat2": st.fixed_dictionaries({"n": st.integers(2, 6), "m": st.integers(1, 8)}),
+    "recolour": st.fixed_dictionaries(
+        {"n": st.integers(3, 7), "edge_prob": st.floats(0.0, 1.0)}
+    ),
+    "rlspd": bilinear_params(payoff=st.sampled_from(PAYOFFS)),
+    "rlspd_forgetting": bilinear_params(A=st.floats(0.1, 2.0), B=st.floats(0.1, 2.0)),
+    "rwab": rwab_params(),
+    "synthetic_fair": walk_params(),
+    "synthetic_biased": walk_params(p_up=st.floats(0.5, 1.0, exclude_min=True)),
+    "synthetic_lazy": walk_params(delta=st.floats(0.0, 1.0, exclude_min=True)),
+}
+
+
+def test_every_kind_has_tiny_params():
+    assert set(TINY_PARAMS) == set(KINDS)
+
+
+@st.composite
+def tiny_configs(draw):
+    kind = draw(st.sampled_from(sorted(TINY_PARAMS)))
+    obj = {
+        "kind": kind,
+        "params": draw(TINY_PARAMS[kind]),
+        "runs": draw(st.integers(1, 3)),
+        "master_seed": draw(st.integers(0, 2**64 - 1)),
+        "workers": draw(st.integers(1, 2)),
+    }
+    if KINDS[kind].default_cap is None or draw(st.booleans()):
+        obj["cap"] = draw(st.integers(0, 60))
+    if KINDS[kind].records:
+        obj["record_trajectories"] = draw(st.booleans())
+    if draw(st.booleans()):
+        obj["analysis"] = {
+            "tau_grid": [1.0, 5.0],
+            "bound": {"kind": "Additive", "b": 10.0, "x0": 0.0, "epsilon": 1.0},
+            "histogram_bins": 3,
+        }
+    return obj
+
+
+@settings(max_examples=40, deadline=None)
+@given(obj=tiny_configs())
+def test_every_valid_tiny_config_writes_its_artifacts(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        config_path = os.path.join(tmp, "config.json")
+        with open(config_path, "w") as fh:
+            json.dump(dict(obj, output_dir=out), fh)
+        assert main(["run", config_path]) in (0, 1)
+        assert os.path.isfile(os.path.join(out, "samples.csv"))
+        assert os.path.isfile(os.path.join(out, "report.json"))
