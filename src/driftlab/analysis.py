@@ -5,12 +5,27 @@ estimation) or stopping-time samples (summaries, tail comparisons,
 histograms).  Censored samples are handled conservatively throughout: they
 are excluded from means, counted as exceeding every survival threshold,
 and reported separately.
+
+The trajectory estimators never walk the transitions in Python: they tally
+them in a ``Counter`` (consecutive pairs for the drift, signed steps for
+the step tail) and then do the arithmetic once per distinct tally.  Every
+simulator records integer values, and on integer-valued trajectories the
+tallied sums are exact, so the results equal a transition-by-transition
+sum.  Fractional values are summed in the tally's first-occurrence order,
+which is deterministic but may differ from the sequential sum in the last
+bits.  The sample summaries likewise tally the finished times once and
+count each threshold with ``bisect`` over the sorted distinct times
+instead of rescanning every sample.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from operator import sub
 from typing import Iterable, Sequence
 
 from driftlab.bounds import BoundSpec, tail_probability_upper
@@ -53,23 +68,31 @@ class DriftEstimate:
 
 
 def estimate_drift(trajectories: Iterable[Trajectory]) -> DriftEstimate:
+    """Mean drift and second moment over every recorded transition.
+
+    Tallies each distinct (X_t, X_{t+1}) pair once, then sums d * count
+    per pair.  Exact for integer-valued trajectories (whose sums stay
+    below 2**53); fractional ones are summed in first-occurrence order.
+    """
+    pairs: Counter = Counter()
+    for traj in trajectories:
+        vals = traj.values
+        pairs.update(zip(vals, islice(vals, 1, None)))
+    if not pairs:
+        raise EmptySampleError("no transitions recorded; cannot estimate drift")
     total = 0.0
     total_sq = 0.0
     count = 0
     by_state_sum: dict[int, float] = {}
     by_state_n: dict[int, int] = {}
-    for traj in trajectories:
-        vals = traj.values
-        for t in range(len(vals) - 1):
-            d = vals[t + 1] - vals[t]
-            total += d
-            total_sq += d * d
-            count += 1
-            s = math.floor(vals[t])
-            by_state_sum[s] = by_state_sum.get(s, 0.0) + d
-            by_state_n[s] = by_state_n.get(s, 0) + 1
-    if count == 0:
-        raise EmptySampleError("no transitions recorded; cannot estimate drift")
+    for (x, y), c in pairs.items():
+        d = y - x
+        total += d * c
+        total_sq += d * d * c
+        count += c
+        s = math.floor(x)
+        by_state_sum[s] = by_state_sum.get(s, 0.0) + d * c
+        by_state_n[s] = by_state_n.get(s, 0) + c
     per_state = {s: by_state_sum[s] / by_state_n[s] for s in sorted(by_state_sum)}
     return DriftEstimate(
         mean_drift=total / count,
@@ -106,28 +129,29 @@ def fit_step_tail(
     observed magnitude; between magnitudes the empirical tail is flat while
     the envelope falls, so checking observed m suffices).  freq(>= 0) = 1
     forces r >= 1.  The winner minimizes r / ln(1 + eta).
+
+    The steps are tallied by signed value and folded into one count per
+    magnitude, so the exceedance points are exact counts for any input.
     """
     if not eta_grid or any(e <= 0 for e in eta_grid):
         raise ValueError("eta_grid must be nonempty with positive entries")
-    magnitudes: list[float] = []
+    steps: Counter = Counter()
     for traj in trajectories:
         vals = traj.values
-        magnitudes.extend(abs(vals[t + 1] - vals[t]) for t in range(len(vals) - 1))
-    if not magnitudes:
+        steps.update(map(sub, islice(vals, 1, None), vals))
+    by_magnitude: Counter = Counter()
+    for d, c in steps.items():
+        by_magnitude[abs(d)] += c
+    n = sum(by_magnitude.values())
+    if not n:
         raise EmptySampleError("no transitions recorded; cannot fit step tail")
-    n = len(magnitudes)
-    magnitudes.sort()
-    # distinct magnitudes with exceedance counts: freq(|step| >= m)
+    # distinct magnitudes with exceedance frequencies: freq(|step| >= m)
     points: list[tuple[float, float]] = [(0.0, 1.0)]
-    i = 0
-    while i < n:
-        m = magnitudes[i]
+    below = 0
+    for m in sorted(by_magnitude):
         if m > 0:
-            points.append((m, (n - i) / n))
-        j = i
-        while j < n and magnitudes[j] == m:
-            j += 1
-        i = j
+            points.append((m, (n - below) / n))
+        below += by_magnitude[m]
 
     best: StepTailFit | None = None
     for eta in eta_grid:
@@ -142,6 +166,17 @@ def fit_step_tail(
 
 # ---------------------------------------------------------------------------
 # Tail comparison against a closed-form bound.
+
+
+def _ascending_tally(times: Sequence[float]) -> tuple[list[float], list[int]]:
+    """The distinct times ascending, and below[i]: how many times lie below the i-th.
+
+    below has one more entry, the total.  NaN is dropped: no comparison
+    with a threshold holds for it.
+    """
+    tally = Counter(times)
+    distinct = sorted(t for t in tally if t == t)
+    return distinct, [0, *accumulate(tally[t] for t in distinct)]
 
 
 @dataclass
@@ -184,9 +219,12 @@ def compare_bound(
         raise ValueError("tau_grid must be nonempty")
     n = len(samples)
     margin = hoeffding_margin(n, confidence)
+    finished = [s.stopping_time for s in samples if not s.censored]
+    censored = n - len(finished)
+    times, below = _ascending_tally(finished)
     grid = []
     for tau in tau_grid:
-        exceed = sum(1 for s in samples if s.censored or s.stopping_time >= tau)
+        exceed = censored + below[-1] - below[bisect_left(times, tau)]
         emp = exceed / n
         bound = tail_probability_upper(spec, tau)
         grid.append(
@@ -226,11 +264,14 @@ def summary_table(
     finished = [s.stopping_time for s in samples if not s.censored]
     if not finished:
         raise EmptySampleError("all samples censored; mean undefined")
-    mean = sum(finished) / len(finished)
+    mean = sum(finished) / len(finished)  # in sample order: regrets are floats
     n = len(samples)
+    times, below = _ascending_tally(finished)
     freq = {}
     for k in k_list:
-        hit = sum(1 for s in samples if not s.censored and s.stopping_time <= k * mean)
+        limit = k * mean
+        # a NaN limit (a NaN time, or 0 * inf) is reached by no time
+        hit = below[bisect_right(times, limit)] if limit == limit else 0
         freq[float(k)] = hit / n
     return SummaryTable(
         mean=mean,

@@ -711,12 +711,37 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
     return samples
 
 
+# every byte but the comma and the newline, for read_trajectory_csv's row check
+_NOT_COMMA_OR_NEWLINE = bytes(b for b in range(256) if b not in b",\n")
+
+
 def read_trajectory_csv(text: str) -> Trajectory:
-    lines = [ln for ln in text.splitlines() if ln]
+    """Parse a step,value CSV; blank lines are skipped, the step column unread.
+
+    Well-formed text is parsed in bulk; otherwise the row-by-row scan
+    raises the FormatError of the first bad row.
+    """
+    lines = list(filter(None, text.splitlines()))
     if not lines or lines[0] != "step,value":
         raise FormatError("trajectory header must be step,value", line=1)
+    rows = lines[1:]
+    if not rows:
+        raise FormatError("trajectory has no rows", line=2)
+    # one comma per row: the commas and the newlines joining the rows
+    # alternate (surrogatepass lets any str encode; only ASCII bytes matter)
+    encoded = "\n".join(rows).encode("utf-8", "surrogatepass")
+    marks = encoded.translate(None, _NOT_COMMA_OR_NEWLINE)
+    if marks == b",\n" * (len(rows) - 1) + b",":
+        try:
+            return Trajectory(values=list(map(float, ",".join(rows).split(",")[1::2])))
+        except ValueError:
+            pass  # a bad value: the scan names its row
+    return Trajectory(values=_scan_trajectory_rows(rows))
+
+
+def _scan_trajectory_rows(rows: list[str]) -> list[float]:
     values = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(rows, start=2):
         cells = raw.split(",")
         if len(cells) != 2:
             raise FormatError("trajectory row must have two columns", line=lineno)
@@ -724,9 +749,7 @@ def read_trajectory_csv(text: str) -> Trajectory:
             values.append(float(cells[1]))
         except ValueError:
             raise FormatError(f"bad value {cells[1]!r}", line=lineno) from None
-    if not values:
-        raise FormatError("trajectory has no rows", line=2)
-    return Trajectory(values=values)
+    return values
 
 
 def analyze_files(

@@ -127,10 +127,12 @@ def samples_to_csv(
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """Render one trajectory as CSV text with header step,value."""
-    lines = ["step,value"]
-    lines.extend(f"{t},{format_value(v)}" for t, v in enumerate(traj.values))
-    return "\n".join(lines) + "\n"
+    """Render one trajectory as CSV text with header step,value.
+
+    Values are numbers, each written with str (floats in shortest
+    round-trip form), one row per step.
+    """
+    return "step,value\n" + "".join(map("%s,%s\n".__mod__, enumerate(traj.values)))
 
 
 def write_text(path: str, text: str) -> None:

@@ -1,0 +1,468 @@
+"""The tallied estimators and the bulk CSV codecs against their loop forms.
+
+The oracles below are the transition-by-transition estimators, the
+per-threshold rescans and the row-by-row CSV codecs that the tallies and
+bulk string operations replaced, kept verbatim.  On integer-valued
+trajectories (all a simulator records) every estimate and report must be
+byte-equal to them; on fractional ones the drift moments may differ in the
+last bits, because the tallied sums are added in another order.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+from typing import Iterable, Sequence
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driftlab import analysis, experiment, trajectory
+from driftlab.analysis import (
+    DEFAULT_CONFIDENCE,
+    DEFAULT_ETA_GRID,
+    DriftEstimate,
+    StepTailFit,
+    TailPoint,
+    TailReport,
+    SummaryTable,
+    hoeffding_margin,
+)
+from driftlab.bounds import BoundSpec, tail_probability_upper
+from driftlab.errors import EmptySampleError, FormatError
+from driftlab.experiment import AnalysisBlock, build_report, report_to_json
+from driftlab.trajectory import HittingTimeSample, Trajectory, format_value
+
+# ---------------------------------------------------------------------------
+# Oracles: the loop forms, verbatim.
+
+
+def estimate_drift(trajectories: Iterable[Trajectory]) -> DriftEstimate:
+    total = 0.0
+    total_sq = 0.0
+    count = 0
+    by_state_sum: dict[int, float] = {}
+    by_state_n: dict[int, int] = {}
+    for traj in trajectories:
+        vals = traj.values
+        for t in range(len(vals) - 1):
+            d = vals[t + 1] - vals[t]
+            total += d
+            total_sq += d * d
+            count += 1
+            s = math.floor(vals[t])
+            by_state_sum[s] = by_state_sum.get(s, 0.0) + d
+            by_state_n[s] = by_state_n.get(s, 0) + 1
+    if count == 0:
+        raise EmptySampleError("no transitions recorded; cannot estimate drift")
+    per_state = {s: by_state_sum[s] / by_state_n[s] for s in sorted(by_state_sum)}
+    return DriftEstimate(
+        mean_drift=total / count,
+        second_moment=total_sq / count,
+        transitions=count,
+        per_state_mean=per_state,
+    )
+
+
+def fit_step_tail(
+    trajectories: Iterable[Trajectory], eta_grid: Sequence[float] = DEFAULT_ETA_GRID
+) -> StepTailFit:
+    """Fit the geometric step-tail envelope over a grid of decay rates.
+
+    For each eta the smallest feasible r is max over observed magnitudes m
+    of freq(|step| >= m) * (1 + eta)^m (the envelope is tight at some
+    observed magnitude; between magnitudes the empirical tail is flat while
+    the envelope falls, so checking observed m suffices).  freq(>= 0) = 1
+    forces r >= 1.  The winner minimizes r / ln(1 + eta).
+    """
+    if not eta_grid or any(e <= 0 for e in eta_grid):
+        raise ValueError("eta_grid must be nonempty with positive entries")
+    magnitudes: list[float] = []
+    for traj in trajectories:
+        vals = traj.values
+        magnitudes.extend(abs(vals[t + 1] - vals[t]) for t in range(len(vals) - 1))
+    if not magnitudes:
+        raise EmptySampleError("no transitions recorded; cannot fit step tail")
+    n = len(magnitudes)
+    magnitudes.sort()
+    # distinct magnitudes with exceedance counts: freq(|step| >= m)
+    points: list[tuple[float, float]] = [(0.0, 1.0)]
+    i = 0
+    while i < n:
+        m = magnitudes[i]
+        if m > 0:
+            points.append((m, (n - i) / n))
+        j = i
+        while j < n and magnitudes[j] == m:
+            j += 1
+        i = j
+
+    best: StepTailFit | None = None
+    for eta in eta_grid:
+        growth = 1.0 + eta
+        r = max(freq * growth**m for m, freq in points)
+        rc = r / math.log(growth)
+        if best is None or rc < best.range_constant:
+            viol = max(freq - r / growth**m for m, freq in points)
+            best = StepTailFit(r=r, eta=eta, max_violation=viol, range_constant=rc)
+    return best
+
+
+def compare_bound(
+    samples: Sequence[HittingTimeSample],
+    spec: BoundSpec,
+    tau_grid: Sequence[float],
+    confidence: float = DEFAULT_CONFIDENCE,
+) -> TailReport:
+    """Empirical survival vs. theoretical tail on a grid of thresholds.
+
+    Survival counts runs with stopping time >= tau; censored runs count as
+    exceeding every threshold (their true time is at least the cap, and
+    overcounting survival can only make the check harder to pass).  A point
+    is violated when the empirical frequency exceeds bound + margin.
+    """
+    if not samples:
+        raise EmptySampleError("tail comparison needs at least one sample")
+    if not tau_grid:
+        raise ValueError("tau_grid must be nonempty")
+    n = len(samples)
+    margin = hoeffding_margin(n, confidence)
+    grid = []
+    for tau in tau_grid:
+        exceed = sum(1 for s in samples if s.censored or s.stopping_time >= tau)
+        emp = exceed / n
+        bound = tail_probability_upper(spec, tau)
+        grid.append(
+            TailPoint(
+                tau=float(tau),
+                empirical_survival=emp,
+                hoeffding_upper=bound + margin,
+                theoretical_bound=bound,
+                violated=emp > bound + margin,
+            )
+        )
+    return TailReport(confidence=confidence, margin=margin, sample_count=n, grid=grid)
+
+
+def summary_table(
+    samples: Sequence[HittingTimeSample], k_list: Sequence[float]
+) -> SummaryTable:
+    """Mean of non-censored times plus Fr(T <= k * mean) per k.
+
+    Frequencies are over all runs, censored ones counting as never below
+    any threshold, so they are conservative and nondecreasing in k.
+    """
+    if not samples:
+        raise EmptySampleError("summary needs at least one sample")
+    finished = [s.stopping_time for s in samples if not s.censored]
+    if not finished:
+        raise EmptySampleError("all samples censored; mean undefined")
+    mean = sum(finished) / len(finished)
+    n = len(samples)
+    freq = {}
+    for k in k_list:
+        hit = sum(1 for s in samples if not s.censored and s.stopping_time <= k * mean)
+        freq[float(k)] = hit / n
+    return SummaryTable(
+        mean=mean,
+        freq_at_multiples=freq,
+        censored_count=n - len(finished),
+        sample_count=n,
+    )
+
+
+def trajectory_to_csv(traj: Trajectory) -> str:
+    """Render one trajectory as CSV text with header step,value."""
+    lines = ["step,value"]
+    lines.extend(f"{t},{format_value(v)}" for t, v in enumerate(traj.values))
+    return "\n".join(lines) + "\n"
+
+
+def read_trajectory_csv(text: str) -> Trajectory:
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != "step,value":
+        raise FormatError("trajectory header must be step,value", line=1)
+    values = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        cells = raw.split(",")
+        if len(cells) != 2:
+            raise FormatError("trajectory row must have two columns", line=lineno)
+        try:
+            values.append(float(cells[1]))
+        except ValueError:
+            raise FormatError(f"bad value {cells[1]!r}", line=lineno) from None
+    if not values:
+        raise FormatError("trajectory has no rows", line=2)
+    return Trajectory(values=values)
+
+
+# ---------------------------------------------------------------------------
+# Strategies.
+
+#: integer states around zero: negative states, holds and jumps past 1
+int_steps = st.one_of(
+    st.integers(-2, 2), st.integers(-40, 40), st.sampled_from([-300, 300])
+)
+
+
+@st.composite
+def int_trajectory(draw, as_float=False):
+    start = draw(st.integers(-60, 60))
+    steps = draw(st.lists(int_steps, max_size=40))
+    values = [start]
+    for d in steps:
+        values.append(values[-1] + d)
+    if as_float:
+        values = [float(v) for v in values]
+    if draw(st.booleans()):
+        return Trajectory(values=values, censored=True, cap=len(values) - 1)
+    return Trajectory(values=values)
+
+
+int_trajectories = st.lists(
+    st.one_of(int_trajectory(), int_trajectory(as_float=True)), max_size=25
+)
+
+fractional_values = st.floats(
+    min_value=-200, max_value=200, allow_nan=False, allow_infinity=False
+)
+fractional_trajectories = st.lists(
+    st.lists(fractional_values, min_size=1, max_size=40).map(
+        lambda values: Trajectory(values=values)
+    ),
+    min_size=1,
+    max_size=15,
+)
+
+
+def bits(x) -> bytes:
+    """The exact value of a number: a float's IEEE bytes, an int's digits."""
+    return struct.pack("<d", x) if isinstance(x, float) else repr(x).encode()
+
+
+def fields(est) -> list:
+    """Every field of a DriftEstimate or StepTailFit, number types kept."""
+    out = []
+    for name, value in vars(est).items():
+        if isinstance(value, dict):
+            out.append((name, [(bits(k), bits(v)) for k, v in value.items()]))
+        else:
+            out.append((name, type(value), bits(value)))
+    return out
+
+
+def outcome(fn, *args):
+    """What a call does: its value, or the type, message and line it raises."""
+    try:
+        return ("ok", fn(*args))
+    except (ArithmeticError, ValueError) as err:
+        return ("raised", type(err), str(err), getattr(err, "line", None))
+
+
+def assert_same(new_fn, old_fn, trajs):
+    """Both raise alike, or every field is bit-equal."""
+    new, old = outcome(new_fn, trajs), outcome(old_fn, trajs)
+    if old[0] == "raised":
+        assert new == old
+    else:
+        assert new[0] == "ok" and fields(new[1]) == fields(old[1])
+
+
+# ---------------------------------------------------------------------------
+# Drift and step tail.
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_trajectories)
+def test_tallies_equal_the_loops_on_integer_trajectories(trajs):
+    assert_same(analysis.estimate_drift, estimate_drift, trajs)
+    assert_same(analysis.fit_step_tail, fit_step_tail, trajs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_trajectories)
+def test_report_is_byte_equal_to_the_loops_on_integer_trajectories(trajs):
+    samples = [
+        HittingTimeSample(i, t.steps(), t.censored, i) for i, t in enumerate(trajs)
+    ] or [HittingTimeSample(0, 1, False, 0)]
+    block = AnalysisBlock(
+        k_list=(0.5, 1.0, 2.0),
+        tau_grid=(1.0, 5.0, 20.0),
+        bound=BoundSpec(kind="StandardVariance", b=10, x0=10, delta=0.5),
+    )
+    new = report_to_json(build_report(samples, block, trajs))
+    with mock.patch.multiple(
+        experiment,
+        estimate_drift=estimate_drift,
+        fit_step_tail=fit_step_tail,
+        compare_bound=compare_bound,
+        summary_table=summary_table,
+    ):
+        old = report_to_json(build_report(samples, block, trajs))
+    assert new == old
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractional_trajectories)
+def test_tallies_match_the_loops_on_fractional_trajectories(trajs):
+    new = outcome(analysis.estimate_drift, trajs)
+    old = outcome(estimate_drift, trajs)
+    if old[0] == "raised":
+        assert new == old
+        return
+    new, old = new[1], old[1]
+    assert new.transitions == old.transitions
+    # the sums may cancel, so compare within 1e-12 of the summed magnitudes
+    steps = [
+        (math.floor(t.values[i]), t.values[i + 1] - t.values[i])
+        for t in trajs
+        for i in range(t.steps())
+    ]
+    scale = sum(abs(d) for _, d in steps) / len(steps)
+    assert math.isclose(new.mean_drift, old.mean_drift, rel_tol=1e-12, abs_tol=1e-12 * scale)
+    assert math.isclose(new.second_moment, old.second_moment, rel_tol=1e-12)
+    assert list(new.per_state_mean) == list(old.per_state_mean)
+    for s, mean in old.per_state_mean.items():
+        ds = [abs(d) for state, d in steps if state == s]
+        assert math.isclose(
+            new.per_state_mean[s], mean, rel_tol=1e-12, abs_tol=1e-12 * sum(ds) / len(ds)
+        )
+    # magnitudes are counted, not summed: the step-tail fit stays exact
+    assert_same(analysis.fit_step_tail, fit_step_tail, trajs)
+
+
+def test_tallies_on_fixed_edge_cases():
+    cases = [
+        [Trajectory(values=[7])],  # one value, no transition
+        [Trajectory(values=[3, 3, 3, 3])],  # holds only: every step is 0
+        [Trajectory(values=[-5, -6, -4, -4, 10, -10])],
+        [Trajectory(values=[0.5, -0.5, 2.25]), Trajectory(values=[-0.0, 0.0, -0.0])],
+        [Trajectory(values=[0, 1, 2], censored=True, cap=2)] * 30,
+        [Trajectory(values=[0, -1000])],  # (1 + eta)**1000 overflows in both
+    ]
+    for trajs in cases:
+        assert_same(analysis.estimate_drift, estimate_drift, trajs)
+        assert_same(analysis.fit_step_tail, fit_step_tail, trajs)
+
+
+# ---------------------------------------------------------------------------
+# Threshold counts.
+
+stopping_times = st.one_of(
+    st.integers(0, 400),
+    st.floats(min_value=0, max_value=400, allow_nan=False),
+    st.sampled_from([math.inf, math.nan, 0.0, 1e300]),
+)
+hitting_samples = st.lists(
+    st.tuples(stopping_times, st.booleans()), min_size=1, max_size=60
+).map(
+    lambda rows: [HittingTimeSample(i, t, c, i) for i, (t, c) in enumerate(rows)]
+)
+thresholds = st.one_of(
+    st.integers(0, 400), st.floats(min_value=0, max_value=500), st.just(math.inf)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hitting_samples, st.lists(thresholds, min_size=1, max_size=6))
+def test_threshold_counts_equal_the_rescans(samples, tau_grid):
+    spec = BoundSpec(kind="Additive", b=10, x0=0, epsilon=0.5)
+    new = outcome(analysis.compare_bound, samples, spec, tau_grid)
+    old = outcome(compare_bound, samples, spec, tau_grid)
+    assert repr(new) == repr(old)
+    k_list = [0.0 if math.isnan(k) else k for k in tau_grid]  # any k the rescan takes
+    new = outcome(analysis.summary_table, samples, k_list)
+    old = outcome(summary_table, samples, k_list)
+    assert repr(new) == repr(old)
+
+
+# ---------------------------------------------------------------------------
+# Trajectory CSV.
+
+csv_values = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.sampled_from([1e16, -0.0, 1e-7, 0.1 + 0.2, 0.0, -1e300, 5e-324]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(csv_values, min_size=1, max_size=50))
+def test_trajectory_csv_is_byte_equal_to_the_row_loop(values):
+    traj = Trajectory(values=values)
+    assert trajectory.trajectory_to_csv(traj) == trajectory_to_csv(traj)
+
+
+def test_trajectory_csv_fixed_values():
+    traj = Trajectory(values=[1e16, -0.0, 1e-7, 0.1 + 0.2, 3, -4, 2.5])
+    text = trajectory.trajectory_to_csv(traj)
+    assert text == trajectory_to_csv(traj)
+    assert text == (
+        "step,value\n0,1e+16\n1,-0.0\n2,1e-07\n3,0.30000000000000004\n4,3\n5,-4\n6,2.5\n"
+    )
+
+
+def read_outcome(fn, text):
+    got = outcome(fn, text)
+    return got if got[0] == "raised" else ("ok", repr(got[1].values))
+
+
+valid_rows = st.tuples(
+    st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["", "x", "1.5"])),
+    csv_values.map(str),
+).map(",".join)
+bad_rows = st.one_of(
+    csv_values.map(str),  # no comma
+    st.tuples(csv_values, csv_values, csv_values).map(lambda t: ",".join(map(str, t))),
+    st.sampled_from(["0,x", "0,", "0,1e", "0,--1", "0,1 2", ",", ",,", "0,١", "0,1é"]),
+    st.text(alphabet="0123456789,.e-+ xé\ud800", max_size=8),
+)
+line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\n\n", " "])
+
+
+@st.composite
+def trajectory_texts(draw):
+    header = draw(st.sampled_from(["step,value"] * 6 + ["", "value", "step,value,", "Step,Value"]))
+    rows = draw(st.lists(st.one_of(valid_rows, valid_rows, bad_rows, st.just("")), max_size=30))
+    lines = [header, *rows]
+    breaks = draw(st.lists(line_breaks, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(trajectory_texts())
+def test_trajectory_reader_matches_the_row_scan(text):
+    assert read_outcome(experiment.read_trajectory_csv, text) == read_outcome(
+        read_trajectory_csv, text
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(csv_values, min_size=1, max_size=50))
+def test_written_trajectories_read_back_like_the_row_scan(values):
+    text = trajectory.trajectory_to_csv(Trajectory(values=values))
+    assert read_outcome(experiment.read_trajectory_csv, text) == read_outcome(
+        read_trajectory_csv, text
+    )
+
+
+def test_trajectory_reader_errors_match_the_row_scan():
+    for text in [
+        "step,value\n0,1\n1\n",  # a row with no comma
+        "step,value\n0,1\n1,2,3\n",  # a row with two commas
+        "step,value\n0,1\n1,abc\n",  # a bad value
+        "step,value\n\n0,1\n\n\n1,x\n",  # blank lines do not count as lines
+        "step,value\n",  # header only
+        "step,value\n\n\n",
+        "",
+        "value\n0,1\n",  # a wrong header
+        "\nstep,value\n0,1\n",  # a blank first line is skipped
+        "step,value\n0,1\n1,2\n",
+    ]:
+        new = read_outcome(experiment.read_trajectory_csv, text)
+        assert new == read_outcome(read_trajectory_csv, text)
+    assert read_outcome(experiment.read_trajectory_csv, "step,value\n\n0,1\n\n\n1,x\n") == (
+        "raised", FormatError, "line 3: bad value 'x'", 3
+    )
