@@ -6,12 +6,7 @@ obey, plus the statistical tooling to compare the two.
 """
 
 from driftlab.rng import RngStream
-from driftlab.trajectory import (
-    HittingTimeSample,
-    Trajectory,
-    first_hitting_time,
-    kth_hitting_time,
-)
+from driftlab.trajectory import HittingTimeSample, Trajectory
 from driftlab.bounds import BoundSpec, expected_time_upper, tail_probability_upper
 from driftlab.experiment import ExperimentConfig, run_experiment
 
@@ -24,8 +19,6 @@ __all__ = [
     "RngStream",
     "Trajectory",
     "expected_time_upper",
-    "first_hitting_time",
-    "kth_hitting_time",
     "run_experiment",
     "tail_probability_upper",
     "__version__",

@@ -119,10 +119,8 @@ class StepTailFit:
 DEFAULT_ETA_GRID = tuple(i / 20.0 for i in range(1, 61))  # 0.05 .. 3.00
 
 
-def fit_step_tail(
-    trajectories: Iterable[Trajectory], eta_grid: Sequence[float] = DEFAULT_ETA_GRID
-) -> StepTailFit:
-    """Fit the geometric step-tail envelope over a grid of decay rates.
+def fit_step_tail(trajectories: Iterable[Trajectory]) -> StepTailFit | None:
+    """Fit the geometric step-tail envelope over DEFAULT_ETA_GRID.
 
     For each eta the smallest feasible r is max over observed magnitudes m
     of freq(|step| >= m) * (1 + eta)^m (the envelope is tight at some
@@ -130,11 +128,13 @@ def fit_step_tail(
     the envelope falls, so checking observed m suffices).  freq(>= 0) = 1
     forces r >= 1.  The winner minimizes r / ln(1 + eta).
 
+    An eta for which (1 + eta)^m or r / ln(1 + eta) overflows a float
+    cannot win: its range constant is infinite.  None means every eta
+    overflows, which a step magnitude above ~14,500 brings about.
+
     The steps are tallied by signed value and folded into one count per
     magnitude, so the exceedance points are exact counts for any input.
     """
-    if not eta_grid or any(e <= 0 for e in eta_grid):
-        raise ValueError("eta_grid must be nonempty with positive entries")
     steps: Counter = Counter()
     for traj in trajectories:
         vals = traj.values
@@ -154,11 +154,14 @@ def fit_step_tail(
         below += by_magnitude[m]
 
     best: StepTailFit | None = None
-    for eta in eta_grid:
+    for eta in DEFAULT_ETA_GRID:
         growth = 1.0 + eta
-        r = max(freq * growth**m for m, freq in points)
+        try:
+            r = max(freq * growth**m for m, freq in points)
+        except OverflowError:
+            continue
         rc = r / math.log(growth)
-        if best is None or rc < best.range_constant:
+        if rc < (best.range_constant if best else math.inf):
             viol = max(freq - r / growth**m for m, freq in points)
             best = StepTailFit(r=r, eta=eta, max_violation=viol, range_constant=rc)
     return best

@@ -456,14 +456,6 @@ class ExperimentConfig:
             analysis=analysis,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config is not valid JSON: {exc}", line=exc.lineno) from exc
-        return cls.from_dict(obj)
-
 
 # ---------------------------------------------------------------------------
 # One replication.  Module-level so worker processes can pickle the call;
@@ -520,7 +512,8 @@ def build_report(
 
     summary_table is null when every sample is censored; tail_report only
     appears when the block carries a grid and a bound; the drift sections
-    only when the recorded trajectories hold at least one transition.
+    only when the recorded trajectories hold at least one transition, and
+    step_tail_fit only when some envelope on its grid is finite.
     """
     report: dict = {
         "sample_count": len(samples),
@@ -562,7 +555,6 @@ def build_report(
     report["step_tail_fit"] = None
     try:
         drift = estimate_drift(trajectories)
-        step = fit_step_tail(trajectories)
     except EmptySampleError:
         return report  # no trajectories, or not one transition among them
     report["drift_estimate"] = {
@@ -571,12 +563,14 @@ def build_report(
         "transitions": drift.transitions,
         "per_state_mean": {str(s): v for s, v in drift.per_state_mean.items()},
     }
-    report["step_tail_fit"] = {
-        "r": step.r,
-        "eta": step.eta,
-        "max_violation": step.max_violation,
-        "range_constant": step.range_constant,
-    }
+    step = fit_step_tail(trajectories)
+    if step is not None:  # None: every envelope on the grid overflows
+        report["step_tail_fit"] = {
+            "r": step.r,
+            "eta": step.eta,
+            "max_violation": step.max_violation,
+            "range_constant": step.range_constant,
+        }
     return report
 
 

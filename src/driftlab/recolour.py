@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from driftlab.errors import FormatError
 from driftlab.rng import RngStream
 from driftlab.trajectory import Trajectory
 
@@ -190,56 +189,3 @@ def run_recolour(
     return RecolourResult(
         colouring=colouring, iterations=t, censored=censored, trajectory=traj
     )
-
-
-# ---------------------------------------------------------------------------
-# Text format: first line the vertex count, then one "u v" line per edge,
-# then a "class c0 c1 ... c_{n-1}" line carrying the witness partition.
-
-
-def emit_graph(graph: ColorableGraph) -> str:
-    lines = [str(graph.n)]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
-    lines.append("class " + " ".join(str(c) for c in graph.classes))
-    return "\n".join(lines) + "\n"
-
-
-def parse_graph(text: str) -> ColorableGraph:
-    n = None
-    edges: list[tuple[int, int]] = []
-    classes: tuple[int, ...] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise FormatError(f"first line must be the vertex count, got {line!r}", lineno) from None
-            continue
-        if line.startswith("class"):
-            if classes is not None:
-                raise FormatError("duplicate class line", lineno)
-            toks = line.split()[1:]
-            try:
-                classes = tuple(int(tok) for tok in toks)
-            except ValueError:
-                raise FormatError("class line must list integers", lineno) from None
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"edge line must be 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"edge line must be 'u v', got {line!r}", lineno) from None
-        edges.append((u, v))
-    if n is None:
-        raise FormatError("empty graph file")
-    if classes is None:
-        raise FormatError("missing class line")
-    try:
-        return ColorableGraph(n=n, edges=tuple(edges), classes=classes)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None

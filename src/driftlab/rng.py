@@ -23,14 +23,15 @@ block: an ``array('Q')`` of words and the position of the first.  Blocks
 start at 64 words and double up to 1024 while draws continue where the
 cached block ends; after ``draw_counter`` jumps the next block starts small
 again, so a short run does not pay for words it never uses.  The scalar
-methods (``next_u64``, ``next_uniform``, ``next_index``, ``next_bernoulli``)
-read the cache inline.  The iterators ``uniforms()`` and ``indices(k)`` walk
-it without a method call per value and yield exactly what repeated
-``next_uniform()`` / ``next_index(k)`` calls would.  After every value, by
-either route, ``draw_counter`` points just past the last word used, so a
-kernel may stop anywhere and leave the stream where scalar draws would.  The
-formula above, through :func:`_mix64`, stays the reference the cache is
-tested against.
+methods read the cache through ``next_u64``: ``next_uniform`` scales one
+word, ``next_index`` rejects and reduces words, and a Bernoulli(p) draw is
+``next_uniform() < p``.  The iterators ``uniforms()`` and ``indices(k)``
+walk the cache without a method call per value and yield exactly what
+repeated ``next_uniform()`` / ``next_index(k)`` calls would.  After every
+value, by either route, ``draw_counter`` points just past the last word
+used, so a kernel may stop anywhere and leave the stream where scalar draws
+would.  The formula above, through :func:`_mix64`, stays the reference the
+cache is tested against.
 """
 
 from __future__ import annotations
@@ -160,25 +161,7 @@ class RngStream:
 
     def next_uniform(self) -> float:
         """Uniform float in [0, 1) with 53-bit resolution; one word consumed."""
-        n = self.draw_counter
-        words = self._words
-        i = n - self._first
-        if not 0 <= i < len(words):
-            words, i = self._fill(n), 0
-        self.draw_counter = n + 1
-        return (words[i] >> 11) * _INV53
-
-    def next_bernoulli(self, p: float) -> bool:
-        """True with probability p; one word consumed regardless of outcome."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p!r}")
-        n = self.draw_counter
-        words = self._words
-        i = n - self._first
-        if not 0 <= i < len(words):
-            words, i = self._fill(n), 0
-        self.draw_counter = n + 1
-        return (words[i] >> 11) * _INV53 < p
+        return (self.next_u64() >> 11) * _INV53
 
     def next_index(self, k: int) -> int:
         """Uniform integer in {0, ..., k-1}.
@@ -187,18 +170,10 @@ class RngStream:
         2**64.  Consumes a variable (almost always 1) number of words.
         """
         limit = _index_limit(k)
-        n = self.draw_counter
-        words = self._words
-        i = n - self._first
         while True:
-            if not 0 <= i < len(words):
-                words, i = self._fill(n), 0
-            w = words[i]
-            n += 1
+            w = self.next_u64()
             if w < limit:
-                self.draw_counter = n
                 return w % k
-            i += 1
 
     def uniforms(self) -> Iterator[float]:
         """Endless iterator over the values repeated next_uniform() would return.

@@ -8,7 +8,7 @@ step, which is what makes the quadratic-time guarantee work; passing that
 witness as ``reference`` records the agreement trajectory.
 
 Literals are (variable, negated) pairs with 0-based variables; assignments
-are bytearrays of 0/1.  DIMACS-style text I/O lives at the bottom.
+are bytearrays of 0/1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import heapq
 from dataclasses import dataclass
 from itertools import islice
 
-from driftlab.errors import FormatError
 from driftlab.rng import RngStream
 from driftlab.trajectory import Trajectory
 
@@ -192,63 +191,3 @@ def run_walk(
     if record:
         traj = Trajectory(values=values, censored=censored, cap=cap if censored else None)
     return WalkResult(assignment=assignment, iterations=t, censored=censored, trajectory=traj)
-
-
-# ---------------------------------------------------------------------------
-# DIMACS-style text format: header "p cnf <n> <m>", one zero-terminated
-# two-literal clause per line, "c" comment lines anywhere.
-
-
-def emit_dimacs(formula: TwoCnfFormula) -> str:
-    lines = [f"p cnf {formula.n} {formula.m}"]
-    for (u, nu), (v, nv) in formula.clauses:
-        a = -(u + 1) if nu else u + 1
-        b = -(v + 1) if nv else v + 1
-        lines.append(f"{a} {b} 0")
-    return "\n".join(lines) + "\n"
-
-
-def parse_dimacs(text: str) -> TwoCnfFormula:
-    n = m = None
-    clauses: list[Clause] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if n is not None:
-                raise FormatError("duplicate problem line", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise FormatError(f"malformed problem line {line!r}", lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError(f"non-integer counts in {line!r}", lineno) from None
-            if n < 1 or m < 0:
-                raise FormatError(f"impossible counts in {line!r}", lineno)
-            continue
-        if n is None:
-            raise FormatError("clause before problem line", lineno)
-        try:
-            nums = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise FormatError(f"non-integer literal in {line!r}", lineno) from None
-        if not nums or nums[-1] != 0:
-            raise FormatError("clause line must end with 0", lineno)
-        lits = nums[:-1]
-        if len(lits) != 2:
-            raise FormatError(
-                f"expected exactly two literals per clause, got {len(lits)}", lineno
-            )
-        clause = []
-        for lit in lits:
-            if lit == 0 or abs(lit) > n:
-                raise FormatError(f"literal {lit} out of range for n={n}", lineno)
-            clause.append((abs(lit) - 1, lit < 0))
-        clauses.append((clause[0], clause[1]))
-    if n is None:
-        raise FormatError("missing problem line")
-    if len(clauses) != m:
-        raise FormatError(f"problem line promises {m} clauses, found {len(clauses)}")
-    return TwoCnfFormula(n=n, clauses=tuple(clauses))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass
@@ -48,7 +48,8 @@ class HittingTimeSample:
     censored means the run was cut off: stopping_time then equals the cap
     and the true hitting time is only known to be at least that large.
     The bandit experiment reuses the slot for its total regret (a float,
-    never censored); everything downstream only needs an ordered scalar.
+    never censored, negative when the realized rewards beat the means);
+    everything downstream only needs an ordered scalar.
     """
 
     run_id: int
@@ -59,29 +60,6 @@ class HittingTimeSample:
     def __post_init__(self):
         if self.run_id < 0:
             raise ValueError("run_id must be nonnegative")
-        if self.stopping_time < 0:
-            raise ValueError("stopping_time must be nonnegative")
-
-
-def first_hitting_time(traj: Trajectory, target: Callable[[float], bool]) -> int | None:
-    """Smallest t with target(values[t]), or None if never hit on record."""
-    return kth_hitting_time(traj, target, 0)
-
-
-def kth_hitting_time(
-    traj: Trajectory, target: Callable[[float], bool], k: int
-) -> int | None:
-    """Smallest t >= k with target(values[t]); None when the record ends first.
-
-    k = 0 recovers the plain first hitting time.  Whatever the path did
-    before step k is ignored, so the result is nondecreasing in k.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    for t in range(k, len(traj.values)):
-        if target(traj.values[t]):
-            return t
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from driftlab.rng import RngStream
 from driftlab.trajectory import HittingTimeSample, Trajectory
 
 
-def _finish(stream, run_id, t, censored, values):
+def _finish(stream, t, censored, values):
+    # run_id 0: the experiment runner stamps each replication's own id
     sample = HittingTimeSample(
-        run_id=run_id, stopping_time=t, censored=censored, seed_used=stream.stream_id
+        run_id=0, stopping_time=t, censored=censored, seed_used=stream.stream_id
     )
     traj = None
     if values is not None:
@@ -35,8 +36,7 @@ def _finish(stream, run_id, t, censored, values):
 
 
 def simulate_fair_walk(
-    stream: RngStream, b: int, x0: int, cap: int, record: bool = False,
-    run_id: int = 0,
+    stream: RngStream, b: int, x0: int, cap: int, record: bool = False
 ) -> tuple[HittingTimeSample, Trajectory | None]:
     """Unit-step zero-drift walk absorbed at 0 and b."""
     if b < 1 or not 0 <= x0 <= b:
@@ -51,12 +51,11 @@ def simulate_fair_walk(
         t += 1
         if record:
             values.append(x)
-    return _finish(stream, run_id, t, 0 < x < b, values)
+    return _finish(stream, t, 0 < x < b, values)
 
 
 def simulate_biased_walk(
-    stream: RngStream, b: int, x0: int, p_up: float, cap: int, record: bool = False,
-    run_id: int = 0,
+    stream: RngStream, b: int, x0: int, p_up: float, cap: int, record: bool = False
 ) -> tuple[HittingTimeSample, Trajectory | None]:
     """Upward-drifting walk, reflecting at 0, stopped on reaching b.
 
@@ -80,12 +79,11 @@ def simulate_biased_walk(
         t += 1
         if record:
             values.append(x)
-    return _finish(stream, run_id, t, x < b, values)
+    return _finish(stream, t, x < b, values)
 
 
 def simulate_lazy_walk(
-    stream: RngStream, b: int, x0: int, delta: float, cap: int, record: bool = False,
-    run_id: int = 0,
+    stream: RngStream, b: int, x0: int, delta: float, cap: int, record: bool = False
 ) -> tuple[HittingTimeSample, Trajectory | None]:
     """Zero-drift holding walk on {0..b}, absorbed at 0.
 
@@ -116,7 +114,7 @@ def simulate_lazy_walk(
         t += 1
         if record:
             values.append(x)
-    return _finish(stream, run_id, t, x > 0, values)
+    return _finish(stream, t, x > 0, values)
 
 
 # ---------------------------------------------------------------------------

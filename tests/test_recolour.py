@@ -4,12 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from driftlab.errors import FormatError
 from driftlab.recolour import (
     ColorableGraph,
-    emit_graph,
     generate_3colorable,
-    parse_graph,
     random_colouring,
     run_recolour,
     seek_monochromatic_triangle,
@@ -160,36 +157,3 @@ def test_recorded_potential_matches_scratch_recomputation():
             for p, q in zip(result.trajectory.values, result.trajectory.values[1:])
         )
 
-
-# -- text format -------------------------------------------------------------
-
-
-def test_graph_emit_known_layout():
-    assert emit_graph(TRIANGLE) == "3\n0 1\n0 2\n1 2\nclass 0 1 2\n"
-
-
-def test_graph_round_trip():
-    for seed in range(5):
-        graph = generate_3colorable(RngStream(seed), n=10, edge_prob=0.6)
-        back = parse_graph(emit_graph(graph))
-        assert back.n == graph.n
-        assert back.edges == graph.edges
-        assert back.classes == graph.classes
-
-
-@pytest.mark.parametrize(
-    "text, fragment",
-    [
-        ("", "empty graph file"),
-        ("3\n0 1\n", "missing class line"),
-        ("three\n", "line 1"),
-        ("3\n0 1 2\nclass 0 1 2\n", "line 2"),
-        ("3\n0 x\nclass 0 1 2\n", "line 2"),
-        ("3\nclass 0 1 2\nclass 0 1 2\n", "line 3"),
-        ("3\n0 1\nclass 0 0 1\n", "joins one witness class"),
-    ],
-)
-def test_graph_parse_errors(text, fragment):
-    with pytest.raises(FormatError) as err:
-        parse_graph(text)
-    assert fragment in str(err.value)

@@ -51,8 +51,6 @@ def test_counter_advances_by_one_per_word():
     assert s.draw_counter == 1
     s.next_uniform()
     assert s.draw_counter == 2
-    s.next_bernoulli(0.5)
-    assert s.draw_counter == 3
 
 
 def test_distinct_streams_disagree():
@@ -113,23 +111,6 @@ def test_index_rejects_bad_k():
 def test_index_k_one_is_free_of_bias():
     s = RngStream(master_seed=0)
     assert all(s.next_index(1) == 0 for _ in range(50))
-
-
-def test_bernoulli_endpoints():
-    s = RngStream(master_seed=5)
-    assert not any(s.next_bernoulli(0.0) for _ in range(100))
-    assert all(s.next_bernoulli(1.0) for _ in range(100))
-    with pytest.raises(ValueError):
-        s.next_bernoulli(1.5)
-    with pytest.raises(ValueError):
-        s.next_bernoulli(-0.1)
-
-
-def test_bernoulli_frequency():
-    s = RngStream(master_seed=9)
-    n = 20000
-    hits = sum(1 for _ in range(n) if s.next_bernoulli(0.3))
-    assert abs(hits / n - 0.3) < 0.01
 
 
 @given(

@@ -1,19 +1,14 @@
-"""Clause-repair walk, planted generator, and the DIMACS-style format."""
+"""Clause-repair walk and planted generator."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from driftlab.errors import FormatError
 from driftlab.rng import RngStream
 from driftlab.sat2 import (
     TwoCnfFormula,
     agreement_count,
     clause_satisfied,
-    emit_dimacs,
     generate_planted,
     literal_true,
-    parse_dimacs,
     random_assignment,
     run_walk,
     satisfies,
@@ -148,51 +143,3 @@ def test_agreement_trajectory_moves_by_one_per_flip():
     assert len(values) == result.iterations + 1
     assert all(abs(p - q) == 1 for p, q in zip(values, values[1:]))
 
-
-# -- text format -------------------------------------------------------------
-
-
-def test_dimacs_emit_known_layout():
-    text = emit_dimacs(XOR_ISH)
-    assert text == "p cnf 2 2\n1 2 0\n-1 -2 0\n"
-
-
-def test_dimacs_parse_with_comments():
-    text = "c a comment\np cnf 3 2\n1 -2 0\nc another\n-1 3 0\n"
-    formula = parse_dimacs(text)
-    assert formula.n == 3
-    assert formula.clauses == (
-        ((0, False), (1, True)),
-        ((0, True), (2, False)),
-    )
-
-
-@pytest.mark.parametrize(
-    "text, fragment",
-    [
-        ("p cnf 2 1\np cnf 2 1\n1 2 0\n", "line 2"),
-        ("1 2 0\n", "line 1"),
-        ("p cnf x 1\n1 2 0\n", "line 1"),
-        ("p cnf 2 1\n1 2\n", "line 2"),
-        ("p cnf 2 1\n1 2 3 0\n", "line 2"),
-        ("p cnf 2 1\n1 5 0\n", "line 2"),
-        ("p cnf 2 2\n1 2 0\n", "promises 2"),
-        ("c nothing here\n", "missing problem line"),
-    ],
-)
-def test_dimacs_parse_errors_name_the_line(text, fragment):
-    with pytest.raises(FormatError) as err:
-        parse_dimacs(text)
-    assert fragment in str(err.value)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=8),
-    data=st.data(),
-)
-def test_dimacs_round_trip(n, data):
-    literal = st.tuples(st.integers(min_value=0, max_value=n - 1), st.booleans())
-    clauses = data.draw(st.lists(st.tuples(literal, literal), max_size=10))
-    formula = TwoCnfFormula(n=n, clauses=tuple(clauses))
-    assert parse_dimacs(emit_dimacs(formula)) == formula

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+from functools import partial
 from typing import Iterable, Sequence
 from unittest import mock
 
@@ -339,11 +340,19 @@ def test_tallies_on_fixed_edge_cases():
         [Trajectory(values=[-5, -6, -4, -4, 10, -10])],
         [Trajectory(values=[0.5, -0.5, 2.25]), Trajectory(values=[-0.0, 0.0, -0.0])],
         [Trajectory(values=[0, 1, 2], censored=True, cap=2)] * 30,
-        [Trajectory(values=[0, -1000])],  # (1 + eta)**1000 overflows in both
     ]
     for trajs in cases:
         assert_same(analysis.estimate_drift, estimate_drift, trajs)
         assert_same(analysis.fit_step_tail, fit_step_tail, trajs)
+    # (1 + eta)**1000 overflows a float exactly for the etas above 1.0
+    # (2**1000 < 1.8e308 < 2.05**1000): the loop form raised OverflowError,
+    # the tally skips those etas and equals the loop form over the rest
+    trajs = [Trajectory(values=[0, -1000])]
+    finite = [eta for eta in DEFAULT_ETA_GRID if eta <= 1.0]
+    assert_same(analysis.estimate_drift, estimate_drift, trajs)
+    assert_same(analysis.fit_step_tail, partial(fit_step_tail, eta_grid=finite), trajs)
+    # at a magnitude of 20,000 every eta overflows, and there is no fit
+    assert analysis.fit_step_tail([Trajectory(values=[0, 20000])]) is None
 
 
 # ---------------------------------------------------------------------------

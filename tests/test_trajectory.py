@@ -1,15 +1,11 @@
-"""Trajectory bookkeeping, hitting times, and CSV rendering."""
+"""Trajectory bookkeeping, samples, and CSV rendering."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from driftlab.trajectory import (
     HittingTimeSample,
     Trajectory,
-    first_hitting_time,
     format_value,
-    kth_hitting_time,
     samples_to_csv,
     trajectory_to_csv,
 )
@@ -33,47 +29,10 @@ def test_steps_counts_transitions():
     assert Trajectory(values=[5.0, 4.0, 3.0]).steps() == 2
 
 
-def test_first_hitting_time_finds_earliest():
-    traj = Trajectory(values=[3, 2, 0, 1, 0])
-    assert first_hitting_time(traj, lambda v: v == 0) == 2
-
-
-def test_first_hitting_time_none_when_missed():
-    traj = Trajectory(values=[3, 2, 1])
-    assert first_hitting_time(traj, lambda v: v == 0) is None
-
-
-def test_kth_hitting_time_ignores_history_before_k():
-    # target already true at t=0; k=1 must wait for the next occurrence
-    traj = Trajectory(values=[0, 1, 0, 1])
-    assert kth_hitting_time(traj, lambda v: v == 0, 0) == 0
-    assert kth_hitting_time(traj, lambda v: v == 0, 1) == 2
-    assert kth_hitting_time(traj, lambda v: v == 0, 3) is None
-    with pytest.raises(ValueError):
-        kth_hitting_time(traj, lambda v: v == 0, -1)
-
-
-@given(
-    values=st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=30),
-    k=st.integers(min_value=0, max_value=30),
-)
-@settings(max_examples=100)
-def test_kth_hitting_time_nondecreasing_in_k(values, k):
-    traj = Trajectory(values=list(values))
-    t0 = kth_hitting_time(traj, lambda v: v == 0, k)
-    t1 = kth_hitting_time(traj, lambda v: v == 0, k + 1)
-    if t0 is not None and t1 is not None:
-        assert t1 >= t0
-    if t0 is None:
-        assert t1 is None
-
-
 def test_sample_validation():
     HittingTimeSample(run_id=0, stopping_time=0, censored=False, seed_used=0)
     with pytest.raises(ValueError):
         HittingTimeSample(run_id=-1, stopping_time=0, censored=False, seed_used=0)
-    with pytest.raises(ValueError):
-        HittingTimeSample(run_id=0, stopping_time=-1, censored=False, seed_used=0)
 
 
 def test_format_value_booleans_and_numbers():

@@ -1,6 +1,7 @@
 """Walk simulators against their exact mean oracles and draw contracts."""
 
-import numpy as np
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,8 +47,7 @@ def test_lazy_walk_started_at_zero_stops_immediately():
 
 
 def test_sample_carries_run_id_and_stream_id():
-    sample, _ = simulate_fair_walk(RngStream(9, stream_id=41), b=4, x0=2, cap=10**4, run_id=17)
-    assert sample.run_id == 17
+    sample, _ = simulate_fair_walk(RngStream(9, stream_id=41), b=4, x0=2, cap=10**4)
     assert sample.seed_used == 41
 
 
@@ -55,16 +55,29 @@ def test_sample_carries_run_id_and_stream_id():
 
 
 def hitting_mean_by_linear_solve(transient, transition):
-    """E[T] per transient state from (I - Q) h = 1, as a cross-check."""
+    """E[T] per transient state from (I - Q) h = 1, as a cross-check.
+
+    Gauss-Jordan elimination over Fractions, each probability taken at its
+    exact binary value, so the one rounding is the final float().
+    """
     k = len(transient)
     index = {s: i for i, s in enumerate(transient)}
-    q = np.zeros((k, k))
+    # rows of the augmented matrix [I - Q | 1]
+    rows = [[Fraction(i == j) for j in range(k)] + [Fraction(1)] for i in range(k)]
     for s in transient:
         for s2, p in transition(s):
             if s2 in index:
-                q[index[s], index[s2]] = p
-    h = np.linalg.solve(np.eye(k) - q, np.ones(k))
-    return {s: h[index[s]] for s in transient}
+                rows[index[s]][index[s2]] -= Fraction(p)
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(k):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return {s: float(rows[index[s]][k]) for s in transient}
 
 
 def test_biased_mean_dp_matches_matrix_solve():
