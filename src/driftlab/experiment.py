@@ -663,7 +663,8 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
     """Parse a samples CSV back into memory, ignoring diagnostic columns.
 
     The header starts with SAMPLE_COLUMNS or REGRET_COLUMNS; regret rows
-    have no censored flag and are never censored.
+    have no censored flag and are never censored.  A stopping time is
+    nonnegative; a regret may be negative.
     """
     lines = text.splitlines()
     if not lines:
@@ -692,10 +693,13 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
             seed = int(cells[1])
         except ValueError:
             raise FormatError("run_id and seed must be integers", line=lineno) from None
+        value = _parse_time(cells[2], lineno)
+        if value < 0 and lead is SAMPLE_COLUMNS:
+            raise FormatError(f"negative stopping_time {cells[2]!r}", line=lineno)
         samples.append(
             HittingTimeSample(
                 run_id=run_id,
-                stopping_time=_parse_time(cells[2], lineno),
+                stopping_time=value,
                 censored=flag == "true",
                 seed_used=seed,
             )

@@ -381,6 +381,7 @@ def test_read_samples_round_trip_and_diagnostic_columns():
         ("run_id,seed,stopping_time,censored\n0,0,7,maybe\n", "line 2"),
         ("run_id,seed,stopping_time,censored\nx,0,7,false\n", "line 2"),
         ("run_id,seed,stopping_time,censored\n0,0,what,false\n", "line 2"),
+        ("run_id,seed,stopping_time,censored\n0,0,7,false\n1,1,-3,false\n", "line 3"),
         ("run_id,seed,stopping_time,censored\n", "line 2"),
     ],
 )
@@ -451,6 +452,20 @@ def test_cli_analyze_flags_violations(tmp_path, capsys):
     )
     assert main(["analyze", str(samples), analysis]) == 1
     assert "bound check: VIOLATED" in capsys.readouterr().out
+
+
+def test_cli_analyze_rejects_a_negative_stopping_time(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(sample_rows([1, -3, 2]))
+    analysis = write_json(tmp_path / "analysis.json", {"k_list": [1.0]})
+    assert main(["analyze", str(samples), analysis]) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_read_samples_accepts_a_negative_regret():
+    samples = read_samples_csv("run_id,seed,total_regret\n0,1,-1.0\n")
+    assert samples[0].stopping_time == -1.0
 
 
 def test_cli_analyze_honors_out_path(tmp_path, capsys):
