@@ -186,21 +186,27 @@ def _ascending_tally(times: Sequence[float]) -> tuple[list[float], list[int]]:
 class TailPoint:
     tau: float
     empirical_survival: float
-    hoeffding_upper: float  # bound + margin: the largest admissible frequency
     theoretical_bound: float
+    hoeffding_upper: float  # bound + margin: the largest admissible frequency
     violated: bool
 
 
 @dataclass
 class TailReport:
+    """The tail comparison; report.json writes its fields in this order.
+
+    violated is not passed in: it is set from the grid, true when any
+    point is violated.
+    """
+
     confidence: float
     margin: float
     sample_count: int
+    violated: bool = field(init=False)
     grid: list[TailPoint]
 
-    @property
-    def violated(self) -> bool:
-        return any(p.violated for p in self.grid)
+    def __post_init__(self):
+        self.violated = any(p.violated for p in self.grid)
 
 
 def compare_bound(
@@ -234,8 +240,8 @@ def compare_bound(
             TailPoint(
                 tau=float(tau),
                 empirical_survival=emp,
-                hoeffding_upper=bound + margin,
                 theoretical_bound=bound,
+                hoeffding_upper=bound + margin,
                 violated=emp > bound + margin,
             )
         )

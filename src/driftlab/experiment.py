@@ -18,7 +18,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable, Sequence
 
@@ -66,38 +66,28 @@ from driftlab.trajectory import (
 )
 from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
 
-_CONFIG_KEYS = {
-    "kind",
-    "params",
-    "runs",
-    "master_seed",
-    "cap",
-    "record_trajectories",
-    "output_dir",
-    "workers",
-    "analysis",
-}
-
-_ANALYSIS_KEYS = {"k_list", "tau_grid", "confidence", "bound", "histogram_bins"}
-
 DEFAULT_K_LIST = (1.0, 2.0)
+
+
+def is_finite(value: int | float) -> bool:
+    """False for NaN, the infinities and integers too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def finite_number(value, where: str) -> float:
     """A JSON number as a finite float, or a ConfigError naming where.
 
-    NaN, the infinities and integers too large for a float are rejected:
-    a run configured with one reports results that mean nothing.
+    A number that is_finite rejects is an error here: a run configured
+    with one reports results that mean nothing.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
+    if not is_finite(value):
         raise ConfigError(f"{where}: expected a finite number")
-    return number
+    return float(value)
 
 
 def number_list(value, where: str, positive: bool = False) -> tuple[float, ...]:
@@ -162,7 +152,7 @@ class AnalysisBlock:
     def from_dict(cls, obj: dict, where: str = "analysis") -> "AnalysisBlock":
         if not isinstance(obj, dict):
             raise ConfigError(f"{where}: expected an object, got {obj!r}")
-        _reject_unknown(obj, _ANALYSIS_KEYS, where)
+        _reject_unknown(obj, {f.name for f in fields(cls)}, where)
         k_list = number_list(
             obj.get("k_list", list(DEFAULT_K_LIST)), f"{where}.k_list", positive=True
         )
@@ -191,8 +181,7 @@ def parse_bound_spec(obj: dict, where: str = "bound") -> BoundSpec:
     """Build a BoundSpec from a JSON object, naming the offending field."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object, got {obj!r}")
-    allowed = {"kind", "b", "x0", "delta", "epsilon", "ell", "c", "n"}
-    _reject_unknown(obj, allowed, where)
+    _reject_unknown(obj, {f.name for f in fields(BoundSpec)}, where)
     kind = _need(obj, "kind", str, where)
     kwargs = {"kind": kind}
     for key in ("b", "x0", "delta", "epsilon", "ell", "c"):
@@ -278,8 +267,7 @@ def _check_recolour(p: dict, where: str) -> None:
 def _simulate_recolour(p, stream, cap, record):
     graph = generate_3colorable(stream, p["n"], p["edge_prob"])
     init = random_colouring(stream, p["n"])
-    spec = ((0, 1), (0, 1)) if record else None
-    result = run_recolour(graph, init, stream, cap, potential_spec=spec)
+    result = run_recolour(graph, init, stream, cap, record=record)
     triangle_free = seek_monochromatic_triangle(graph, result.colouring) is None
     return result.iterations, result.censored, (triangle_free,), result.trajectory
 
@@ -409,7 +397,7 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError(f"config: expected an object, got {obj!r}")
-        _reject_unknown(obj, _CONFIG_KEYS, "config")
+        _reject_unknown(obj, {f.name for f in fields(cls)}, "config")
         kind = _need(obj, "kind", str, "config")
         if kind not in KINDS:
             raise ConfigError(
@@ -510,67 +498,36 @@ def build_report(
 ) -> dict:
     """Assemble the analysis JSON document as a plain dict.
 
-    summary_table is null when every sample is censored; tail_report only
-    appears when the block carries a grid and a bound; the drift sections
-    only when the recorded trajectories hold at least one transition, and
-    step_tail_fit only when some envelope on its grid is finite.
+    After the two counts come four sections, each the asdict of its
+    analysis dataclass (fields in declaration order) or None: summary_table
+    when every sample is censored, tail_report unless the block carries a
+    grid and a bound, the drift sections unless the trajectories hold a
+    transition, and step_tail_fit also when every envelope on its grid
+    overflows.  json.dumps writes the float keys of freq_at_multiples and
+    the int keys of per_state_mean as repr and str do, as the CSVs do.
     """
     report: dict = {
         "sample_count": len(samples),
         "censored_count": sum(1 for s in samples if s.censored),
+        "summary_table": None,
+        "tail_report": None,
+        "drift_estimate": None,
+        "step_tail_fit": None,
     }
     try:
-        summary = summary_table(samples, block.k_list)
-        report["summary_table"] = {
-            "mean": summary.mean,
-            "freq_at_multiples": {
-                format_value(k): v for k, v in summary.freq_at_multiples.items()
-            },
-            "censored_count": summary.censored_count,
-            "sample_count": summary.sample_count,
-        }
+        report["summary_table"] = asdict(summary_table(samples, block.k_list))
     except EmptySampleError:
-        report["summary_table"] = None
+        pass  # every sample censored: no mean
     if block.tau_grid:
         tail = compare_bound(samples, block.bound, block.tau_grid, block.confidence)
-        report["tail_report"] = {
-            "confidence": tail.confidence,
-            "margin": tail.margin,
-            "sample_count": tail.sample_count,
-            "violated": tail.violated,
-            "grid": [
-                {
-                    "tau": pt.tau,
-                    "empirical_survival": pt.empirical_survival,
-                    "theoretical_bound": pt.theoretical_bound,
-                    "hoeffding_upper": pt.hoeffding_upper,
-                    "violated": pt.violated,
-                }
-                for pt in tail.grid
-            ],
-        }
-    else:
-        report["tail_report"] = None
-    report["drift_estimate"] = None
-    report["step_tail_fit"] = None
+        report["tail_report"] = asdict(tail)
     try:
-        drift = estimate_drift(trajectories)
+        report["drift_estimate"] = asdict(estimate_drift(trajectories))
     except EmptySampleError:
         return report  # no trajectories, or not one transition among them
-    report["drift_estimate"] = {
-        "mean_drift": drift.mean_drift,
-        "second_moment": drift.second_moment,
-        "transitions": drift.transitions,
-        "per_state_mean": {str(s): v for s, v in drift.per_state_mean.items()},
-    }
     step = fit_step_tail(trajectories)
     if step is not None:  # None: every envelope on the grid overflows
-        report["step_tail_fit"] = {
-            "r": step.r,
-            "eta": step.eta,
-            "max_violation": step.max_violation,
-            "range_constant": step.range_constant,
-        }
+        report["step_tail_fit"] = asdict(step)
     return report
 
 
@@ -649,22 +606,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
 # Re-analysis of stored samples.
 
 
-def _parse_time(text: str, line: int):
+def _parse_scalar(text: str, name: str, line: int) -> int | float:
+    """An int or float cell that is_finite accepts, or a FormatError."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
-            raise FormatError(f"bad stopping_time {text!r}", line=line) from None
+            raise FormatError(f"bad {name} {text!r}", line=line) from None
+    if not is_finite(value):
+        raise FormatError(f"{name} must be a finite number, got {text!r}", line=line)
+    return value
 
 
 def read_samples_csv(text: str) -> list[HittingTimeSample]:
     """Parse a samples CSV back into memory, ignoring diagnostic columns.
 
     The header starts with SAMPLE_COLUMNS or REGRET_COLUMNS; regret rows
-    have no censored flag and are never censored.  A stopping time is
-    nonnegative; a regret may be negative.
+    have no censored flag and are never censored.  Every value is finite
+    (the rule finite_number applies to configs); a stopping time is
+    nonnegative, a regret may be negative.
     """
     lines = text.splitlines()
     if not lines:
@@ -693,7 +655,7 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
             seed = int(cells[1])
         except ValueError:
             raise FormatError("run_id and seed must be integers", line=lineno) from None
-        value = _parse_time(cells[2], lineno)
+        value = _parse_scalar(cells[2], lead[2], lineno)
         if value < 0 and lead is SAMPLE_COLUMNS:
             raise FormatError(f"negative stopping_time {cells[2]!r}", line=lineno)
         samples.append(

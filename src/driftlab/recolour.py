@@ -115,9 +115,6 @@ def seek_monochromatic_triangle(
     return None
 
 
-PotentialSpec = tuple[tuple[int, int], tuple[int, int]]
-
-
 @dataclass
 class RecolourResult:
     colouring: bytearray
@@ -131,14 +128,13 @@ def run_recolour(
     init,
     stream: RngStream,
     cap: int,
-    potential_spec: PotentialSpec | None = None,
+    record: bool = False,
 ) -> RecolourResult:
     """Repair ``init`` until triangle-free (among monochromatic ones) or capped.
 
-    potential_spec = ((class_a, class_b), (colour_a, colour_b)) tracks
-    Y_t = #{v in class_a : colour(v) = colour_a}
-        + #{v in class_b : colour(v) = colour_b}
-    and records its trajectory.
+    With record, the trajectory of
+    Y_t = #{v in class 0 : colour(v) = 0} + #{v in class 1 : colour(v) = 1}
+    is recorded.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -147,19 +143,9 @@ def run_recolour(
     if len(colouring) != n:
         raise ValueError("init length must equal vertex count")
 
-    record = potential_spec is not None
+    classes = graph.classes
     if record:
-        (ca, cb), (col_a, col_b) = potential_spec
-        if ca == cb or not {ca, cb} <= {0, 1, 2}:
-            raise ValueError("potential_spec needs two distinct witness classes")
-        if {col_a, col_b} != {0, 1}:
-            raise ValueError("potential_spec needs the two colours in some order")
-        pairing = {ca: col_a, cb: col_b}
-        y = sum(
-            1
-            for v in range(n)
-            if graph.classes[v] in pairing and colouring[v] == pairing[graph.classes[v]]
-        )
+        y = sum(1 for v in range(n) if classes[v] < 2 and colouring[v] == classes[v])
         values: list[float] = [y]
 
     pick = stream.indices(3).__next__
@@ -176,12 +162,9 @@ def run_recolour(
         colouring[v] ^= 1
         t += 1
         if record:
-            cls = graph.classes[v]
-            if cls in pairing:
-                y += 1 if colouring[v] == pairing[cls] else -1
-                values.append(y)
-            else:
-                values.append(y)
+            if classes[v] < 2:
+                y += 1 if colouring[v] == classes[v] else -1
+            values.append(y)
 
     traj = None
     if record:

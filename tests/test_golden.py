@@ -1,4 +1,5 @@
-"""Kernel outputs pinned to values computed on the scalar draw path.
+"""Kernel outputs pinned to values computed on the scalar draw path, and
+report.json pinned byte for byte.
 
 The walk, sat2, recolour and rwab kernels draw through the stream's cached
 block words (``RngStream.uniforms`` / ``indices``).  Every value below was
@@ -18,6 +19,7 @@ import json
 
 import pytest
 
+from driftlab.experiment import AnalysisBlock, ExperimentConfig, analyze_files, run_experiment
 from driftlab.recolour import generate_3colorable, random_colouring, run_recolour
 from driftlab.rng import RngStream
 from driftlab.rwab import BanditEnv, run_rwab, sample_change_times
@@ -85,7 +87,7 @@ def _recolour_case(n, edge_prob, cap):
         stream = RngStream(master_seed=seed, stream_id=11, draw_counter=start)
         graph = generate_3colorable(stream, n, edge_prob)
         init = random_colouring(stream, n)
-        result = run_recolour(graph, init, stream, cap, potential_spec=((0, 1), (0, 1)))
+        result = run_recolour(graph, init, stream, cap, record=True)
         outputs = [
             graph.edges,
             init.hex(),
@@ -258,3 +260,142 @@ PINS = {
 def test_kernel_outputs_match_scalar_path_pins(name):
     got = {(seed, start): CASES[name](seed, start) for seed in SEEDS for start in STARTS}
     assert got == PINS[name]
+
+
+# ---------------------------------------------------------------------------
+# report.json, byte for byte: the section order, the field order inside each
+# section and the number formats.  One run has every section, one has every
+# section null, and one re-analysis has a step tail whose envelopes overflow.
+
+FULL_REPORT = """\
+{
+  "sample_count": 6,
+  "censored_count": 0,
+  "summary_table": {
+    "mean": 3.0,
+    "freq_at_multiples": {
+      "0.5": 0.0,
+      "1.0": 0.8333333333333334,
+      "2.5": 0.8333333333333334
+    },
+    "censored_count": 0,
+    "sample_count": 6
+  },
+  "tail_report": {
+    "confidence": 0.5,
+    "margin": 0.24033781443348048,
+    "sample_count": 6,
+    "violated": true,
+    "grid": [
+      {
+        "tau": 2.0,
+        "empirical_survival": 1.0,
+        "theoretical_bound": 0.4791417087880153,
+        "hoeffding_upper": 0.7194795232214958,
+        "violated": true
+      },
+      {
+        "tau": 8.5,
+        "empirical_survival": 0.0,
+        "theoretical_bound": 0.04385023285318138,
+        "hoeffding_upper": 0.28418804728666186,
+        "violated": false
+      }
+    ]
+  },
+  "drift_estimate": {
+    "mean_drift": -0.2222222222222222,
+    "second_moment": 1.0,
+    "transitions": 18,
+    "per_state_mean": {
+      "1": -0.6,
+      "2": -0.1111111111111111,
+      "3": 0.0
+    }
+  },
+  "step_tail_fit": {
+    "r": 2.7,
+    "eta": 1.7,
+    "max_violation": 0.0,
+    "range_constant": 2.7183440023640877
+  }
+}
+"""
+
+NULL_REPORT = """\
+{
+  "sample_count": 3,
+  "censored_count": 3,
+  "summary_table": null,
+  "tail_report": null,
+  "drift_estimate": null,
+  "step_tail_fit": null
+}
+"""
+
+OVERFLOW_REPORT = """\
+{
+  "sample_count": 1,
+  "censored_count": 0,
+  "summary_table": {
+    "mean": 1.0,
+    "freq_at_multiples": {
+      "1.0": 1.0
+    },
+    "censored_count": 0,
+    "sample_count": 1
+  },
+  "tail_report": null,
+  "drift_estimate": {
+    "mean_drift": 20000.0,
+    "second_moment": 400000000.0,
+    "transitions": 1,
+    "per_state_mean": {
+      "0": 20000.0
+    }
+  },
+  "step_tail_fit": null
+}
+"""
+
+
+def _run_report(tmp_path, **overrides) -> str:
+    obj = {
+        "kind": "synthetic_fair",
+        "params": {"b": 4, "x0": 2},
+        "master_seed": 7,
+        "record_trajectories": True,
+        "output_dir": str(tmp_path / "out"),
+        **overrides,
+    }
+    artifacts = run_experiment(ExperimentConfig.from_dict(obj))
+    with open(artifacts.report_path) as fh:
+        return fh.read()
+
+
+def test_report_with_every_section_is_byte_equal(tmp_path):
+    analysis = {
+        "k_list": [0.5, 1, 2.5],
+        "tau_grid": [2, 8.5],
+        "histogram_bins": 3,
+        "confidence": 0.5,
+        "bound": {"kind": "TwoAbsorbing", "b": 4, "x0": 2, "delta": 8},
+    }
+    text = _run_report(tmp_path, runs=6, cap=1000, analysis=analysis)
+    assert text == FULL_REPORT
+
+
+def test_report_with_every_section_null_is_byte_equal(tmp_path):
+    # cap 0: every run is censored and every trajectory is one value
+    assert _run_report(tmp_path, runs=3, cap=0) == NULL_REPORT
+
+
+def test_reanalysis_with_an_overflowing_step_tail_is_byte_equal(tmp_path):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("run_id,seed,stopping_time,censored\n0,0,1,false\n")
+    trajectories = tmp_path / "trajectories"
+    trajectories.mkdir()
+    (trajectories / "run_00000.csv").write_text("step,value\n0,0\n1,20000\n")
+    path = analyze_files(str(samples), AnalysisBlock(k_list=(1.0,)), str(trajectories))
+    with open(path) as fh:
+        assert fh.read() == OVERFLOW_REPORT

@@ -101,16 +101,6 @@ def test_run_input_validation():
         run_recolour(TRIANGLE, bytearray([0, 0]), RngStream(1), cap=5)
     with pytest.raises(ValueError):
         run_recolour(TRIANGLE, bytearray([0, 0, 0]), RngStream(1), cap=-1)
-    with pytest.raises(ValueError):
-        run_recolour(
-            TRIANGLE, bytearray([0, 0, 0]), RngStream(1), cap=5,
-            potential_spec=((1, 1), (0, 1)),
-        )
-    with pytest.raises(ValueError):
-        run_recolour(
-            TRIANGLE, bytearray([0, 0, 0]), RngStream(1), cap=5,
-            potential_spec=((0, 1), (0, 2)),
-        )
 
 
 def replay_with_recomputed_potential(graph, init, stream, cap, spec):
@@ -145,7 +135,7 @@ def test_recorded_potential_matches_scratch_recomputation():
         graph = generate_3colorable(RngStream(seed), n=12, edge_prob=0.8)
         init = random_colouring(RngStream(seed, stream_id=3), 12)
         result = run_recolour(
-            graph, init, RngStream(seed, stream_id=4), cap=5000, potential_spec=spec
+            graph, init, RngStream(seed, stream_id=4), cap=5000, record=True
         )
         final, values = replay_with_recomputed_potential(
             graph, init, RngStream(seed, stream_id=4), cap=5000, spec=spec
