@@ -31,6 +31,28 @@ reports.  Forgetting always runs the corrected payoff.  rls_pd_step and
 dominates stay as the exact single-step oracles the loop is tested
 against.
 
+Whether a flip is kept depends only on the region of the count pair,
+(sign(|x| - beta*n), sign(|y| - alpha*n)), and on the class of the
+flipped position: an x bit that is 0 or 1, a y bit that is 0 or 1.  The
+loop reads that rule from a 9 x 4 table per payoff.  Each kept entry is
+the change of the Manhattan distance m; "." is a rejected flip.  The
+corrected payoff:
+
+    |x| vs bn  |y| vs an   x:0  x:1  y:0  y:1
+        <          <        .   +1   -1    .
+        <          =       -1    .   +1    .
+        <          >       -1    .   +1    .
+        =          <        .   +1   -1    .
+        =          =       +1   +1   +1   +1
+        =          >       +1    .    .   -1
+        >          <        .   -1    .   +1
+        >          =        .   -1    .   +1
+        >          >       +1    .    .   -1
+
+The plain payoff keeps four more, the tied flips that leave a plateau,
+each with m +1: x:1 at (<, =), y:1 at (=, <), y:0 at (=, >) and x:0 at
+(>, =).
+
 Progress is measured by the Manhattan distance of the count pair to the
 optimum; quadrant() names which side of the optimum a pair sits on.
 """
@@ -38,7 +60,7 @@ optimum; quadrant() names which side of the optimum a pair sits on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, product
 from math import inf, sqrt
 
 from driftlab.rng import RngStream
@@ -211,6 +233,40 @@ def default_cap(params: BilinearParams) -> int:
     return int(20 * params.n * sqrt(params.n))
 
 
+# The byte values a class vector holds: x bit 0, x bit 1, y bit 0, y bit 1.
+# Flipping a position toggles the low bit of its class.
+_X_ONES = (1, -1, 0, 0)  # change of |x| when a position of each class flips
+_Y_ONES = (0, 0, 1, -1)
+_PLUS_TWO = bytes((b + 2) % 256 for b in range(256))
+_MINUS_TWO = bytes((b - 2) % 256 for b in range(256))
+
+
+def _flip_tables(plain: bool) -> tuple[tuple[bool, ...], tuple[int, ...]]:
+    """run_search's accept and dm tables, from the sign rule in its docstring.
+
+    Entry r + c covers the region r = 12 * (sign(|x| - beta*n) + 1) +
+    4 * (sign(|y| - alpha*n) + 1) and the flipped position's class c.
+    dm is the change of the Manhattan distance on a kept flip, 0 where
+    the flip is rejected.
+    """
+    accept, dm = [], []
+    for sx, sy, c in product((-1, 0, 1), (-1, 0, 1), range(4)):
+        # side of the flipped axis, sign that must favour the flip, step
+        own, other = (sx, sy) if c < 2 else (sy, -sx)
+        d = 1 - 2 * (c & 1)
+        s = other * d
+        keep = s > 0 or (s == 0 and (plain or own * d <= 0))
+        accept.append(keep)
+        dm.append((own * d if own else 1) if keep else 0)
+    return tuple(accept), tuple(dm)
+
+
+_FLIP_TABLES = {plain: _flip_tables(plain) for plain in (False, True)}
+
+
+def _sides(n: int, target: int, unit: int) -> bytes:
+    """unit * (sign(count - target) + 1) for each count 0..n."""
+    return bytes([0]) * target + bytes([unit]) + bytes([2 * unit]) * (n - target)
 
 
 def run_search(
@@ -227,8 +283,8 @@ def run_search(
 
     m is the Manhattan distance of the count pair to the optimum; the
     trajectory, when recorded, is m after each step.  The pair is updated
-    in place.  Flip positions come from stream.indices, the block form of
-    the next_index calls rls_pd_step makes.
+    in place.  Flip positions come from stream.index_chunks, the block
+    form of the next_index calls rls_pd_step makes.
 
     Acceptance is the dominance chain reduced to a sign test.  The payoff
     terms move in units of n^3 and the correction terms are O(n^2), so off
@@ -240,40 +296,62 @@ def run_search(
     |beta*n - new| <= max(|beta*n - old|, 1).  Tests pin this rule to
     rls_pd_step and to the plain dominance chain at every count pair and
     flip position.
+
+    The rule depends only on the region (sign(|x| - beta*n),
+    sign(|y| - alpha*n)) and on the flipped position's class (an x or a y
+    bit, 0 or 1), so the loop looks it up in a 9 x 4 table per payoff
+    (_flip_tables; the module docstring prints it).  During the run the
+    two vectors live in one bytearray of classes, x bits then y bits + 2,
+    and the region offset is sx[|x|] + sy[|y|] from two tables of n + 1
+    bytes.  A step reads the class and one table entry; a kept flip then
+    stores the new class and updates m, the counts and the region.  The
+    range test on m runs only after a kept flip, the only time m moves,
+    and a recording run notes the step and m of each kept flip and fills
+    in the steps between them at the end.
     """
     n, an, bn = params.n, params.an, params.bn
-    x, y = pair.x, pair.y
+    accept, dm = _FLIP_TABLES[plain]
+    x_ones, y_ones = _X_ONES, _Y_ONES
+    sx = _sides(n, bn, 12)
+    sy = _sides(n, an, 4)
+    cls = pair.x + pair.y.translate(_PLUS_TWO)
     ox, oy = pair.ones_x, pair.ones_y
-    m = abs(bn - ox) + abs(an - oy)
-    values = [m] if record else None
+    m = m0 = abs(bn - ox) + abs(an - oy)
+    r = sx[ox] + sy[oy]
+    kept = [] if record else None  # (step, m after it) of each kept flip
     t = 0
-    # index draws continue from wherever the stream's earlier draws stopped
-    next_pos = stream.indices(2 * n).__next__
-    while lo < m < hi and t < cap:
-        pos = next_pos()
-        if pos < n:
-            d = -1 if x[pos] else 1
-            s = (oy - an) * d
-            if s > 0 or (s == 0 and (plain or abs(bn - ox - d) <= max(abs(bn - ox), 1))):
-                x[pos] ^= 1
-                ox += d
-                m = abs(bn - ox) + abs(an - oy)
-        else:
-            pos -= n
-            d = -1 if y[pos] else 1
-            s = (bn - ox) * d
-            if s > 0 or (s == 0 and (plain or abs(an - oy - d) <= max(abs(an - oy), 1))):
-                y[pos] ^= 1
-                oy += d
-                m = abs(bn - ox) + abs(an - oy)
-        t += 1
-        if record:
-            values.append(m)
+    if lo < m < hi and cap > 0:
+        # index draws continue from wherever the stream's earlier draws stopped
+        for chunk, first in stream.index_chunks(2 * n):
+            begin = t
+            for t, pos in zip(range(t + 1, cap + 1), chunk):
+                c = cls[pos]
+                if accept[r + c]:
+                    cls[pos] = c ^ 1
+                    m += dm[r + c]
+                    ox += x_ones[c]
+                    oy += y_ones[c]
+                    r = sx[ox] + sy[oy]
+                    if record:
+                        kept.append((t, m))
+                    if not lo < m < hi:
+                        break
+            else:
+                if t < cap:  # the chunk ran out first
+                    continue
+            # the t - begin values taken from this chunk end at its word
+            # first + t - begin - 1, the last the stream has used
+            stream.draw_counter = first + t - begin - 1
+            break
+    pair.x[:] = cls[:n]
+    pair.y[:] = cls[n:].translate(_MINUS_TWO)
     pair.ones_x, pair.ones_y = ox, oy
     censored = lo < m < hi
     traj = None
     if record:
-        traj = Trajectory(values=values, censored=censored, cap=cap if censored else None)
+        traj = Trajectory(
+            values=_fill_steps(m0, kept, t), censored=censored, cap=cap if censored else None
+        )
     return BilinearRunResult(
         pair=pair,
         iterations=t,
@@ -281,6 +359,16 @@ def run_search(
         trajectory=traj,
         quadrant_at_end=quadrant(params, pair),
     )
+
+
+def _fill_steps(m0: int, kept: list[tuple[int, int]], steps: int) -> list[int]:
+    """m after each of steps steps, from m0 and the (step, m) of each kept flip."""
+    values = [m0]
+    for t, m in kept:
+        values += [values[-1]] * (t - len(values))
+        values.append(m)
+    values += [values[-1]] * (steps + 1 - len(values))
+    return values
 
 
 def run_until_opt(

@@ -626,7 +626,8 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
     The header starts with SAMPLE_COLUMNS or REGRET_COLUMNS; regret rows
     have no censored flag and are never censored.  Every value is finite
     (the rule finite_number applies to configs); a stopping time is
-    nonnegative, a regret may be negative.
+    nonnegative, a regret may be negative.  run_ids are nonnegative and
+    distinct.
     """
     lines = text.splitlines()
     if not lines:
@@ -641,6 +642,7 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
         )
     width = len(lead)
     samples = []
+    seen = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw:
             continue
@@ -655,6 +657,11 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
             seed = int(cells[1])
         except ValueError:
             raise FormatError("run_id and seed must be integers", line=lineno) from None
+        if run_id < 0:
+            raise FormatError(f"negative run_id {cells[0]!r}", line=lineno)
+        if run_id in seen:
+            raise FormatError(f"repeated run_id {run_id}", line=lineno)
+        seen.add(run_id)
         value = _parse_scalar(cells[2], lead[2], lineno)
         if value < 0 and lead is SAMPLE_COLUMNS:
             raise FormatError(f"negative stopping_time {cells[2]!r}", line=lineno)

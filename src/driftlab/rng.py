@@ -30,8 +30,17 @@ walk the cache without a method call per value and yield exactly what
 repeated ``next_uniform()`` / ``next_index(k)`` calls would.  After every
 value, by either route, ``draw_counter`` points just past the last word
 used, so a kernel may stop anywhere and leave the stream where scalar draws
-would.  The formula above, through :func:`_mix64`, stays the reference the
-cache is tested against.
+would.
+
+``index_chunks(k)`` is the form ``indices(k)`` is built on: it yields runs
+of consecutive accepted words, already reduced mod k by a C-level ``map``,
+each with the counter of its first word.  One ``max(words) >= limit`` per
+block finds whether any word is rejected; only then is the block split
+around each rejected word.  It leaves ``draw_counter`` to its caller, so a
+loop over a run's values pays for no counter store per value; the bilinear
+search (``bilinear.run_search``) draws its flip positions this way and sets
+the counter once, where it stops.  The formula above, through
+:func:`_mix64`, stays the reference the cache is tested against.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import mod
 from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
@@ -198,11 +209,39 @@ class RngStream:
         return self._indices(k, _index_limit(k))
 
     def _indices(self, k: int, limit: int) -> Iterator[int]:
+        for values, n in self._index_chunks(k, limit):
+            for n, v in enumerate(values, n):
+                self.draw_counter = n
+                yield v
+
+    def index_chunks(self, k: int) -> Iterator[tuple[Iterator[int], int]]:
+        """The values of indices(k) in runs of consecutive accepted words.
+
+        Yields (values, n): values iterates the next_index(k) results of
+        one run of consecutive words that pass the rejection test, and n is
+        the position the run's first word advances the counter to, so after
+        the i-th value (from 0) of a run draw_counter should be n + i.
+        Runs end at rejected words and at block ends.  Unlike indices(),
+        nothing here moves draw_counter: the caller sets it, once, where
+        it stops.  Same single-reader rule as uniforms().
+        """
+        return self._index_chunks(k, _index_limit(k))
+
+    def _index_chunks(self, k: int, limit: int) -> Iterator[tuple[Iterator[int], int]]:
         for words, n in self._walk():
-            for n, w in enumerate(words, n):
-                if w < limit:
-                    self.draw_counter = n
-                    yield w % k
+            # limit is 2**64 when k is a power of two: no word is rejected
+            if limit > _MASK64 or max(words) < limit:
+                yield map(mod, words, repeat(k)), n
+                continue
+            # split the block around each rejected word
+            start = 0
+            for i, w in enumerate(words):
+                if w >= limit:
+                    if i > start:
+                        yield map(mod, words[start:i], repeat(k)), n + start
+                    start = i + 1
+            if start < len(words):
+                yield map(mod, words[start:], repeat(k)), n + start
 
     def _walk(self) -> Iterator[tuple[array, int]]:
         """The block walker behind the iterators.

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlab.bilinear import (
+    _FLIP_TABLES,
     AT_OPTIMUM,
     PAYOFFS,
     BilinearParams,
@@ -104,16 +105,20 @@ def test_dominance_is_reflexive():
         assert dominates(params=HALVES4, cand=p, inc=p)
 
 
-@pytest.mark.parametrize("params", [HALVES4, THIRDS6])
-def test_flip_sign_rules_match_dominance_everywhere(params):
-    # one stream start per flip position: a counter whose next index draw
-    # lands on that position
-    n = params.n
+def flip_starts(n):
+    """One stream start per flip position: a counter whose next index draw lands on it."""
     starts = {}
     counter = 0
     while len(starts) < 2 * n:
         starts.setdefault(RngStream(0, draw_counter=counter).next_index(2 * n), counter)
         counter += 1
+    return starts
+
+
+@pytest.mark.parametrize("params", [HALVES4, THIRDS6])
+def test_flip_sign_rules_match_dominance_everywhere(params):
+    n = params.n
+    starts = flip_starts(n)
     oracles = {"plain": plain_step, "corrected": lambda *args: rls_pd_step(*args)[0]}
     for payoff, oracle in oracles.items():
         for ox, oy in product(range(n + 1), repeat=2):
@@ -130,6 +135,30 @@ def test_flip_sign_rules_match_dominance_everywhere(params):
                     bytes(want.x), bytes(want.y), want.ones_x, want.ones_y
                 ), (payoff, ox, oy, pos)
                 assert stream.draw_counter == ref.draw_counter
+
+
+@pytest.mark.parametrize("params", [HALVES4, THIRDS6])
+def test_flip_tables_match_the_oracles_in_every_region(params):
+    # entry 12 * (sign(|x| - beta*n) + 1) + 4 * (sign(|y| - alpha*n) + 1) + c,
+    # c = x bit 0, x bit 1, y bit 0, y bit 1; pair_with_counts sets the
+    # leading bits, so position 0 is a one of x and n - 1 a zero of x
+    n, an, bn = params.n, params.an, params.bn
+    starts = flip_starts(n)
+    positions = (n - 1, 0, 2 * n - 1, n)
+    oracles = {True: plain_step, False: lambda *args: rls_pd_step(*args)[0]}
+    for plain, oracle in oracles.items():
+        accept, dm = _FLIP_TABLES[plain]
+        assert len(accept) == len(dm) == 36
+        sides_x = enumerate((bn - 1, bn, bn + 1))
+        sides_y = enumerate((an - 1, an, an + 1))
+        for (i, ox), (j, oy) in product(sides_x, sides_y):
+            for c, pos in enumerate(positions):
+                before = pair_with_counts(params, ox, oy)
+                after = oracle(params, before.copy(), RngStream(0, draw_counter=starts[pos]))
+                kept = (after.ones_x, after.ones_y) != (ox, oy)
+                move = manhattan_distance(params, after) - manhattan_distance(params, before)
+                assert accept[12 * i + 4 * j + c] == kept, (plain, ox, oy, c)
+                assert dm[12 * i + 4 * j + c] == move, (plain, ox, oy, c)
 
 
 def test_search_pair_from_bits_and_copy():
@@ -212,6 +241,59 @@ def test_corrected_run_matches_iterated_single_steps():
         assert bytes(fast.pair.y) == bytes(pair.y)
         assert fast.censored == (manhattan_distance(params, pair) != 0)
         assert fast_stream.draw_counter == stream.draw_counter
+
+
+# n -> (alpha, beta) with alpha*n and beta*n integral and away from the ends
+SEARCH_PARAMS = {4: (0.5, 0.5), 6: (1 / 3, 2 / 3), 10: (0.3, 0.6), 20: (0.75, 0.25)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.sampled_from(sorted(SEARCH_PARAMS)),
+    mode=st.sampled_from(["plain", "corrected", "forgetting"]),
+    threshold=st.sampled_from([1, 2, 2.5, 3, 4.5]),
+    record=st.booleans(),
+    cap=st.sampled_from([63, 64, 65, 1023, 1024, 1025]),
+    start=st.sampled_from([0, 1, 960]),
+)
+def test_search_matches_iterated_single_steps(seed, n, mode, threshold, record, cap, start):
+    # a stream warmed to word 960 draws words 960..1983 as one block, so a
+    # cap of 1024 ends on a block edge there, and 64 does from word 0
+    params = BilinearParams(n, *SEARCH_PARAMS[n])
+    step = plain_step if mode == "plain" else (lambda *args: rls_pd_step(*args)[0])
+    if mode == "forgetting":
+        init, hi = canonical_opt_pair(params), threshold
+    else:
+        init, hi = random_pair(RngStream(seed, stream_id=1), params), inf
+    fast_stream, ref = RngStream(seed), RngStream(seed)
+    for _ in range(start):
+        fast_stream.next_u64()
+    ref.draw_counter = start
+    if mode == "forgetting":
+        fast = run_forgetting(params, fast_stream, threshold, cap, record=record)
+    else:
+        fast = run_until_opt(
+            params, fast_stream, cap, init=init.copy(), record=record, payoff=mode
+        )
+    pair = init.copy()
+    values = [manhattan_distance(params, pair)]
+    lo = -1 if mode == "forgetting" else 0
+    while lo < values[-1] < hi and len(values) <= cap:
+        pair = step(params, pair, ref)
+        values.append(manhattan_distance(params, pair))
+    assert fast.iterations == len(values) - 1
+    assert (bytes(fast.pair.x), bytes(fast.pair.y)) == (bytes(pair.x), bytes(pair.y))
+    assert (fast.pair.ones_x, fast.pair.ones_y) == (pair.ones_x, pair.ones_y)
+    assert fast.censored == (lo < values[-1] < hi)
+    assert fast.quadrant_at_end == quadrant(params, pair)
+    assert fast_stream.draw_counter == ref.draw_counter
+    assert fast_stream.next_u64() == ref.next_u64()
+    if record:
+        assert fast.trajectory.values == values
+        assert fast.trajectory.censored == fast.censored
+    else:
+        assert fast.trajectory is None
 
 
 def plain_value(params, ox, oy):

@@ -383,6 +383,11 @@ def test_read_samples_round_trip_and_diagnostic_columns():
         ("run_id,seed,stopping_time,censored\n0,0,what,false\n", "line 2"),
         ("run_id,seed,stopping_time,censored\n0,0,7,false\n1,1,-3,false\n", "line 3"),
         ("run_id,seed,stopping_time,censored\n", "line 2"),
+        ("run_id,seed,stopping_time,censored\n0,0,7,false\n-1,1,2,false\n", "line 3"),
+        ("run_id,seed,total_regret\n-1,0,1.5\n", "line 2"),
+        # a repeated run_id is reported on its second row
+        ("run_id,seed,stopping_time,censored\n0,0,7,false\n1,1,2,false\n0,2,3,false\n", "line 4"),
+        ("run_id,seed,total_regret\n3,0,1.5\n3,0,1.5\n", "line 3"),
         # values that are not finite floats, under either header
         ("run_id,seed,stopping_time,censored\n0,0,nan,false\n", "line 2"),
         ("run_id,seed,total_regret\n0,0,1.5\n1,1,inf\n", "line 3"),
@@ -466,6 +471,23 @@ def test_cli_analyze_flags_violations(tmp_path, capsys):
 def test_cli_analyze_rejects_a_negative_stopping_time(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
     samples.write_text(sample_rows([1, -3, 2]))
+    analysis = write_json(tmp_path / "analysis.json", {"k_list": [1.0]})
+    assert main(["analyze", str(samples), analysis]) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "run_id,seed,stopping_time,censored\n0,0,1,false\n-1,1,2,false\n",
+        "run_id,seed,stopping_time,censored\n0,0,1,false\n0,0,2,false\n",
+    ],
+    ids=["negative", "repeated"],
+)
+def test_cli_analyze_rejects_a_bad_run_id(tmp_path, capsys, text):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(text)
     analysis = write_json(tmp_path / "analysis.json", {"k_list": [1.0]})
     assert main(["analyze", str(samples), analysis]) == 2
     assert "line 3" in capsys.readouterr().err

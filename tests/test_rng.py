@@ -167,6 +167,8 @@ def test_indices_reject_bad_k_at_the_call():
     for k in (0, -3, 2.0, (1 << 64) + 1):
         with pytest.raises(ValueError):
             s.indices(k)
+        with pytest.raises(ValueError):
+            s.index_chunks(k)
     assert s.draw_counter == 0
 
 
@@ -258,6 +260,37 @@ def test_iterators_match_scalar_calls_across_growth_edges(seed, sid, start, warm
         assert draw() == expected
         assert block.draw_counter == scalar.draw_counter == oracle.draw_counter
     assert block.next_u64() == scalar.next_u64() == oracle.next_u64()
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=MASK),
+    sid=st.integers(min_value=0, max_value=2**32),
+    start=st.sampled_from(GROWTH_EDGES),
+    warm=st.booleans(),
+    k=INDEX_KS,
+    taken=st.integers(min_value=0, max_value=2100),
+)
+@settings(max_examples=80, deadline=None)
+def test_index_chunks_match_scalar_next_index(seed, sid, start, warm, k, taken):
+    block = _stream_at(seed, sid, start, warm)
+    scalar = _stream_at(seed, sid, start, not warm)
+    chunks = block.index_chunks(k)
+    counter = start
+    while taken:
+        values, first = next(chunks)
+        assert block.draw_counter == start  # the chunk form never moves it
+        got = 0
+        for counter, value in zip(range(first, first + taken), values):
+            assert value == scalar.next_index(k)
+            assert counter == scalar.draw_counter
+            got += 1
+        assert got  # no empty chunks
+        taken -= got
+    # stopped after any value: the counter the chunk gave for it is where
+    # scalar draws would have left the stream
+    block.draw_counter = counter
+    assert block.draw_counter == scalar.draw_counter
+    assert block.next_u64() == scalar.next_u64()
 
 
 # one step of an interleaved script: how to draw, k for indices, how many
