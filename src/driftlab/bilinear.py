@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 from math import inf, sqrt
 
-from driftlab.rng import RngStream
+from driftlab.rng import RngStream, below
 from driftlab.trajectory import Trajectory
 
 #: quadrant() return value for points in the optimum region.
@@ -122,9 +122,13 @@ class SearchPair:
 
 
 def random_pair(stream: RngStream, params: BilinearParams) -> SearchPair:
-    draws = stream.uniforms()
-    x = bytearray(1 if u < 0.5 else 0 for u in islice(draws, params.n))
-    y = bytearray(1 if u < 0.5 else 0 for u in islice(draws, params.n))
+    """Uniform bits, x first: a bit is 1 when its word is below below(0.5)."""
+    n = params.n
+    one = below(0.5).__gt__
+    words = stream.words()
+    x = bytearray(map(one, islice(words, n)))
+    y = bytearray(map(one, islice(words, n)))
+    stream.draw_counter += 2 * n
     return SearchPair(x=x, y=y, ones_x=sum(x), ones_y=sum(y))
 
 

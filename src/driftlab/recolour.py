@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from driftlab.rng import RngStream
+from driftlab.rng import RngStream, below, index_limit
 from driftlab.trajectory import Trajectory
 
 
@@ -42,18 +42,17 @@ class ColorableGraph:
             raise ValueError("classes must assign every vertex")
         if any(c not in (0, 1, 2) for c in self.classes):
             raise ValueError("witness classes must be 0, 1, or 2")
-        seen = set()
-        adj = [0] * self.n
+        n, classes = self.n, self.classes
+        adj = [0] * n
         for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u >= v:
+            if not 0 <= u < v < n:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u},{v}) out of range")
                 raise ValueError(f"edge ({u},{v}) must be ordered u < v")
-            if (u, v) in seen:
+            if adj[u] >> v & 1:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            if self.classes[u] == self.classes[v]:
+            if classes[u] == classes[v]:
                 raise ValueError(f"edge ({u},{v}) joins one witness class")
-            seen.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self._adj = adj
@@ -63,24 +62,31 @@ def generate_3colorable(stream: RngStream, n: int, edge_prob: float) -> Colorabl
     """Random dense instance: classes v mod 3, cross-class edges kept iid.
 
     Every unordered cross-class pair becomes an edge with probability
-    edge_prob, examined in lexicographic order.
+    edge_prob, examined in lexicographic order: one word per pair, kept
+    when it is below below(edge_prob).
     """
     if n < 3:
         raise ValueError("need at least three vertices")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob!r}")
     classes = tuple(v % 3 for v in range(n))
+    keep = below(edge_prob)
+    words = stream.words()
     edges = []
-    draw = stream.uniforms().__next__
+    used = 0
     for u in range(n):
-        for v in range(u + 1, n):
-            if classes[u] != classes[v] and draw() < edge_prob:
-                edges.append((u, v))
+        partners = [v for v in range(u + 1, n) if v % 3 != u % 3]
+        edges += [(u, v) for v, w in zip(partners, words) if w < keep]
+        used += len(partners)
+    stream.draw_counter += used
     return ColorableGraph(n=n, edges=tuple(edges), classes=classes)
 
 
 def random_colouring(stream: RngStream, n: int) -> bytearray:
-    return bytearray(1 if u < 0.5 else 0 for u in islice(stream.uniforms(), n))
+    """n uniform colours: a vertex is 1 when its word is below below(0.5)."""
+    colouring = bytearray(map(below(0.5).__gt__, islice(stream.words(), n)))
+    stream.draw_counter += n
+    return colouring
 
 
 def seek_monochromatic_triangle(
@@ -148,7 +154,10 @@ def run_recolour(
         y = sum(1 for v in range(n) if classes[v] < 2 and colouring[v] == classes[v])
         values: list[float] = [y]
 
-    pick = stream.indices(3).__next__
+    # next_index(3) on raw words: reject at the limit, then take w % 3
+    limit = index_limit(3)
+    draw = stream.words().__next__
+    rejected = 0
     t = 0
     censored = False
     while True:
@@ -158,7 +167,11 @@ def run_recolour(
         if t >= cap:
             censored = True
             break
-        v = tri[pick()]
+        w = draw()
+        while w >= limit:
+            w = draw()
+            rejected += 1
+        v = tri[w % 3]
         colouring[v] ^= 1
         t += 1
         if record:
@@ -166,6 +179,7 @@ def run_recolour(
                 y += 1 if colouring[v] == classes[v] else -1
             values.append(y)
 
+    stream.draw_counter += t + rejected
     traj = None
     if record:
         traj = Trajectory(values=values, censored=censored, cap=cap if censored else None)

@@ -24,31 +24,34 @@ start at 64 words and double up to 1024 while draws continue where the
 cached block ends; after ``draw_counter`` jumps the next block starts small
 again, so a short run does not pay for words it never uses.  The scalar
 methods read the cache through ``next_u64``: ``next_uniform`` scales one
-word, ``next_index`` rejects and reduces words, and a Bernoulli(p) draw is
-``next_uniform() < p``.  The iterators ``uniforms()`` and ``indices(k)``
-walk the cache without a method call per value and yield exactly what
-repeated ``next_uniform()`` / ``next_index(k)`` calls would.  After every
-value, by either route, ``draw_counter`` points just past the last word
-used, so a kernel may stop anywhere and leave the stream where scalar draws
-would.
+word and ``next_index`` rejects and reduces words.
 
-``index_chunks(k)`` is the form ``indices(k)`` is built on: it yields runs
-of consecutive accepted words, already reduced mod k by a C-level ``map``,
-each with the counter of its first word.  One ``max(words) >= limit`` per
-block finds whether any word is rejected; only then is the block split
-around each rejected word.  It leaves ``draw_counter`` to its caller, so a
-loop over a run's values pays for no counter store per value; the bilinear
-search (``bilinear.run_search``) draws its flip positions this way and sets
-the counter once, where it stops.  The formula above, through
-:func:`_mix64`, stays the reference the cache is tested against.
+The kernels draw raw words instead.  ``words()`` is a C-level iterator
+(``chain.from_iterable`` over the blocks) that yields what repeated
+``next_u64()`` calls would.  A Bernoulli(p) draw is ``w < below(p)``, an
+integer bound that holds exactly when ``next_uniform() < p`` would; an
+index in {0..k-1} rejects ``w >= index_limit(k)`` and takes ``w % k``,
+which for k = 2 is ``w & 1``.  ``index_chunks(k)`` yields runs of
+consecutive accepted words, already reduced mod k by a C-level ``map``,
+each with the counter of its first word; one ``max(words) >= limit`` per
+block finds whether any word is rejected, and only then is the block
+split around each rejected word.  The bilinear search
+(``bilinear.run_search``) draws its flip positions this way.  Neither
+iterator moves ``draw_counter``: each kernel counts the words it takes
+and sets the counter once, where it stops, to the value the scalar calls
+would leave, so a stream shared across phases (instance generation, then
+the walk) stays where the scalar path would have left it.  The formula
+above, through :func:`_mix64`, stays the reference the cache is tested
+against.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mod
 from typing import Iterator
 
@@ -110,7 +113,19 @@ def _block(key: int, counter: int, size: int = _BLOCK) -> array:
     return words[::2]
 
 
-def _index_limit(k: int) -> int:
+def below(p: float) -> int:
+    """The word bound for a draw below p: ceil(p * 2**53) << 11.
+
+    For every 64-bit word w, w < below(p) holds exactly when the uniform
+    next_uniform() makes of it, q * 2**-53 with q = w >> 11, is < p:
+    scaling by 2**53 is exact, an integer q is < P exactly when it is
+    < ceil(P), and q < C exactly when w < C << 11.  So a kernel tests a
+    Bernoulli(p) draw on the raw word.
+    """
+    return math.ceil(p * (1 << 53)) << 11
+
+
+def index_limit(k: int) -> int:
     """Rejection bound of next_index(k): the largest multiple of k <= 2**64."""
     # above 2**64 the bound is 0 and every word would be rejected
     if not isinstance(k, int) or not 0 < k <= 1 << 64:
@@ -180,76 +195,59 @@ class RngStream:
         Rejection sampling on raw words: no modulo bias for any k up to
         2**64.  Consumes a variable (almost always 1) number of words.
         """
-        limit = _index_limit(k)
+        limit = index_limit(k)
         while True:
             w = self.next_u64()
             if w < limit:
                 return w % k
 
-    def uniforms(self) -> Iterator[float]:
-        """Endless iterator over the values repeated next_uniform() would return.
+    def words(self) -> Iterator[int]:
+        """Endless iterator over the words repeated next_u64() would return.
 
-        After each value draw_counter points just past its word, so a caller
-        may stop at any value and leave the stream exactly where the scalar
-        calls would.  Nothing else may draw from the stream while the
+        It starts at draw_counter and, like index_chunks(), never moves it:
+        a kernel counts the words it takes and sets draw_counter once,
+        where it stops.  Nothing else may draw from the stream while the
         iterator is in use; after other draws, make a fresh one (cheap, it
         starts from the cached block).
         """
-        for words, n in self._walk():
-            for n, w in enumerate(words, n):
-                self.draw_counter = n
-                yield (w >> 11) * _INV53
-
-    def indices(self, k: int) -> Iterator[int]:
-        """Endless iterator over the values repeated next_index(k) would return.
-
-        Same contract as uniforms(); k is checked at the call, not at the
-        first value.
-        """
-        return self._indices(k, _index_limit(k))
-
-    def _indices(self, k: int, limit: int) -> Iterator[int]:
-        for values, n in self._index_chunks(k, limit):
-            for n, v in enumerate(values, n):
-                self.draw_counter = n
-                yield v
+        return chain.from_iterable(self._blocks())
 
     def index_chunks(self, k: int) -> Iterator[tuple[Iterator[int], int]]:
-        """The values of indices(k) in runs of consecutive accepted words.
+        """The values repeated next_index(k) calls would return, in runs.
 
         Yields (values, n): values iterates the next_index(k) results of
         one run of consecutive words that pass the rejection test, and n is
         the position the run's first word advances the counter to, so after
         the i-th value (from 0) of a run draw_counter should be n + i.
-        Runs end at rejected words and at block ends.  Unlike indices(),
-        nothing here moves draw_counter: the caller sets it, once, where
-        it stops.  Same single-reader rule as uniforms().
+        Runs end at rejected words and at block ends.  Nothing here moves
+        draw_counter: the caller sets it, once, where it stops.  Same
+        single-reader rule as words().
         """
-        return self._index_chunks(k, _index_limit(k))
+        return self._index_chunks(k, index_limit(k))
 
     def _index_chunks(self, k: int, limit: int) -> Iterator[tuple[Iterator[int], int]]:
-        for words, n in self._walk():
+        n = self.draw_counter + 1
+        for words in self._blocks():
             # limit is 2**64 when k is a power of two: no word is rejected
             if limit > _MASK64 or max(words) < limit:
                 yield map(mod, words, repeat(k)), n
-                continue
-            # split the block around each rejected word
-            start = 0
-            for i, w in enumerate(words):
-                if w >= limit:
-                    if i > start:
-                        yield map(mod, words[start:i], repeat(k)), n + start
-                    start = i + 1
-            if start < len(words):
-                yield map(mod, words[start:], repeat(k)), n + start
+            else:
+                # split the block around each rejected word
+                start = 0
+                for i, w in enumerate(words):
+                    if w >= limit:
+                        if i > start:
+                            yield map(mod, words[start:i], repeat(k)), n + start
+                        start = i + 1
+                if start < len(words):
+                    yield map(mod, words[start:], repeat(k)), n + start
+            n += len(words)
 
-    def _walk(self) -> Iterator[tuple[array, int]]:
-        """The block walker behind the iterators.
+    def _blocks(self) -> Iterator[array]:
+        """The cached words from draw_counter on, then each following block.
 
-        Yields the cached words from draw_counter on, then each following
-        block, each with the position its first word advances the counter
-        to.  It keeps its own place, so words an iterator skips (rejected
-        indices) are not revisited.
+        It keeps its own place, so the iterators built on it never revisit
+        a word, whatever draw_counter says meanwhile.
         """
         n = self.draw_counter
         words = self._words
@@ -257,6 +255,6 @@ class RngStream:
         if not 0 <= i < len(words):
             words, i = self._fill(n), 0
         while True:
-            yield (words[i:] if i else words), n + 1
+            yield words[i:] if i else words
             n += len(words) - i
             words, i = self._fill(n), 0

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from driftlab.rng import RngStream
+from driftlab.rng import RngStream, below
 
 ACCOUNTING_MODES = ("mean_gap", "realized")
 
@@ -142,28 +142,37 @@ def run_challenge(
     r+ - r- to S, and charges the a+ pull's regret.  Exit at S >= 1 keeps
     the order, at S <= -s swaps it.
     """
-    for m in (mu[a_plus], mu[a_minus]):
-        if not 0.0 <= m <= 1.0:
-            raise ValueError(f"arm means must lie in [0, 1], got {m!r}")
-    draw = stream.uniforms().__next__
-    return _challenge(mu, a_plus, a_minus, draw, s_threshold, accounting == "realized")
+    bounds = {}
+    for arm in (a_plus, a_minus):
+        if not 0.0 <= mu[arm] <= 1.0:
+            raise ValueError(f"arm means must lie in [0, 1], got {mu[arm]!r}")
+        bounds[arm] = below(mu[arm])
+    draw = stream.words().__next__
+    out = _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, accounting == "realized")
+    stream.draw_counter += 2 * out.inner_rounds
+    return out
 
 
-def _challenge(mu, a_plus, a_minus, draw, s_threshold, realized) -> ChallengeOutcome:
-    """run_challenge's loop; draw returns the stream's next uniform.
+def _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, realized) -> ChallengeOutcome:
+    """run_challenge's loop; draw returns the stream's next raw word.
 
-    run_rwab passes the draw of its own uniforms() iterator, so a run keeps
-    one iterator over its stream from the first round to the last.
+    An arm pays 1 when a word falls below its bound, bounds[arm] =
+    below(mu[arm]), which is exactly when a next_uniform() draw would fall
+    below mu[arm].  Each inner iteration takes two words; the caller moves
+    draw_counter.  run_rwab passes the draw of its own words() iterator, so
+    a run keeps one iterator over its stream from the first round to the
+    last.
     """
     mu_plus, mu_minus = mu[a_plus], mu[a_minus]
+    w_plus, w_minus = bounds[a_plus], bounds[a_minus]
     misranked = mu_plus < mu_minus
     gap = mu_minus - mu_plus
     s_val = 0.0
     inner = 0
     regret = 0.0
     while True:
-        r_plus = 1.0 if draw() < mu_plus else 0.0
-        r_minus = 1.0 if draw() < mu_minus else 0.0
+        r_plus = 1.0 if draw() < w_plus else 0.0
+        r_minus = 1.0 if draw() < w_minus else 0.0
         s_val += r_plus - r_minus
         inner += 1
         if misranked:
@@ -198,6 +207,8 @@ def run_rwab(
     change_set = frozenset(env.change_times)
 
     mu = [env.mu1, env.mu2]
+    bounds = [below(env.mu1), below(env.mu2)]
+    challenge = below(p)
     swapped = False
     a_plus, a_minus = 0, 1
     total = 0.0
@@ -208,21 +219,24 @@ def run_rwab(
     per_round: list[float] | None = [] if record_per_round else None
     plain_rounds = challenge_rounds = 0
     realized = accounting == "realized"
-    draw = stream.uniforms().__next__
+    draw = stream.words().__next__
+    used = horizon  # words: one challenge test per round, plus the pulls below
 
     for clock in range(1, horizon + 1):
         if clock in change_set:
             mu[0], mu[1] = mu[1], mu[0]
+            bounds[0], bounds[1] = bounds[1], bounds[0]
             swapped = not swapped
         pair = (swapped, a_plus)
         if pair != prev_pair:
             sub_eras += 1
             prev_pair = pair
-        if draw() < p:
+        if draw() < challenge:
             challenge_rounds += 1
             started_correct = mu[a_plus] >= mu[a_minus]
-            out = _challenge(mu, a_plus, a_minus, draw, s_threshold, realized)
+            out = _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, realized)
             pulls += 2 * out.inner_rounds
+            used += 2 * out.inner_rounds
             if out.swap:
                 swaps += 1
                 # no change can land mid-challenge, so a swap that starts
@@ -236,18 +250,21 @@ def run_rwab(
             pulls += 1
             if mu[a_plus] < mu[a_minus]:
                 if realized:
-                    r_plus = 1.0 if draw() < mu[a_plus] else 0.0
-                    r_best = 1.0 if draw() < mu[a_minus] else 0.0
+                    r_plus = 1.0 if draw() < bounds[a_plus] else 0.0
+                    r_best = 1.0 if draw() < bounds[a_minus] else 0.0
                     round_regret = r_best - r_plus
+                    used += 2
                 else:
                     round_regret = mu[a_minus] - mu[a_plus]
             else:
                 if realized:
                     draw()  # the pull itself
+                    used += 1
                 round_regret = 0.0
         total += round_regret
         if per_round is not None:
             per_round.append(round_regret)
+    stream.draw_counter += used
 
     if plain_rounds + challenge_rounds != horizon:
         raise AssertionError(

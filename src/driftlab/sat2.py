@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import islice
 
-from driftlab.rng import RngStream
+from driftlab.rng import RngStream, below, index_limit
 from driftlab.trajectory import Trajectory
 
 Literal = tuple[int, bool]
@@ -71,7 +71,10 @@ def agreement_count(a, b) -> int:
 
 
 def random_assignment(stream: RngStream, n: int) -> bytearray:
-    return bytearray(1 if u < 0.5 else 0 for u in islice(stream.uniforms(), n))
+    """n uniform bits: a bit is 1 when its word is below below(0.5)."""
+    bits = bytearray(map(below(0.5).__gt__, islice(stream.words(), n)))
+    stream.draw_counter += n
+    return bits
 
 
 @dataclass(frozen=True)
@@ -85,26 +88,40 @@ def generate_planted(stream: RngStream, n: int, m: int) -> PlantedInstance:
 
     Each clause draws two distinct variables and uniform polarities,
     redrawing until the witness satisfies it (acceptance chance 3/4 per
-    draw, so this terminates quickly).
+    draw, so this terminates quickly).  The draws are those of
+    next_index(n), next_index(n), then next_index(2) twice, taken from raw
+    words: a variable rejects words at or above index_limit(n) and takes
+    w % n, a polarity is w & 1.
     """
     if n < 2:
         raise ValueError("planted generation needs n >= 2 (distinct variables per clause)")
     if m < 1:
         raise ValueError("need at least one clause")
     witness = bytes(random_assignment(stream, n))
+    limit = index_limit(n)
+    draw = stream.words().__next__
+    used = 0
     clauses = []
-    for _ in range(m):
-        while True:
-            u = stream.next_index(n)
-            v = stream.next_index(n)
-            if u == v:
-                continue
-            lit_u = (u, bool(stream.next_index(2)))
-            lit_v = (v, bool(stream.next_index(2)))
-            clause = (lit_u, lit_v)
-            if clause_satisfied(clause, witness):
-                clauses.append(clause)
-                break
+    while len(clauses) < m:
+        w = draw()
+        while w >= limit:
+            w = draw()
+            used += 1
+        u = w % n
+        w = draw()
+        while w >= limit:
+            w = draw()
+            used += 1
+        v = w % n
+        used += 2
+        if u == v:
+            continue
+        nu, nv = draw() & 1, draw() & 1
+        used += 2
+        # literal (var, neg) holds when witness[var] != neg
+        if witness[u] != nu or witness[v] != nv:
+            clauses.append(((u, nu == 1), (v, nv == 1)))
+    stream.draw_counter += used
     return PlantedInstance(formula=TwoCnfFormula(n=n, clauses=tuple(clauses)), witness=witness)
 
 
@@ -163,13 +180,14 @@ def run_walk(
         agree = agreement_count(assignment, reference)
         values: list[float] = [agree]
 
-    pick = stream.indices(2).__next__
+    # next_index(2) on a raw word is w & 1: 2 divides 2**64, nothing is rejected
+    draw = stream.words().__next__
     t = 0
     while unsat_count > 0 and t < cap:
         while not unsat[heap[0]]:
             heapq.heappop(heap)  # stale entry: clause got satisfied meanwhile
         chosen = clauses[heap[0]]
-        var = chosen[pick()][0]
+        var = chosen[draw() & 1][0]
         assignment[var] ^= 1
         for idx in occ[var]:
             (u, nu), (v, nv) = clauses[idx]
@@ -186,6 +204,7 @@ def run_walk(
             agree += 1 if bool(assignment[var]) == bool(reference[var]) else -1
             values.append(agree)
 
+    stream.draw_counter += t
     censored = unsat_count > 0
     traj = None
     if record:

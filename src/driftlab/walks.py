@@ -11,16 +11,18 @@ tails can be compared against theory with no modelling slack:
   at the ceiling b only a down-move (probability delta) or a hold is
   possible; absorbed at 0.
 
-Each simulator consumes one raw draw per step (none on forced moves)
-through the stream's ``uniforms()`` iterator, and reports a
-HittingTimeSample plus, on request, the full trajectory.  The
+Each simulator consumes one raw word per step (none on forced moves)
+from the stream's ``words()`` iterator and tests it against an integer
+bound from ``below``, so a step makes the same move a ``next_uniform()``
+draw would; it sets ``draw_counter`` once, past the last word used.  It
+reports a HittingTimeSample plus, on request, the full trajectory.  The
 ``*_mean_*`` functions are independent oracles: exact expected hitting
 times from the one-step recurrences, no simulation involved.
 """
 
 from __future__ import annotations
 
-from driftlab.rng import RngStream
+from driftlab.rng import RngStream, below
 from driftlab.trajectory import HittingTimeSample, Trajectory
 
 
@@ -45,12 +47,15 @@ def simulate_fair_walk(
         raise ValueError("cap must be nonnegative")
     x, t = x0, 0
     values = [x] if record else None
-    draw = stream.uniforms().__next__
-    while 0 < x < b and t < cap:
-        x += 1 if draw() < 0.5 else -1
-        t += 1
-        if record:
-            values.append(x)
+    if 0 < x < b and cap > 0:
+        up = below(0.5)
+        for t, w in zip(range(1, cap + 1), stream.words()):
+            x += 1 if w < up else -1
+            if record:
+                values.append(x)
+            if not 0 < x < b:
+                break
+        stream.draw_counter += t
     return _finish(stream, t, 0 < x < b, values)
 
 
@@ -70,15 +75,19 @@ def simulate_biased_walk(
         raise ValueError("cap must be nonnegative")
     x, t = x0, 0
     values = [x] if record else None
-    draw = stream.uniforms().__next__
+    up = below(p_up)
+    forced = 0
+    draw = stream.words().__next__
     while x < b and t < cap:
         if x == 0:
             x = 1
+            forced += 1
         else:
-            x += 1 if draw() < p_up else -1
+            x += 1 if draw() < up else -1
         t += 1
         if record:
             values.append(x)
+    stream.draw_counter += t - forced
     return _finish(stream, t, x < b, values)
 
 
@@ -98,22 +107,23 @@ def simulate_lazy_walk(
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    half = delta / 2.0
     x, t = x0, 0
     values = [x] if record else None
-    draw = stream.uniforms().__next__
-    while x > 0 and t < cap:
-        u = draw()
-        if x == b:
-            if u < delta:
+    if x > 0 and cap > 0:
+        half, move = below(delta / 2.0), below(delta)
+        for t, w in zip(range(1, cap + 1), stream.words()):
+            if x == b:
+                if w < move:
+                    x -= 1
+            elif w < half:
                 x -= 1
-        elif u < half:
-            x -= 1
-        elif u < delta:
-            x += 1
-        t += 1
-        if record:
-            values.append(x)
+            elif w < move:
+                x += 1
+            if record:
+                values.append(x)
+            if not x:
+                break
+        stream.draw_counter += t
     return _finish(stream, t, x > 0, values)
 
 

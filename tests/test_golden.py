@@ -1,17 +1,23 @@
 """Kernel outputs pinned to values computed on the scalar draw path, and
 report.json pinned byte for byte.
 
-The walk, sat2, recolour and rwab kernels draw through the stream's cached
-block words (``RngStream.uniforms`` / ``indices``).  Every value below was
-computed when they still drew one scalar ``next_bernoulli`` /
-``next_uniform`` / ``next_index`` call at a time, so a change that moves any
-output, or leaves a stream at another position, fails here even though
-criterion 11 (reruns of the same code) would still pass.
+The walk, rwab, sat2, recolour and bilinear start-up kernels draw raw
+block words (``RngStream.words``) and compare them against integer bounds
+(``rng.below``, ``rng.index_limit``).  Every value below was computed
+before that port: most when the kernels still drew one scalar
+``next_uniform`` / ``next_index`` call at a time, the direct
+``run_challenge`` and ``random_pair`` cases through the float iterator
+that stood in for those calls.  So a change that moves any output, or
+leaves a stream at another position, fails here even though criterion 11
+(reruns of the same code) would still pass.
 
 Each case runs from a chosen start counter (0, inside the first cached
 block, or far along the stream) and pins its headline number, the first
 16 hex digits of the sha256 of the canonical JSON of all its outputs, and
-the stream's final ``draw_counter``.
+the stream's final ``draw_counter``.  Every walk case also runs without
+recording and must stop at the same step and word.  Words the pins never
+meet (rejected index words, words on a Bernoulli bound) are planted in a
+stream at the end of this file and checked against scalar draws.
 """
 
 import hashlib
@@ -19,11 +25,17 @@ import json
 
 import pytest
 
+from driftlab.bilinear import BilinearParams, random_pair
 from driftlab.experiment import AnalysisBlock, ExperimentConfig, analyze_files, run_experiment
-from driftlab.recolour import generate_3colorable, random_colouring, run_recolour
-from driftlab.rng import RngStream
-from driftlab.rwab import BanditEnv, run_rwab, sample_change_times
-from driftlab.sat2 import generate_planted, random_assignment, run_walk
+from driftlab.recolour import (
+    generate_3colorable,
+    random_colouring,
+    run_recolour,
+    seek_monochromatic_triangle,
+)
+from driftlab.rng import RngStream, below, index_limit
+from driftlab.rwab import BanditEnv, run_challenge, run_rwab, sample_change_times
+from driftlab.sat2 import clause_satisfied, generate_planted, random_assignment, run_walk
 from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
 
 
@@ -36,7 +48,33 @@ def _walk_case(simulate, *args, cap):
         stream = RngStream(master_seed=seed, stream_id=3, draw_counter=start)
         sample, traj = simulate(stream, *args, cap, record=True)
         outputs = [sample.stopping_time, sample.censored, traj.values]
+        # the loop without recording must stop at the same step and word
+        bare = RngStream(master_seed=seed, stream_id=3, draw_counter=start)
+        bare_sample, bare_traj = simulate(bare, *args, cap, record=False)
+        assert bare_traj is None
+        assert bare_sample == sample
+        assert bare.draw_counter == stream.draw_counter
         return sample.stopping_time, _digest(outputs), stream.draw_counter
+
+    return case
+
+
+def _challenge_case(accounting, mu, a_plus, s_threshold):
+    def case(seed, start):
+        stream = RngStream(master_seed=seed, stream_id=7, draw_counter=start)
+        out = run_challenge(list(mu), a_plus, 1 - a_plus, stream, s_threshold, accounting)
+        outputs = [out.a_plus, out.a_minus, out.swap, out.inner_rounds, out.regret.hex()]
+        return out.inner_rounds, _digest(outputs), stream.draw_counter
+
+    return case
+
+
+def _pair_case(n, alpha, beta):
+    def case(seed, start):
+        stream = RngStream(master_seed=seed, stream_id=13, draw_counter=start)
+        pair = random_pair(stream, BilinearParams(n=n, alpha=alpha, beta=beta))
+        outputs = [pair.x.hex(), pair.y.hex(), pair.ones_x, pair.ones_y]
+        return pair.ones_x + pair.ones_y, _digest(outputs), stream.draw_counter
 
     return case
 
@@ -106,6 +144,12 @@ CASES = {
     "fair_capped": _walk_case(simulate_fair_walk, 40, 20, cap=150),
     "biased": _walk_case(simulate_biased_walk, 50, 0, 0.75, cap=10**6),
     "lazy": _walk_case(simulate_lazy_walk, 10, 10, 0.5, cap=10**6),
+    "challenge_mean_gap": _challenge_case("mean_gap", (0.45, 0.55), 0, 4.0),
+    "challenge_realized": _challenge_case("realized", (0.45, 0.55), 0, 4.0),
+    "challenge_far_mean_gap": _challenge_case("mean_gap", (0.1, 0.9), 0, 6.0),
+    "challenge_far_realized": _challenge_case("realized", (0.1, 0.9), 0, 6.0),
+    "random_pair": _pair_case(50, 0.5, 0.5),
+    "random_pair_long": _pair_case(700, 0.25, 0.75),
     "rwab_mean_gap": _rwab_case("mean_gap", 300, 0.7, 0.3, 4),
     "rwab_realized": _rwab_case("realized", 300, 0.7, 0.3, 4),
     "rwab_close_mean_gap": _rwab_case("mean_gap", 500, 0.55, 0.45, 2),
@@ -131,6 +175,50 @@ PINS = {
         (7919, 0): (110, "b1fd14e5214fb78f", 108),
         (7919, 40): (110, "3ff9c72d57ace434", 148),
         (7919, 5000): (106, "2f2bd8c0b4a75ca6", 5104),
+    },
+    "challenge_far_mean_gap": {
+        (1, 0): (6, "27387d77bdfce14b", 12),
+        (1, 40): (7, "ed71a3b6150947c5", 54),
+        (1, 5000): (7, "ed71a3b6150947c5", 5014),
+        (2024, 0): (7, "ed71a3b6150947c5", 14),
+        (2024, 40): (7, "ed71a3b6150947c5", 54),
+        (2024, 5000): (7, "ed71a3b6150947c5", 5014),
+        (7919, 0): (11, "daa942d01cb0c269", 22),
+        (7919, 40): (7, "ed71a3b6150947c5", 54),
+        (7919, 5000): (6, "27387d77bdfce14b", 5012),
+    },
+    "challenge_far_realized": {
+        (1, 0): (6, "d2d82ad2813d6358", 12),
+        (1, 40): (7, "992dc071fa9e7414", 54),
+        (1, 5000): (7, "992dc071fa9e7414", 5014),
+        (2024, 0): (7, "992dc071fa9e7414", 14),
+        (2024, 40): (7, "992dc071fa9e7414", 54),
+        (2024, 5000): (7, "992dc071fa9e7414", 5014),
+        (7919, 0): (11, "d71cdd020012c230", 22),
+        (7919, 40): (7, "992dc071fa9e7414", 54),
+        (7919, 5000): (6, "d2d82ad2813d6358", 5012),
+    },
+    "challenge_mean_gap": {
+        (1, 0): (13, "0f0bcc79ca3220df", 26),
+        (1, 40): (1, "551e7a9280c62858", 42),
+        (1, 5000): (1, "551e7a9280c62858", 5002),
+        (2024, 0): (2, "0016ef5032d918fc", 4),
+        (2024, 40): (2, "0016ef5032d918fc", 44),
+        (2024, 5000): (1, "551e7a9280c62858", 5002),
+        (7919, 0): (41, "448e0fe1b70d8b63", 82),
+        (7919, 40): (4, "3842c625a4935886", 48),
+        (7919, 5000): (1, "551e7a9280c62858", 5002),
+    },
+    "challenge_realized": {
+        (1, 0): (13, "c8de5b84209461ac", 26),
+        (1, 40): (1, "a469a775f8821b1e", 42),
+        (1, 5000): (1, "a469a775f8821b1e", 5002),
+        (2024, 0): (2, "0c5298c37e5cec86", 4),
+        (2024, 40): (2, "0c5298c37e5cec86", 44),
+        (2024, 5000): (1, "a469a775f8821b1e", 5002),
+        (7919, 0): (41, "66a272c9b65f4e05", 82),
+        (7919, 40): (4, "f93f798e3b46deec", 48),
+        (7919, 5000): (1, "a469a775f8821b1e", 5002),
     },
     "fair": {
         (1, 0): (46, "493ac08db1f99aa7", 46),
@@ -164,6 +252,28 @@ PINS = {
         (7919, 0): (241, "31613896187a9c91", 241),
         (7919, 40): (201, "bae6304f638a0391", 241),
         (7919, 5000): (68, "cb3e9f7925ece192", 5068),
+    },
+    "random_pair": {
+        (1, 0): (45, "5a007c04e3752622", 100),
+        (1, 40): (43, "7cc62cfd41fa522f", 140),
+        (1, 5000): (47, "0bd234cbcaf1833e", 5100),
+        (2024, 0): (64, "6582169ed3b3d5d5", 100),
+        (2024, 40): (59, "0385ff08da4fcf5f", 140),
+        (2024, 5000): (46, "c4d05944490897ab", 5100),
+        (7919, 0): (53, "4602ba373dc268d1", 100),
+        (7919, 40): (44, "6e9f7ab807eac844", 140),
+        (7919, 5000): (50, "1a23346c719c7fe8", 5100),
+    },
+    "random_pair_long": {
+        (1, 0): (658, "8fee02ae8d1a91c2", 1400),
+        (1, 40): (658, "9e96cb3be98b26a8", 1440),
+        (1, 5000): (705, "d7a30f08e7a583e4", 6400),
+        (2024, 0): (720, "eea71d9c9ff36a9e", 1400),
+        (2024, 40): (718, "555c81076b35511c", 1440),
+        (2024, 5000): (700, "7ebf59c606435321", 6400),
+        (7919, 0): (722, "ac0208c8fc5dc886", 1400),
+        (7919, 40): (722, "8d626c2cd8f159de", 1440),
+        (7919, 5000): (668, "81f29189c0756e89", 6400),
     },
     "recolour": {
         (1, 0): (15, "62535d276a7d5cb2", 105),
@@ -399,3 +509,104 @@ def test_reanalysis_with_an_overflowing_step_tail_is_byte_equal(tmp_path):
     path = analyze_files(str(samples), AnalysisBlock(k_list=(1.0,)), str(trajectories))
     with open(path) as fh:
         assert fh.read() == OVERFLOW_REPORT
+
+
+# ---------------------------------------------------------------------------
+# Words the pins never meet.  Rejected index words turn up about once in
+# 2**64 / k draws, and a word equal to a Bernoulli bound about once in
+# 2**11 draws per bound, so the kernels are also run on streams with such
+# words planted at chosen positions, against the scalar draws the pins
+# were computed with.
+
+
+def _rigged(seed, start, planted):
+    """A stream whose word at each position in planted (position -> word) is replaced."""
+    stream = RngStream(master_seed=seed, stream_id=17, draw_counter=start)
+    fill = stream._fill
+
+    def rigged_fill(n):
+        words = fill(n)
+        for pos, w in planted.items():
+            if 0 <= pos - n < len(words):
+                words[pos - n] = w
+        return words
+
+    stream._fill = rigged_fill
+    return stream
+
+
+TOP = (1 << 64) - 1
+
+
+def _planted_by_scalar_draws(stream, n, m):
+    witness = bytes(1 if stream.next_uniform() < 0.5 else 0 for _ in range(n))
+    clauses = []
+    while len(clauses) < m:
+        u, v = stream.next_index(n), stream.next_index(n)
+        if u != v:
+            clause = ((u, bool(stream.next_index(2))), (v, bool(stream.next_index(2))))
+            if clause_satisfied(clause, witness):
+                clauses.append(clause)
+    return witness, tuple(clauses)
+
+
+@pytest.mark.parametrize("n", [3, 6, 7])
+@pytest.mark.parametrize("start", STARTS)
+def test_generate_planted_matches_scalar_draws_through_rejected_words(n, start):
+    # index_limit(6) is 2**64 - 4, so TOP - 3 is rejected and TOP - 4 kept;
+    # every position after the witness holds a rejected word, a kept word
+    # at the limit's edge, or (one in three) the stream's own word
+    limit = index_limit(n)
+    edge = [TOP, limit - 1, limit, None]
+    planted = {start + n + i: edge[i % 4] for i in range(300) if i % 3 and edge[i % 4] is not None}
+    planted[start] = below(0.5)  # the first witness bit, on its bound
+    fast, slow = _rigged(5, start, planted), _rigged(5, start, planted)
+    instance = generate_planted(fast, n, 40)
+    assert (instance.witness, instance.formula.clauses) == _planted_by_scalar_draws(slow, n, 40)
+    assert fast.draw_counter == slow.draw_counter
+    assert fast.next_u64() == slow.next_u64()
+
+
+@pytest.mark.parametrize("start", STARTS)
+def test_recolour_pick_matches_next_index_through_rejected_words(start):
+    graph = generate_3colorable(RngStream(master_seed=3, stream_id=1), 15, 0.8)
+    init = random_colouring(RngStream(master_seed=3, stream_id=2), 15)
+    # index_limit(3) is 2**64 - 1: TOP is the one rejected word
+    planted = {start + i: TOP for i in range(0, 60, 4)}
+    planted.update({start + i: TOP - 1 for i in range(1, 60, 8)})
+    fast, slow = _rigged(7, start, planted), _rigged(7, start, planted)
+    result = run_recolour(graph, init, fast, 1000)
+    colouring, t = bytearray(init), 0
+    while (tri := seek_monochromatic_triangle(graph, colouring)) is not None:
+        colouring[tri[slow.next_index(3)]] ^= 1
+        t += 1
+    assert (result.colouring, result.iterations) == (colouring, t)
+    assert fast.draw_counter == slow.draw_counter
+
+
+def _lazy_by_scalar_draws(stream, b, x0, delta):
+    x, t = x0, 0
+    while x > 0:
+        u = stream.next_uniform()
+        if x == b:
+            x -= u < delta
+        elif u < delta / 2.0:
+            x -= 1
+        elif u < delta:
+            x += 1
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.3, 1.0])
+@pytest.mark.parametrize("start", STARTS)
+def test_walk_steps_match_scalar_draws_on_bound_words(delta, start):
+    # every other word sits on one of the lazy walk's two bounds or just
+    # below it, where an off-by-one comparison would move differently
+    bounds = (below(delta / 2.0), below(delta))
+    edges = [w for bound in bounds for w in (bound, bound - 1) if w <= TOP]
+    planted = {start + i: edges[i // 2 % len(edges)] for i in range(0, 4000, 2)}
+    fast, slow = _rigged(11, start, planted), _rigged(11, start, planted)
+    sample, _ = simulate_lazy_walk(fast, 6, 3, delta, 10**6)
+    assert sample.stopping_time == _lazy_by_scalar_draws(slow, 6, 3, delta)
+    assert fast.draw_counter == slow.draw_counter

@@ -33,6 +33,24 @@ def test_graph_validation(kwargs):
         ColorableGraph(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, ((0, 3),), r"edge \(0,3\) out of range"),
+        (3, ((-1, 1),), r"edge \(-1,1\) out of range"),
+        (4, ((3, 5),), r"edge \(3,5\) out of range"),
+        (3, ((2, 1),), r"edge \(2,1\) must be ordered u < v"),
+        (3, ((1, 1),), r"edge \(1,1\) must be ordered u < v"),
+        (3, ((0, 1), (1, 2), (0, 1)), r"duplicate edge \(0,1\)"),
+        (3, ((0, 1), (0, 2), (1, 2), (0, 2)), r"duplicate edge \(0,2\)"),
+        (4, ((0, 3),), r"edge \(0,3\) joins one witness class"),
+    ],
+)
+def test_graph_validation_names_the_first_bad_edge(n, edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ColorableGraph(n=n, edges=edges, classes=tuple(v % 3 for v in range(n)))
+
+
 def test_generator_extremes():
     full = generate_3colorable(RngStream(1), n=9, edge_prob=1.0)
     # 36 unordered pairs minus the 9 intra-class ones

@@ -2,12 +2,13 @@
 
 import math
 from functools import partial
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.rng import RngStream, _GOLDEN, _mix64
+from driftlab.rng import RngStream, _GOLDEN, _mix64, below, index_limit
 
 MASK = (1 << 64) - 1
 
@@ -142,6 +143,14 @@ INDEX_KS = st.one_of(
 )
 
 
+def _reduce(words, k):
+    """next_index(k) on a word iterator, the way the kernels apply it."""
+    limit = index_limit(k)
+    for w in words:
+        if w < limit:
+            yield w % k
+
+
 @given(
     seed=st.integers(min_value=0, max_value=MASK),
     sid=st.integers(min_value=0, max_value=2**32),
@@ -150,26 +159,68 @@ INDEX_KS = st.one_of(
     taken=st.integers(min_value=0, max_value=2100),
 )
 @settings(max_examples=60, deadline=None)
-def test_indices_match_scalar_next_index(seed, sid, start, k, taken):
+def test_reduced_words_match_scalar_next_index(seed, sid, start, k, taken):
     block = RngStream(master_seed=seed, stream_id=sid, draw_counter=start)
     scalar = RngStream(master_seed=seed, stream_id=sid, draw_counter=start)
-    values = block.indices(k)
+    words = block.words()
+    values = _reduce(words, k)
     for _ in range(taken):
         assert next(values) == scalar.next_index(k)
-        assert block.draw_counter == scalar.draw_counter
-    assert block.draw_counter == scalar.draw_counter
-    # a stream left by the block path continues on the scalar path
-    assert block.next_u64() == scalar.next_u64()
+    assert block.draw_counter == start  # words() never moves it
+    # the iterator stopped just past the last word a value used
+    assert next(words) == scalar.next_u64()
 
 
-def test_indices_reject_bad_k_at_the_call():
+def test_index_chunks_reject_bad_k_at_the_call():
     s = RngStream(master_seed=0)
     for k in (0, -3, 2.0, (1 << 64) + 1):
         with pytest.raises(ValueError):
-            s.indices(k)
-        with pytest.raises(ValueError):
             s.index_chunks(k)
+        with pytest.raises(ValueError):
+            index_limit(k)
     assert s.draw_counter == 0
+
+
+# p at the ends of [0, 1], at the smallest subnormal, at multiples of 2**-53
+# (where the bound is exact) and at their float neighbours on either side
+MULTIPLES = st.integers(min_value=0, max_value=2**53).map(lambda q: q * 2.0**-53)
+PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 5e-324, -0.0, -5e-324, math.nextafter(1.0, 2.0)]),
+    MULTIPLES,
+    MULTIPLES.map(lambda p: math.nextafter(p, -1.0)),
+    MULTIPLES.map(lambda p: math.nextafter(p, 2.0)),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@given(p=PROBABILITIES, w=st.integers(min_value=0, max_value=MASK))
+@settings(max_examples=300)
+def test_below_bounds_exactly_the_words_whose_uniform_is_below_p(p, w):
+    bound = below(p)
+    for word in (w, 0, MASK, bound - 1, bound):
+        if 0 <= word <= MASK:
+            assert (word < bound) == ((word >> 11) * 2.0**-53 < p)
+
+
+def test_below_at_the_ends_of_the_unit_interval():
+    assert below(0.0) == 0  # no word: a uniform is never below 0
+    assert below(1.0) == 1 << 64  # every word: a uniform is always below 1
+    assert below(0.5) == 1 << 63
+    assert below(5e-324) == 1 << 11  # only the words whose uniform is 0.0
+
+
+@pytest.mark.parametrize("start, drawn", [(0, 0), (0, 40), (0, 1000), (10**15, 0), (10**15, 77)])
+def test_words_match_repeated_next_u64(start, drawn):
+    # drawn > 0: the stream has cached a block and words() starts inside it
+    block = RngStream(master_seed=2024, stream_id=9, draw_counter=start)
+    for _ in range(drawn):
+        block.next_u64()
+    scalar = RngStream(master_seed=2024, stream_id=9, draw_counter=start + drawn)
+    oracle = FormulaStream(2024, 9, start + drawn)
+    words = block.words()
+    for _ in range(3000):  # across several block growth edges
+        assert next(words) == scalar.next_u64() == oracle.next_u64()
+    assert block.draw_counter == start + drawn
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +296,24 @@ def test_next_u64_matches_formula_at_reassigned_positions(seed, sid, positions, 
     taken=st.integers(min_value=0, max_value=2100),
 )
 @settings(max_examples=60, deadline=None)
-def test_iterators_match_scalar_calls_across_growth_edges(seed, sid, start, warm, k, taken):
+def test_words_match_scalar_calls_across_growth_edges(seed, sid, start, warm, k, taken):
     block = _stream_at(seed, sid, start, warm)
     scalar = _stream_at(seed, sid, start, not warm)
     oracle = FormulaStream(seed, sid, start)
+    words = block.words()
     if k is None:
-        values, draw, reference = block.uniforms(), scalar.next_uniform, oracle.next_uniform
+        values, draw, reference = words, scalar.next_u64, oracle.next_u64
     else:
-        values = block.indices(k)
+        values = _reduce(words, k)
         draw, reference = partial(scalar.next_index, k), partial(oracle.next_index, k)
     for _ in range(taken):
         expected = reference()
         assert next(values) == expected
         assert draw() == expected
-        assert block.draw_counter == scalar.draw_counter == oracle.draw_counter
+        assert scalar.draw_counter == oracle.draw_counter
+    assert block.draw_counter == start  # words() never moves it
+    # a kernel sets the counter once, where it stops
+    block.draw_counter = oracle.draw_counter
     assert block.next_u64() == scalar.next_u64() == oracle.next_u64()
 
 
@@ -295,7 +350,7 @@ def test_index_chunks_match_scalar_next_index(seed, sid, start, warm, k, taken):
 
 # one step of an interleaved script: how to draw, k for indices, how many
 STEPS = st.tuples(
-    st.sampled_from(["uniforms", "indices", "next_uniform", "next_index", "jump"]),
+    st.sampled_from(["words", "index_chunks", "next_uniform", "next_index", "jump"]),
     st.sampled_from([2, 3, 2000, 2**63 + 1]),
     st.integers(min_value=0, max_value=700),
 )
@@ -310,21 +365,31 @@ STEPS = st.tuples(
 def test_interleaved_iterators_and_scalar_calls_match_formula(seed, sid, script):
     stream = RngStream(master_seed=seed, stream_id=sid)
     oracle = FormulaStream(seed, sid)
-    for how, k, count in script:
+    for how, k, taken in script:
         if how == "jump":  # reassign the counter, forward or back
-            stream.draw_counter = oracle.draw_counter = count * 7
-            continue
-        if how == "uniforms":
-            draw, reference = stream.uniforms().__next__, oracle.next_uniform
-        elif how == "indices":
-            draw, reference = stream.indices(k).__next__, partial(oracle.next_index, k)
-        elif how == "next_uniform":
-            draw, reference = stream.next_uniform, oracle.next_uniform
+            stream.draw_counter = oracle.draw_counter = taken * 7
+        elif how == "words":  # the caller counts the words and moves the counter
+            words = stream.words()
+            for _ in range(taken):
+                assert next(words) == oracle.next_u64()
+            stream.draw_counter += taken
+        elif how == "index_chunks":  # the caller moves the counter to the last value's
+            counted = (
+                pair for chunk, first in stream.index_chunks(k) for pair in zip(count(first), chunk)
+            )
+            counter = stream.draw_counter
+            for counter, value in islice(counted, taken):
+                assert value == oracle.next_index(k)
+            stream.draw_counter = counter
         else:
-            draw, reference = partial(stream.next_index, k), partial(oracle.next_index, k)
-        for _ in range(count):
-            assert draw() == reference()
-            assert stream.draw_counter == oracle.draw_counter
+            if how == "next_uniform":
+                draw, reference = stream.next_uniform, oracle.next_uniform
+            else:
+                draw, reference = partial(stream.next_index, k), partial(oracle.next_index, k)
+            for _ in range(taken):
+                assert draw() == reference()
+                assert stream.draw_counter == oracle.draw_counter
+        assert stream.draw_counter == oracle.draw_counter
     assert stream.next_u64() == oracle.next_u64()
 
 
