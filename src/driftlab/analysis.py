@@ -6,16 +6,20 @@ histograms).  Censored samples are handled conservatively throughout: they
 are excluded from means, counted as exceeding every survival threshold,
 and reported separately.
 
-The trajectory estimators never walk the transitions in Python: they tally
-them in a ``Counter`` (consecutive pairs for the drift, signed steps for
-the step tail) and then do the arithmetic once per distinct tally.  Every
-simulator records integer values, and on integer-valued trajectories the
-tallied sums are exact, so the results equal a transition-by-transition
+The trajectory estimators never walk the transitions in Python.
+``tally_transitions`` counts each distinct (X_t, X_{t+1}) pair once, in one
+pass that reads each trajectory as it arrives and keeps none of them, so a
+lazy iterator over files holds one file in memory at a time.  Both
+estimators take that one tally: the drift sums d * count per distinct pair,
+and the step tail folds the pairs into one count per magnitude |y - x|.
+Every simulator records integer values, and on integer-valued trajectories
+the tallied sums are exact, so the results equal a transition-by-transition
 sum.  Fractional values are summed in the tally's first-occurrence order,
 which is deterministic but may differ from the sequential sum in the last
-bits.  The sample summaries likewise tally the finished times once and
-count each threshold with ``bisect`` over the sorted distinct times
-instead of rescanning every sample.
+bits; the step tail only counts, so it is exact for any values.  The sample
+summaries likewise tally the finished times once and count each threshold
+with ``bisect`` over the sorted distinct times instead of rescanning every
+sample.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
-from operator import sub
 from typing import Iterable, Sequence
 
 from driftlab.bounds import BoundSpec, tail_probability_upper
@@ -67,17 +70,26 @@ class DriftEstimate:
     per_state_mean: dict[int, float] = field(default_factory=dict)
 
 
-def estimate_drift(trajectories: Iterable[Trajectory]) -> DriftEstimate:
-    """Mean drift and second moment over every recorded transition.
+def tally_transitions(trajectories: Iterable[Trajectory]) -> Counter:
+    """How often each distinct (X_t, X_{t+1}) pair occurs, over every trajectory.
 
-    Tallies each distinct (X_t, X_{t+1}) pair once, then sums d * count
-    per pair.  Exact for integer-valued trajectories (whose sums stay
-    below 2**53); fractional ones are summed in first-occurrence order.
+    Reads each trajectory once, as the iterable yields it, and keeps only
+    the tally, so trajectories read lazily are never all held at once.
     """
     pairs: Counter = Counter()
     for traj in trajectories:
         vals = traj.values
         pairs.update(zip(vals, islice(vals, 1, None)))
+    return pairs
+
+
+def estimate_drift(pairs: Counter) -> DriftEstimate:
+    """Mean drift and second moment over every tallied transition.
+
+    Sums d * count per distinct pair of tally_transitions.  Exact for
+    integer-valued trajectories (whose sums stay below 2**53); fractional
+    ones are summed in first-occurrence order.
+    """
     if not pairs:
         raise EmptySampleError("no transitions recorded; cannot estimate drift")
     total = 0.0
@@ -119,7 +131,7 @@ class StepTailFit:
 DEFAULT_ETA_GRID = tuple(i / 20.0 for i in range(1, 61))  # 0.05 .. 3.00
 
 
-def fit_step_tail(trajectories: Iterable[Trajectory]) -> StepTailFit | None:
+def fit_step_tail(pairs: Counter) -> StepTailFit | None:
     """Fit the geometric step-tail envelope over DEFAULT_ETA_GRID.
 
     For each eta the smallest feasible r is max over observed magnitudes m
@@ -132,16 +144,12 @@ def fit_step_tail(trajectories: Iterable[Trajectory]) -> StepTailFit | None:
     cannot win: its range constant is infinite.  None means every eta
     overflows, which a step magnitude above ~14,500 brings about.
 
-    The steps are tallied by signed value and folded into one count per
-    magnitude, so the exceedance points are exact counts for any input.
+    The pairs of tally_transitions fold into one count per magnitude
+    |y - x|, so the exceedance points are exact counts for any input.
     """
-    steps: Counter = Counter()
-    for traj in trajectories:
-        vals = traj.values
-        steps.update(map(sub, islice(vals, 1, None), vals))
     by_magnitude: Counter = Counter()
-    for d, c in steps.items():
-        by_magnitude[abs(d)] += c
+    for (x, y), c in pairs.items():
+        by_magnitude[abs(y - x)] += c
     n = sum(by_magnitude.values())
     if not n:
         raise EmptySampleError("no transitions recorded; cannot fit step tail")

@@ -20,7 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from driftlab.analysis import (
     DEFAULT_CONFIDENCE,
@@ -29,6 +29,7 @@ from driftlab.analysis import (
     fit_step_tail,
     histogram_export,
     summary_table,
+    tally_transitions,
 )
 from driftlab.bilinear import (
     PAYOFFS,
@@ -494,7 +495,7 @@ def collect(config: ExperimentConfig) -> list[Replication]:
 def build_report(
     samples: Sequence[HittingTimeSample],
     block: AnalysisBlock,
-    trajectories: Sequence[Trajectory] = (),
+    trajectories: Iterable[Trajectory] = (),
 ) -> dict:
     """Assemble the analysis JSON document as a plain dict.
 
@@ -505,6 +506,9 @@ def build_report(
     transition, and step_tail_fit also when every envelope on its grid
     overflows.  json.dumps writes the float keys of freq_at_multiples and
     the int keys of per_state_mean as repr and str do, as the CSVs do.
+
+    The trajectories are read once, in one tally that both drift sections
+    are computed from; they may be a lazy iterator.
     """
     report: dict = {
         "sample_count": len(samples),
@@ -521,18 +525,32 @@ def build_report(
     if block.tau_grid:
         tail = compare_bound(samples, block.bound, block.tau_grid, block.confidence)
         report["tail_report"] = asdict(tail)
+    pairs = tally_transitions(trajectories)
     try:
-        report["drift_estimate"] = asdict(estimate_drift(trajectories))
+        report["drift_estimate"] = asdict(estimate_drift(pairs))
     except EmptySampleError:
         return report  # no trajectories, or not one transition among them
-    step = fit_step_tail(trajectories)
+    step = fit_step_tail(pairs)
     if step is not None:  # None: every envelope on the grid overflows
         report["step_tail_fit"] = asdict(step)
     return report
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """report.json's text: strict JSON, so a non-finite number is a ValueError.
+
+    The error names the first section that holds one (an overflowed drift
+    moment, say), and nothing is written.
+    """
+    for name, section in report.items():
+        try:
+            json.dumps(section, allow_nan=False)
+        except ValueError:
+            raise ValueError(
+                f"report.json: {name} holds a non-finite number, "
+                "which strict JSON cannot write"
+            ) from None
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def histogram_to_csv(samples: Sequence[HittingTimeSample], bins: int) -> str:
@@ -678,45 +696,63 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
     return samples
 
 
-# every byte but the comma and the newline, for read_trajectory_csv's row check
-_NOT_COMMA_OR_NEWLINE = bytes(b for b in range(256) if b not in b",\n")
+_TRAJECTORY_HEADER = "step,value\n"
+
+# every ASCII byte but the comma and the line breaks str.splitlines knows,
+# for read_trajectory_csv's row check; the bytes kept are those and every
+# byte of a non-ASCII character
+_NOT_COMMA_OR_BREAK = bytes(b for b in range(128) if b not in b",\n\r\x0b\x0c\x1c\x1d\x1e")
 
 
 def read_trajectory_csv(text: str) -> Trajectory:
     """Parse a step,value CSV; blank lines are skipped, the step column unread.
 
-    Well-formed text is parsed in bulk; otherwise the row-by-row scan
-    raises the FormatError of the first bad row.
+    Every value must be a finite number, as in samples.csv.  Text that is
+    the header and rows of one comma each, every line ending in a newline,
+    is parsed with one split; any other text, and any with a bad value, is
+    scanned row by row, which raises the FormatError of the first bad row.
     """
+    if text.startswith(_TRAJECTORY_HEADER) and text.endswith("\n"):
+        body = text[len(_TRAJECTORY_HEADER):]
+        # one comma per row: the commas and the newlines alternate, and no
+        # other line break or non-ASCII character (surrogatepass lets any
+        # str encode) is left to make splitlines see other rows
+        marks = body.encode("utf-8", "surrogatepass").translate(None, _NOT_COMMA_OR_BREAK)
+        if marks and marks == b",\n" * (len(marks) // 2):
+            try:
+                values = list(map(float, body.replace("\n", ",").split(",")[1::2]))
+            except ValueError:
+                pass  # a bad value: the scan names its row
+            else:
+                if math.isfinite(sum(values)):  # else NaN, an infinity or an overflow
+                    return Trajectory(values=values)
+    return Trajectory(values=_scan_trajectory_rows(text))
+
+
+def _scan_trajectory_rows(text: str) -> list[float]:
     lines = list(filter(None, text.splitlines()))
     if not lines or lines[0] != "step,value":
         raise FormatError("trajectory header must be step,value", line=1)
-    rows = lines[1:]
-    if not rows:
+    if len(lines) == 1:
         raise FormatError("trajectory has no rows", line=2)
-    # one comma per row: the commas and the newlines joining the rows
-    # alternate (surrogatepass lets any str encode; only ASCII bytes matter)
-    encoded = "\n".join(rows).encode("utf-8", "surrogatepass")
-    marks = encoded.translate(None, _NOT_COMMA_OR_NEWLINE)
-    if marks == b",\n" * (len(rows) - 1) + b",":
-        try:
-            return Trajectory(values=list(map(float, ",".join(rows).split(",")[1::2])))
-        except ValueError:
-            pass  # a bad value: the scan names its row
-    return Trajectory(values=_scan_trajectory_rows(rows))
-
-
-def _scan_trajectory_rows(rows: list[str]) -> list[float]:
     values = []
-    for lineno, raw in enumerate(rows, start=2):
+    for lineno, raw in enumerate(lines[1:], start=2):
         cells = raw.split(",")
         if len(cells) != 2:
             raise FormatError("trajectory row must have two columns", line=lineno)
         try:
-            values.append(float(cells[1]))
+            value = float(cells[1])
         except ValueError:
             raise FormatError(f"bad value {cells[1]!r}", line=lineno) from None
+        if not math.isfinite(value):
+            raise FormatError(f"value must be a finite number, got {cells[1]!r}", line=lineno)
+        values.append(value)
     return values
+
+
+def _read_trajectory_file(path: str) -> Trajectory:
+    with open(path, "r") as fh:
+        return read_trajectory_csv(fh.read())
 
 
 def analyze_files(
@@ -725,16 +761,19 @@ def analyze_files(
     trajectory_dir: str | None = None,
     report_path: str | None = None,
 ) -> str:
-    """Recompute the analysis JSON from stored samples; returns report path."""
+    """Recompute the analysis JSON from stored samples; returns report path.
+
+    The trajectory files are read lazily, in name order, as build_report
+    tallies them, so one file is in memory at a time.  A bad file raises
+    its FormatError before any report is written.
+    """
     with open(samples_path, "r") as fh:
         samples = read_samples_csv(fh.read())
-    trajectories = []
+    trajectories: Iterable[Trajectory] = ()
     if trajectory_dir is not None:
-        for name in sorted(os.listdir(trajectory_dir)):
-            if not name.endswith(".csv"):
-                continue
-            with open(os.path.join(trajectory_dir, name), "r") as fh:
-                trajectories.append(read_trajectory_csv(fh.read()))
+        names = sorted(n for n in os.listdir(trajectory_dir) if n.endswith(".csv"))
+        paths = (os.path.join(trajectory_dir, n) for n in names)
+        trajectories = map(_read_trajectory_file, paths)
     report = build_report(samples, block, trajectories)
     if report_path is None:
         report_path = os.path.join(os.path.dirname(samples_path) or ".", "report.json")

@@ -11,6 +11,7 @@ from driftlab.analysis import (
     hoeffding_margin,
     histogram_export,
     summary_table,
+    tally_transitions,
 )
 from driftlab.bounds import BoundSpec
 from driftlab.errors import EmptySampleError
@@ -36,13 +37,13 @@ def test_hoeffding_margin_formula_and_validation():
 
 
 def test_drift_estimate_on_fixed_paths():
-    est = estimate_drift([Trajectory(values=[0, 1, 2, 3])])
+    est = estimate_drift(tally_transitions([Trajectory(values=[0, 1, 2, 3])]))
     assert est.mean_drift == 1.0
     assert est.second_moment == 1.0
     assert est.transitions == 3
     assert est.per_state_mean == {0: 1.0, 1: 1.0, 2: 1.0}
 
-    est = estimate_drift([Trajectory(values=[3, 2, 2, 4])])
+    est = estimate_drift(tally_transitions([Trajectory(values=[3, 2, 2, 4])]))
     assert est.mean_drift == pytest.approx(1 / 3)
     assert est.second_moment == pytest.approx(5 / 3)
     assert est.per_state_mean == {2: 1.0, 3: -1.0}
@@ -50,9 +51,9 @@ def test_drift_estimate_on_fixed_paths():
 
 def test_drift_estimate_needs_transitions():
     with pytest.raises(EmptySampleError):
-        estimate_drift([])
+        estimate_drift(tally_transitions([]))
     with pytest.raises(EmptySampleError):
-        estimate_drift([Trajectory(values=[5])])
+        estimate_drift(tally_transitions([Trajectory(values=[5])]))
 
 
 def test_drift_estimate_recovers_walk_moments():
@@ -60,7 +61,7 @@ def test_drift_estimate_recovers_walk_moments():
         simulate_fair_walk(RngStream(40, stream_id=i), b=10, x0=5, cap=10**5, record=True)[1]
         for i in range(200)
     ]
-    est = estimate_drift(fair)
+    est = estimate_drift(tally_transitions(fair))
     assert abs(est.mean_drift) < 0.05
     assert est.second_moment == 1.0  # every fair-walk step has magnitude one
 
@@ -70,7 +71,7 @@ def test_drift_estimate_recovers_walk_moments():
         )[1]
         for i in range(200)
     ]
-    est = estimate_drift(lazy)
+    est = estimate_drift(tally_transitions(lazy))
     # slightly negative: the ceiling state only moves down
     assert abs(est.mean_drift) < 0.05
     assert est.per_state_mean[10] == pytest.approx(-0.5, abs=0.05)
@@ -78,7 +79,7 @@ def test_drift_estimate_recovers_walk_moments():
 
 
 def test_step_tail_fit_on_unit_steps():
-    fit = fit_step_tail([Trajectory(values=list(range(50)))])
+    fit = fit_step_tail(tally_transitions([Trajectory(values=list(range(50)))]))
     # freq(>= 1) = 1, so r = 1 + eta and the cost (1 + eta)/ln(1 + eta)
     # bottoms out where 1 + eta = e; the grid lands on 1.70
     assert fit.eta == pytest.approx(1.70)
@@ -95,7 +96,7 @@ def test_step_tail_envelope_dominates_the_empirical_tail():
         while stream.next_uniform() < 0.5 and mag < 30:
             mag += 1
         values.append(values[-1] + mag)
-    fit = fit_step_tail([Trajectory(values=values)])
+    fit = fit_step_tail(tally_transitions([Trajectory(values=values)]))
     steps = [values[t + 1] - values[t] for t in range(len(values) - 1)]
     n = len(steps)
     for j in range(0, 32):
@@ -106,7 +107,7 @@ def test_step_tail_envelope_dominates_the_empirical_tail():
 
 def test_step_tail_fit_validation():
     with pytest.raises(EmptySampleError):
-        fit_step_tail([])
+        fit_step_tail(tally_transitions([]))
 
 
 STD_UNIT = BoundSpec(kind="StandardVariance", b=1.0, x0=0.0, delta=1.0)

@@ -512,6 +512,44 @@ def test_cli_analyze_rejects_a_non_finite_sample(tmp_path, capsys, text):
     assert not (tmp_path / "report.json").exists()
 
 
+def cli_analyze_trajectories(tmp_path, texts):
+    """Exit code of driftlab analyze over one trajectory file per text."""
+    samples = tmp_path / "samples.csv"
+    samples.write_text(sample_rows([1] * len(texts)))
+    trajectories = tmp_path / "trajectories"
+    trajectories.mkdir()
+    for i, text in enumerate(texts):
+        (trajectories / f"run_{i:05d}.csv").write_text(text)
+    analysis = write_json(tmp_path / "analysis.json", {"k_list": [1.0]})
+    return main(["analyze", str(samples), analysis, "--trajectories", str(trajectories)])
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_cli_analyze_rejects_a_non_finite_trajectory_value(tmp_path, capsys, value):
+    # the bad file is the second: the first is already tallied when it is read
+    texts = ["step,value\n0,0\n1,1\n", f"step,value\n0,0\n1,{value}\n"]
+    assert cli_analyze_trajectories(tmp_path, texts) == 2
+    err = capsys.readouterr().err
+    assert f"line 3: value must be a finite number, got {value!r}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_analyze_refuses_a_drift_moment_that_overflows(tmp_path, capsys):
+    # both values are finite, but the squared step 1e400 is not
+    assert cli_analyze_trajectories(tmp_path, ["step,value\n0,0\n1,1e200\n"]) == 2
+    assert "drift_estimate holds a non-finite number" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_report_to_json_is_strict_and_names_the_section():
+    report = {"sample_count": 1, "summary_table": {"mean": 1.0}, "tail_report": None}
+    assert json.loads(experiment.report_to_json(report)) == report
+    for bad in (math.inf, -math.inf, math.nan):
+        report["summary_table"]["freq_at_multiples"] = {1.0: bad}
+        with pytest.raises(ValueError, match="^report.json: summary_table holds"):
+            experiment.report_to_json(report)
+
+
 def test_read_samples_accepts_a_negative_regret():
     samples = read_samples_csv("run_id,seed,total_regret\n0,1,-1.0\n")
     assert samples[0].stopping_time == -1.0

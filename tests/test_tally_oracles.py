@@ -2,16 +2,23 @@
 
 The oracles below are the transition-by-transition estimators, the
 per-threshold rescans and the row-by-row CSV codecs that the tallies and
-bulk string operations replaced, kept verbatim.  On integer-valued
-trajectories (all a simulator records) every estimate and report must be
-byte-equal to them; on fractional ones the drift moments may differ in the
-last bits, because the tallied sums are added in another order.
+bulk string operations replaced, kept verbatim; the row-scan reader also
+carries the one rule added since, that every value is finite.  Both
+estimators are called on one tally_transitions, as build_report calls
+them.  On integer-valued trajectories (all a simulator records) every
+estimate and report must be byte-equal to the oracles; on fractional ones
+the drift moments may differ in the last bits, because the tallied sums
+are added in another order.  A streamed reanalysis must write the same
+bytes as build_report over the fully read trajectories.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import tempfile
+import weakref
 from functools import partial
 from typing import Iterable, Sequence
 from unittest import mock
@@ -193,6 +200,8 @@ def read_trajectory_csv(text: str) -> Trajectory:
             values.append(float(cells[1]))
         except ValueError:
             raise FormatError(f"bad value {cells[1]!r}", line=lineno) from None
+        if not math.isfinite(values[-1]):  # the finite rule
+            raise FormatError(f"value must be a finite number, got {cells[1]!r}", line=lineno)
     if not values:
         raise FormatError("trajectory has no rows", line=2)
     return Trajectory(values=values)
@@ -237,6 +246,16 @@ fractional_trajectories = st.lists(
 )
 
 
+def drift_of(trajs):
+    """The single-tally drift estimate, called the way build_report calls it."""
+    return analysis.estimate_drift(analysis.tally_transitions(trajs))
+
+
+def step_tail_of(trajs):
+    """The single-tally step-tail fit, called the way build_report calls it."""
+    return analysis.fit_step_tail(analysis.tally_transitions(trajs))
+
+
 def bits(x) -> bytes:
     """The exact value of a number: a float's IEEE bytes, an int's digits."""
     return struct.pack("<d", x) if isinstance(x, float) else repr(x).encode()
@@ -277,8 +296,8 @@ def assert_same(new_fn, old_fn, trajs):
 @settings(max_examples=200, deadline=None)
 @given(int_trajectories)
 def test_tallies_equal_the_loops_on_integer_trajectories(trajs):
-    assert_same(analysis.estimate_drift, estimate_drift, trajs)
-    assert_same(analysis.fit_step_tail, fit_step_tail, trajs)
+    assert_same(drift_of, estimate_drift, trajs)
+    assert_same(step_tail_of, fit_step_tail, trajs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -293,8 +312,10 @@ def test_report_is_byte_equal_to_the_loops_on_integer_trajectories(trajs):
         bound=BoundSpec(kind="StandardVariance", b=10, x0=10, delta=0.5),
     )
     new = report_to_json(build_report(samples, block, trajs))
+    # the oracles take the trajectories themselves, not their tally
     with mock.patch.multiple(
         experiment,
+        tally_transitions=list,
         estimate_drift=estimate_drift,
         fit_step_tail=fit_step_tail,
         compare_bound=compare_bound,
@@ -307,7 +328,7 @@ def test_report_is_byte_equal_to_the_loops_on_integer_trajectories(trajs):
 @settings(max_examples=200, deadline=None)
 @given(fractional_trajectories)
 def test_tallies_match_the_loops_on_fractional_trajectories(trajs):
-    new = outcome(analysis.estimate_drift, trajs)
+    new = outcome(drift_of, trajs)
     old = outcome(estimate_drift, trajs)
     if old[0] == "raised":
         assert new == old
@@ -330,7 +351,7 @@ def test_tallies_match_the_loops_on_fractional_trajectories(trajs):
             new.per_state_mean[s], mean, rel_tol=1e-12, abs_tol=1e-12 * sum(ds) / len(ds)
         )
     # magnitudes are counted, not summed: the step-tail fit stays exact
-    assert_same(analysis.fit_step_tail, fit_step_tail, trajs)
+    assert_same(step_tail_of, fit_step_tail, trajs)
 
 
 def test_tallies_on_fixed_edge_cases():
@@ -342,17 +363,17 @@ def test_tallies_on_fixed_edge_cases():
         [Trajectory(values=[0, 1, 2], censored=True, cap=2)] * 30,
     ]
     for trajs in cases:
-        assert_same(analysis.estimate_drift, estimate_drift, trajs)
-        assert_same(analysis.fit_step_tail, fit_step_tail, trajs)
+        assert_same(drift_of, estimate_drift, trajs)
+        assert_same(step_tail_of, fit_step_tail, trajs)
     # (1 + eta)**1000 overflows a float exactly for the etas above 1.0
     # (2**1000 < 1.8e308 < 2.05**1000): the loop form raised OverflowError,
     # the tally skips those etas and equals the loop form over the rest
     trajs = [Trajectory(values=[0, -1000])]
     finite = [eta for eta in DEFAULT_ETA_GRID if eta <= 1.0]
-    assert_same(analysis.estimate_drift, estimate_drift, trajs)
-    assert_same(analysis.fit_step_tail, partial(fit_step_tail, eta_grid=finite), trajs)
+    assert_same(drift_of, estimate_drift, trajs)
+    assert_same(step_tail_of, partial(fit_step_tail, eta_grid=finite), trajs)
     # at a magnitude of 20,000 every eta overflows, and there is no fit
-    assert analysis.fit_step_tail([Trajectory(values=[0, 20000])]) is None
+    assert step_tail_of([Trajectory(values=[0, 20000])]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -417,25 +438,45 @@ def read_outcome(fn, text):
     return got if got[0] == "raised" else ("ok", repr(got[1].values))
 
 
+#: every line break str.splitlines knows but "\n"; float() strips the
+#: ones that are whitespace, so a row must be split at them first
+OTHER_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 valid_rows = st.tuples(
     st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["", "x", "1.5"])),
     csv_values.map(str),
 ).map(",".join)
+non_finite_rows = st.sampled_from(
+    ["0,inf", "0,-inf", "0,nan", "0,NaN", "0,-Infinity", "0,1e400", "0,-1e309", "0, inf "]
+)
 bad_rows = st.one_of(
     csv_values.map(str),  # no comma
     st.tuples(csv_values, csv_values, csv_values).map(lambda t: ",".join(map(str, t))),
     st.sampled_from(["0,x", "0,", "0,1e", "0,--1", "0,1 2", ",", ",,", "0,١", "0,1é"]),
-    st.text(alphabet="0123456789,.e-+ xé\ud800", max_size=8),
+    st.text(alphabet="0123456789,.e-+ \txé\ud800" + "".join(OTHER_BREAKS), max_size=8),
+    # a break or whitespace anywhere in a valid row
+    st.tuples(valid_rows, st.sampled_from([" ", "\t", *OTHER_BREAKS]), st.integers(0, 12)).map(
+        lambda t: t[0][: t[2]] + t[1] + t[0][t[2] :]
+    ),
 )
-line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\n\n", " "])
+any_rows = st.lists(
+    st.one_of(valid_rows, valid_rows, bad_rows, non_finite_rows, st.just("")), max_size=30
+)
+line_breaks = st.sampled_from(["\n", "\n\n", " ", *OTHER_BREAKS])
 
 
 @st.composite
 def trajectory_texts(draw):
     header = draw(st.sampled_from(["step,value"] * 6 + ["", "value", "step,value,", "Step,Value"]))
-    rows = draw(st.lists(st.one_of(valid_rows, valid_rows, bad_rows, st.just("")), max_size=30))
+    rows = draw(st.one_of(st.lists(valid_rows, max_size=30), any_rows))
     lines = [header, *rows]
-    breaks = draw(st.lists(line_breaks, min_size=len(lines), max_size=len(lines)))
+    n = len(lines)
+    if draw(st.booleans()):
+        # the written form, every line ending in "\n", but for one break
+        breaks = ["\n"] * n
+        breaks[draw(st.integers(0, n - 1))] = draw(line_breaks)
+    else:
+        breaks = draw(st.lists(line_breaks, min_size=n, max_size=n))
     text = "".join(line + brk for line, brk in zip(lines, breaks))
     return text if draw(st.booleans()) else text.rstrip("\n")
 
@@ -443,6 +484,33 @@ def trajectory_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(trajectory_texts())
 def test_trajectory_reader_matches_the_row_scan(text):
+    assert read_outcome(experiment.read_trajectory_csv, text) == read_outcome(
+        read_trajectory_csv, text
+    )
+
+
+@st.composite
+def written_texts(draw):
+    """The written form, header and rows each ending in "\\n", with at most one change."""
+    rows = draw(st.lists(valid_rows, min_size=1, max_size=30))
+    text = "step,value\n" + "".join(row + "\n" for row in rows)
+    change = draw(st.sampled_from(["none", "insert", "row", "cut"]))
+    if change == "insert":  # one more character anywhere
+        at = draw(st.integers(0, len(text)))
+        extra = draw(st.sampled_from(["\n", ",", " ", "\t", "x", "é", "\ud800", *OTHER_BREAKS]))
+        text = text[:at] + extra + text[at:]
+    elif change == "row":  # one more row, not a valid one
+        at = draw(st.integers(0, len(rows)))
+        row = draw(st.one_of(bad_rows, non_finite_rows, st.just("")))
+        text = "step,value\n" + "".join(r + "\n" for r in [*rows[:at], row, *rows[at:]])
+    elif change == "cut":  # no final newline, a header only, a cut header
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(written_texts())
+def test_written_form_with_one_change_reads_like_the_row_scan(text):
     assert read_outcome(experiment.read_trajectory_csv, text) == read_outcome(
         read_trajectory_csv, text
     )
@@ -469,9 +537,89 @@ def test_trajectory_reader_errors_match_the_row_scan():
         "value\n0,1\n",  # a wrong header
         "\nstep,value\n0,1\n",  # a blank first line is skipped
         "step,value\n0,1\n1,2\n",
+        "step,value\n0,1\n1,2",  # no final newline
+        "step,value\r\n0,1\r\n1,2\r\n",
+        "step,value\n0,1\r1,2\n",  # a lone carriage return breaks the row
+        "step,value\n0,\x0c1\n",  # float() would strip the form feed
+        "step,value\n0,1\u2028\n",
+        "step,value\n0,1\n1,inf\n",
+        "step,value\n0,nan\n1,x\n",  # the first bad row is named
+        "step,value\n0,1e308\n1,1e308\n",  # finite values whose sum overflows
     ]:
         new = read_outcome(experiment.read_trajectory_csv, text)
         assert new == read_outcome(read_trajectory_csv, text)
     assert read_outcome(experiment.read_trajectory_csv, "step,value\n\n0,1\n\n\n1,x\n") == (
         "raised", FormatError, "line 3: bad value 'x'", 3
     )
+    assert read_outcome(experiment.read_trajectory_csv, "step,value\n0,1\n1,-inf\n") == (
+        "raised", FormatError, "line 3: value must be a finite number, got '-inf'", 3
+    )
+    assert read_outcome(experiment.read_trajectory_csv, "step,value\n0,1e308\n1,1e308\n") == (
+        "ok", "[1e+308, 1e+308]"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Streamed reanalysis.
+
+
+def write_artifacts(directory: str, trajs: list[Trajectory]) -> tuple[str, str]:
+    """samples.csv and one run_<id>.csv per trajectory, as a recording run writes them."""
+    samples = [
+        HittingTimeSample(i, t.steps(), t.censored, i) for i, t in enumerate(trajs)
+    ] or [HittingTimeSample(0, 1, False, 0)]
+    samples_path = os.path.join(directory, "samples.csv")
+    trajectory.write_text(samples_path, trajectory.samples_to_csv(samples))
+    trajectory_dir = os.path.join(directory, "trajectories")
+    os.makedirs(trajectory_dir)
+    for i, traj in enumerate(trajs):
+        path = os.path.join(trajectory_dir, f"run_{i:05d}.csv")
+        trajectory.write_text(path, trajectory.trajectory_to_csv(traj))
+    return samples_path, trajectory_dir
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(int_trajectories, fractional_trajectories))
+def test_streamed_reanalysis_equals_the_report_over_the_fully_read_list(trajs):
+    block = AnalysisBlock(
+        k_list=(1.0, 2.0),
+        tau_grid=(1.0, 5.0, 20.0),
+        bound=BoundSpec(kind="StandardVariance", b=10, x0=10, delta=0.5),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        samples_path, trajectory_dir = write_artifacts(tmp, trajs)
+        report_path = experiment.analyze_files(
+            samples_path, block, trajectory_dir, os.path.join(tmp, "report.json")
+        )
+        with open(report_path) as fh:
+            streamed = fh.read()
+        with open(samples_path) as fh:
+            samples = experiment.read_samples_csv(fh.read())
+        read = []
+        for name in sorted(os.listdir(trajectory_dir)):
+            with open(os.path.join(trajectory_dir, name)) as fh:
+                read.append(experiment.read_trajectory_csv(fh.read()))
+    assert streamed == report_to_json(build_report(samples, block, read))
+
+
+def test_streamed_reanalysis_holds_a_couple_of_trajectories_at_most():
+    trajs = [Trajectory(values=list(range(i, i + 50))) for i in range(30)]
+    original = experiment.read_trajectory_csv
+    refs: list[weakref.ref] = []
+    most_alive = 0
+
+    def tracked(text):
+        nonlocal most_alive
+        traj = original(text)
+        refs.append(weakref.ref(traj))
+        most_alive = max(most_alive, sum(ref() is not None for ref in refs))
+        return traj
+
+    with tempfile.TemporaryDirectory() as tmp:
+        samples_path, trajectory_dir = write_artifacts(tmp, trajs)
+        with mock.patch.object(experiment, "read_trajectory_csv", tracked):
+            experiment.analyze_files(samples_path, AnalysisBlock(), trajectory_dir)
+        with open(os.path.join(tmp, "report.json")) as fh:
+            assert '"transitions": 1470' in fh.read()
+    assert len(refs) == 30
+    assert most_alive <= 2
