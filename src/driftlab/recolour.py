@@ -15,6 +15,7 @@ triangle search a short chain of AND operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 from driftlab.rng import RngStream, below, index_limit
@@ -57,29 +58,60 @@ class ColorableGraph:
             adj[v] |= 1 << u
         self._adj = adj
 
+    @classmethod
+    def _built(
+        cls,
+        n: int,
+        edges: tuple[tuple[int, int], ...],
+        classes: tuple[int, ...],
+        adj: list[int],
+    ) -> ColorableGraph:
+        """An instance from fields built to the invariants above, unchecked.
+
+        For generators only; outside input goes through the constructor.
+        """
+        graph = object.__new__(cls)
+        graph.n, graph.edges, graph.classes, graph._adj = n, edges, classes, adj
+        return graph
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+    """Witness classes v mod 3, each u's higher cross-class partners, pair count."""
+    classes = tuple(v % 3 for v in range(n))
+    partners = tuple(
+        tuple(v for v in range(u + 1, n) if v % 3 != u % 3) for u in range(n)
+    )
+    return classes, partners, sum(map(len, partners))
+
 
 def generate_3colorable(stream: RngStream, n: int, edge_prob: float) -> ColorableGraph:
     """Random dense instance: classes v mod 3, cross-class edges kept iid.
 
     Every unordered cross-class pair becomes an edge with probability
     edge_prob, examined in lexicographic order: one word per pair, kept
-    when it is below below(edge_prob).
+    when it is below below(edge_prob).  The adjacency masks are built as
+    the edges are kept, which meets ColorableGraph's invariants by
+    construction, so the graph skips the constructor's checks.
     """
     if n < 3:
         raise ValueError("need at least three vertices")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob!r}")
-    classes = tuple(v % 3 for v in range(n))
+    classes, partners, pairs = _layout(n)
     keep = below(edge_prob)
     words = stream.words()
     edges = []
-    used = 0
-    for u in range(n):
-        partners = [v for v in range(u + 1, n) if v % 3 != u % 3]
-        edges += [(u, v) for v, w in zip(partners, words) if w < keep]
-        used += len(partners)
-    stream.draw_counter += used
-    return ColorableGraph(n=n, edges=tuple(edges), classes=classes)
+    adj = [0] * n
+    for u, higher in enumerate(partners):
+        bit = 1 << u
+        for v, w in zip(higher, words):
+            if w < keep:
+                edges.append((u, v))
+                adj[u] |= 1 << v
+                adj[v] |= bit
+    stream.draw_counter += pairs
+    return ColorableGraph._built(n, tuple(edges), classes, adj)
 
 
 def random_colouring(stream: RngStream, n: int) -> bytearray:
@@ -92,32 +124,39 @@ def random_colouring(stream: RngStream, n: int) -> bytearray:
 def seek_monochromatic_triangle(
     graph: ColorableGraph, colouring
 ) -> tuple[int, int, int] | None:
-    """Lexicographically smallest same-coloured triangle, or None.
+    """Lexicographically smallest same-coloured triangle, or None."""
+    if len(colouring) != graph.n:
+        raise ValueError("colouring length must equal vertex count")
+    return _scan(graph._adj, *_masks(colouring), 0)
 
-    Scans candidate minimum vertices in order; within one, candidate
-    middle vertices in order; the third vertex is the lowest set bit of an
+
+def _masks(colouring) -> tuple[int, int]:
+    """The vertex masks of colour 0 and of colour 1 (any nonzero entry)."""
+    ones = sum(1 << v for v, c in enumerate(colouring) if c)
+    return ((1 << len(colouring)) - 1) ^ ones, ones
+
+
+def _scan(adj: list[int], zeros: int, ones: int, start: int) -> tuple[int, int, int] | None:
+    """The smallest same-coloured triangle whose minimum vertex is >= start.
+
+    zeros and ones are the vertex masks of the two colours.  Scans
+    candidate minimum vertices u in order; within one, candidate middle
+    vertices v in order; the third vertex is the lowest set bit of an
     adjacency intersection.  Restricting partners to higher indices makes
     the first hit the lexicographic minimum.
     """
-    n = graph.n
-    if len(colouring) != n:
-        raise ValueError("colouring length must equal vertex count")
-    masks = [0, 0]
-    for v in range(n):
-        masks[1 if colouring[v] else 0] |= 1 << v
-    adj = graph._adj
-    for u in range(n - 2):
-        same = masks[1 if colouring[u] else 0]
-        cand = adj[u] & same & ~((1 << (u + 1)) - 1)
-        au = adj[u]
+    for u in range(start, len(adj) - 2):
+        same = ones if ones >> u & 1 else zeros
+        # u's same-coloured neighbours above u, lowest first
+        cand = adj[u] & same & -(2 << u)
         while cand:
             low = cand & -cand
             cand ^= low
+            # cand now holds exactly the candidates above v
             v = low.bit_length() - 1
-            common = au & adj[v] & same & ~((1 << (v + 1)) - 1)
+            common = cand & adj[v]
             if common:
-                w_low = common & -common
-                return (u, v, w_low.bit_length() - 1)
+                return (u, v, (common & -common).bit_length() - 1)
     return None
 
 
@@ -138,6 +177,10 @@ def run_recolour(
 ) -> RecolourResult:
     """Repair ``init`` until triangle-free (among monochromatic ones) or capped.
 
+    The two colour masks are kept across flips, and each search after a
+    flip resumes the lexicographic scan where a new triangle could first
+    appear instead of at vertex 0.  Colours must be 0 or 1.
+
     With record, the trajectory of
     Y_t = #{v in class 0 : colour(v) = 0} + #{v in class 1 : colour(v) = 1}
     is recorded.
@@ -148,20 +191,25 @@ def run_recolour(
     colouring = bytearray(init)
     if len(colouring) != n:
         raise ValueError("init length must equal vertex count")
+    if max(colouring, default=0) > 1:
+        raise ValueError("init colours must be 0 or 1")
 
     classes = graph.classes
     if record:
         y = sum(1 for v in range(n) if classes[v] < 2 and colouring[v] == classes[v])
         values: list[float] = [y]
 
+    adj = graph._adj
+    zeros, ones = _masks(colouring)
     # next_index(3) on raw words: reject at the limit, then take w % 3
     limit = index_limit(3)
     draw = stream.words().__next__
     rejected = 0
     t = 0
     censored = False
+    start = 0
     while True:
-        tri = seek_monochromatic_triangle(graph, colouring)
+        tri = _scan(adj, zeros, ones, start)
         if tri is None:
             break
         if t >= cap:
@@ -173,6 +221,15 @@ def run_recolour(
             rejected += 1
         v = tri[w % 3]
         colouring[v] ^= 1
+        # v sits in exactly one mask, so toggling both moves it across
+        bit = 1 << v
+        zeros ^= bit
+        ones ^= bit
+        # No monochromatic triangle had a minimum vertex below tri[0], and
+        # every new one passes through v, so its minimum vertex is v itself
+        # (>= tri[0]) or a neighbour of v that now shares v's colour.
+        below_tri = adj[v] & (ones if colouring[v] else zeros) & ((1 << tri[0]) - 1)
+        start = (below_tri & -below_tri).bit_length() - 1 if below_tri else tri[0]
         t += 1
         if record:
             if classes[v] < 2:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from driftlab.rng import RngStream, below
+from driftlab.rng import RngStream, below, index_limit
 
 ACCOUNTING_MODES = ("mean_gap", "realized")
 
@@ -96,9 +96,19 @@ def sample_change_times(stream: RngStream, horizon: int, count: int) -> tuple[in
     pool = list(range(2, horizon + 1))
     if count > len(pool):
         raise ValueError(f"cannot draw {count} distinct times from {len(pool)} candidates")
+    # next_index(len(pool) - i) on raw words: reject at the limit, then take w % k
+    draw = stream.words().__next__
+    used = count
     for i in range(count):
-        j = i + stream.next_index(len(pool) - i)
+        k = len(pool) - i
+        limit = index_limit(k)
+        w = draw()
+        while w >= limit:
+            w = draw()
+            used += 1
+        j = i + w % k
         pool[i], pool[j] = pool[j], pool[i]
+    stream.draw_counter += used
     return tuple(sorted(pool[:count]))
 
 
@@ -209,13 +219,14 @@ def run_rwab(
     mu = [env.mu1, env.mu2]
     bounds = [below(env.mu1), below(env.mu2)]
     challenge = below(p)
-    swapped = False
     a_plus, a_minus = 0, 1
     total = 0.0
     pulls = 0
     swaps = mistakes = 0
     sub_eras = 0
-    prev_pair: tuple | None = None
+    # A sub-era starts at round 1, at each change time and after each swap;
+    # only then can the ranking of a+ and the plain-round gap change.
+    fresh = True
     per_round: list[float] | None = [] if record_per_round else None
     plain_rounds = challenge_rounds = 0
     realized = accounting == "realized"
@@ -226,14 +237,14 @@ def run_rwab(
         if clock in change_set:
             mu[0], mu[1] = mu[1], mu[0]
             bounds[0], bounds[1] = bounds[1], bounds[0]
-            swapped = not swapped
-        pair = (swapped, a_plus)
-        if pair != prev_pair:
+            fresh = True
+        if fresh:
             sub_eras += 1
-            prev_pair = pair
+            misranked = mu[a_plus] < mu[a_minus]
+            gap = mu[a_minus] - mu[a_plus]
+            fresh = False
         if draw() < challenge:
             challenge_rounds += 1
-            started_correct = mu[a_plus] >= mu[a_minus]
             out = _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, realized)
             pulls += 2 * out.inner_rounds
             used += 2 * out.inner_rounds
@@ -241,21 +252,22 @@ def run_rwab(
                 swaps += 1
                 # no change can land mid-challenge, so a swap that starts
                 # from the better arm is always a mistake
-                if started_correct:
+                if not misranked:
                     mistakes += 1
+                fresh = True
             a_plus, a_minus = out.a_plus, out.a_minus
             round_regret = out.regret
         else:
             plain_rounds += 1
             pulls += 1
-            if mu[a_plus] < mu[a_minus]:
+            if misranked:
                 if realized:
                     r_plus = 1.0 if draw() < bounds[a_plus] else 0.0
                     r_best = 1.0 if draw() < bounds[a_minus] else 0.0
                     round_regret = r_best - r_plus
                     used += 2
                 else:
-                    round_regret = mu[a_minus] - mu[a_plus]
+                    round_regret = gap
             else:
                 if realized:
                     draw()  # the pull itself

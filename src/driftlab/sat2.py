@@ -47,6 +47,17 @@ class TwoCnfFormula:
     def m(self) -> int:
         return len(self.clauses)
 
+    @classmethod
+    def _built(cls, n: int, clauses: tuple[Clause, ...]) -> TwoCnfFormula:
+        """A formula from fields built to the invariants above, unchecked.
+
+        For generators only; outside input goes through the constructor.
+        """
+        formula = object.__new__(cls)
+        object.__setattr__(formula, "n", n)
+        object.__setattr__(formula, "clauses", clauses)
+        return formula
+
 
 def literal_true(lit: Literal, assignment) -> bool:
     var, neg = lit
@@ -60,7 +71,11 @@ def clause_satisfied(clause: Clause, assignment) -> bool:
 def satisfies(formula: TwoCnfFormula, assignment) -> bool:
     if len(assignment) != formula.n:
         raise ValueError("assignment length must equal variable count")
-    return all(clause_satisfied(c, assignment) for c in formula.clauses)
+    # clause_satisfied, inlined: (var, neg) holds when bool(assignment[var]) != neg
+    return all(
+        (assignment[u] != 0) != nu or (assignment[v] != 0) != nv
+        for (u, nu), (v, nv) in formula.clauses
+    )
 
 
 def agreement_count(a, b) -> int:
@@ -122,7 +137,9 @@ def generate_planted(stream: RngStream, n: int, m: int) -> PlantedInstance:
         if witness[u] != nu or witness[v] != nv:
             clauses.append(((u, nu == 1), (v, nv == 1)))
     stream.draw_counter += used
-    return PlantedInstance(formula=TwoCnfFormula(n=n, clauses=tuple(clauses)), witness=witness)
+    # distinct in-range variables and bool flags, as the constructor checks
+    formula = TwoCnfFormula._built(n, tuple(clauses))
+    return PlantedInstance(formula=formula, witness=witness)
 
 
 @dataclass

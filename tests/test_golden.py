@@ -584,6 +584,21 @@ def test_recolour_pick_matches_next_index_through_rejected_words(start):
     assert fast.draw_counter == slow.draw_counter
 
 
+@pytest.mark.parametrize("start", STARTS)
+def test_change_times_match_next_index_through_rejected_words(start):
+    # TOP is rejected for each pool size that is not a power of two, and
+    # limit - 1 is the last word kept for a pool of 29
+    planted = {start + i: TOP for i in range(0, 40, 3)}
+    planted[start + 1] = index_limit(29) - 1
+    fast, slow = _rigged(13, start, planted), _rigged(13, start, planted)
+    pool = list(range(2, 31))
+    for i in range(20):
+        j = i + slow.next_index(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    assert sample_change_times(fast, 30, 20) == tuple(sorted(pool[:20]))
+    assert fast.draw_counter == slow.draw_counter
+
+
 def _lazy_by_scalar_draws(stream, b, x0, delta):
     x, t = x0, 0
     while x > 0:

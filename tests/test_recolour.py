@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.recolour import (
     ColorableGraph,
@@ -49,6 +51,15 @@ def test_graph_validation(kwargs):
 def test_graph_validation_names_the_first_bad_edge(n, edges, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         ColorableGraph(n=n, edges=edges, classes=tuple(v % 3 for v in range(n)))
+
+
+@pytest.mark.parametrize("n, edge_prob", [(3, 1.0), (9, 0.0), (12, 0.7), (30, 0.9)])
+def test_generated_graph_equals_the_validated_one(n, edge_prob):
+    graph = generate_3colorable(RngStream(5), n, edge_prob)
+    checked = ColorableGraph(n, graph.edges, graph.classes)
+    assert checked._adj == graph._adj
+    assert checked == graph
+    assert repr(checked) == repr(graph)
 
 
 def test_generator_extremes():
@@ -119,10 +130,18 @@ def test_run_input_validation():
         run_recolour(TRIANGLE, bytearray([0, 0]), RngStream(1), cap=5)
     with pytest.raises(ValueError):
         run_recolour(TRIANGLE, bytearray([0, 0, 0]), RngStream(1), cap=-1)
+    # the walk keeps one vertex mask per colour, so colours are 0 or 1
+    with pytest.raises(ValueError, match="colours must be 0 or 1"):
+        run_recolour(TRIANGLE, bytearray([0, 2, 0]), RngStream(1), cap=5)
 
 
 def replay_with_recomputed_potential(graph, init, stream, cap, spec):
-    """Re-run the policy naively, recomputing the potential from scratch."""
+    """Re-run the policy naively, rescanning every triple and recomputing
+    the potential from scratch after each flip.
+
+    Returns the final colouring, the potential values and whether a
+    monochromatic triangle is left at the cap.
+    """
     (ca, cb), (col_a, col_b) = spec
     pairing = {ca: col_a, cb: col_b}
 
@@ -135,28 +154,25 @@ def replay_with_recomputed_potential(graph, init, stream, cap, spec):
 
     colouring = bytearray(init)
     values = [potential(colouring)]
-    t = 0
-    while t < cap:
-        tri = naive_triangle(graph, colouring)
-        if tri is None:
-            break
+    while (tri := naive_triangle(graph, colouring)) is not None and len(values) <= cap:
         v = tri[stream.next_index(3)]
         colouring[v] ^= 1
-        t += 1
         values.append(potential(colouring))
-    return colouring, values
+    return colouring, values, tri is not None
+
+
+SPEC = ((0, 1), (0, 1))
 
 
 def test_recorded_potential_matches_scratch_recomputation():
-    spec = ((0, 1), (0, 1))
     for seed in range(6):
         graph = generate_3colorable(RngStream(seed), n=12, edge_prob=0.8)
         init = random_colouring(RngStream(seed, stream_id=3), 12)
         result = run_recolour(
             graph, init, RngStream(seed, stream_id=4), cap=5000, record=True
         )
-        final, values = replay_with_recomputed_potential(
-            graph, init, RngStream(seed, stream_id=4), cap=5000, spec=spec
+        final, values, _ = replay_with_recomputed_potential(
+            graph, init, RngStream(seed, stream_id=4), cap=5000, spec=SPEC
         )
         assert bytes(result.colouring) == bytes(final)
         assert result.trajectory.values == values
@@ -165,3 +181,29 @@ def test_recorded_potential_matches_scratch_recomputation():
             for p, q in zip(result.trajectory.values, result.trajectory.values[1:])
         )
 
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    edge_prob=st.sampled_from([0.0, 0.3, 0.9, 1.0]) | st.floats(0.0, 1.0),
+    cap=st.integers(0, 200),
+    seed=st.integers(0, 2**32),
+    record=st.booleans(),
+)
+def test_resumed_scan_matches_full_rescan_replay(n, edge_prob, cap, seed, record):
+    # the walk resumes its scan after each flip; the replay rescans every
+    # triple from scratch, so both must pick the same triangle at each step
+    graph = generate_3colorable(RngStream(seed), n, edge_prob)
+    init = random_colouring(RngStream(seed, stream_id=1), n)
+    fast, slow = RngStream(seed, stream_id=2), RngStream(seed, stream_id=2)
+    result = run_recolour(graph, init, fast, cap, record=record)
+    colouring, values, censored = replay_with_recomputed_potential(
+        graph, init, slow, cap, SPEC
+    )
+    assert bytes(result.colouring) == bytes(colouring)
+    assert result.iterations == len(values) - 1
+    assert result.censored == censored
+    if record:
+        assert result.trajectory.values == values
+        assert result.trajectory.censored == censored
+    assert fast.draw_counter == slow.draw_counter

@@ -1,13 +1,17 @@
 """Restless two-armed bandit baseline: schedule, challenges, full runs."""
 
 import math
+from dataclasses import astuple
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from driftlab.rng import RngStream
 from driftlab.rwab import (
     MAX_CHALLENGE_ITERATIONS,
     BanditEnv,
+    RegretLedger,
     run_challenge,
     run_rwab,
     sample_change_times,
@@ -58,6 +62,31 @@ def test_change_time_sampling_shapes():
     assert all(2 <= t <= 100 for t in times)
     # replaying the stream reproduces the schedule
     assert times == sample_change_times(RngStream(7), horizon=100, count=12)
+
+
+def fisher_yates_by_next_index(stream, horizon, count):
+    pool = list(range(2, horizon + 1))
+    for i in range(count):
+        j = i + stream.next_index(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(sorted(pool[:count]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    horizon=st.integers(1, 400),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+    start=st.sampled_from([0, 63, 2**40]),
+)
+def test_change_time_sampling_matches_scalar_next_index(horizon, share, seed, start):
+    count = int(share * (horizon - 1))
+    fast = RngStream(seed, stream_id=1, draw_counter=start)
+    slow = RngStream(seed, stream_id=1, draw_counter=start)
+    assert sample_change_times(fast, horizon, count) == fisher_yates_by_next_index(
+        slow, horizon, count
+    )
+    assert fast.draw_counter == slow.draw_counter
 
 
 def test_change_time_sampling_validation():
@@ -138,6 +167,86 @@ def test_run_is_deterministic_and_per_round_off_by_default():
     b = run_rwab(env, RngStream(17))
     assert a == b
     assert a.per_round is None
+
+
+def tuple_comparing_rwab(env, stream, accounting, record_per_round):
+    """run_rwab's policy with scalar draws and per-round bookkeeping.
+
+    Compares the (swapped, a+) pair every round to count sub-eras and
+    re-reads the ranking of a+ on every round, where run_rwab updates both
+    only when a sub-era starts.
+    """
+    ell, horizon = len(env.change_times), env.horizon
+    p = math.sqrt(ell / horizon)
+    s_threshold = math.sqrt(horizon / ell)
+    realized = accounting == "realized"
+    mu = [env.mu1, env.mu2]
+    swapped, a_plus, a_minus = False, 0, 1
+    total = 0.0
+    pulls = swaps = mistakes = sub_eras = 0
+    prev_pair = None
+    per_round = [] if record_per_round else None
+    for clock in range(1, horizon + 1):
+        if clock in env.change_times:
+            mu.reverse()
+            swapped = not swapped
+        if (swapped, a_plus) != prev_pair:
+            sub_eras += 1
+            prev_pair = (swapped, a_plus)
+        if stream.next_uniform() < p:
+            started_correct = mu[a_plus] >= mu[a_minus]
+            out = run_challenge(mu, a_plus, a_minus, stream, s_threshold, accounting)
+            pulls += 2 * out.inner_rounds
+            if out.swap:
+                swaps += 1
+                mistakes += started_correct
+            a_plus, a_minus = out.a_plus, out.a_minus
+            round_regret = out.regret
+        else:
+            pulls += 1
+            round_regret = 0.0
+            if mu[a_plus] < mu[a_minus]:
+                if realized:
+                    r_plus = 1.0 if stream.next_uniform() < mu[a_plus] else 0.0
+                    r_best = 1.0 if stream.next_uniform() < mu[a_minus] else 0.0
+                    round_regret = r_best - r_plus
+                else:
+                    round_regret = mu[a_minus] - mu[a_plus]
+            elif realized:
+                stream.next_u64()  # the pull itself
+        total += round_regret
+        if per_round is not None:
+            per_round.append(round_regret)
+    return RegretLedger(total, swaps, mistakes, ell + 1, sub_eras, horizon, pulls, per_round)
+
+
+means = st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    horizon=st.integers(2, 300),
+    share=st.floats(0.0, 1.0),
+    mu1=means,
+    mu2=means,
+    accounting=st.sampled_from(["mean_gap", "realized"]),
+    record_per_round=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_run_matches_tuple_comparing_loop(
+    horizon, share, mu1, mu2, accounting, record_per_round, seed
+):
+    # a challenge's walk moves with probability q per iteration; keep
+    # challenges short enough for the scalar loop
+    assume(mu1 * (1 - mu2) + mu2 * (1 - mu1) >= 0.05)
+    changes = 1 + int(share * min(horizon - 2, 40))
+    times = sample_change_times(RngStream(seed, stream_id=1000), horizon, changes)
+    env = BanditEnv(horizon=horizon, mu1=mu1, mu2=mu2, change_times=times)
+    fast, slow = RngStream(seed), RngStream(seed)
+    ledger = run_rwab(env, fast, accounting=accounting, record_per_round=record_per_round)
+    expected = tuple_comparing_rwab(env, slow, accounting, record_per_round)
+    assert astuple(ledger) == astuple(expected)
+    assert fast.draw_counter == slow.draw_counter
 
 
 def test_run_requires_a_change_and_a_known_accounting():

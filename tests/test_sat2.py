@@ -1,6 +1,8 @@
 """Clause-repair walk and planted generator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.rng import RngStream
 from driftlab.sat2 import (
@@ -38,6 +40,21 @@ def test_satisfies_checks_every_clause():
         satisfies(XOR_ISH, bytearray([1]))
 
 
+literals = st.tuples(st.integers(0, 5), st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    clauses=st.lists(st.tuples(literals, literals), max_size=12),
+    assignment=st.binary(min_size=6, max_size=6),
+)
+def test_satisfies_agrees_with_clause_satisfied(clauses, assignment):
+    # any nonzero byte is a true variable, as in literal_true
+    formula = TwoCnfFormula(6, tuple(clauses))
+    expected = all(clause_satisfied(c, assignment) for c in formula.clauses)
+    assert satisfies(formula, assignment) == expected
+
+
 def test_formula_validation():
     with pytest.raises(ValueError):
         TwoCnfFormula(n=0, clauses=())
@@ -61,6 +78,15 @@ def test_planted_witness_satisfies_the_formula():
         assert inst.formula.m == 30
         assert satisfies(inst.formula, inst.witness)
         assert all(c[0][0] != c[1][0] for c in inst.formula.clauses)
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (12, 30), (50, 150)])
+def test_generated_formula_equals_the_validated_one(n, m):
+    formula = generate_planted(RngStream(6), n, m).formula
+    checked = TwoCnfFormula(formula.n, formula.clauses)
+    assert checked == formula
+    assert repr(checked) == repr(formula)
+    assert hash(checked) == hash(formula)
 
 
 def test_planted_generation_validation():
