@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 from math import inf, sqrt
 
-from driftlab.rng import RngStream, below
+from driftlab.rng import RngStream, below, index_limit
 from driftlab.trajectory import Trajectory
 
 #: quadrant() return value for points in the optimum region.
@@ -287,8 +287,10 @@ def run_search(
 
     m is the Manhattan distance of the count pair to the optimum; the
     trajectory, when recorded, is m after each step.  The pair is updated
-    in place.  Flip positions come from stream.index_chunks, the block
-    form of the next_index calls rls_pd_step makes.
+    in place.  Flip positions are the next_index(2n) calls rls_pd_step
+    makes, taken from stream.words(): a word at or above index_limit(2n)
+    is rejected and the next one read, a kept word w gives w % 2n, and
+    draw_counter moves once, past the last word used.
 
     Acceptance is the dominance chain reduced to a sign test.  The payoff
     terms move in units of n^3 and the correction terms are O(n^2), so off
@@ -326,27 +328,27 @@ def run_search(
     t = 0
     if lo < m < hi and cap > 0:
         # index draws continue from wherever the stream's earlier draws stopped
-        for chunk, first in stream.index_chunks(2 * n):
-            begin = t
-            for t, pos in zip(range(t + 1, cap + 1), chunk):
-                c = cls[pos]
-                if accept[r + c]:
-                    cls[pos] = c ^ 1
-                    m += dm[r + c]
-                    ox += x_ones[c]
-                    oy += y_ones[c]
-                    r = sx[ox] + sy[oy]
-                    if record:
-                        kept.append((t, m))
-                    if not lo < m < hi:
-                        break
-            else:
-                if t < cap:  # the chunk ran out first
-                    continue
-            # the t - begin values taken from this chunk end at its word
-            # first + t - begin - 1, the last the stream has used
-            stream.draw_counter = first + t - begin - 1
-            break
+        k = 2 * n
+        limit = index_limit(k)
+        words = stream.words()
+        rejected = 0
+        for t, w in zip(range(1, cap + 1), words):
+            while w >= limit:
+                w = next(words)
+                rejected += 1
+            pos = w % k
+            c = cls[pos]
+            if accept[r + c]:
+                cls[pos] = c ^ 1
+                m += dm[r + c]
+                ox += x_ones[c]
+                oy += y_ones[c]
+                r = sx[ox] + sy[oy]
+                if record:
+                    kept.append((t, m))
+                if not lo < m < hi:
+                    break
+        stream.draw_counter += t + rejected
     pair.x[:] = cls[:n]
     pair.y[:] = cls[n:].translate(_MINUS_TWO)
     pair.ones_x, pair.ones_y = ox, oy

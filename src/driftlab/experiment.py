@@ -293,7 +293,8 @@ def _check_rlspd(p: dict, where: str) -> None:
 
 
 def _simulate_rlspd(p, stream, cap, record):
-    payoff = p.get("payoff", "plain")
+    # null, like an omitted key, is the default (see _optional)
+    payoff = p.get("payoff") or "plain"
     result = run_until_opt(_bilinear(p), stream, cap, record=record, payoff=payoff)
     return result.iterations, result.censored, (result.quadrant_at_end,), result.trajectory
 
@@ -333,7 +334,7 @@ def _check_rwab(p: dict, where: str) -> None:
 def _simulate_rwab(p, stream, cap, record):
     times = sample_change_times(stream, p["horizon"], p["changes"])
     env = BanditEnv(horizon=p["horizon"], mu1=p["mu1"], mu2=p["mu2"], change_times=times)
-    ledger = run_rwab(env, stream, accounting=p.get("accounting", "mean_gap"))
+    ledger = run_rwab(env, stream, accounting=p.get("accounting") or "mean_gap")
     return ledger.total_regret, False, (ledger.swaps, ledger.mistakes, ledger.sub_eras), None
 
 

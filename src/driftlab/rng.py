@@ -16,33 +16,20 @@ behave as statistically independent sequences.
 Pure integer arithmetic, no platform-dependent state: the same triple
 yields the same output on every platform and Python build.
 
-Because the n-th word depends on n alone, words can also be computed a
-block at a time (the counter-based design of Random123, Salmon et al.,
-SC'11), and every draw reads them that way.  A stream caches its current
-block: an ``array('Q')`` of words and the position of the first.  Blocks
-start at 64 words and double up to 1024 while draws continue where the
-cached block ends; after ``draw_counter`` jumps the next block starts small
-again, so a short run does not pay for words it never uses.  The scalar
-methods read the cache through ``next_u64``: ``next_uniform`` scales one
-word and ``next_index`` rejects and reduces words.
+Because the n-th word depends on n alone, words are computed a block at
+a time (the counter-based design of Random123, Salmon et al., SC'11).  A
+stream caches its current block; blocks start at 64 words and double up
+to 1024 while draws continue where the cached one ends, and start small
+again after ``draw_counter`` jumps.  The formula above, through
+:func:`_mix64`, stays the reference the cache is tested against.
 
-The kernels draw raw words instead.  ``words()`` is a C-level iterator
-(``chain.from_iterable`` over the blocks) that yields what repeated
-``next_u64()`` calls would.  A Bernoulli(p) draw is ``w < below(p)``, an
-integer bound that holds exactly when ``next_uniform() < p`` would; an
-index in {0..k-1} rejects ``w >= index_limit(k)`` and takes ``w % k``,
-which for k = 2 is ``w & 1``.  ``index_chunks(k)`` yields runs of
-consecutive accepted words, already reduced mod k by a C-level ``map``,
-each with the counter of its first word; one ``max(words) >= limit`` per
-block finds whether any word is rejected, and only then is the block
-split around each rejected word.  The bilinear search
-(``bilinear.run_search``) draws its flip positions this way.  Neither
-iterator moves ``draw_counter``: each kernel counts the words it takes
-and sets the counter once, where it stops, to the value the scalar calls
-would leave, so a stream shared across phases (instance generation, then
-the walk) stays where the scalar path would have left it.  The formula
-above, through :func:`_mix64`, stays the reference the cache is tested
-against.
+The scalar methods read one word at a time: ``next_uniform`` scales one
+word and ``next_index`` rejects and reduces words.  The kernels read raw
+words from ``words()`` and test them against integer bounds: a
+Bernoulli(p) draw is ``w < below(p)``, and an index in {0..k-1} rejects
+``w >= index_limit(k)`` and takes ``w % k``, so each draw equals the
+scalar call's.  ``words()`` never moves ``draw_counter``: a kernel counts
+the words it takes and sets the counter once, where it stops.
 """
 
 from __future__ import annotations
@@ -51,8 +38,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import mod
+from itertools import chain
 from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
@@ -204,50 +190,20 @@ class RngStream:
     def words(self) -> Iterator[int]:
         """Endless iterator over the words repeated next_u64() would return.
 
-        It starts at draw_counter and, like index_chunks(), never moves it:
-        a kernel counts the words it takes and sets draw_counter once,
-        where it stops.  Nothing else may draw from the stream while the
-        iterator is in use; after other draws, make a fresh one (cheap, it
-        starts from the cached block).
+        A C-level chain over the blocks.  It starts at draw_counter and
+        never moves it: a kernel counts the words it takes and sets
+        draw_counter once, where it stops, so a stream shared across phases
+        stays where scalar draws would have left it.  Nothing else may draw
+        from the stream while the iterator is in use; after other draws,
+        make a fresh one (cheap, it starts from the cached block).
         """
         return chain.from_iterable(self._blocks())
-
-    def index_chunks(self, k: int) -> Iterator[tuple[Iterator[int], int]]:
-        """The values repeated next_index(k) calls would return, in runs.
-
-        Yields (values, n): values iterates the next_index(k) results of
-        one run of consecutive words that pass the rejection test, and n is
-        the position the run's first word advances the counter to, so after
-        the i-th value (from 0) of a run draw_counter should be n + i.
-        Runs end at rejected words and at block ends.  Nothing here moves
-        draw_counter: the caller sets it, once, where it stops.  Same
-        single-reader rule as words().
-        """
-        return self._index_chunks(k, index_limit(k))
-
-    def _index_chunks(self, k: int, limit: int) -> Iterator[tuple[Iterator[int], int]]:
-        n = self.draw_counter + 1
-        for words in self._blocks():
-            # limit is 2**64 when k is a power of two: no word is rejected
-            if limit > _MASK64 or max(words) < limit:
-                yield map(mod, words, repeat(k)), n
-            else:
-                # split the block around each rejected word
-                start = 0
-                for i, w in enumerate(words):
-                    if w >= limit:
-                        if i > start:
-                            yield map(mod, words[start:i], repeat(k)), n + start
-                        start = i + 1
-                if start < len(words):
-                    yield map(mod, words[start:], repeat(k)), n + start
-            n += len(words)
 
     def _blocks(self) -> Iterator[array]:
         """The cached words from draw_counter on, then each following block.
 
-        It keeps its own place, so the iterators built on it never revisit
-        a word, whatever draw_counter says meanwhile.
+        It keeps its own place, so words() never revisits a word,
+        whatever draw_counter says meanwhile.
         """
         n = self.draw_counter
         words = self._words

@@ -13,7 +13,6 @@ are bytearrays of 0/1.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import islice
 
@@ -159,10 +158,9 @@ def run_walk(
 ) -> WalkResult:
     """Run the clause-repair walk from ``init`` until satisfied or capped.
 
-    The unsatisfied-clause bookkeeping is incremental: a min-heap of
-    (possibly stale) unsatisfied clause indices gives the lowest-index
-    violated clause without rescanning the formula, and a flip only
-    re-evaluates the clauses containing the flipped variable.
+    A bytearray holds one violated flag per clause, so unsat.find(1) is the
+    lowest-index violated clause, and a flip only re-evaluates the clauses
+    containing the flipped variable.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -182,15 +180,10 @@ def run_walk(
 
     # clause_satisfied, inlined below: a literal (var, neg) holds when
     # bool(assignment[var]) != neg, and bool(byte) is byte != 0
-    unsat = bytearray(formula.m)
-    heap: list[int] = []
-    unsat_count = 0
-    for idx, ((u, nu), (v, nv)) in enumerate(clauses):
-        if (assignment[u] != 0) == nu and (assignment[v] != 0) == nv:
-            unsat[idx] = 1
-            unsat_count += 1
-            heap.append(idx)
-    heapq.heapify(heap)
+    unsat = bytearray(
+        (assignment[u] != 0) == nu and (assignment[v] != 0) == nv
+        for (u, nu), (v, nv) in clauses
+    )
 
     record = reference is not None
     if record:
@@ -200,29 +193,19 @@ def run_walk(
     # next_index(2) on a raw word is w & 1: 2 divides 2**64, nothing is rejected
     draw = stream.words().__next__
     t = 0
-    while unsat_count > 0 and t < cap:
-        while not unsat[heap[0]]:
-            heapq.heappop(heap)  # stale entry: clause got satisfied meanwhile
-        chosen = clauses[heap[0]]
-        var = chosen[draw() & 1][0]
+    while t < cap and (lowest := unsat.find(1)) >= 0:
+        var = clauses[lowest][draw() & 1][0]
         assignment[var] ^= 1
         for idx in occ[var]:
             (u, nu), (v, nv) = clauses[idx]
-            now_sat = (assignment[u] != 0) != nu or (assignment[v] != 0) != nv
-            if now_sat and unsat[idx]:
-                unsat[idx] = 0
-                unsat_count -= 1
-            elif not now_sat and not unsat[idx]:
-                unsat[idx] = 1
-                unsat_count += 1
-                heapq.heappush(heap, idx)
+            unsat[idx] = (assignment[u] != 0) == nu and (assignment[v] != 0) == nv
         t += 1
         if record:
             agree += 1 if bool(assignment[var]) == bool(reference[var]) else -1
             values.append(agree)
 
     stream.draw_counter += t
-    censored = unsat_count > 0
+    censored = unsat.find(1) >= 0
     traj = None
     if record:
         traj = Trajectory(values=values, censored=censored, cap=cap if censored else None)

@@ -711,7 +711,8 @@ def rwab_params():
                 "changes": st.integers(1, horizon - 2),
                 "mu1": st.floats(0.0, 0.4),
                 "mu2": st.floats(0.6, 1.0),
-                "accounting": st.sampled_from(ACCOUNTING_MODES),
+                # null is the default, as for every optional field
+                "accounting": st.sampled_from((*ACCOUNTING_MODES, None)),
             }
         )
     )
@@ -724,13 +725,33 @@ TINY_PARAMS = {
     "recolour": st.fixed_dictionaries(
         {"n": st.integers(3, 7), "edge_prob": st.floats(0.0, 1.0)}
     ),
-    "rlspd": bilinear_params(payoff=st.sampled_from(PAYOFFS)),
+    "rlspd": bilinear_params(payoff=st.sampled_from((*PAYOFFS, None))),
     "rlspd_forgetting": bilinear_params(A=st.floats(0.1, 2.0), B=st.floats(0.1, 2.0)),
     "rwab": rwab_params(),
     "synthetic_fair": walk_params(),
     "synthetic_biased": walk_params(p_up=st.floats(0.5, 1.0, exclude_min=True)),
     "synthetic_lazy": walk_params(delta=st.floats(0.0, 1.0, exclude_min=True)),
 }
+
+
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("rlspd", {"n": 4, "alpha": 0.5, "beta": 0.5}, "payoff"),
+        ("rwab", {"horizon": 20, "changes": 3, "mu1": 0.2, "mu2": 0.8}, "accounting"),
+    ],
+)
+def test_a_null_param_writes_what_an_omitted_one_does(tmp_path, kind, params, key):
+    written = []
+    for name, p in (("omitted", params), ("null", dict(params, **{key: None}))):
+        out = tmp_path / name
+        config_path = tmp_path / f"{name}.json"
+        config = {"kind": kind, "params": p, "runs": 3, "master_seed": 5, "output_dir": str(out)}
+        config_path.write_text(json.dumps(config))
+        assert main(["run", str(config_path)]) in (0, 1)
+        written.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))})
+    assert written[0] == written[1]
+    assert "report.json" in written[0]
 
 
 def test_every_kind_has_tiny_params():

@@ -22,10 +22,19 @@ stream at the end of this file and checked against scalar draws.
 
 import hashlib
 import json
+import math
 
 import pytest
 
-from driftlab.bilinear import BilinearParams, random_pair
+from driftlab.bilinear import (
+    BilinearParams,
+    canonical_opt_pair,
+    manhattan_distance,
+    random_pair,
+    rls_pd_step,
+    run_forgetting,
+    run_until_opt,
+)
 from driftlab.experiment import AnalysisBlock, ExperimentConfig, analyze_files, run_experiment
 from driftlab.recolour import (
     generate_3colorable,
@@ -625,3 +634,59 @@ def test_walk_steps_match_scalar_draws_on_bound_words(delta, start):
     sample, _ = simulate_lazy_walk(fast, 6, 3, delta, 10**6)
     assert sample.stopping_time == _lazy_by_scalar_draws(slow, 6, 3, delta)
     assert fast.draw_counter == slow.draw_counter
+
+
+def _plain_step(params, pair, stream):
+    """One next_index(2n) step under the plain payoff, by its dominance chain."""
+
+    def value(ox, oy):
+        return oy * (ox - params.bn) - params.an * ox
+
+    pos = stream.next_index(2 * params.n)
+    cand = pair.copy()
+    bits = cand.x if pos < params.n else cand.y
+    bits[pos % params.n] ^= 1
+    cand.ones_x, cand.ones_y = sum(cand.x), sum(cand.y)
+    if value(cand.ones_x, pair.ones_y) >= value(cand.ones_x, cand.ones_y) >= value(
+        pair.ones_x, cand.ones_y
+    ):
+        return cand
+    return pair
+
+
+# (mode, threshold): forgetting at n = 6 reaches distance 4 after 72-294
+# steps here and never reaches 6, so that run stops at the cap
+SEARCHES = [("plain", math.inf), ("corrected", math.inf), ("forgetting", 4), ("forgetting", 6)]
+
+
+@pytest.mark.parametrize("mode, hi", SEARCHES)
+@pytest.mark.parametrize("start", STARTS)
+def test_bilinear_search_matches_next_index_through_rejected_words(mode, hi, start):
+    # n = 6 flips one of k = 12 positions; index_limit(12) is 2**64 - 4, so
+    # TOP and limit are rejected and limit - 1 is the last word kept.  Every
+    # other word is planted, and words 1-3 are three rejected words in a row.
+    params = BilinearParams(n=6, alpha=0.5, beta=0.5)
+    limit = index_limit(12)
+    edge = (TOP, limit, limit - 1)
+    planted = {start + i: edge[i // 2 % 3] for i in range(0, 3000, 2)}
+    planted.update({start + i: TOP for i in (1, 2, 3)})
+    fast, slow = _rigged(19, start, planted), _rigged(19, start, planted)
+    cap = 1000
+    if mode == "forgetting":
+        lo = -1
+        result = run_forgetting(params, fast, hi, cap)
+        pair = canonical_opt_pair(params)
+    else:
+        lo = 0
+        pair = random_pair(RngStream(19, stream_id=1), params)
+        result = run_until_opt(params, fast, cap, init=pair.copy(), payoff=mode)
+    step = _plain_step if mode == "plain" else lambda *args: rls_pd_step(*args)[0]
+    t = 0
+    while lo < manhattan_distance(params, pair) < hi and t < cap:
+        pair = step(params, pair, slow)
+        t += 1
+    assert fast.draw_counter - start > result.iterations + 3  # rejected words were met
+    assert result.iterations == t
+    assert (result.pair.x, result.pair.y) == (pair.x, pair.y)
+    assert fast.draw_counter == slow.draw_counter
+    assert fast.next_u64() == slow.next_u64()

@@ -2,7 +2,6 @@
 
 import math
 from functools import partial
-from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -171,14 +170,10 @@ def test_reduced_words_match_scalar_next_index(seed, sid, start, k, taken):
     assert next(words) == scalar.next_u64()
 
 
-def test_index_chunks_reject_bad_k_at_the_call():
-    s = RngStream(master_seed=0)
+def test_index_limit_rejects_bad_k():
     for k in (0, -3, 2.0, (1 << 64) + 1):
         with pytest.raises(ValueError):
-            s.index_chunks(k)
-        with pytest.raises(ValueError):
             index_limit(k)
-    assert s.draw_counter == 0
 
 
 # p at the ends of [0, 1], at the smallest subnormal, at multiples of 2**-53
@@ -317,40 +312,9 @@ def test_words_match_scalar_calls_across_growth_edges(seed, sid, start, warm, k,
     assert block.next_u64() == scalar.next_u64() == oracle.next_u64()
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=MASK),
-    sid=st.integers(min_value=0, max_value=2**32),
-    start=st.sampled_from(GROWTH_EDGES),
-    warm=st.booleans(),
-    k=INDEX_KS,
-    taken=st.integers(min_value=0, max_value=2100),
-)
-@settings(max_examples=80, deadline=None)
-def test_index_chunks_match_scalar_next_index(seed, sid, start, warm, k, taken):
-    block = _stream_at(seed, sid, start, warm)
-    scalar = _stream_at(seed, sid, start, not warm)
-    chunks = block.index_chunks(k)
-    counter = start
-    while taken:
-        values, first = next(chunks)
-        assert block.draw_counter == start  # the chunk form never moves it
-        got = 0
-        for counter, value in zip(range(first, first + taken), values):
-            assert value == scalar.next_index(k)
-            assert counter == scalar.draw_counter
-            got += 1
-        assert got  # no empty chunks
-        taken -= got
-    # stopped after any value: the counter the chunk gave for it is where
-    # scalar draws would have left the stream
-    block.draw_counter = counter
-    assert block.draw_counter == scalar.draw_counter
-    assert block.next_u64() == scalar.next_u64()
-
-
 # one step of an interleaved script: how to draw, k for indices, how many
 STEPS = st.tuples(
-    st.sampled_from(["words", "index_chunks", "next_uniform", "next_index", "jump"]),
+    st.sampled_from(["words", "reduced_words", "next_uniform", "next_index", "jump"]),
     st.sampled_from([2, 3, 2000, 2**63 + 1]),
     st.integers(min_value=0, max_value=700),
 )
@@ -373,14 +337,18 @@ def test_interleaved_iterators_and_scalar_calls_match_formula(seed, sid, script)
             for _ in range(taken):
                 assert next(words) == oracle.next_u64()
             stream.draw_counter += taken
-        elif how == "index_chunks":  # the caller moves the counter to the last value's
-            counted = (
-                pair for chunk, first in stream.index_chunks(k) for pair in zip(count(first), chunk)
-            )
-            counter = stream.draw_counter
-            for counter, value in islice(counted, taken):
-                assert value == oracle.next_index(k)
-            stream.draw_counter = counter
+        elif how == "reduced_words":  # next_index(k) the way the kernels draw it
+            words = stream.words()
+            limit = index_limit(k)
+            used = 0
+            for _ in range(taken):
+                w = next(words)
+                used += 1
+                while w >= limit:
+                    w = next(words)
+                    used += 1
+                assert w % k == oracle.next_index(k)
+            stream.draw_counter += used
         else:
             if how == "next_uniform":
                 draw, reference = stream.next_uniform, oracle.next_uniform

@@ -129,32 +129,40 @@ def test_walk_input_validation():
 
 
 def naive_walk(formula, init, stream, cap):
-    """Same policy with none of the bookkeeping: rescan every clause per step."""
+    """Same policy with none of the bookkeeping: rescan every clause per step.
+
+    Returns the final assignment, the step count and whether a clause is
+    still violated.
+    """
     assignment = bytearray(init)
     t = 0
-    while t < cap:
+    while True:
         chosen = next(
             (c for c in formula.clauses if not clause_satisfied(c, assignment)), None
         )
-        if chosen is None:
-            break
+        if chosen is None or t >= cap:
+            return assignment, t, chosen is not None
         var = chosen[stream.next_index(2)][0]
         assignment[var] ^= 1
         t += 1
-    return assignment, t
 
 
-def test_heap_walk_matches_naive_rescan_walk_draw_for_draw():
+def test_walk_matches_naive_rescan_walk_draw_for_draw():
     for seed in range(12):
         inst = generate_planted(RngStream(seed), n=15, m=45)
         init = random_assignment(RngStream(seed, stream_id=7), 15)
-        cap = 6 * 15 * 15
-        fast = run_walk(inst.formula, init, RngStream(seed, stream_id=8), cap=cap)
-        slow_assignment, slow_t = naive_walk(
-            inst.formula, init, RngStream(seed, stream_id=8), cap=cap
-        )
-        assert bytes(fast.assignment) == bytes(slow_assignment)
-        assert fast.iterations == slow_t
+        _, needed, _ = naive_walk(inst.formula, init, RngStream(seed, stream_id=8), 6 * 15 * 15)
+        # the full run, then caps that stop it before it is satisfied
+        for cap in {6 * 15 * 15, needed - 1, needed // 2}:
+            fast_stream, slow_stream = RngStream(seed, stream_id=8), RngStream(seed, stream_id=8)
+            fast = run_walk(inst.formula, init, fast_stream, cap=cap)
+            slow_assignment, slow_t, slow_censored = naive_walk(
+                inst.formula, init, slow_stream, cap=cap
+            )
+            assert bytes(fast.assignment) == bytes(slow_assignment)
+            assert fast.iterations == slow_t
+            assert fast.censored == slow_censored == (cap < needed)
+            assert fast_stream.draw_counter == slow_stream.draw_counter
 
 
 def test_agreement_trajectory_moves_by_one_per_flip():
