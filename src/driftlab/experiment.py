@@ -122,6 +122,12 @@ def _need(obj: dict, key: str, kinds, where: str):
     return value
 
 
+def _given(obj: dict, key: str, default):
+    """obj[key], or default when the key is omitted or null."""
+    value = obj.get(key)
+    return default if value is None else value
+
+
 def _optional(obj: dict, key: str, kinds, where: str, default):
     if key not in obj or obj[key] is None:
         return default
@@ -155,9 +161,9 @@ class AnalysisBlock:
             raise ConfigError(f"{where}: expected an object, got {obj!r}")
         _reject_unknown(obj, {f.name for f in fields(cls)}, where)
         k_list = number_list(
-            obj.get("k_list", list(DEFAULT_K_LIST)), f"{where}.k_list", positive=True
+            _given(obj, "k_list", list(DEFAULT_K_LIST)), f"{where}.k_list", positive=True
         )
-        tau_grid = number_list(obj.get("tau_grid", []), f"{where}.tau_grid")
+        tau_grid = number_list(_given(obj, "tau_grid", []), f"{where}.tau_grid")
         confidence = _optional(obj, "confidence", float, where, DEFAULT_CONFIDENCE)
         if not 0.0 < confidence < 1.0:
             raise ConfigError(f"{where}.confidence: must lie strictly between 0 and 1")
@@ -419,10 +425,10 @@ class ExperimentConfig:
         workers = _optional(obj, "workers", int, "config", 1)
         if workers < 1:
             raise ConfigError("config.workers: must be at least 1")
-        params = obj.get("params", {})
+        params = _given(obj, "params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"config.params: expected an object, got {params!r}")
-        analysis = AnalysisBlock.from_dict(obj.get("analysis", {}))
+        analysis = AnalysisBlock.from_dict(_given(obj, "analysis", {}))
         entry = KINDS[kind]
         try:
             entry.check(params, "config.params")
@@ -436,7 +442,8 @@ class ExperimentConfig:
             raise ConfigError(f"config.record_trajectories: {kind} records no trajectories")
         return cls(
             kind=kind,
-            params=dict(params),
+            # a null param is the default, as for every optional field
+            params={k: v for k, v in params.items() if v is not None},
             runs=runs,
             master_seed=master_seed,
             output_dir=output_dir,

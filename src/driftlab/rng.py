@@ -16,12 +16,12 @@ behave as statistically independent sequences.
 Pure integer arithmetic, no platform-dependent state: the same triple
 yields the same output on every platform and Python build.
 
-Because the n-th word depends on n alone, words are computed a block at
-a time (the counter-based design of Random123, Salmon et al., SC'11).  A
-stream caches its current block; blocks start at 64 words and double up
-to 1024 while draws continue where the cached one ends, and start small
-again after ``draw_counter`` jumps.  The formula above, through
-:func:`_mix64`, stays the reference the cache is tested against.
+Because the n-th word depends on n alone, a stream holds nothing but its
+triple and the key derived from it (the counter-based design of
+Random123, Salmon et al., SC'11).
+``next_u64`` computes the formula above for one word.  Each ``words()``
+iterator computes its own blocks from the counter it started at: 64
+words, then doubling up to 1024, and 1024 from then on.
 
 The scalar methods read one word at a time: ``next_uniform`` scales one
 word and ``next_index`` rejects and reduces words.  The kernels read raw
@@ -119,24 +119,29 @@ def index_limit(k: int) -> int:
     return (1 << 64) - ((1 << 64) % k)
 
 
+def _blocks(key: int, n: int) -> Iterator[array]:
+    """The blocks of words drawn after position n: 64 words, doubling up to _BLOCK."""
+    size = _MIN_BLOCK
+    while True:
+        yield _block(key, n, size)
+        n += size
+        size = min(2 * size, _BLOCK)
+
+
 @dataclass
 class RngStream:
     """One replication's private random stream.
 
     master_seed identifies the experiment, stream_id the replication within
     it, draw_counter the position in the stream.  Identical triples produce
-    identical draws; the counter advances by one per raw 64-bit word drawn.
-    The cached block (_words[i] is the word drawn at position _first + i)
-    only speeds draws up: it is left out of equality and repr, and
-    draw_counter may be reassigned at any time.
+    identical draws; the counter advances by one per raw 64-bit word drawn,
+    and it may be reassigned at any time.
     """
 
     master_seed: int
     stream_id: int = 0
     draw_counter: int = 0
     _key: int = field(init=False, repr=False)
-    _words: array = field(init=False, repr=False, compare=False)
-    _first: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id", "draw_counter"):
@@ -144,32 +149,11 @@ class RngStream:
             if not isinstance(v, int) or not 0 <= v <= _MASK64:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
         self._key = _mix64((self.master_seed + (self.stream_id + 1) * _GOLDEN) & _MASK64)
-        self._words = array("Q")
-        self._first = 0
-
-    def _fill(self, n: int) -> array:
-        """Cache and return the block of words drawn after position n.
-
-        The block doubles (up to _BLOCK) when it continues the cached one
-        and is _MIN_BLOCK words after a jump.
-        """
-        cached = len(self._words)
-        size = _MIN_BLOCK
-        if n == self._first + cached:
-            size = min(max(2 * cached, _MIN_BLOCK), _BLOCK)
-        self._words = words = _block(self._key, n, size)
-        self._first = n
-        return words
 
     def next_u64(self) -> int:
         """Next raw 64-bit word; advances the counter by exactly 1."""
-        n = self.draw_counter
-        words = self._words
-        i = n - self._first
-        if not 0 <= i < len(words):
-            words, i = self._fill(n), 0
-        self.draw_counter = n + 1
-        return words[i]
+        self.draw_counter = n = self.draw_counter + 1
+        return _mix64((self._key + n * _GOLDEN) & _MASK64)
 
     def next_uniform(self) -> float:
         """Uniform float in [0, 1) with 53-bit resolution; one word consumed."""
@@ -190,27 +174,11 @@ class RngStream:
     def words(self) -> Iterator[int]:
         """Endless iterator over the words repeated next_u64() would return.
 
-        A C-level chain over the blocks.  It starts at draw_counter and
-        never moves it: a kernel counts the words it takes and sets
-        draw_counter once, where it stops, so a stream shared across phases
-        stays where scalar draws would have left it.  Nothing else may draw
-        from the stream while the iterator is in use; after other draws,
-        make a fresh one (cheap, it starts from the cached block).
+        A C-level chain over the blocks from draw_counter on.  It keeps its
+        own place and never moves draw_counter: a kernel counts the words
+        it takes and sets draw_counter once, where it stops, so a stream
+        shared across phases stays where scalar draws would have left it.
+        Nothing else may draw from the stream while the iterator is in use;
+        after other draws, make a fresh one.
         """
-        return chain.from_iterable(self._blocks())
-
-    def _blocks(self) -> Iterator[array]:
-        """The cached words from draw_counter on, then each following block.
-
-        It keeps its own place, so words() never revisits a word,
-        whatever draw_counter says meanwhile.
-        """
-        n = self.draw_counter
-        words = self._words
-        i = n - self._first
-        if not 0 <= i < len(words):
-            words, i = self._fill(n), 0
-        while True:
-            yield words[i:] if i else words
-            n += len(words) - i
-            words, i = self._fill(n), 0
+        return chain.from_iterable(_blocks(self._key, self.draw_counter))

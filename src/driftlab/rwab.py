@@ -228,7 +228,6 @@ def run_rwab(
     # only then can the ranking of a+ and the plain-round gap change.
     fresh = True
     per_round: list[float] | None = [] if record_per_round else None
-    plain_rounds = challenge_rounds = 0
     realized = accounting == "realized"
     draw = stream.words().__next__
     used = horizon  # words: one challenge test per round, plus the pulls below
@@ -244,7 +243,6 @@ def run_rwab(
             gap = mu[a_minus] - mu[a_plus]
             fresh = False
         if draw() < challenge:
-            challenge_rounds += 1
             out = _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, realized)
             pulls += 2 * out.inner_rounds
             used += 2 * out.inner_rounds
@@ -258,7 +256,6 @@ def run_rwab(
             a_plus, a_minus = out.a_plus, out.a_minus
             round_regret = out.regret
         else:
-            plain_rounds += 1
             pulls += 1
             if misranked:
                 if realized:
@@ -278,11 +275,6 @@ def run_rwab(
             per_round.append(round_regret)
     stream.draw_counter += used
 
-    if plain_rounds + challenge_rounds != horizon:
-        raise AssertionError(
-            f"clock leak: {plain_rounds} plain + {challenge_rounds} challenge "
-            f"rounds over a horizon of {horizon}"
-        )
     return RegretLedger(
         total_regret=total,
         swaps=swaps,

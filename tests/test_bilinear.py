@@ -254,12 +254,13 @@ SEARCH_PARAMS = {4: (0.5, 0.5), 6: (1 / 3, 2 / 3), 10: (0.3, 0.6), 20: (0.75, 0.
     mode=st.sampled_from(["plain", "corrected", "forgetting"]),
     threshold=st.sampled_from([1, 2, 2.5, 3, 4.5]),
     record=st.booleans(),
-    cap=st.sampled_from([63, 64, 65, 1023, 1024, 1025]),
+    cap=st.sampled_from([63, 64, 65, 959, 960, 961, 1023, 1024, 1025]),
     start=st.sampled_from([0, 1, 960]),
 )
 def test_search_matches_iterated_single_steps(seed, n, mode, threshold, record, cap, start):
-    # a stream warmed to word 960 draws words 960..1983 as one block, so a
-    # cap of 1024 ends on a block edge there, and 64 does from word 0
+    # the search's words() iterator draws blocks of 64, 128, 256, 512 and
+    # 1024 words from wherever it starts, so caps of 64 and 960 end on a
+    # block edge when no word is rejected
     params = BilinearParams(n, *SEARCH_PARAMS[n])
     step = plain_step if mode == "plain" else (lambda *args: rls_pd_step(*args)[0])
     if mode == "forgetting":

@@ -754,6 +754,71 @@ def test_a_null_param_writes_what_an_omitted_one_does(tmp_path, kind, params, ke
     assert "report.json" in written[0]
 
 
+# a config that sets every optional key, per kind
+FULL_CONFIGS = {
+    "rlspd": {
+        "kind": "rlspd",
+        "params": {"n": 4, "alpha": 0.5, "beta": 0.5, "payoff": "corrected"},
+        "runs": 3,
+        "master_seed": 5,
+        "output_dir": "out",
+        "cap": 50,
+        "record_trajectories": True,
+        "workers": 2,
+        "analysis": {
+            "k_list": [0.5, 3.0],
+            "tau_grid": [1.0, 5.0],
+            "confidence": 0.9,
+            "bound": {"kind": "Additive", "b": 10.0, "x0": 0.0, "epsilon": 1.0},
+            "histogram_bins": 3,
+        },
+    },
+    "rwab": {
+        "kind": "rwab",
+        "params": {"horizon": 20, "changes": 3, "mu1": 0.2, "mu2": 0.8, "accounting": "mean_gap"},
+        "runs": 3,
+        "master_seed": 5,
+        "output_dir": "out",
+    },
+}
+
+
+def _parsed(obj):
+    """The config obj parses to, or the message it is rejected with."""
+    try:
+        return ExperimentConfig.from_dict(obj)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "kind, path",
+    [
+        ("rlspd", "cap"),
+        ("rlspd", "record_trajectories"),
+        ("rlspd", "workers"),
+        ("rlspd", "params"),
+        ("rlspd", "params.payoff"),
+        ("rwab", "params.accounting"),
+        ("rlspd", "analysis"),
+        ("rlspd", "analysis.k_list"),
+        ("rlspd", "analysis.tau_grid"),
+        ("rlspd", "analysis.confidence"),
+        ("rlspd", "analysis.bound"),
+        ("rlspd", "analysis.histogram_bins"),
+    ],
+)
+def test_a_null_optional_key_parses_as_an_omitted_one(kind, path):
+    configs = omitted, null = [json.loads(json.dumps(FULL_CONFIGS[kind])) for _ in range(2)]
+    *outer, key = path.split(".")
+    for name in outer:
+        omitted, null = omitted[name], null[name]
+    del omitted[key]
+    null[key] = None
+    assert isinstance(_parsed(FULL_CONFIGS[kind]), ExperimentConfig)
+    assert _parsed(configs[1]) == _parsed(configs[0])
+
+
 def test_every_kind_has_tiny_params():
     assert set(TINY_PARAMS) == set(KINDS)
 

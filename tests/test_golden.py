@@ -11,18 +11,19 @@ that stood in for those calls.  So a change that moves any output, or
 leaves a stream at another position, fails here even though criterion 11
 (reruns of the same code) would still pass.
 
-Each case runs from a chosen start counter (0, inside the first cached
-block, or far along the stream) and pins its headline number, the first
-16 hex digits of the sha256 of the canonical JSON of all its outputs, and
-the stream's final ``draw_counter``.  Every walk case also runs without
-recording and must stop at the same step and word.  Words the pins never
-meet (rejected index words, words on a Bernoulli bound) are planted in a
-stream at the end of this file and checked against scalar draws.
+Each case runs from a chosen start counter (0, 40 or far along the
+stream) and pins its headline number, the first 16 hex digits of the
+sha256 of the canonical JSON of all its outputs, and the stream's final
+``draw_counter``.  Every walk case also runs without recording and must
+stop at the same step and word.  Words the pins never meet (rejected
+index words, words on a Bernoulli bound) are planted in a stream at the
+end of this file and checked against scalar draws.
 """
 
 import hashlib
 import json
 import math
+from itertools import count
 
 import pytest
 
@@ -528,20 +529,19 @@ def test_reanalysis_with_an_overflowing_step_tail_is_byte_equal(tmp_path):
 # were computed with.
 
 
-def _rigged(seed, start, planted):
+class _Rigged(RngStream):
     """A stream whose word at each position in planted (position -> word) is replaced."""
-    stream = RngStream(master_seed=seed, stream_id=17, draw_counter=start)
-    fill = stream._fill
 
-    def rigged_fill(n):
-        words = fill(n)
-        for pos, w in planted.items():
-            if 0 <= pos - n < len(words):
-                words[pos - n] = w
-        return words
+    def __init__(self, seed, start, planted):
+        super().__init__(master_seed=seed, stream_id=17, draw_counter=start)
+        self.planted = planted
 
-    stream._fill = rigged_fill
-    return stream
+    def next_u64(self):
+        n = self.draw_counter
+        return self.planted.get(n, super().next_u64())
+
+    def words(self):
+        return map(self.planted.get, count(self.draw_counter), super().words())
 
 
 TOP = (1 << 64) - 1
@@ -569,7 +569,7 @@ def test_generate_planted_matches_scalar_draws_through_rejected_words(n, start):
     edge = [TOP, limit - 1, limit, None]
     planted = {start + n + i: edge[i % 4] for i in range(300) if i % 3 and edge[i % 4] is not None}
     planted[start] = below(0.5)  # the first witness bit, on its bound
-    fast, slow = _rigged(5, start, planted), _rigged(5, start, planted)
+    fast, slow = _Rigged(5, start, planted), _Rigged(5, start, planted)
     instance = generate_planted(fast, n, 40)
     assert (instance.witness, instance.formula.clauses) == _planted_by_scalar_draws(slow, n, 40)
     assert fast.draw_counter == slow.draw_counter
@@ -583,7 +583,7 @@ def test_recolour_pick_matches_next_index_through_rejected_words(start):
     # index_limit(3) is 2**64 - 1: TOP is the one rejected word
     planted = {start + i: TOP for i in range(0, 60, 4)}
     planted.update({start + i: TOP - 1 for i in range(1, 60, 8)})
-    fast, slow = _rigged(7, start, planted), _rigged(7, start, planted)
+    fast, slow = _Rigged(7, start, planted), _Rigged(7, start, planted)
     result = run_recolour(graph, init, fast, 1000)
     colouring, t = bytearray(init), 0
     while (tri := seek_monochromatic_triangle(graph, colouring)) is not None:
@@ -599,7 +599,7 @@ def test_change_times_match_next_index_through_rejected_words(start):
     # limit - 1 is the last word kept for a pool of 29
     planted = {start + i: TOP for i in range(0, 40, 3)}
     planted[start + 1] = index_limit(29) - 1
-    fast, slow = _rigged(13, start, planted), _rigged(13, start, planted)
+    fast, slow = _Rigged(13, start, planted), _Rigged(13, start, planted)
     pool = list(range(2, 31))
     for i in range(20):
         j = i + slow.next_index(len(pool) - i)
@@ -630,7 +630,7 @@ def test_walk_steps_match_scalar_draws_on_bound_words(delta, start):
     bounds = (below(delta / 2.0), below(delta))
     edges = [w for bound in bounds for w in (bound, bound - 1) if w <= TOP]
     planted = {start + i: edges[i // 2 % len(edges)] for i in range(0, 4000, 2)}
-    fast, slow = _rigged(11, start, planted), _rigged(11, start, planted)
+    fast, slow = _Rigged(11, start, planted), _Rigged(11, start, planted)
     sample, _ = simulate_lazy_walk(fast, 6, 3, delta, 10**6)
     assert sample.stopping_time == _lazy_by_scalar_draws(slow, 6, 3, delta)
     assert fast.draw_counter == slow.draw_counter
@@ -670,7 +670,7 @@ def test_bilinear_search_matches_next_index_through_rejected_words(mode, hi, sta
     edge = (TOP, limit, limit - 1)
     planted = {start + i: edge[i // 2 % 3] for i in range(0, 3000, 2)}
     planted.update({start + i: TOP for i in (1, 2, 3)})
-    fast, slow = _rigged(19, start, planted), _rigged(19, start, planted)
+    fast, slow = _Rigged(19, start, planted), _Rigged(19, start, planted)
     cap = 1000
     if mode == "forgetting":
         lo = -1

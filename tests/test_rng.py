@@ -1,13 +1,15 @@
 """Determinism and distribution checks for the counter-based streams."""
 
 import math
+import pickle
 from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.rng import RngStream, _GOLDEN, _mix64, below, index_limit
+from driftlab.rng import RngStream, _GOLDEN, _blocks, _mix64, below, index_limit
 
 MASK = (1 << 64) - 1
 
@@ -206,7 +208,7 @@ def test_below_at_the_ends_of_the_unit_interval():
 
 @pytest.mark.parametrize("start, drawn", [(0, 0), (0, 40), (0, 1000), (10**15, 0), (10**15, 77)])
 def test_words_match_repeated_next_u64(start, drawn):
-    # drawn > 0: the stream has cached a block and words() starts inside it
+    # drawn > 0: scalar draws come before the iterator
     block = RngStream(master_seed=2024, stream_id=9, draw_counter=start)
     for _ in range(drawn):
         block.next_u64()
@@ -219,9 +221,9 @@ def test_words_match_repeated_next_u64(start, drawn):
 
 
 # ---------------------------------------------------------------------------
-# The cached block path against the defining formula.  A fresh stream that
-# draws sequentially fills blocks of 64, 128, 256, 512, 1024, 1024, ...
-# words, starting at these positions; each edge is tested from both sides.
+# The block path against the defining formula.  A words() iterator draws
+# blocks of 64, 128, 256, 512, 1024, 1024, ... words, starting at these
+# offsets from where it starts; each edge is tested from both sides.
 GROWTH_EDGES = [0, 63, 64, 191, 192, 447, 448, 959, 960, 1983, 1984]
 
 
@@ -245,16 +247,6 @@ class FormulaStream:
             w = self.next_u64()
             if w < limit:
                 return w % k
-
-
-def _stream_at(seed, sid, start, warm):
-    """A stream at position start; warm streams got there by drawing from 0."""
-    if not warm:
-        return RngStream(master_seed=seed, stream_id=sid, draw_counter=start)
-    stream = RngStream(master_seed=seed, stream_id=sid)
-    for _ in range(start):
-        stream.next_u64()
-    return stream
 
 
 @given(
@@ -286,14 +278,13 @@ def test_next_u64_matches_formula_at_reassigned_positions(seed, sid, positions, 
     seed=st.integers(min_value=0, max_value=MASK),
     sid=st.integers(min_value=0, max_value=2**32),
     start=st.sampled_from(GROWTH_EDGES),
-    warm=st.booleans(),
     k=st.one_of(st.none(), INDEX_KS),
     taken=st.integers(min_value=0, max_value=2100),
 )
 @settings(max_examples=60, deadline=None)
-def test_words_match_scalar_calls_across_growth_edges(seed, sid, start, warm, k, taken):
-    block = _stream_at(seed, sid, start, warm)
-    scalar = _stream_at(seed, sid, start, not warm)
+def test_words_match_scalar_calls_across_growth_edges(seed, sid, start, k, taken):
+    block = RngStream(master_seed=seed, stream_id=sid, draw_counter=start)
+    scalar = RngStream(master_seed=seed, stream_id=sid, draw_counter=start)
     oracle = FormulaStream(seed, sid, start)
     words = block.words()
     if k is None:
@@ -361,28 +352,25 @@ def test_interleaved_iterators_and_scalar_calls_match_formula(seed, sid, script)
     assert stream.next_u64() == oracle.next_u64()
 
 
-def test_equality_ignores_the_cached_block():
-    a = RngStream(master_seed=42, stream_id=3)
-    b = RngStream(master_seed=42, stream_id=3)
-    for _ in range(500):
-        a.next_u64()
-    a.draw_counter = 0  # a caches words 448..959, b caches nothing
-    assert a == b
-    assert repr(a) == repr(b)
-    b.next_u64()
-    assert a != b
-    a.next_u64()
-    assert a == b
+def test_a_stream_that_has_drawn_equals_a_fresh_one_at_its_counter():
+    drawn = RngStream(master_seed=42, stream_id=3)
+    drawn.next_u64()
+    drawn.next_uniform()
+    drawn.next_index(2**63 + 1)
+    assert len(list(islice(drawn.words(), 1000))) == 1000
+    drawn.draw_counter += 1000  # counted as a kernel does
+    fresh = RngStream(master_seed=42, stream_id=3, draw_counter=drawn.draw_counter)
+    assert drawn == fresh
+    assert repr(drawn) == repr(fresh)
+    assert pickle.dumps(drawn) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(drawn)) == fresh
+    fresh.next_u64()
+    assert drawn != fresh
+    drawn.next_u64()
+    assert drawn == fresh
 
 
-def test_block_sizes_grow_while_sequential_and_restart_after_a_jump():
-    s = RngStream(master_seed=5)
-    sizes = []
-    for _ in range(2100):
-        s.next_u64()
-        if s.draw_counter - 1 == s._first:  # the word just drawn opened a block
-            sizes.append(len(s._words))
-    assert sizes == [64, 128, 256, 512, 1024, 1024]
-    s.draw_counter = 10
-    s.next_u64()
-    assert (s._first, len(s._words)) == (10, 64)
+@pytest.mark.parametrize("start", [0, 10, 1984, MASK - 3000])
+def test_blocks_double_from_64_to_1024_from_any_start(start):
+    key = RngStream(master_seed=5)._key
+    assert [len(b) for b in islice(_blocks(key, start), 6)] == [64, 128, 256, 512, 1024, 1024]
