@@ -809,14 +809,15 @@ def _parsed(obj):
     ],
 )
 def test_a_null_optional_key_parses_as_an_omitted_one(kind, path):
-    configs = omitted, null = [json.loads(json.dumps(FULL_CONFIGS[kind])) for _ in range(2)]
+    omitted, null = (json.loads(json.dumps(FULL_CONFIGS[kind])) for _ in range(2))
     *outer, key = path.split(".")
+    holders = [omitted, null]
     for name in outer:
-        omitted, null = omitted[name], null[name]
-    del omitted[key]
-    null[key] = None
+        holders = [holder[name] for holder in holders]
+    del holders[0][key]
+    holders[1][key] = None
     assert isinstance(_parsed(FULL_CONFIGS[kind]), ExperimentConfig)
-    assert _parsed(configs[1]) == _parsed(configs[0])
+    assert _parsed(null) == _parsed(omitted)
 
 
 def test_every_kind_has_tiny_params():
