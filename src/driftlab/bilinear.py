@@ -11,25 +11,22 @@ the optimum region is |x| = beta*n and |y| = alpha*n.
 
 The search accepts a mutation when the candidate pairwise-dominates the
 incumbent: g(x1, y2) >= g(x1, y1) >= g(x2, y1) for candidate (x1, y1) and
-incumbent (x2, y2).  All comparisons run on the integer-scaled value
-n^3 * g, which is exact, so acceptance never hinges on float rounding.
+incumbent (x2, y2).  Taken on the integer-scaled value n^3 * g, the
+chain is exact, so acceptance never hinges on float rounding.
 
 run_search is the one search loop: it flips one position per step while
 the Manhattan distance m to the optimum satisfies lo < m < hi, up to a
-cap.  run_until_opt runs it until m = 0 (optimum hitting), run_forgetting
-from the optimum until m reaches a threshold (forgetting).  The loop
-knows two payoffs: "corrected" is g above, the payoff that
-bilinear_value, dominates and rls_pd_step use; "plain" drops the
-correction terms and ranks by the bare objective
+cap.  run_until_opt runs it from a drawn pair until m = 0 (optimum
+hitting), run_forgetting from the optimum until m reaches a threshold
+(forgetting).  The loop knows two payoffs: "corrected" is g above;
+"plain" drops the correction terms and ranks by the bare objective
 |y|(|x| - beta*n) - alpha*n*|x| alone.  Under the plain payoff every
 flip along the target row |y| = alpha*n (or column |x| = beta*n) ties
 and is accepted, so the approach to the optimum mixes ratchet phases
 with long unbiased excursions and the hitting times come out severalfold
 larger; the plain payoff is run_until_opt's default because its
 hitting-time statistics are the ones the optimum-hitting experiment
-reports.  Forgetting always runs the corrected payoff.  rls_pd_step and
-dominates stay as the exact single-step oracles the loop is tested
-against.
+reports.  Forgetting always runs the corrected payoff.
 
 Whether a flip is kept depends only on the region of the count pair,
 (sign(|x| - beta*n), sign(|y| - alpha*n)), and on the class of the
@@ -110,16 +107,6 @@ class SearchPair:
     ones_x: int
     ones_y: int
 
-    @classmethod
-    def from_bits(cls, x, y) -> "SearchPair":
-        x, y = bytearray(x), bytearray(y)
-        if any(b not in (0, 1) for b in x) or any(b not in (0, 1) for b in y):
-            raise ValueError("bit vectors must hold only 0/1")
-        return cls(x=x, y=y, ones_x=sum(x), ones_y=sum(y))
-
-    def copy(self) -> "SearchPair":
-        return SearchPair(bytearray(self.x), bytearray(self.y), self.ones_x, self.ones_y)
-
 
 def random_pair(stream: RngStream, params: BilinearParams) -> SearchPair:
     """Uniform bits, x first: a bit is 1 when its word is below below(0.5)."""
@@ -143,32 +130,6 @@ def canonical_opt_pair(params: BilinearParams) -> SearchPair:
     return SearchPair(x=x, y=y, ones_x=params.bn, ones_y=params.an)
 
 
-def _scaled_value(params: BilinearParams, ox: int, oy: int) -> int:
-    """n^3 * g as an exact integer."""
-    n3 = params.n**3
-    base = oy * (ox - params.bn) - params.an * ox
-    e1 = max((params.an - oy) ** 2, 1)
-    e2 = max((params.bn - ox) ** 2, 1)
-    return base * n3 + e1 - e2
-
-
-def bilinear_value(params: BilinearParams, pair: SearchPair) -> float:
-    """g(x, y) as a float; exact comparisons should use dominates()."""
-    return _scaled_value(params, pair.ones_x, pair.ones_y) / params.n**3
-
-
-def dominates(params: BilinearParams, cand: SearchPair, inc: SearchPair) -> bool:
-    """Pairwise dominance of the candidate over the incumbent."""
-    a = _scaled_value(params, cand.ones_x, inc.ones_y)
-    b = _scaled_value(params, cand.ones_x, cand.ones_y)
-    c = _scaled_value(params, inc.ones_x, cand.ones_y)
-    return a >= b >= c
-
-
-def manhattan_distance(params: BilinearParams, pair: SearchPair) -> int:
-    return abs(params.bn - pair.ones_x) + abs(params.an - pair.ones_y)
-
-
 def quadrant(params: BilinearParams, pair: SearchPair) -> int:
     """Side of the optimum a pair sits on: AT_OPTIMUM or 1..4.
 
@@ -188,39 +149,6 @@ def quadrant(params: BilinearParams, pair: SearchPair) -> int:
     if ox >= bn and oy <= an:
         return 3
     return 4
-
-
-def rls_pd_step(
-    params: BilinearParams, pair: SearchPair, stream: RngStream
-) -> tuple[SearchPair, bool]:
-    """One mutation-and-test step, in place.
-
-    Flips one of the 2n positions uniformly, keeps the flip iff the
-    mutated pair dominates the incumbent, otherwise restores it.  Returns
-    the (possibly unchanged) pair and whether the flip was kept.
-    """
-    n = params.n
-    pos = stream.next_index(2 * n)
-    inc_ox, inc_oy = pair.ones_x, pair.ones_y
-    if pos < n:
-        pair.x[pos] ^= 1
-        pair.ones_x += 1 if pair.x[pos] else -1
-    else:
-        pair.y[pos - n] ^= 1
-        pair.ones_y += 1 if pair.y[pos - n] else -1
-    a = _scaled_value(params, pair.ones_x, inc_oy)
-    b = _scaled_value(params, pair.ones_x, pair.ones_y)
-    c = _scaled_value(params, inc_ox, pair.ones_y)
-    if a >= b >= c:
-        return pair, True
-    # dominance failed: undo the flip
-    if pos < n:
-        pair.x[pos] ^= 1
-        pair.ones_x = inc_ox
-    else:
-        pair.y[pos - n] ^= 1
-        pair.ones_y = inc_oy
-    return pair, False
 
 
 @dataclass
@@ -287,8 +215,8 @@ def run_search(
 
     m is the Manhattan distance of the count pair to the optimum; the
     trajectory, when recorded, is m after each step.  The pair is updated
-    in place.  Flip positions are the next_index(2n) calls rls_pd_step
-    makes, taken from stream.words(): a word at or above index_limit(2n)
+    in place.  Flip positions are next_index(2n) draws taken from
+    stream.words(): a word at or above index_limit(2n)
     is rejected and the next one read, a kept word w gives w % 2n, and
     draw_counter moves once, past the last word used.
 
@@ -299,9 +227,8 @@ def run_search(
     |x| = beta*n a y-flip is kept iff (beta*n - |x|) * d > 0.  On the row
     (column) the plain payoff ties, so it keeps every flip; the corrected
     one keeps a flip iff it stays on the E2 (E1) plateau:
-    |beta*n - new| <= max(|beta*n - old|, 1).  Tests pin this rule to
-    rls_pd_step and to the plain dominance chain at every count pair and
-    flip position.
+    |beta*n - new| <= max(|beta*n - old|, 1).  Tests pin this rule to the
+    dominance chain of each payoff at every count pair and flip position.
 
     The rule depends only on the region (sign(|x| - beta*n),
     sign(|y| - alpha*n)) and on the flipped position's class (an x or a y
@@ -381,11 +308,10 @@ def run_until_opt(
     params: BilinearParams,
     stream: RngStream,
     cap: int,
-    init: SearchPair | None = None,
     record: bool = False,
     payoff: str = "plain",
 ) -> BilinearRunResult:
-    """Search from init (or a drawn pair) until the optimum region or cap.
+    """Search from a drawn pair until the optimum region or cap.
 
     payoff picks the acceptance ranking: "plain" compares the bare
     objective, "corrected" the objective with its tie-breaking terms (see
@@ -395,7 +321,7 @@ def run_until_opt(
         raise ValueError("cap must be nonnegative")
     if payoff not in PAYOFFS:
         raise ValueError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
-    pair = random_pair(stream, params) if init is None else init
+    pair = random_pair(stream, params)
     return run_search(params, stream, pair, cap, 0, inf, payoff == "plain", record)
 
 

@@ -485,12 +485,17 @@ def _run_replication_star(args) -> Replication:
 
 
 def collect(config: ExperimentConfig) -> list[Replication]:
-    """Execute all replications, in parallel if configured, in run_id order."""
+    """Execute all replications, in parallel if configured, in run_id order.
+
+    The pool has min(workers, runs, cpu_count) processes, since a fork pool
+    starts all of them at its first submit; at one, the runs are serial.
+    """
     ids = range(config.runs)
-    if config.workers <= 1 or config.runs == 1:
+    workers = min(config.workers, config.runs, os.cpu_count() or 1)
+    if workers == 1:
         return [run_replication(config, i) for i in ids]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        chunk = max(1, config.runs // (config.workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, config.runs // (workers * 8))
         return list(
             pool.map(_run_replication_star, [(config, i) for i in ids], chunksize=chunk)
         )

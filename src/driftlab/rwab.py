@@ -18,9 +18,10 @@ realized reward difference: inside a challenge the better arm's draw is
 already in hand, on plain rounds a counterfactual draw stands in for it.
 Both modes agree in expectation.
 
-Era/sub-era bookkeeping: the L changes cut the horizon into L + 1 eras;
-sub-eras are the maximal round intervals on which both the mean assignment
-and the preferred arm are constant.
+Sub-era bookkeeping: the L changes cut the horizon into L + 1 eras, and
+sub-eras are the maximal round intervals on which both the mean
+assignment and the preferred arm are constant, so a run has at least
+L + 1 of them and at most L + 1 + swaps.
 """
 
 from __future__ import annotations
@@ -86,30 +87,34 @@ class BanditEnv:
 def sample_change_times(stream: RngStream, horizon: int, count: int) -> tuple[int, ...]:
     """count distinct rounds drawn uniformly from {2, ..., horizon}, sorted.
 
-    Partial Fisher-Yates over the candidate range, so count close to the
-    maximum works as well as count = 0 (empty schedule).
+    Partial Fisher-Yates over the candidate pool {2, ..., horizon}, so count
+    close to the maximum works as well as count = 0 (empty schedule).  The
+    pool is never built: moved holds only the positions a swap has touched,
+    and position p holds moved.get(p, p + 2), so memory is O(count) at any
+    horizon.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    pool = list(range(2, horizon + 1))
-    if count > len(pool):
-        raise ValueError(f"cannot draw {count} distinct times from {len(pool)} candidates")
-    # next_index(len(pool) - i) on raw words: reject at the limit, then take w % k
+    size = horizon - 1
+    if count > size:
+        raise ValueError(f"cannot draw {count} distinct times from {size} candidates")
+    # next_index(size - i) on raw words: reject at the limit, then take w % k
     draw = stream.words().__next__
     used = count
+    moved: dict[int, int] = {}
     for i in range(count):
-        k = len(pool) - i
+        k = size - i
         limit = index_limit(k)
         w = draw()
         while w >= limit:
             w = draw()
             used += 1
         j = i + w % k
-        pool[i], pool[j] = pool[j], pool[i]
+        moved[i], moved[j] = moved.get(j, j + 2), moved.get(i, i + 2)
     stream.draw_counter += used
-    return tuple(sorted(pool[:count]))
+    return tuple(sorted(moved[i] for i in range(count)))
 
 
 @dataclass
@@ -119,11 +124,8 @@ class RegretLedger:
     total_regret: float
     swaps: int
     mistakes: int
-    eras: int
     sub_eras: int
     rounds: int
-    pulls: int
-    per_round: list[float] | None = None
 
 
 @dataclass
@@ -137,41 +139,20 @@ class ChallengeOutcome:
     regret: float
 
 
-def run_challenge(
-    mu: list[float],
-    a_plus: int,
-    a_minus: int,
-    stream: RngStream,
-    s_threshold: float,
-    accounting: str = "mean_gap",
-) -> ChallengeOutcome:
-    """Pull both arms until the difference walk S leaves (-s, 1).
+def _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, realized) -> ChallengeOutcome:
+    """One challenge: pull both arms until the difference walk S leaves (-s, 1).
 
     The means stay fixed for the whole challenge (it completes within one
     horizon round).  Each inner iteration draws both arms once, adds
     r+ - r- to S, and charges the a+ pull's regret.  Exit at S >= 1 keeps
     the order, at S <= -s swaps it.
-    """
-    bounds = {}
-    for arm in (a_plus, a_minus):
-        if not 0.0 <= mu[arm] <= 1.0:
-            raise ValueError(f"arm means must lie in [0, 1], got {mu[arm]!r}")
-        bounds[arm] = below(mu[arm])
-    draw = stream.words().__next__
-    out = _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, accounting == "realized")
-    stream.draw_counter += 2 * out.inner_rounds
-    return out
 
-
-def _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, realized) -> ChallengeOutcome:
-    """run_challenge's loop; draw returns the stream's next raw word.
-
-    An arm pays 1 when a word falls below its bound, bounds[arm] =
-    below(mu[arm]), which is exactly when a next_uniform() draw would fall
-    below mu[arm].  Each inner iteration takes two words; the caller moves
-    draw_counter.  run_rwab passes the draw of its own words() iterator, so
-    a run keeps one iterator over its stream from the first round to the
-    last.
+    draw returns the stream's next raw word.  An arm pays 1 when a word
+    falls below its bound, bounds[arm] = below(mu[arm]), which is exactly
+    when a next_uniform() draw would fall below mu[arm].  Each inner
+    iteration takes two words; the caller moves draw_counter.  run_rwab
+    passes the draw of its own words() iterator, so a run keeps one
+    iterator over its stream from the first round to the last.
     """
     mu_plus, mu_minus = mu[a_plus], mu[a_minus]
     w_plus, w_minus = bounds[a_plus], bounds[a_minus]
@@ -198,7 +179,6 @@ def run_rwab(
     env: BanditEnv,
     stream: RngStream,
     accounting: str = "mean_gap",
-    record_per_round: bool = False,
 ) -> RegretLedger:
     """Play the full horizon; returns totals and bookkeeping.
 
@@ -221,13 +201,11 @@ def run_rwab(
     challenge = below(p)
     a_plus, a_minus = 0, 1
     total = 0.0
-    pulls = 0
     swaps = mistakes = 0
     sub_eras = 0
     # A sub-era starts at round 1, at each change time and after each swap;
     # only then can the ranking of a+ and the plain-round gap change.
     fresh = True
-    per_round: list[float] | None = [] if record_per_round else None
     realized = accounting == "realized"
     draw = stream.words().__next__
     used = horizon  # words: one challenge test per round, plus the pulls below
@@ -244,7 +222,6 @@ def run_rwab(
             fresh = False
         if draw() < challenge:
             out = _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, realized)
-            pulls += 2 * out.inner_rounds
             used += 2 * out.inner_rounds
             if out.swap:
                 swaps += 1
@@ -255,48 +232,27 @@ def run_rwab(
                 fresh = True
             a_plus, a_minus = out.a_plus, out.a_minus
             round_regret = out.regret
-        else:
-            pulls += 1
-            if misranked:
-                if realized:
-                    r_plus = 1.0 if draw() < bounds[a_plus] else 0.0
-                    r_best = 1.0 if draw() < bounds[a_minus] else 0.0
-                    round_regret = r_best - r_plus
-                    used += 2
-                else:
-                    round_regret = gap
+        elif misranked:
+            if realized:
+                r_plus = 1.0 if draw() < bounds[a_plus] else 0.0
+                r_best = 1.0 if draw() < bounds[a_minus] else 0.0
+                round_regret = r_best - r_plus
+                used += 2
             else:
-                if realized:
-                    draw()  # the pull itself
-                    used += 1
-                round_regret = 0.0
+                round_regret = gap
+        else:
+            if realized:
+                draw()  # the pull itself
+                used += 1
+            round_regret = 0.0
         total += round_regret
-        if per_round is not None:
-            per_round.append(round_regret)
     stream.draw_counter += used
 
     return RegretLedger(
         total_regret=total,
         swaps=swaps,
         mistakes=mistakes,
-        eras=ell + 1,
         sub_eras=sub_eras,
         rounds=horizon,
-        pulls=pulls,
-        per_round=per_round,
     )
 
-
-def theoretical_regret_bound(horizon: int, changes: int, eps: float) -> tuple[float, float]:
-    """Regret ceiling 480*eps*(L + sqrt(L*T)) and the confidence it holds with.
-
-    The confidence 1 - 2*exp(-sqrt(eps)/e) is clamped at 0; it only
-    becomes informative for eps around 40 and beyond.
-    """
-    if eps < 1:
-        raise ValueError("eps must be at least 1")
-    if horizon < 1 or changes < 1:
-        raise ValueError("need horizon >= 1 and changes >= 1")
-    bound = 480.0 * eps * (changes + math.sqrt(changes * horizon))
-    confidence = max(0.0, 1.0 - 2.0 * math.exp(-math.sqrt(eps) / math.e))
-    return bound, confidence

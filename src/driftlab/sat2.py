@@ -58,19 +58,10 @@ class TwoCnfFormula:
         return formula
 
 
-def literal_true(lit: Literal, assignment) -> bool:
-    var, neg = lit
-    return bool(assignment[var]) != neg
-
-
-def clause_satisfied(clause: Clause, assignment) -> bool:
-    return literal_true(clause[0], assignment) or literal_true(clause[1], assignment)
-
-
 def satisfies(formula: TwoCnfFormula, assignment) -> bool:
     if len(assignment) != formula.n:
         raise ValueError("assignment length must equal variable count")
-    # clause_satisfied, inlined: (var, neg) holds when bool(assignment[var]) != neg
+    # a literal (var, neg) holds when bool(assignment[var]) != neg
     return all(
         (assignment[u] != 0) != nu or (assignment[v] != 0) != nv
         for (u, nu), (v, nv) in formula.clauses
@@ -178,8 +169,8 @@ def run_walk(
         if clause[1][0] != clause[0][0]:
             occ[clause[1][0]].append(idx)
 
-    # clause_satisfied, inlined below: a literal (var, neg) holds when
-    # bool(assignment[var]) != neg, and bool(byte) is byte != 0
+    # a literal (var, neg) holds when bool(assignment[var]) != neg, and
+    # bool(byte) is byte != 0
     unsat = bytearray(
         (assignment[u] != 0) == nu and (assignment[v] != 0) == nv
         for (u, nu), (v, nv) in clauses

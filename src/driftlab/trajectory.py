@@ -37,9 +37,6 @@ class Trajectory:
                     f"got {len(self.values)}"
                 )
 
-    def steps(self) -> int:
-        return len(self.values) - 1
-
 
 @dataclass(frozen=True)
 class HittingTimeSample:

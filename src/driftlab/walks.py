@@ -15,9 +15,7 @@ Each simulator consumes one raw word per step (none on forced moves)
 from the stream's ``words()`` iterator and tests it against an integer
 bound from ``below``, so a step makes the same move a ``next_uniform()``
 draw would; it sets ``draw_counter`` once, past the last word used.  It
-reports a HittingTimeSample plus, on request, the full trajectory.  The
-``*_mean_*`` functions are independent oracles: exact expected hitting
-times from the one-step recurrences, no simulation involved.
+reports a HittingTimeSample plus, on request, the full trajectory.
 """
 
 from __future__ import annotations
@@ -126,53 +124,3 @@ def simulate_lazy_walk(
         stream.draw_counter += t
     return _finish(stream, t, x > 0, values)
 
-
-# ---------------------------------------------------------------------------
-# Exact mean oracles.  Solved from the first-step recurrences by forward
-# substitution on the expected-time differences; O(b) and exact up to float
-# rounding, independent of any simulation.
-
-
-def fair_walk_mean(b: int, x0: int) -> float:
-    """E[T] for the fair walk: the classical x0 * (b - x0)."""
-    if b < 1 or not 0 <= x0 <= b:
-        raise ValueError("need b >= 1 and 0 <= x0 <= b")
-    return float(x0 * (b - x0))
-
-
-def biased_walk_mean_dp(b: int, x0: int, p_up: float) -> float:
-    """E[T] for the reflecting biased walk, from its one-step equations.
-
-    With h(x) the expected time to b:  h(b) = 0,  h(0) = 1 + h(1),  and
-    h(x) = 1 + p*h(x+1) + (1-p)*h(x-1) inside.  Writing d(x) = h(x) - h(x+1)
-    gives d(0) = 1 and d(x) = (1 + (1-p) * d(x-1)) / p, then h(x0) is the
-    tail sum of d.
-    """
-    if b < 1 or not 0 <= x0 <= b:
-        raise ValueError("need b >= 1 and 0 <= x0 <= b")
-    if not 0.5 < p_up <= 1.0:
-        raise ValueError(f"p_up must lie in (1/2, 1], got {p_up!r}")
-    q = 1.0 - p_up
-    d = [0.0] * b
-    d[0] = 1.0
-    for x in range(1, b):
-        d[x] = (1.0 + q * d[x - 1]) / p_up
-    return float(sum(d[x0:]))
-
-
-def lazy_walk_mean_dp(b: int, x0: int, delta: float) -> float:
-    """E[T] for the lazy zero-drift walk, from its one-step equations.
-
-    With h(x) the expected time to 0:  h(0) = 0, the ceiling equation
-    delta * h(b) = 1 + delta * h(b-1) pins e(b) = h(b) - h(b-1) = 1/delta,
-    and the interior equations give e(x) = e(x+1) + 2/delta going down.
-    """
-    if b < 1 or not 0 <= x0 <= b:
-        raise ValueError("need b >= 1 and 0 <= x0 <= b")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
-    e = [0.0] * (b + 1)
-    e[b] = 1.0 / delta
-    for x in range(b - 1, 0, -1):
-        e[x] = e[x + 1] + 2.0 / delta
-    return float(sum(e[1 : x0 + 1]))

@@ -1,0 +1,297 @@
+"""Exact references the kernel tests compare the package against.
+
+Nothing here runs under a ``driftlab`` command or the benchmark.  Each
+function is evidence for a kernel, written from the definition and kept
+independent of the fast path it checks:
+
+* walks: exact expected hitting times from the one-step recurrences;
+* bilinear: the integer-scaled payoff n^3 * g, the pairwise-dominance
+  chain and the single-flip RLS-PD step that ``run_search`` is pinned to;
+* sat2: literal and clause semantics;
+* rwab: the paper's regret ceiling 480*eps*(L + sqrt(L*T)), one challenge
+  on its own stream, the round loop with scalar draws and a full ledger,
+  and the list-backed Fisher-Yates draw of the change times.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from driftlab.bilinear import BilinearParams, SearchPair
+from driftlab.rng import RngStream, below, index_limit
+from driftlab.rwab import BanditEnv, ChallengeOutcome, _challenge
+from driftlab.sat2 import Clause, Literal
+
+# ---------------------------------------------------------------------------
+# Walks: exact means, solved from the first-step recurrences by forward
+# substitution on the expected-time differences; O(b) and exact up to float
+# rounding, independent of any simulation.
+
+
+def fair_walk_mean(b: int, x0: int) -> float:
+    """E[T] for the fair walk: the classical x0 * (b - x0)."""
+    if b < 1 or not 0 <= x0 <= b:
+        raise ValueError("need b >= 1 and 0 <= x0 <= b")
+    return float(x0 * (b - x0))
+
+
+def biased_walk_mean_dp(b: int, x0: int, p_up: float) -> float:
+    """E[T] for the reflecting biased walk, from its one-step equations.
+
+    With h(x) the expected time to b:  h(b) = 0,  h(0) = 1 + h(1),  and
+    h(x) = 1 + p*h(x+1) + (1-p)*h(x-1) inside.  Writing d(x) = h(x) - h(x+1)
+    gives d(0) = 1 and d(x) = (1 + (1-p) * d(x-1)) / p, then h(x0) is the
+    tail sum of d.
+    """
+    if b < 1 or not 0 <= x0 <= b:
+        raise ValueError("need b >= 1 and 0 <= x0 <= b")
+    if not 0.5 < p_up <= 1.0:
+        raise ValueError(f"p_up must lie in (1/2, 1], got {p_up!r}")
+    q = 1.0 - p_up
+    d = [0.0] * b
+    d[0] = 1.0
+    for x in range(1, b):
+        d[x] = (1.0 + q * d[x - 1]) / p_up
+    return float(sum(d[x0:]))
+
+
+def lazy_walk_mean_dp(b: int, x0: int, delta: float) -> float:
+    """E[T] for the lazy zero-drift walk, from its one-step equations.
+
+    With h(x) the expected time to 0:  h(0) = 0, the ceiling equation
+    delta * h(b) = 1 + delta * h(b-1) pins e(b) = h(b) - h(b-1) = 1/delta,
+    and the interior equations give e(x) = e(x+1) + 2/delta going down.
+    """
+    if b < 1 or not 0 <= x0 <= b:
+        raise ValueError("need b >= 1 and 0 <= x0 <= b")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
+    e = [0.0] * (b + 1)
+    e[b] = 1.0 / delta
+    for x in range(b - 1, 0, -1):
+        e[x] = e[x + 1] + 2.0 / delta
+    return float(sum(e[1 : x0 + 1]))
+
+
+# ---------------------------------------------------------------------------
+# Bilinear payoff and the dominance step.
+
+
+def pair_from_bits(x, y) -> SearchPair:
+    """A SearchPair from two 0/1 sequences, with its one-counts."""
+    x, y = bytearray(x), bytearray(y)
+    if any(b not in (0, 1) for b in x) or any(b not in (0, 1) for b in y):
+        raise ValueError("bit vectors must hold only 0/1")
+    return SearchPair(x=x, y=y, ones_x=sum(x), ones_y=sum(y))
+
+
+def copy_pair(pair: SearchPair) -> SearchPair:
+    """A SearchPair that shares no bytes with pair."""
+    return SearchPair(bytearray(pair.x), bytearray(pair.y), pair.ones_x, pair.ones_y)
+
+
+def _scaled_value(params: BilinearParams, ox: int, oy: int) -> int:
+    """n^3 * g as an exact integer."""
+    n3 = params.n**3
+    base = oy * (ox - params.bn) - params.an * ox
+    e1 = max((params.an - oy) ** 2, 1)
+    e2 = max((params.bn - ox) ** 2, 1)
+    return base * n3 + e1 - e2
+
+
+def bilinear_value(params: BilinearParams, pair: SearchPair) -> float:
+    """g(x, y) as a float; exact comparisons should use dominates()."""
+    return _scaled_value(params, pair.ones_x, pair.ones_y) / params.n**3
+
+
+def dominates(params: BilinearParams, cand: SearchPair, inc: SearchPair) -> bool:
+    """Pairwise dominance of the candidate over the incumbent."""
+    a = _scaled_value(params, cand.ones_x, inc.ones_y)
+    b = _scaled_value(params, cand.ones_x, cand.ones_y)
+    c = _scaled_value(params, inc.ones_x, cand.ones_y)
+    return a >= b >= c
+
+
+def manhattan_distance(params: BilinearParams, pair: SearchPair) -> int:
+    return abs(params.bn - pair.ones_x) + abs(params.an - pair.ones_y)
+
+
+def rls_pd_step(
+    params: BilinearParams, pair: SearchPair, stream: RngStream
+) -> tuple[SearchPair, bool]:
+    """One mutation-and-test step under the corrected payoff, in place.
+
+    Flips one of the 2n positions chosen by next_index(2n), keeps the flip
+    iff the mutated pair dominates the incumbent, otherwise restores it.
+    Returns the (possibly unchanged) pair and whether the flip was kept.
+    """
+    n = params.n
+    pos = stream.next_index(2 * n)
+    inc_ox, inc_oy = pair.ones_x, pair.ones_y
+    if pos < n:
+        pair.x[pos] ^= 1
+        pair.ones_x += 1 if pair.x[pos] else -1
+    else:
+        pair.y[pos - n] ^= 1
+        pair.ones_y += 1 if pair.y[pos - n] else -1
+    a = _scaled_value(params, pair.ones_x, inc_oy)
+    b = _scaled_value(params, pair.ones_x, pair.ones_y)
+    c = _scaled_value(params, inc_ox, pair.ones_y)
+    if a >= b >= c:
+        return pair, True
+    # dominance failed: undo the flip
+    if pos < n:
+        pair.x[pos] ^= 1
+        pair.ones_x = inc_ox
+    else:
+        pair.y[pos - n] ^= 1
+        pair.ones_y = inc_oy
+    return pair, False
+
+
+# ---------------------------------------------------------------------------
+# 2-SAT semantics: a literal (var, neg) holds when bool(assignment[var]) != neg.
+
+
+def literal_true(lit: Literal, assignment) -> bool:
+    var, neg = lit
+    return bool(assignment[var]) != neg
+
+
+def clause_satisfied(clause: Clause, assignment) -> bool:
+    return literal_true(clause[0], assignment) or literal_true(clause[1], assignment)
+
+
+# ---------------------------------------------------------------------------
+# Restless bandit.
+
+
+def theoretical_regret_bound(horizon: int, changes: int, eps: float) -> tuple[float, float]:
+    """Regret ceiling 480*eps*(L + sqrt(L*T)) and the confidence it holds with.
+
+    The confidence 1 - 2*exp(-sqrt(eps)/e) is clamped at 0; it only
+    becomes informative for eps around 40 and beyond.
+    """
+    if eps < 1:
+        raise ValueError("eps must be at least 1")
+    if horizon < 1 or changes < 1:
+        raise ValueError("need horizon >= 1 and changes >= 1")
+    bound = 480.0 * eps * (changes + math.sqrt(changes * horizon))
+    confidence = max(0.0, 1.0 - 2.0 * math.exp(-math.sqrt(eps) / math.e))
+    return bound, confidence
+
+
+def run_challenge(
+    mu: list[float],
+    a_plus: int,
+    a_minus: int,
+    stream: RngStream,
+    s_threshold: float,
+    accounting: str = "mean_gap",
+) -> ChallengeOutcome:
+    """One challenge on a fresh words() iterator of stream: run_rwab's _challenge.
+
+    Pulls both arms until the difference walk S leaves (-s, 1); exit at
+    S >= 1 keeps the order, at S <= -s swaps it.  Moves draw_counter past
+    the two words of each inner iteration.
+    """
+    bounds = {}
+    for arm in (a_plus, a_minus):
+        if not 0.0 <= mu[arm] <= 1.0:
+            raise ValueError(f"arm means must lie in [0, 1], got {mu[arm]!r}")
+        bounds[arm] = below(mu[arm])
+    draw = stream.words().__next__
+    out = _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, accounting == "realized")
+    stream.draw_counter += 2 * out.inner_rounds
+    return out
+
+
+@dataclass
+class ReferenceLedger:
+    """tuple_comparing_rwab's outcome: run_rwab's ledger plus per-run accounting."""
+
+    total_regret: float
+    swaps: int
+    mistakes: int
+    eras: int
+    sub_eras: int
+    rounds: int
+    pulls: int
+    per_round: list[float]
+
+
+def tuple_comparing_rwab(env: BanditEnv, stream: RngStream, accounting: str) -> ReferenceLedger:
+    """run_rwab's policy with scalar draws and per-round bookkeeping.
+
+    Compares the (swapped, a+) pair every round to count sub-eras and
+    re-reads the ranking of a+ on every round, where run_rwab updates both
+    only when a sub-era starts.  Also counts the eras, the pulls and each
+    round's regret, which run_rwab does not keep.
+    """
+    ell, horizon = len(env.change_times), env.horizon
+    p = math.sqrt(ell / horizon)
+    s_threshold = math.sqrt(horizon / ell)
+    realized = accounting == "realized"
+    mu = [env.mu1, env.mu2]
+    swapped, a_plus, a_minus = False, 0, 1
+    total = 0.0
+    pulls = swaps = mistakes = sub_eras = 0
+    prev_pair = None
+    per_round = []
+    for clock in range(1, horizon + 1):
+        if clock in env.change_times:
+            mu.reverse()
+            swapped = not swapped
+        if (swapped, a_plus) != prev_pair:
+            sub_eras += 1
+            prev_pair = (swapped, a_plus)
+        if stream.next_uniform() < p:
+            started_correct = mu[a_plus] >= mu[a_minus]
+            out = run_challenge(mu, a_plus, a_minus, stream, s_threshold, accounting)
+            pulls += 2 * out.inner_rounds
+            if out.swap:
+                swaps += 1
+                mistakes += started_correct
+            a_plus, a_minus = out.a_plus, out.a_minus
+            round_regret = out.regret
+        else:
+            pulls += 1
+            round_regret = 0.0
+            if mu[a_plus] < mu[a_minus]:
+                if realized:
+                    r_plus = 1.0 if stream.next_uniform() < mu[a_plus] else 0.0
+                    r_best = 1.0 if stream.next_uniform() < mu[a_minus] else 0.0
+                    round_regret = r_best - r_plus
+                else:
+                    round_regret = mu[a_minus] - mu[a_plus]
+            elif realized:
+                stream.next_u64()  # the pull itself
+        total += round_regret
+        per_round.append(round_regret)
+    return ReferenceLedger(total, swaps, mistakes, ell + 1, sub_eras, horizon, pulls, per_round)
+
+
+def change_times_by_list(stream: RngStream, horizon: int, count: int) -> tuple[int, ...]:
+    """sample_change_times over a materialized candidate list {2, ..., horizon}.
+
+    Partial Fisher-Yates: step i swaps pool[i] with pool[i + next_index(k)],
+    k = horizon - 1 - i, drawn from raw words (reject at index_limit(k),
+    then take w % k).  O(horizon) memory, the form the sparse draw replaces.
+    """
+    pool = list(range(2, horizon + 1))
+    if count > len(pool):
+        raise ValueError(f"cannot draw {count} distinct times from {len(pool)} candidates")
+    draw = stream.words().__next__
+    used = count
+    for i in range(count):
+        k = len(pool) - i
+        limit = index_limit(k)
+        w = draw()
+        while w >= limit:
+            w = draw()
+            used += 1
+        j = i + w % k
+        pool[i], pool[j] = pool[j], pool[i]
+    stream.draw_counter += used
+    return tuple(sorted(pool[:count]))

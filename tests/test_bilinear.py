@@ -14,19 +14,23 @@ from driftlab.bilinear import (
     PAYOFFS,
     BilinearParams,
     SearchPair,
-    bilinear_value,
     canonical_opt_pair,
     default_cap,
-    dominates,
-    manhattan_distance,
     quadrant,
     random_pair,
-    rls_pd_step,
     run_forgetting,
     run_search,
     run_until_opt,
 )
 from driftlab.rng import RngStream
+from oracles import (
+    bilinear_value,
+    copy_pair,
+    dominates,
+    manhattan_distance,
+    pair_from_bits,
+    rls_pd_step,
+)
 
 HALVES4 = BilinearParams(n=4, alpha=0.5, beta=0.5)
 THIRDS6 = BilinearParams(n=6, alpha=1 / 3, beta=2 / 3)
@@ -78,7 +82,7 @@ def test_value_known_points():
 
 
 def test_value_depends_only_on_counts():
-    scattered = SearchPair.from_bits([0, 1, 0, 1], [1, 0, 0, 1])
+    scattered = pair_from_bits([0, 1, 0, 1], [1, 0, 0, 1])
     prefix = pair_with_counts(HALVES4, 2, 2)
     assert bilinear_value(HALVES4, scattered) == bilinear_value(HALVES4, prefix)
 
@@ -154,7 +158,7 @@ def test_flip_tables_match_the_oracles_in_every_region(params):
         for (i, ox), (j, oy) in product(sides_x, sides_y):
             for c, pos in enumerate(positions):
                 before = pair_with_counts(params, ox, oy)
-                after = oracle(params, before.copy(), RngStream(0, draw_counter=starts[pos]))
+                after = oracle(params, copy_pair(before), RngStream(0, draw_counter=starts[pos]))
                 kept = (after.ones_x, after.ones_y) != (ox, oy)
                 move = manhattan_distance(params, after) - manhattan_distance(params, before)
                 assert accept[12 * i + 4 * j + c] == kept, (plain, ox, oy, c)
@@ -162,14 +166,14 @@ def test_flip_tables_match_the_oracles_in_every_region(params):
 
 
 def test_search_pair_from_bits_and_copy():
-    p = SearchPair.from_bits([1, 0, 1, 1], [0, 0, 0, 1])
+    p = pair_from_bits([1, 0, 1, 1], [0, 0, 0, 1])
     assert (p.ones_x, p.ones_y) == (3, 1)
-    q = p.copy()
+    q = copy_pair(p)
     q.x[0] = 0
     q.ones_x = 2
     assert p.x[0] == 1 and p.ones_x == 3
     with pytest.raises(ValueError):
-        SearchPair.from_bits([0, 2], [0, 0])
+        pair_from_bits([0, 2], [0, 0])
 
 
 def test_canonical_opt_pair_sits_at_the_optimum():
@@ -227,10 +231,8 @@ def test_corrected_run_matches_iterated_single_steps():
         init = random_pair(RngStream(seed, stream_id=1), params)
         cap = 4000
         fast_stream = RngStream(seed, stream_id=2)
-        fast = run_until_opt(
-            params, fast_stream, cap=cap, init=init.copy(), payoff="corrected",
-        )
-        pair = init.copy()
+        fast = run_search(params, fast_stream, copy_pair(init), cap, 0, inf, False)
+        pair = copy_pair(init)
         stream = RngStream(seed, stream_id=2)
         t = 0
         while manhattan_distance(params, pair) != 0 and t < cap:
@@ -274,10 +276,10 @@ def test_search_matches_iterated_single_steps(seed, n, mode, threshold, record, 
     if mode == "forgetting":
         fast = run_forgetting(params, fast_stream, threshold, cap, record=record)
     else:
-        fast = run_until_opt(
-            params, fast_stream, cap, init=init.copy(), record=record, payoff=mode
+        fast = run_search(
+            params, fast_stream, copy_pair(init), cap, 0, inf, mode == "plain", record
         )
-    pair = init.copy()
+    pair = copy_pair(init)
     values = [manhattan_distance(params, pair)]
     lo = -1 if mode == "forgetting" else 0
     while lo < values[-1] < hi and len(values) <= cap:
@@ -305,7 +307,7 @@ def plain_value(params, ox, oy):
 def plain_step(params, pair, stream):
     """One scalar-path step under the plain payoff, by the dominance chain."""
     pos = stream.next_index(2 * params.n)
-    cand = pair.copy()
+    cand = copy_pair(pair)
     if pos < params.n:
         cand.x[pos] ^= 1
         cand.ones_x += 1 if cand.x[pos] else -1
@@ -320,7 +322,7 @@ def plain_step(params, pair, stream):
 
 @pytest.mark.parametrize("payoff", PAYOFFS)
 def test_run_from_a_drawn_start_continues_the_same_stream(payoff):
-    # init=None draws the start pair on the scalar path (2n = 1000 words),
+    # run_until_opt draws the start pair on the scalar path (2n = 1000 words),
     # then the walk's block draws pick up at that counter and cross the
     # first block boundary at word 1024
     params = BilinearParams(n=500, alpha=0.5, beta=0.5)

@@ -211,6 +211,50 @@ def test_outputs_are_identical_across_reruns_and_worker_counts(tmp_path):
     assert run("parallel", 3) == first
 
 
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "workers, runs, cpus, pool",
+    [
+        (100000, 2, 2, 2),
+        (100000, 7, 3, 3),
+        (4, 7, 64, 4),
+        (2, 7, 2, 2),
+        (3, 1, 8, None),
+        (1, 7, 8, None),
+        (6, 7, 1, None),
+        (6, 7, None, None),
+    ],
+)
+def test_the_pool_holds_min_of_workers_runs_and_cpus(
+    tmp_path, monkeypatch, workers, runs, cpus, pool
+):
+    # None: cpu_count() could not tell, and a pool of one runs serially
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+    config = ExperimentConfig.from_dict(base_config(tmp_path, runs=runs, workers=workers))
+    reps = experiment.collect(config)
+    assert FakePool.sizes == ([] if pool is None else [pool])
+    assert reps == [experiment.run_replication(config, i) for i in range(runs)]
+
+
 def test_recorded_trajectories_reanalyze_to_the_same_report(tmp_path):
     config = ExperimentConfig.from_dict(
         base_config(tmp_path, runs=4, record_trajectories=True)
@@ -445,13 +489,33 @@ def write_json(path, obj):
     return str(path)
 
 
+# the fair walk from 2 on {0..4} has mean 4; this bound holds with room to spare
+HELD_BOUND = {
+    "tau_grid": [10.0, 40.0],
+    "bound": {"kind": "TwoAbsorbing", "b": 4.0, "x0": 2.0, "delta": 1.0},
+}
+
+
 def test_cli_run_reports_artifacts_and_exits_zero(tmp_path, capsys):
-    config_path = write_json(tmp_path / "config.json", base_config(tmp_path))
+    config_path = write_json(
+        tmp_path / "config.json", base_config(tmp_path, analysis=HELD_BOUND)
+    )
     assert main(["run", config_path]) == 0
     out = capsys.readouterr().out
     assert "samples:" in out
     assert "report:" in out
     assert "bound check: ok" in out
+
+
+@pytest.mark.parametrize("analysis", [None, {"k_list": [1.0]}, {"tau_grid": []}])
+def test_cli_run_prints_no_bound_check_without_a_tau_grid(tmp_path, capsys, analysis):
+    config_path = write_json(
+        tmp_path / "config.json", base_config(tmp_path, analysis=analysis)
+    )
+    assert main(["run", config_path]) == 0
+    out = capsys.readouterr().out
+    assert "report:" in out
+    assert "bound check" not in out
 
 
 def test_cli_analyze_flags_violations(tmp_path, capsys):

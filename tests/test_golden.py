@@ -30,11 +30,9 @@ import pytest
 from driftlab.bilinear import (
     BilinearParams,
     canonical_opt_pair,
-    manhattan_distance,
     random_pair,
-    rls_pd_step,
     run_forgetting,
-    run_until_opt,
+    run_search,
 )
 from driftlab.experiment import AnalysisBlock, ExperimentConfig, analyze_files, run_experiment
 from driftlab.recolour import (
@@ -44,9 +42,17 @@ from driftlab.recolour import (
     seek_monochromatic_triangle,
 )
 from driftlab.rng import RngStream, below, index_limit
-from driftlab.rwab import BanditEnv, run_challenge, run_rwab, sample_change_times
-from driftlab.sat2 import clause_satisfied, generate_planted, random_assignment, run_walk
+from driftlab.rwab import BanditEnv, run_rwab, sample_change_times
+from driftlab.sat2 import generate_planted, random_assignment, run_walk
 from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
+from oracles import (
+    clause_satisfied,
+    copy_pair,
+    manhattan_distance,
+    rls_pd_step,
+    run_challenge,
+    tuple_comparing_rwab,
+)
 
 
 def _digest(obj) -> str:
@@ -90,20 +96,29 @@ def _pair_case(n, alpha, beta):
 
 
 def _rwab_case(accounting, horizon, mu1, mu2, changes):
+    # run_rwab keeps no era count, pulls or per-round regret; those come
+    # from the reference loop, which must agree with it on the rest
     def case(seed, start):
         stream = RngStream(master_seed=seed, stream_id=5, draw_counter=start)
         times = sample_change_times(stream, horizon, changes)
         env = BanditEnv(horizon=horizon, mu1=mu1, mu2=mu2, change_times=times)
-        ledger = run_rwab(env, stream, accounting=accounting, record_per_round=True)
+        ref_stream = RngStream(master_seed=seed, stream_id=5, draw_counter=stream.draw_counter)
+        ledger = run_rwab(env, stream, accounting=accounting)
+        ref = tuple_comparing_rwab(env, ref_stream, accounting)
+        assert (ledger.total_regret, ledger.swaps, ledger.mistakes) == (
+            ref.total_regret, ref.swaps, ref.mistakes
+        )
+        assert (ledger.sub_eras, ledger.rounds) == (ref.sub_eras, ref.rounds)
+        assert stream.draw_counter == ref_stream.draw_counter
         outputs = [
             ledger.total_regret.hex(),
             ledger.swaps,
             ledger.mistakes,
-            ledger.eras,
+            ref.eras,
             ledger.sub_eras,
             ledger.rounds,
-            ledger.pulls,
-            [r.hex() for r in ledger.per_round],
+            ref.pulls,
+            [r.hex() for r in ref.per_round],
         ]
         return ledger.total_regret, _digest(outputs), stream.draw_counter
 
@@ -643,7 +658,7 @@ def _plain_step(params, pair, stream):
         return oy * (ox - params.bn) - params.an * ox
 
     pos = stream.next_index(2 * params.n)
-    cand = pair.copy()
+    cand = copy_pair(pair)
     bits = cand.x if pos < params.n else cand.y
     bits[pos % params.n] ^= 1
     cand.ones_x, cand.ones_y = sum(cand.x), sum(cand.y)
@@ -679,7 +694,7 @@ def test_bilinear_search_matches_next_index_through_rejected_words(mode, hi, sta
     else:
         lo = 0
         pair = random_pair(RngStream(19, stream_id=1), params)
-        result = run_until_opt(params, fast, cap, init=pair.copy(), payoff=mode)
+        result = run_search(params, fast, copy_pair(pair), cap, 0, math.inf, mode == "plain")
     step = _plain_step if mode == "plain" else lambda *args: rls_pd_step(*args)[0]
     t = 0
     while lo < manhattan_distance(params, pair) < hi and t < cap:

@@ -1,6 +1,7 @@
 """Restless two-armed bandit baseline: schedule, challenges, full runs."""
 
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -8,14 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from driftlab.rng import RngStream
-from driftlab.rwab import (
-    MAX_CHALLENGE_ITERATIONS,
-    BanditEnv,
-    RegretLedger,
+from driftlab.rwab import MAX_CHALLENGE_ITERATIONS, BanditEnv, run_rwab, sample_change_times
+from oracles import (
+    change_times_by_list,
     run_challenge,
-    run_rwab,
-    sample_change_times,
     theoretical_regret_bound,
+    tuple_comparing_rwab,
 )
 
 
@@ -89,6 +88,35 @@ def test_change_time_sampling_matches_scalar_next_index(horizon, share, seed, st
     assert fast.draw_counter == slow.draw_counter
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    horizon=st.integers(1, 3000),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.sampled_from([0, 63, 2**40]),
+)
+def test_sparse_change_times_match_the_list_oracle(horizon, share, seed, start):
+    count = int(share * (horizon - 1))
+    sparse = RngStream(seed, stream_id=2, draw_counter=start)
+    listed = RngStream(seed, stream_id=2, draw_counter=start)
+    assert sample_change_times(sparse, horizon, count) == change_times_by_list(
+        listed, horizon, count
+    )
+    assert sparse.draw_counter == listed.draw_counter
+
+
+def test_change_times_at_horizon_1e8_stay_small_in_memory():
+    # the list oracle would hold 10**8 ints here, about 3.6 GB
+    tracemalloc.start()
+    try:
+        times = sample_change_times(RngStream(5), horizon=10**8, count=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(times) == 2 and all(2 <= t <= 10**8 for t in times)
+    assert peak < 64 * 1024
+
+
 def test_change_time_sampling_validation():
     with pytest.raises(ValueError):
         sample_change_times(RngStream(1), horizon=0, count=0)
@@ -148,76 +176,20 @@ def env_for(seed, horizon, changes):
 def test_run_ledger_invariants(accounting, horizon, changes):
     for seed in range(5):
         env = env_for(seed, horizon, changes)
-        ledger = run_rwab(env, RngStream(seed), accounting=accounting, record_per_round=True)
+        ledger = run_rwab(env, RngStream(seed), accounting=accounting)
         assert ledger.rounds == horizon
-        assert ledger.eras == changes + 1
         assert ledger.mistakes <= ledger.swaps
         # every change breaks a sub-era; every extra break needs a swap
-        assert ledger.eras <= ledger.sub_eras <= 1 + changes + ledger.swaps
-        assert ledger.pulls >= ledger.rounds
-        assert len(ledger.per_round) == horizon
-        assert sum(ledger.per_round) == pytest.approx(ledger.total_regret, abs=1e-9)
+        assert changes + 1 <= ledger.sub_eras <= 1 + changes + ledger.swaps
         if accounting == "mean_gap":
             assert ledger.total_regret >= 0.0
 
 
-def test_run_is_deterministic_and_per_round_off_by_default():
+def test_run_is_deterministic():
     env = env_for(3, 300, 4)
     a = run_rwab(env, RngStream(17))
     b = run_rwab(env, RngStream(17))
     assert a == b
-    assert a.per_round is None
-
-
-def tuple_comparing_rwab(env, stream, accounting, record_per_round):
-    """run_rwab's policy with scalar draws and per-round bookkeeping.
-
-    Compares the (swapped, a+) pair every round to count sub-eras and
-    re-reads the ranking of a+ on every round, where run_rwab updates both
-    only when a sub-era starts.
-    """
-    ell, horizon = len(env.change_times), env.horizon
-    p = math.sqrt(ell / horizon)
-    s_threshold = math.sqrt(horizon / ell)
-    realized = accounting == "realized"
-    mu = [env.mu1, env.mu2]
-    swapped, a_plus, a_minus = False, 0, 1
-    total = 0.0
-    pulls = swaps = mistakes = sub_eras = 0
-    prev_pair = None
-    per_round = [] if record_per_round else None
-    for clock in range(1, horizon + 1):
-        if clock in env.change_times:
-            mu.reverse()
-            swapped = not swapped
-        if (swapped, a_plus) != prev_pair:
-            sub_eras += 1
-            prev_pair = (swapped, a_plus)
-        if stream.next_uniform() < p:
-            started_correct = mu[a_plus] >= mu[a_minus]
-            out = run_challenge(mu, a_plus, a_minus, stream, s_threshold, accounting)
-            pulls += 2 * out.inner_rounds
-            if out.swap:
-                swaps += 1
-                mistakes += started_correct
-            a_plus, a_minus = out.a_plus, out.a_minus
-            round_regret = out.regret
-        else:
-            pulls += 1
-            round_regret = 0.0
-            if mu[a_plus] < mu[a_minus]:
-                if realized:
-                    r_plus = 1.0 if stream.next_uniform() < mu[a_plus] else 0.0
-                    r_best = 1.0 if stream.next_uniform() < mu[a_minus] else 0.0
-                    round_regret = r_best - r_plus
-                else:
-                    round_regret = mu[a_minus] - mu[a_plus]
-            elif realized:
-                stream.next_u64()  # the pull itself
-        total += round_regret
-        if per_round is not None:
-            per_round.append(round_regret)
-    return RegretLedger(total, swaps, mistakes, ell + 1, sub_eras, horizon, pulls, per_round)
 
 
 means = st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]) | st.floats(0.0, 1.0)
@@ -230,12 +202,9 @@ means = st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]) | st.floats(0.0, 1.0)
     mu1=means,
     mu2=means,
     accounting=st.sampled_from(["mean_gap", "realized"]),
-    record_per_round=st.booleans(),
     seed=st.integers(0, 2**32),
 )
-def test_run_matches_tuple_comparing_loop(
-    horizon, share, mu1, mu2, accounting, record_per_round, seed
-):
+def test_run_matches_tuple_comparing_loop(horizon, share, mu1, mu2, accounting, seed):
     # a challenge's walk moves with probability q per iteration; keep
     # challenges short enough for the scalar loop
     assume(mu1 * (1 - mu2) + mu2 * (1 - mu1) >= 0.05)
@@ -243,9 +212,10 @@ def test_run_matches_tuple_comparing_loop(
     times = sample_change_times(RngStream(seed, stream_id=1000), horizon, changes)
     env = BanditEnv(horizon=horizon, mu1=mu1, mu2=mu2, change_times=times)
     fast, slow = RngStream(seed), RngStream(seed)
-    ledger = run_rwab(env, fast, accounting=accounting, record_per_round=record_per_round)
-    expected = tuple_comparing_rwab(env, slow, accounting, record_per_round)
-    assert astuple(ledger) == astuple(expected)
+    ledger = run_rwab(env, fast, accounting=accounting)
+    ref = tuple_comparing_rwab(env, slow, accounting)
+    expected = (ref.total_regret, ref.swaps, ref.mistakes, ref.sub_eras, ref.rounds)
+    assert astuple(ledger) == expected
     assert fast.draw_counter == slow.draw_counter
 
 

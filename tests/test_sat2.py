@@ -8,13 +8,12 @@ from driftlab.rng import RngStream
 from driftlab.sat2 import (
     TwoCnfFormula,
     agreement_count,
-    clause_satisfied,
     generate_planted,
-    literal_true,
     random_assignment,
     run_walk,
     satisfies,
 )
+from oracles import clause_satisfied, literal_true
 
 XOR_ISH = TwoCnfFormula(
     n=2,

@@ -304,7 +304,7 @@ def test_tallies_equal_the_loops_on_integer_trajectories(trajs):
 @given(int_trajectories)
 def test_report_is_byte_equal_to_the_loops_on_integer_trajectories(trajs):
     samples = [
-        HittingTimeSample(i, t.steps(), t.censored, i) for i, t in enumerate(trajs)
+        HittingTimeSample(i, len(t.values) - 1, t.censored, i) for i, t in enumerate(trajs)
     ] or [HittingTimeSample(0, 1, False, 0)]
     block = AnalysisBlock(
         k_list=(0.5, 1.0, 2.0),
@@ -339,7 +339,7 @@ def test_tallies_match_the_loops_on_fractional_trajectories(trajs):
     steps = [
         (math.floor(t.values[i]), t.values[i + 1] - t.values[i])
         for t in trajs
-        for i in range(t.steps())
+        for i in range(len(t.values) - 1)
     ]
     scale = sum(abs(d) for _, d in steps) / len(steps)
     assert math.isclose(new.mean_drift, old.mean_drift, rel_tol=1e-12, abs_tol=1e-12 * scale)
@@ -566,7 +566,7 @@ def test_trajectory_reader_errors_match_the_row_scan():
 def write_artifacts(directory: str, trajs: list[Trajectory]) -> tuple[str, str]:
     """samples.csv and one run_<id>.csv per trajectory, as a recording run writes them."""
     samples = [
-        HittingTimeSample(i, t.steps(), t.censored, i) for i, t in enumerate(trajs)
+        HittingTimeSample(i, len(t.values) - 1, t.censored, i) for i, t in enumerate(trajs)
     ] or [HittingTimeSample(0, 1, False, 0)]
     samples_path = os.path.join(directory, "samples.csv")
     trajectory.write_text(samples_path, trajectory.samples_to_csv(samples))

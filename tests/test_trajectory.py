@@ -24,11 +24,6 @@ def test_censored_trajectory_length_contract():
         Trajectory(values=[1.0, 2.0], censored=True)
 
 
-def test_steps_counts_transitions():
-    assert Trajectory(values=[5.0]).steps() == 0
-    assert Trajectory(values=[5.0, 4.0, 3.0]).steps() == 2
-
-
 def test_sample_validation():
     HittingTimeSample(run_id=0, stopping_time=0, censored=False, seed_used=0)
     with pytest.raises(ValueError):

@@ -7,14 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlab.rng import RngStream
-from driftlab.walks import (
-    biased_walk_mean_dp,
-    fair_walk_mean,
-    lazy_walk_mean_dp,
-    simulate_biased_walk,
-    simulate_fair_walk,
-    simulate_lazy_walk,
-)
+from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
+from oracles import biased_walk_mean_dp, fair_walk_mean, lazy_walk_mean_dp
 
 
 def test_fair_walk_started_on_boundary_stops_immediately():
