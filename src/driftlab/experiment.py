@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -212,10 +213,17 @@ def parse_bound_spec(obj: dict, where: str = "bound") -> BoundSpec:
 # reaches every call.
 
 
+#: the largest walk ceiling b: every state up to it is a float that the
+#: trajectory reader reads back exactly, and a signed 64-bit int
+MAX_WALK_B = 2**53
+
+
 def _check_walk(p: dict, where: str, rate: str | None = None, low: float = 0.0) -> None:
-    """b >= 1 and 0 <= x0 <= b, plus the named rate in (low, 1]."""
+    """1 <= b <= MAX_WALK_B and 0 <= x0 <= b, plus the named rate in (low, 1]."""
     b = _need(p, "b", int, where)
     x0 = _need(p, "x0", int, where)
+    if b > MAX_WALK_B:
+        raise ConfigError(f"{where}.b: must be at most 2**53 = {MAX_WALK_B}")
     if b < 1 or not 0 <= x0 <= b:
         raise ConfigError(f"{where}: need b >= 1 and 0 <= x0 <= b")
     if rate is not None and not low < _need(p, rate, float, where) <= 1.0:
@@ -474,6 +482,11 @@ def run_replication(config: ExperimentConfig, run_id: int) -> Replication:
     scalar, censored, extra, traj = kind.simulate(
         config.params, stream, cap, config.record_trajectories
     )
+    if traj is not None:
+        # 8 bytes a value with no int object behind it, held until
+        # run_experiment returns; every recorded value is an int within
+        # 2**63 (a walk's within MAX_WALK_B, any other kind's within 2n)
+        traj.values = array("q", traj.values)
     sample = HittingTimeSample(
         run_id=run_id, stopping_time=scalar, censored=censored, seed_used=run_id
     )

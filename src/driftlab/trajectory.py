@@ -17,11 +17,15 @@ from typing import Iterable, Sequence
 class Trajectory:
     """Path of a potential: values[t] is the potential after t steps.
 
+    values is a sequence of numbers: a list from the simulators and the
+    trajectory reader, and an array('q') of ints once run_replication
+    holds it, so a stored value costs 8 bytes.
+
     A censored trajectory ran into its cap, so it records exactly
     cap + 1 values (steps 0..cap) and its endpoint is not a hitting event.
     """
 
-    values: list[float]
+    values: Sequence[float]
     censored: bool = False
     cap: int | None = None
 

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from driftlab.experiment import (
     read_trajectory_csv,
     run_experiment,
 )
+from driftlab.rng import RngStream
 from driftlab.rwab import ACCOUNTING_MODES
 from driftlab.trajectory import HittingTimeSample
 
@@ -276,6 +279,145 @@ def test_recorded_trajectories_reanalyze_to_the_same_report(tmp_path):
         assert fh.read() == original
     with open(report_path) as fh:
         assert json.load(fh)["drift_estimate"] is not None
+
+
+# a tiny recording config for every kind that records: params and cap
+RECORDING = {
+    "sat2": ({"n": 6, "m": 10}, 200),
+    "recolour": ({"n": 7, "edge_prob": 0.5}, 200),
+    "rlspd": ({"n": 8, "alpha": 0.5, "beta": 0.5}, None),
+    "rlspd_forgetting": ({"n": 16, "alpha": 0.5, "beta": 0.5, "A": 1.0, "B": 1.0}, None),
+    "synthetic_fair": ({"b": 6, "x0": 3}, 200),
+    "synthetic_biased": ({"b": 6, "x0": 0, "p_up": 0.75}, 200),
+    "synthetic_lazy": ({"b": 6, "x0": 6, "delta": 0.5}, 200),
+}
+
+
+def recording_config(tmp_path, kind, out="out", **overrides):
+    params, cap = RECORDING[kind]
+    obj = base_config(
+        tmp_path,
+        kind=kind,
+        params=params,
+        runs=6,
+        cap=cap,
+        record_trajectories=True,
+        output_dir=str(tmp_path / out),
+        analysis={
+            "tau_grid": [5.0, 20.0],
+            "bound": {"kind": "Additive", "b": 10.0, "x0": 0.0, "epsilon": 1.0},
+        },
+    )
+    obj.update(overrides)
+    return ExperimentConfig.from_dict(obj)
+
+
+def artifact_bytes(root):
+    """Every file under root, by its path relative to root."""
+    found = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, root)] = fh.read()
+    return found
+
+
+def test_every_recording_kind_is_covered():
+    assert set(RECORDING) == {kind for kind, entry in KINDS.items() if entry.records}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDING))
+def test_recorded_runs_cross_the_pool_byte_for_byte(tmp_path, monkeypatch, kind):
+    # two CPUs make workers=2 a real pool of two on any host
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    written = []
+    for workers in (1, 2):
+        config = recording_config(tmp_path, kind, out=f"w{workers}", workers=workers)
+        run_experiment(config)
+        written.append(artifact_bytes(config.output_dir))
+    serial, pooled = written
+    assert pooled == serial
+    names = sorted(n for n in serial if n.startswith("trajectories"))
+    assert names == [os.path.join("trajectories", f"run_{i:05d}.csv") for i in range(6)]
+    assert json.loads(serial["report.json"])["drift_estimate"] is not None
+    redo = analyze_files(
+        str(tmp_path / "w2" / "samples.csv"),
+        config.analysis,
+        trajectory_dir=str(tmp_path / "w2" / "trajectories"),
+        report_path=str(tmp_path / "redo.json"),
+    )
+    with open(redo, "rb") as fh:
+        assert fh.read() == serial["report.json"]
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDING))
+def test_a_replication_holds_the_simulators_values_as_an_int64_array(tmp_path, kind):
+    config = recording_config(tmp_path, kind)
+    entry = KINDS[kind]
+    cap = config.cap if config.cap is not None else entry.default_cap(config.params)
+    for run_id in range(config.runs):
+        held = experiment.run_replication(config, run_id).trajectory
+        stream = RngStream(master_seed=config.master_seed, stream_id=run_id)
+        own = entry.simulate(config.params, stream, cap, True)[3]
+        assert type(own.values) is list
+        assert isinstance(held.values, array) and held.values.typecode == "q"
+        assert held.values.tolist() == own.values
+        assert (held.censored, held.cap) == (own.censored, own.cap)
+
+
+def test_a_held_recorded_value_costs_under_16_bytes(tmp_path):
+    # as a list, a value above 256 costs a 32-byte int plus an 8-byte slot
+    config = ExperimentConfig.from_dict(
+        base_config(
+            tmp_path,
+            kind="synthetic_biased",
+            params={"b": 1000, "x0": 0, "p_up": 0.75},
+            runs=50,
+            cap=10**6,
+            record_trajectories=True,
+        )
+    )
+    tracemalloc.start()
+    try:
+        reps = experiment.collect(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values = sum(len(r.trajectory.values) for r in reps)
+    assert values > 50 * 1000
+    assert peak < 16 * values
+
+
+@pytest.mark.parametrize(
+    "kind, rate",
+    [
+        ("synthetic_fair", {}),
+        ("synthetic_biased", {"p_up": 0.75}),
+        ("synthetic_lazy", {"delta": 0.5}),
+    ],
+)
+def test_a_walk_ceiling_is_at_most_2_to_the_53(tmp_path, capsys, kind, rate):
+    top = 2**53
+    for b, x0 in ((top + 1, top - 2), (2**70, 2**69)):
+        obj = base_config(tmp_path, kind=kind, params={"b": b, "x0": x0, **rate}, runs=2, cap=5)
+        assert main(["run", write_json(tmp_path / "over.json", obj)]) == 2
+        assert "config.params.b" in capsys.readouterr().err
+        assert not os.path.exists(obj["output_dir"])
+    # at the bound every state reads back exactly, so analyze reproduces the run
+    obj["params"].update(b=top, x0=top - 2)
+    config = ExperimentConfig.from_dict(dict(obj, record_trajectories=True))
+    artifacts = run_experiment(config)
+    redo = analyze_files(
+        artifacts.samples_path,
+        config.analysis,
+        trajectory_dir=artifacts.trajectory_dir,
+        report_path=str(tmp_path / "redo.json"),
+    )
+    with open(redo, "rb") as fh, open(artifacts.report_path, "rb") as original:
+        assert fh.read() == original.read()
+    with open(redo) as fh:
+        assert json.load(fh)["drift_estimate"]["transitions"] > 0
 
 
 def test_trajectories_without_transitions_get_null_drift_sections(tmp_path):
