@@ -85,6 +85,9 @@ def _cmd_bounds(args) -> int:
     obj = _load_json(args.spec)
     if not isinstance(obj, dict):
         raise ConfigError("bounds spec: expected an object")
+    extra = sorted(set(obj) - {"bound", "tau_grid"})
+    if extra:
+        raise ConfigError(f"bounds spec: unknown field(s) {', '.join(extra)}")
     if "bound" not in obj:
         raise ConfigError("bounds spec: missing field bound")
     grid = number_list(obj.get("tau_grid"), "bounds spec.tau_grid")

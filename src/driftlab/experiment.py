@@ -19,9 +19,10 @@ import math
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cache
+from types import UnionType
+from typing import Iterable, Sequence, Union, get_args, get_origin, get_type_hints
 
 from driftlab.analysis import (
     DEFAULT_CONFIDENCE,
@@ -103,42 +104,69 @@ def number_list(value, where: str, positive: bool = False) -> tuple[float, ...]:
     return numbers
 
 
-def _need(obj: dict, key: str, kinds, where: str):
-    if key not in obj:
-        raise ConfigError(f"{where}.{key}: required field is missing")
-    value = obj[key]
-    if kinds is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected a boolean, got {value!r}")
-    elif kinds is int:
-        # bool is an int subclass; a config saying true where a count belongs
-        # is a mistake worth naming
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-    elif kinds is float:
-        value = finite_number(value, f"{where}.{key}")
-    elif kinds is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{where}.{key}: expected a string, got {value!r}")
-    return value
+_EXPECTED = {bool: "a boolean", int: "an integer", str: "a string"}
 
 
-def _given(obj: dict, key: str, default):
-    """obj[key], or default when the key is omitted or null."""
-    value = obj.get(key)
-    return default if value is None else value
+@cache
+def _field_specs(cls) -> dict:
+    """name: (type, required, metadata positive); X | None is X, tuple[...] tuple."""
+    hints = get_type_hints(cls)
+    specs = {}
+    for f in fields(cls):
+        typ = hints[f.name]
+        if get_origin(typ) in (Union, UnionType):
+            typ = next(arg for arg in get_args(typ) if arg is not type(None))
+        required = f.default is MISSING and f.default_factory is MISSING
+        specs[f.name] = (get_origin(typ) or typ, required, f.metadata.get("positive", False))
+    return specs
 
 
-def _optional(obj: dict, key: str, kinds, where: str, default):
-    if key not in obj or obj[key] is None:
-        return default
-    return _need(obj, key, kinds, where)
+def _read(typ, value, where: str, positive: bool):
+    if typ in _EXPECTED:
+        # bool is an int subclass; a config saying true where a count
+        # belongs is a mistake worth naming
+        if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
+            raise ConfigError(f"{where}: expected {_EXPECTED[typ]}, got {value!r}")
+        return value
+    if typ is float:
+        return finite_number(value, where)
+    if typ is tuple:
+        return number_list(value, where, positive)
+    if typ is object:  # a JSON value that its class reads itself
+        return value
+    return from_json(typ, value, where)  # a nested dataclass
 
 
-def _reject_unknown(obj: dict, allowed, where: str):
-    extra = sorted(set(obj) - set(allowed))
+def from_json(cls, obj, where: str):
+    """Read the JSON object obj into the frozen dataclass cls, naming where.
+
+    obj's keys must be fields of cls.  A field with a default may be omitted
+    or null; each value is read as the field's annotation says, a nested
+    dataclass by this function.  The instance's check(where) runs last, when
+    cls has one; a ValueError from it or the constructor is named by where.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
+    specs = _field_specs(cls)
+    extra = sorted(set(obj).difference(specs))
     if extra:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(extra)}")
+    values = {}
+    for name, (typ, required, positive) in specs.items():
+        if not required and obj.get(name) is None:
+            continue  # null, like an omitted key, is the default
+        if name not in obj:
+            raise ConfigError(f"{where}.{name}: required field is missing")
+        values[name] = _read(typ, obj[name], f"{where}.{name}", positive)
+    try:
+        made = cls(**values)
+        if hasattr(made, "check"):
+            made.check(where)
+    except ConfigError:
+        raise
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return made
 
 
 @dataclass(frozen=True)
@@ -150,63 +178,34 @@ class AnalysisBlock:
     histogram CSV.  Drift sections appear whenever trajectories exist.
     """
 
-    k_list: tuple[float, ...] = DEFAULT_K_LIST
+    k_list: tuple[float, ...] = field(default=DEFAULT_K_LIST, metadata={"positive": True})
     tau_grid: tuple[float, ...] = ()
     confidence: float = DEFAULT_CONFIDENCE
     bound: BoundSpec | None = None
     histogram_bins: int | None = None
 
     @classmethod
-    def from_dict(cls, obj: dict, where: str = "analysis") -> "AnalysisBlock":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{where}: expected an object, got {obj!r}")
-        _reject_unknown(obj, {f.name for f in fields(cls)}, where)
-        k_list = number_list(
-            _given(obj, "k_list", list(DEFAULT_K_LIST)), f"{where}.k_list", positive=True
-        )
-        tau_grid = number_list(_given(obj, "tau_grid", []), f"{where}.tau_grid")
-        confidence = _optional(obj, "confidence", float, where, DEFAULT_CONFIDENCE)
-        if not 0.0 < confidence < 1.0:
+    def from_dict(cls, obj: dict) -> "AnalysisBlock":
+        return from_json(cls, obj, "analysis")
+
+    def check(self, where: str) -> None:
+        if not 0.0 < self.confidence < 1.0:
             raise ConfigError(f"{where}.confidence: must lie strictly between 0 and 1")
-        bound = None
-        if obj.get("bound") is not None:
-            bound = parse_bound_spec(obj["bound"], where=f"{where}.bound")
-        if tau_grid and bound is None:
+        if self.tau_grid and self.bound is None:
             raise ConfigError(f"{where}.bound: required whenever tau_grid is given")
-        bins = _optional(obj, "histogram_bins", int, where, None)
-        if bins is not None and bins < 1:
+        if self.histogram_bins is not None and self.histogram_bins < 1:
             raise ConfigError(f"{where}.histogram_bins: must be positive")
-        return cls(
-            k_list=k_list,
-            tau_grid=tau_grid,
-            confidence=confidence,
-            bound=bound,
-            histogram_bins=bins,
-        )
 
 
 def parse_bound_spec(obj: dict, where: str = "bound") -> BoundSpec:
     """Build a BoundSpec from a JSON object, naming the offending field."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object, got {obj!r}")
-    _reject_unknown(obj, {f.name for f in fields(BoundSpec)}, where)
-    kind = _need(obj, "kind", str, where)
-    kwargs = {"kind": kind}
-    for key in ("b", "x0", "delta", "epsilon", "ell", "c"):
-        if obj.get(key) is not None:
-            kwargs[key] = _need(obj, key, float, where)
-    if obj.get("n") is not None:
-        kwargs["n"] = _need(obj, "n", int, where)
-    try:
-        return BoundSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return from_json(BoundSpec, obj, where)
 
 
 # ---------------------------------------------------------------------------
-# The experiment kinds.  A kind's check raises ConfigError (or a ValueError
-# from a domain constructor) for a bad params block.  Its simulate function
-# runs one replication from (params, stream, cap, record) and returns the
+# The experiment kinds, which KINDS maps by name.  A kind is a frozen
+# dataclass whose fields are exactly the keys its params accept.  Its
+# simulate runs one replication from (stream, cap, record) and returns the
 # scalar (a stopping time or a total regret), the censored flag, the values
 # of its extra samples.csv columns and the trajectory or None.  Simulators
 # are called through this module's globals, so rebinding one of those names
@@ -218,248 +217,251 @@ def parse_bound_spec(obj: dict, where: str = "bound") -> BoundSpec:
 MAX_WALK_B = 2**53
 
 
-def _check_walk(p: dict, where: str, rate: str | None = None, low: float = 0.0) -> None:
-    """1 <= b <= MAX_WALK_B and 0 <= x0 <= b, plus the named rate in (low, 1]."""
-    b = _need(p, "b", int, where)
-    x0 = _need(p, "x0", int, where)
-    if b > MAX_WALK_B:
-        raise ConfigError(f"{where}.b: must be at most 2**53 = {MAX_WALK_B}")
-    if b < 1 or not 0 <= x0 <= b:
-        raise ConfigError(f"{where}: need b >= 1 and 0 <= x0 <= b")
-    if rate is not None and not low < _need(p, rate, float, where) <= 1.0:
-        raise ConfigError(f"{where}.{rate}: must lie in ({low:g}, 1]")
-    _reject_unknown(p, {"b", "x0"} if rate is None else {"b", "x0", rate}, where)
+class Params:
+    """The defaults a kind inherits.
 
+    samples.csv starts with lead and ends with columns; records says whether
+    trajectories can be recorded.  default_cap() gives the cap when the
+    config sets none; None here means the config must set one.
+    """
 
-def _walk(sample_and_trajectory) -> tuple:
-    sample, traj = sample_and_trajectory
-    return sample.stopping_time, sample.censored, (), traj
-
-
-def _simulate_fair(p, stream, cap, record):
-    return _walk(simulate_fair_walk(stream, p["b"], p["x0"], cap, record=record))
-
-
-def _simulate_biased(p, stream, cap, record):
-    walk = simulate_biased_walk(stream, p["b"], p["x0"], p["p_up"], cap, record=record)
-    return _walk(walk)
-
-
-def _simulate_lazy(p, stream, cap, record):
-    walk = simulate_lazy_walk(stream, p["b"], p["x0"], p["delta"], cap, record=record)
-    return _walk(walk)
-
-
-def _check_sat2(p: dict, where: str) -> None:
-    _reject_unknown(p, {"n", "m"}, where)
-    n = _need(p, "n", int, where)
-    m = _need(p, "m", int, where)
-    if n < 2:
-        raise ConfigError(f"{where}.n: must be at least 2")
-    if m < 1:
-        raise ConfigError(f"{where}.m: must be at least 1")
-
-
-def _simulate_sat2(p, stream, cap, record):
-    instance = generate_planted(stream, p["n"], p["m"])
-    init = random_assignment(stream, p["n"])
-    reference = instance.witness if record else None
-    result = run_walk(instance.formula, init, stream, cap, reference=reference)
-    satisfied = satisfies(instance.formula, result.assignment)
-    return result.iterations, result.censored, (satisfied,), result.trajectory
-
-
-def _check_recolour(p: dict, where: str) -> None:
-    _reject_unknown(p, {"n", "edge_prob"}, where)
-    n = _need(p, "n", int, where)
-    edge_prob = _need(p, "edge_prob", float, where)
-    if n < 3:
-        raise ConfigError(f"{where}.n: must be at least 3")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ConfigError(f"{where}.edge_prob: must lie in [0, 1]")
-
-
-def _simulate_recolour(p, stream, cap, record):
-    graph = generate_3colorable(stream, p["n"], p["edge_prob"])
-    init = random_colouring(stream, p["n"])
-    result = run_recolour(graph, init, stream, cap, record=record)
-    triangle_free = seek_monochromatic_triangle(graph, result.colouring) is None
-    return result.iterations, result.censored, (triangle_free,), result.trajectory
-
-
-def _bilinear(p: dict) -> BilinearParams:
-    return BilinearParams(p["n"], p["alpha"], p["beta"])
-
-
-def _check_bilinear(p: dict, where: str, others: set) -> None:
-    _reject_unknown(p, {"n", "alpha", "beta"} | others, where)
-    BilinearParams(
-        _need(p, "n", int, where),
-        _need(p, "alpha", float, where),
-        _need(p, "beta", float, where),
-    )
-
-
-def _check_rlspd(p: dict, where: str) -> None:
-    _check_bilinear(p, where, {"payoff"})
-    if _optional(p, "payoff", str, where, "plain") not in PAYOFFS:
-        raise ConfigError(f"{where}.payoff: choose from {', '.join(PAYOFFS)}")
-
-
-def _simulate_rlspd(p, stream, cap, record):
-    # null, like an omitted key, is the default (see _optional)
-    payoff = p.get("payoff") or "plain"
-    result = run_until_opt(_bilinear(p), stream, cap, record=record, payoff=payoff)
-    return result.iterations, result.censored, (result.quadrant_at_end,), result.trajectory
-
-
-def _check_forgetting(p: dict, where: str) -> None:
-    _check_bilinear(p, where, {"A", "B"})
-    a = _need(p, "A", float, where)
-    b = _need(p, "B", float, where)
-    if a <= 0 or b <= 0:
-        raise ConfigError(f"{where}: A and B must be positive")
-
-
-def _simulate_forgetting(p, stream, cap, record):
-    threshold = (p["A"] + p["B"]) * math.sqrt(p["n"])
-    result = run_forgetting(_bilinear(p), stream, threshold, cap, record=record)
-    return result.iterations, result.censored, (result.quadrant_at_end,), result.trajectory
-
-
-def _check_rwab(p: dict, where: str) -> None:
-    _reject_unknown(p, {"horizon", "mu1", "mu2", "changes", "accounting"}, where)
-    horizon = _need(p, "horizon", int, where)
-    changes = _need(p, "changes", int, where)
-    mu1 = _need(p, "mu1", float, where)
-    mu2 = _need(p, "mu2", float, where)
-    if horizon < 2:
-        raise ConfigError(f"{where}.horizon: must be at least 2")
-    if not 1 <= changes < horizon - 1:
-        raise ConfigError(f"{where}.changes: must lie in [1, horizon - 2]")
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        if not 0.0 <= mu <= 1.0:
-            raise ConfigError(f"{where}.{name}: must lie in [0, 1]")
-    check_challenges_end(horizon, mu1, mu2)
-    if _optional(p, "accounting", str, where, "mean_gap") not in ACCOUNTING_MODES:
-        raise ConfigError(f"{where}.accounting: choose from {', '.join(ACCOUNTING_MODES)}")
-
-
-def _simulate_rwab(p, stream, cap, record):
-    times = sample_change_times(stream, p["horizon"], p["changes"])
-    env = BanditEnv(horizon=p["horizon"], mu1=p["mu1"], mu2=p["mu2"], change_times=times)
-    ledger = run_rwab(env, stream, accounting=p.get("accounting") or "mean_gap")
-    return ledger.total_regret, False, (ledger.swaps, ledger.mistakes, ledger.sub_eras), None
+    lead = SAMPLE_COLUMNS
+    columns = ()
+    records = True
+    default_cap = None
 
 
 @dataclass(frozen=True)
-class Kind:
-    """One experiment kind: params check, cap, simulator and CSV columns.
+class Walk(Params):
+    b: int
+    x0: int
 
-    default_cap gives the cap from the params when the config sets none;
-    None means the config must set one.  samples.csv starts with lead and
-    ends with columns.  records says whether trajectories can be recorded.
-    """
+    def check(self, where: str) -> None:
+        if self.b > MAX_WALK_B:
+            raise ConfigError(f"{where}.b: must be at most 2**53 = {MAX_WALK_B}")
+        if self.b < 1 or not 0 <= self.x0 <= self.b:
+            raise ConfigError(f"{where}: need b >= 1 and 0 <= x0 <= b")
 
-    check: Callable[[dict, str], None]
-    default_cap: Callable[[dict], int | None] | None
-    simulate: Callable[[dict, RngStream, int, bool], tuple]
-    columns: tuple[str, ...] = ()
-    lead: tuple[str, ...] = SAMPLE_COLUMNS
-    records: bool = True
+    def simulate(self, stream, cap, record):
+        sample, traj = self.walk(stream, cap, record)
+        return sample.stopping_time, sample.censored, (), traj
+
+
+@dataclass(frozen=True)
+class FairWalk(Walk):
+    def walk(self, stream, cap, record):
+        return simulate_fair_walk(stream, self.b, self.x0, cap, record=record)
+
+
+@dataclass(frozen=True)
+class BiasedWalk(Walk):
+    p_up: float
+
+    def check(self, where: str) -> None:
+        super().check(where)
+        if not 0.5 < self.p_up <= 1.0:
+            raise ConfigError(f"{where}.p_up: must lie in (0.5, 1]")
+
+    def walk(self, stream, cap, record):
+        return simulate_biased_walk(stream, self.b, self.x0, self.p_up, cap, record=record)
+
+
+@dataclass(frozen=True)
+class LazyWalk(Walk):
+    delta: float
+
+    def check(self, where: str) -> None:
+        super().check(where)
+        if not 0.0 < self.delta <= 1.0:
+            raise ConfigError(f"{where}.delta: must lie in (0, 1]")
+
+    def walk(self, stream, cap, record):
+        return simulate_lazy_walk(stream, self.b, self.x0, self.delta, cap, record=record)
+
+
+@dataclass(frozen=True)
+class Sat2(Params):
+    n: int
+    m: int
+    columns = ("satisfied",)
+
+    def check(self, where: str) -> None:
+        if self.n < 2:
+            raise ConfigError(f"{where}.n: must be at least 2")
+        if self.m < 1:
+            raise ConfigError(f"{where}.m: must be at least 1")
+
+    def simulate(self, stream, cap, record):
+        instance = generate_planted(stream, self.n, self.m)
+        init = random_assignment(stream, self.n)
+        reference = instance.witness if record else None
+        result = run_walk(instance.formula, init, stream, cap, reference=reference)
+        satisfied = satisfies(instance.formula, result.assignment)
+        return result.iterations, result.censored, (satisfied,), result.trajectory
+
+
+@dataclass(frozen=True)
+class Recolour(Params):
+    n: int
+    edge_prob: float
+    columns = ("triangle_free",)
+
+    def check(self, where: str) -> None:
+        if self.n < 3:
+            raise ConfigError(f"{where}.n: must be at least 3")
+        if not 0.0 <= self.edge_prob <= 1.0:
+            raise ConfigError(f"{where}.edge_prob: must lie in [0, 1]")
+
+    def simulate(self, stream, cap, record):
+        graph = generate_3colorable(stream, self.n, self.edge_prob)
+        init = random_colouring(stream, self.n)
+        result = run_recolour(graph, init, stream, cap, record=record)
+        triangle_free = seek_monochromatic_triangle(graph, result.colouring) is None
+        return result.iterations, result.censored, (triangle_free,), result.trajectory
+
+
+@dataclass(frozen=True)
+class Bilinear(Params):
+    """n, alpha and beta, as BilinearParams checks them; search() runs once."""
+
+    n: int
+    alpha: float
+    beta: float
+    columns = ("quadrant_at_end",)
+
+    def problem(self) -> BilinearParams:
+        return BilinearParams(self.n, self.alpha, self.beta)
+
+    def check(self, where: str) -> None:
+        self.problem()
+
+    def simulate(self, stream, cap, record):
+        result = self.search(stream, cap, record)
+        return result.iterations, result.censored, (result.quadrant_at_end,), result.trajectory
+
+
+@dataclass(frozen=True)
+class Rlspd(Bilinear):
+    payoff: str = "plain"
+
+    def check(self, where: str) -> None:
+        super().check(where)
+        if self.payoff not in PAYOFFS:
+            raise ConfigError(f"{where}.payoff: choose from {', '.join(PAYOFFS)}")
+
+    def default_cap(self) -> int:
+        return default_cap(self.problem())  # bilinear.default_cap, not this method
+
+    def search(self, stream, cap, record):
+        return run_until_opt(self.problem(), stream, cap, record=record, payoff=self.payoff)
+
+
+@dataclass(frozen=True)
+class Forgetting(Bilinear):
+    A: float
+    B: float
+
+    def check(self, where: str) -> None:
+        super().check(where)
+        if self.A <= 0 or self.B <= 0:
+            raise ConfigError(f"{where}: A and B must be positive")
+
+    def default_cap(self) -> int:
+        return 100 * self.n
+
+    def search(self, stream, cap, record):
+        threshold = (self.A + self.B) * math.sqrt(self.n)
+        return run_forgetting(self.problem(), stream, threshold, cap, record=record)
+
+
+@dataclass(frozen=True)
+class Rwab(Params):
+    """A bandit run ends at its horizon, so it takes no cap; its scalar is a
+    regret, which is never censored, and it records no trajectory."""
+
+    horizon: int
+    changes: int
+    mu1: float
+    mu2: float
+    accounting: str = "mean_gap"
+    lead = REGRET_COLUMNS
+    columns = ("swaps", "mistakes", "sub_eras")
+    records = False
+
+    def check(self, where: str) -> None:
+        if self.horizon < 2:
+            raise ConfigError(f"{where}.horizon: must be at least 2")
+        if not 1 <= self.changes < self.horizon - 1:
+            raise ConfigError(f"{where}.changes: must lie in [1, horizon - 2]")
+        for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
+            if not 0.0 <= mu <= 1.0:
+                raise ConfigError(f"{where}.{name}: must lie in [0, 1]")
+        check_challenges_end(self.horizon, self.mu1, self.mu2)
+        if self.accounting not in ACCOUNTING_MODES:
+            raise ConfigError(f"{where}.accounting: choose from {', '.join(ACCOUNTING_MODES)}")
+
+    def default_cap(self) -> None:
+        return None
+
+    def simulate(self, stream, cap, record):
+        times = sample_change_times(stream, self.horizon, self.changes)
+        env = BanditEnv(horizon=self.horizon, mu1=self.mu1, mu2=self.mu2, change_times=times)
+        ledger = run_rwab(env, stream, accounting=self.accounting)
+        return ledger.total_regret, False, (ledger.swaps, ledger.mistakes, ledger.sub_eras), None
 
 
 KINDS = {
-    "sat2": Kind(_check_sat2, None, _simulate_sat2, ("satisfied",)),
-    "recolour": Kind(_check_recolour, None, _simulate_recolour, ("triangle_free",)),
-    "rlspd": Kind(
-        _check_rlspd,
-        lambda p: default_cap(_bilinear(p)),
-        _simulate_rlspd,
-        ("quadrant_at_end",),
-    ),
-    "rlspd_forgetting": Kind(
-        _check_forgetting, lambda p: 100 * p["n"], _simulate_forgetting, ("quadrant_at_end",)
-    ),
-    # a bandit run ends at its horizon, so it takes no cap; its scalar is a
-    # regret, which is never censored, and it records no trajectory
-    "rwab": Kind(
-        _check_rwab,
-        lambda p: None,
-        _simulate_rwab,
-        ("swaps", "mistakes", "sub_eras"),
-        lead=REGRET_COLUMNS,
-        records=False,
-    ),
-    "synthetic_fair": Kind(_check_walk, None, _simulate_fair),
-    "synthetic_biased": Kind(partial(_check_walk, rate="p_up", low=0.5), None, _simulate_biased),
-    "synthetic_lazy": Kind(partial(_check_walk, rate="delta"), None, _simulate_lazy),
+    "sat2": Sat2,
+    "recolour": Recolour,
+    "rlspd": Rlspd,
+    "rlspd_forgetting": Forgetting,
+    "rwab": Rwab,
+    "synthetic_fair": FairWalk,
+    "synthetic_biased": BiasedWalk,
+    "synthetic_lazy": LazyWalk,
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  from_json leaves params and analysis as the JSON
+    values given; from_dict reads them as KINDS[kind] and as the analysis
+    block under its own name, as driftlab analyze reads it from a file."""
+
     kind: str
-    params: dict
     runs: int
     master_seed: int
     output_dir: str
     cap: int | None = None
     record_trajectories: bool = False
     workers: int = 1
-    analysis: AnalysisBlock = field(default_factory=AnalysisBlock)
+    params: object = field(default_factory=dict)
+    analysis: object = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"config: expected an object, got {obj!r}")
-        _reject_unknown(obj, {f.name for f in fields(cls)}, "config")
-        kind = _need(obj, "kind", str, "config")
-        if kind not in KINDS:
-            raise ConfigError(
-                f"config.kind: unknown kind {kind!r}; choose from {', '.join(KINDS)}"
-            )
-        runs = _need(obj, "runs", int, "config")
-        if runs < 1:
-            raise ConfigError("config.runs: must be at least 1")
-        master_seed = _need(obj, "master_seed", int, "config")
-        if not 0 <= master_seed < 2**64:
-            raise ConfigError("config.master_seed: must fit in 64 unsigned bits")
-        output_dir = _need(obj, "output_dir", str, "config")
-        cap = _optional(obj, "cap", int, "config", None)
-        if cap is not None and cap < 0:
-            raise ConfigError("config.cap: must be nonnegative")
-        record = _optional(obj, "record_trajectories", bool, "config", False)
-        workers = _optional(obj, "workers", int, "config", 1)
-        if workers < 1:
-            raise ConfigError("config.workers: must be at least 1")
-        params = _given(obj, "params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"config.params: expected an object, got {params!r}")
-        analysis = AnalysisBlock.from_dict(_given(obj, "analysis", {}))
-        entry = KINDS[kind]
-        try:
-            entry.check(params, "config.params")
-        except ConfigError:
-            raise
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"config.params: {exc}") from exc
-        if cap is None and entry.default_cap is None:
+        config = from_json(cls, obj, "config")
+        analysis = AnalysisBlock.from_dict(config.analysis)
+        params = from_json(KINDS[config.kind], config.params, "config.params")
+        if config.cap is None and params.default_cap is None:
             raise ConfigError("config.cap: required for this kind")
-        if record and not entry.records:
-            raise ConfigError(f"config.record_trajectories: {kind} records no trajectories")
-        return cls(
-            kind=kind,
-            # a null param is the default, as for every optional field
-            params={k: v for k, v in params.items() if v is not None},
-            runs=runs,
-            master_seed=master_seed,
-            output_dir=output_dir,
-            cap=cap,
-            record_trajectories=record,
-            workers=workers,
-            analysis=analysis,
-        )
+        if config.record_trajectories and not params.records:
+            raise ConfigError(f"config.record_trajectories: {config.kind} records no trajectories")
+        return replace(config, params=params, analysis=analysis)
+
+    def check(self, where: str) -> None:
+        if self.kind not in KINDS:
+            raise ConfigError(
+                f"{where}.kind: unknown kind {self.kind!r}; choose from {', '.join(KINDS)}"
+            )
+        if self.runs < 1:
+            raise ConfigError(f"{where}.runs: must be at least 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"{where}.master_seed: must fit in 64 unsigned bits")
+        if self.cap is not None and self.cap < 0:
+            raise ConfigError(f"{where}.cap: must be nonnegative")
+        if self.workers < 1:
+            raise ConfigError(f"{where}.workers: must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +479,9 @@ class Replication:
 
 def run_replication(config: ExperimentConfig, run_id: int) -> Replication:
     stream = RngStream(master_seed=config.master_seed, stream_id=run_id)
-    kind = KINDS[config.kind]
-    cap = config.cap if config.cap is not None else kind.default_cap(config.params)
-    scalar, censored, extra, traj = kind.simulate(
-        config.params, stream, cap, config.record_trajectories
-    )
+    params = config.params
+    cap = config.cap if config.cap is not None else params.default_cap()
+    scalar, censored, extra, traj = params.simulate(stream, cap, config.record_trajectories)
     if traj is not None:
         # 8 bytes a value with no int object behind it, held until
         # run_experiment returns; every recorded value is an int within
@@ -608,8 +608,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
 
     out = config.output_dir
     samples_path = os.path.join(out, "samples.csv")
-    kind = KINDS[config.kind]
-    write_text(samples_path, samples_to_csv(samples, kind.columns, extras, lead=kind.lead))
+    params = config.params
+    write_text(samples_path, samples_to_csv(samples, params.columns, extras, lead=params.lead))
 
     trajectory_dir = None
     if config.record_trajectories:

@@ -783,6 +783,18 @@ def test_cli_bounds_prints_the_table(tmp_path, capsys):
     assert capsys.readouterr().out == "tau,bound\n2.71828,0.36788\n"
 
 
+def test_cli_bounds_rejects_an_unknown_key(tmp_path, capsys):
+    spec = {
+        "bound": {"kind": "Additive", "b": 10, "epsilon": 1},
+        "tau_grid": [1, 2],
+        "typo_grid": [5],
+    }
+    assert main(["bounds", write_json(tmp_path / "spec.json", spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bounds spec: unknown field(s) typo_grid\n"
+
+
 def test_cli_malformed_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "config.json"
     bad.write_text('{"kind":\n  not json}\n')
