@@ -280,11 +280,7 @@ def run_search(
     pair.y[:] = cls[n:].translate(_MINUS_TWO)
     pair.ones_x, pair.ones_y = ox, oy
     censored = lo < m < hi
-    traj = None
-    if record:
-        traj = Trajectory(
-            values=_fill_steps(m0, kept, t), censored=censored, cap=cap if censored else None
-        )
+    traj = Trajectory(values=_fill_steps(m0, kept, t)) if record else None
     return BilinearRunResult(
         pair=pair,
         iterations=t,
@@ -317,10 +313,6 @@ def run_until_opt(
     objective, "corrected" the objective with its tie-breaking terms (see
     the module docstring).
     """
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    if payoff not in PAYOFFS:
-        raise ValueError(f"payoff must be one of {PAYOFFS}, got {payoff!r}")
     pair = random_pair(stream, params)
     return run_search(params, stream, pair, cap, 0, inf, payoff == "plain", record)
 
@@ -338,9 +330,5 @@ def run_forgetting(
     reached: the error terms allow drifting moves along the optimum
     boundary, so the distance performs a slow random walk away from zero.
     """
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    if not threshold >= 0:
-        raise ValueError("threshold must be nonnegative")
     pair = canonical_opt_pair(params)
     return run_search(params, stream, pair, cap, -1, threshold, False, record)

@@ -205,6 +205,8 @@ def parse_bound_spec(obj: dict, where: str = "bound") -> BoundSpec:
 # ---------------------------------------------------------------------------
 # The experiment kinds, which KINDS maps by name.  A kind is a frozen
 # dataclass whose fields are exactly the keys its params accept.  Its
+# check states each range rule on them once; the simulators and instance
+# types below take the params as given and check nothing again.  Its
 # simulate runs one replication from (stream, cap, record) and returns the
 # scalar (a stopping time or a total regret), the censored flag, the values
 # of its extra samples.csv columns and the trajectory or None.  Simulators
@@ -458,6 +460,8 @@ class ExperimentConfig:
             raise ConfigError(f"{where}.runs: must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"{where}.master_seed: must fit in 64 unsigned bits")
+        if not self.output_dir:
+            raise ConfigError(f"{where}.output_dir: must name a directory")
         if self.cap is not None and self.cap < 0:
             raise ConfigError(f"{where}.cap: must be nonnegative")
         if self.workers < 1:

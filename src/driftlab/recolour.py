@@ -26,53 +26,15 @@ from driftlab.trajectory import Trajectory
 class ColorableGraph:
     """Graph plus witness 3-partition: classes[v] in {0,1,2}, edges cross-class.
 
-    Edges are canonical (u < v, strictly increasing, no duplicates); the
-    constructor enforces all of it, so a constructed instance is always a
-    legal 3-colourable input.
+    Edges are canonical (u < v, strictly increasing, no duplicates), and
+    adj[v] is the bitmask of v's neighbours.  generate_3colorable builds
+    instances that way; the constructor checks nothing.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     classes: tuple[int, ...]
-    _adj: list[int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need at least three vertices")
-        if len(self.classes) != self.n:
-            raise ValueError("classes must assign every vertex")
-        if any(c not in (0, 1, 2) for c in self.classes):
-            raise ValueError("witness classes must be 0, 1, or 2")
-        n, classes = self.n, self.classes
-        adj = [0] * n
-        for u, v in self.edges:
-            if not 0 <= u < v < n:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge ({u},{v}) out of range")
-                raise ValueError(f"edge ({u},{v}) must be ordered u < v")
-            if adj[u] >> v & 1:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            if classes[u] == classes[v]:
-                raise ValueError(f"edge ({u},{v}) joins one witness class")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self._adj = adj
-
-    @classmethod
-    def _built(
-        cls,
-        n: int,
-        edges: tuple[tuple[int, int], ...],
-        classes: tuple[int, ...],
-        adj: list[int],
-    ) -> ColorableGraph:
-        """An instance from fields built to the invariants above, unchecked.
-
-        For generators only; outside input goes through the constructor.
-        """
-        graph = object.__new__(cls)
-        graph.n, graph.edges, graph.classes, graph._adj = n, edges, classes, adj
-        return graph
+    adj: list[int] = field(repr=False)
 
 
 @lru_cache(maxsize=16)
@@ -91,13 +53,8 @@ def generate_3colorable(stream: RngStream, n: int, edge_prob: float) -> Colorabl
     Every unordered cross-class pair becomes an edge with probability
     edge_prob, examined in lexicographic order: one word per pair, kept
     when it is below below(edge_prob).  The adjacency masks are built as
-    the edges are kept, which meets ColorableGraph's invariants by
-    construction, so the graph skips the constructor's checks.
+    the edges are kept.
     """
-    if n < 3:
-        raise ValueError("need at least three vertices")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob!r}")
     classes, partners, pairs = _layout(n)
     keep = below(edge_prob)
     words = stream.words()
@@ -111,7 +68,7 @@ def generate_3colorable(stream: RngStream, n: int, edge_prob: float) -> Colorabl
                 adj[u] |= 1 << v
                 adj[v] |= bit
     stream.draw_counter += pairs
-    return ColorableGraph._built(n, tuple(edges), classes, adj)
+    return ColorableGraph(n, tuple(edges), classes, adj)
 
 
 def random_colouring(stream: RngStream, n: int) -> bytearray:
@@ -125,9 +82,7 @@ def seek_monochromatic_triangle(
     graph: ColorableGraph, colouring
 ) -> tuple[int, int, int] | None:
     """Lexicographically smallest same-coloured triangle, or None."""
-    if len(colouring) != graph.n:
-        raise ValueError("colouring length must equal vertex count")
-    return _scan(graph._adj, *_masks(colouring), 0)
+    return _scan(graph.adj, *_masks(colouring), 0)
 
 
 def _masks(colouring) -> tuple[int, int]:
@@ -179,27 +134,22 @@ def run_recolour(
 
     The two colour masks are kept across flips, and each search after a
     flip resumes the lexicographic scan where a new triangle could first
-    appear instead of at vertex 0.  Colours must be 0 or 1.
+    appear instead of at vertex 0.  init holds graph.n colours, each 0
+    or 1.
 
     With record, the trajectory of
     Y_t = #{v in class 0 : colour(v) = 0} + #{v in class 1 : colour(v) = 1}
     is recorded.
     """
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
     n = graph.n
     colouring = bytearray(init)
-    if len(colouring) != n:
-        raise ValueError("init length must equal vertex count")
-    if max(colouring, default=0) > 1:
-        raise ValueError("init colours must be 0 or 1")
 
     classes = graph.classes
     if record:
         y = sum(1 for v in range(n) if classes[v] < 2 and colouring[v] == classes[v])
         values: list[float] = [y]
 
-    adj = graph._adj
+    adj = graph.adj
     zeros, ones = _masks(colouring)
     # next_index(3) on raw words: reject at the limit, then take w % 3
     limit = index_limit(3)
@@ -237,9 +187,7 @@ def run_recolour(
             values.append(y)
 
     stream.draw_counter += t + rejected
-    traj = None
-    if record:
-        traj = Trajectory(values=values, censored=censored, cap=cap if censored else None)
+    traj = Trajectory(values=values) if record else None
     return RecolourResult(
         colouring=colouring, iterations=t, censored=censored, trajectory=traj
     )

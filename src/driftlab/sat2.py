@@ -25,42 +25,21 @@ Clause = tuple[Literal, Literal]
 
 @dataclass(frozen=True)
 class TwoCnfFormula:
-    """A 2-CNF formula: n variables, clauses of exactly two literals."""
+    """A 2-CNF formula: n variables, clauses of exactly two literals.
+
+    Variables lie in [0, n) and negation flags are bools; the constructor
+    checks nothing (generate_planted builds formulas that way).
+    """
 
     n: int
     clauses: tuple[Clause, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("formula needs at least one variable")
-        for idx, clause in enumerate(self.clauses):
-            if len(clause) != 2:
-                raise ValueError(f"clause {idx} must have exactly two literals")
-            for var, neg in clause:
-                if not 0 <= var < self.n:
-                    raise ValueError(f"clause {idx}: variable {var} out of range")
-                if not isinstance(neg, bool):
-                    raise ValueError(f"clause {idx}: negation flag must be bool")
 
     @property
     def m(self) -> int:
         return len(self.clauses)
 
-    @classmethod
-    def _built(cls, n: int, clauses: tuple[Clause, ...]) -> TwoCnfFormula:
-        """A formula from fields built to the invariants above, unchecked.
-
-        For generators only; outside input goes through the constructor.
-        """
-        formula = object.__new__(cls)
-        object.__setattr__(formula, "n", n)
-        object.__setattr__(formula, "clauses", clauses)
-        return formula
-
 
 def satisfies(formula: TwoCnfFormula, assignment) -> bool:
-    if len(assignment) != formula.n:
-        raise ValueError("assignment length must equal variable count")
     # a literal (var, neg) holds when bool(assignment[var]) != neg
     return all(
         (assignment[u] != 0) != nu or (assignment[v] != 0) != nv
@@ -70,8 +49,6 @@ def satisfies(formula: TwoCnfFormula, assignment) -> bool:
 
 def agreement_count(a, b) -> int:
     """Number of positions where two assignments agree."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return sum(1 for x, y in zip(a, b) if bool(x) == bool(y))
 
 
@@ -96,12 +73,9 @@ def generate_planted(stream: RngStream, n: int, m: int) -> PlantedInstance:
     draw, so this terminates quickly).  The draws are those of
     next_index(n), next_index(n), then next_index(2) twice, taken from raw
     words: a variable rejects words at or above index_limit(n) and takes
-    w % n, a polarity is w & 1.
+    w % n, a polarity is w & 1.  n must be at least 2, as the config
+    reader requires: at n = 1 every draw gives u == v and no clause is kept.
     """
-    if n < 2:
-        raise ValueError("planted generation needs n >= 2 (distinct variables per clause)")
-    if m < 1:
-        raise ValueError("need at least one clause")
     witness = bytes(random_assignment(stream, n))
     limit = index_limit(n)
     draw = stream.words().__next__
@@ -127,8 +101,7 @@ def generate_planted(stream: RngStream, n: int, m: int) -> PlantedInstance:
         if witness[u] != nu or witness[v] != nv:
             clauses.append(((u, nu == 1), (v, nv == 1)))
     stream.draw_counter += used
-    # distinct in-range variables and bool flags, as the constructor checks
-    formula = TwoCnfFormula._built(n, tuple(clauses))
+    formula = TwoCnfFormula(n, tuple(clauses))
     return PlantedInstance(formula=formula, witness=witness)
 
 
@@ -151,16 +124,11 @@ def run_walk(
 
     A bytearray holds one violated flag per clause, so unsat.find(1) is the
     lowest-index violated clause, and a flip only re-evaluates the clauses
-    containing the flipped variable.
+    containing the flipped variable.  init and reference hold formula.n
+    entries each.
     """
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
     n = formula.n
     assignment = bytearray(init)
-    if len(assignment) != n:
-        raise ValueError("init length must equal variable count")
-    if reference is not None and len(reference) != n:
-        raise ValueError("reference length must equal variable count")
 
     clauses = formula.clauses
     occ: list[list[int]] = [[] for _ in range(n)]
@@ -197,7 +165,5 @@ def run_walk(
 
     stream.draw_counter += t
     censored = unsat.find(1) >= 0
-    traj = None
-    if record:
-        traj = Trajectory(values=values, censored=censored, cap=cap if censored else None)
+    traj = Trajectory(values=values) if record else None
     return WalkResult(assignment=assignment, iterations=t, censored=censored, trajectory=traj)

@@ -17,29 +17,14 @@ from typing import Iterable, Sequence
 class Trajectory:
     """Path of a potential: values[t] is the potential after t steps.
 
-    values is a sequence of numbers: a list from the simulators and the
-    trajectory reader, and an array('q') of ints once run_replication
-    holds it, so a stored value costs 8 bytes.
-
-    A censored trajectory ran into its cap, so it records exactly
-    cap + 1 values (steps 0..cap) and its endpoint is not a hitting event.
+    values is a sequence of numbers, at least the starting value: a list
+    from the simulators and the trajectory reader, and an array('q') of
+    ints once run_replication holds it, so a stored value costs 8 bytes.
+    Whether the run was censored is its HittingTimeSample's flag; a
+    censored run records cap + 1 values (steps 0..cap).
     """
 
     values: Sequence[float]
-    censored: bool = False
-    cap: int | None = None
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("a trajectory records at least its starting value")
-        if self.censored:
-            if self.cap is None:
-                raise ValueError("censored trajectory needs its cap")
-            if len(self.values) != self.cap + 1:
-                raise ValueError(
-                    f"censored trajectory must hold cap+1={self.cap + 1} values, "
-                    f"got {len(self.values)}"
-                )
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from the stream's ``words()`` iterator and tests it against an integer
 bound from ``below``, so a step makes the same move a ``next_uniform()``
 draw would; it sets ``draw_counter`` once, past the last word used.  It
 reports a HittingTimeSample plus, on request, the full trajectory.
+Parameters are taken as given: the config reader in
+:mod:`driftlab.experiment` checks b, x0, the rate and the cap once.
 """
 
 from __future__ import annotations
@@ -29,20 +31,13 @@ def _finish(stream, t, censored, values):
     sample = HittingTimeSample(
         run_id=0, stopping_time=t, censored=censored, seed_used=stream.stream_id
     )
-    traj = None
-    if values is not None:
-        traj = Trajectory(values=values, censored=censored, cap=None if not censored else t)
-    return sample, traj
+    return sample, None if values is None else Trajectory(values=values)
 
 
 def simulate_fair_walk(
     stream: RngStream, b: int, x0: int, cap: int, record: bool = False
 ) -> tuple[HittingTimeSample, Trajectory | None]:
     """Unit-step zero-drift walk absorbed at 0 and b."""
-    if b < 1 or not 0 <= x0 <= b:
-        raise ValueError("need b >= 1 and 0 <= x0 <= b")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
     x, t = x0, 0
     values = [x] if record else None
     if 0 < x < b and cap > 0:
@@ -65,12 +60,6 @@ def simulate_biased_walk(
     p_up must exceed 1/2 so the additive drift 2*p_up - 1 is positive.  A
     step from 0 is forced upward and consumes no randomness.
     """
-    if b < 1 or not 0 <= x0 <= b:
-        raise ValueError("need b >= 1 and 0 <= x0 <= b")
-    if not 0.5 < p_up <= 1.0:
-        raise ValueError(f"p_up must lie in (1/2, 1], got {p_up!r}")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
     x, t = x0, 0
     values = [x] if record else None
     up = below(p_up)
@@ -99,12 +88,6 @@ def simulate_lazy_walk(
     keeps per-step second moment delta everywhere.  delta = 1 is the fair
     walk with one absorbing end.
     """
-    if b < 1 or not 0 <= x0 <= b:
-        raise ValueError("need b >= 1 and 0 <= x0 <= b")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
     x, t = x0, 0
     values = [x] if record else None
     if x > 0 and cap > 0:

@@ -7,7 +7,8 @@ independent of the fast path it checks:
 * walks: exact expected hitting times from the one-step recurrences;
 * bilinear: the integer-scaled payoff n^3 * g, the pairwise-dominance
   chain and the single-flip RLS-PD step that ``run_search`` is pinned to;
-* sat2: literal and clause semantics;
+* sat2: literal and clause semantics, and the invariants of a formula;
+* recolour: a graph built from outside input, with every invariant checked;
 * rwab: the paper's regret ceiling 480*eps*(L + sqrt(L*T)), one challenge
   on its own stream, the round loop with scalar draws and a full ledger,
   and the list-backed Fisher-Yates draw of the change times.
@@ -19,9 +20,10 @@ import math
 from dataclasses import dataclass
 
 from driftlab.bilinear import BilinearParams, SearchPair
+from driftlab.recolour import ColorableGraph
 from driftlab.rng import RngStream, below, index_limit
 from driftlab.rwab import BanditEnv, ChallengeOutcome, _challenge
-from driftlab.sat2 import Clause, Literal
+from driftlab.sat2 import Clause, Literal, TwoCnfFormula
 
 # ---------------------------------------------------------------------------
 # Walks: exact means, solved from the first-step recurrences by forward
@@ -161,6 +163,56 @@ def literal_true(lit: Literal, assignment) -> bool:
 
 def clause_satisfied(clause: Clause, assignment) -> bool:
     return literal_true(clause[0], assignment) or literal_true(clause[1], assignment)
+
+
+def check_formula(formula: TwoCnfFormula) -> None:
+    """Raise ValueError unless formula meets TwoCnfFormula's invariants.
+
+    At least one variable; every clause two literals, each an in-range
+    variable with a bool negation flag.
+    """
+    if formula.n < 1:
+        raise ValueError("formula needs at least one variable")
+    for idx, clause in enumerate(formula.clauses):
+        if len(clause) != 2:
+            raise ValueError(f"clause {idx} must have exactly two literals")
+        for var, neg in clause:
+            if not 0 <= var < formula.n:
+                raise ValueError(f"clause {idx}: variable {var} out of range")
+            if not isinstance(neg, bool):
+                raise ValueError(f"clause {idx}: negation flag must be bool")
+
+
+# ---------------------------------------------------------------------------
+# Recolouring.
+
+
+def checked_graph(n: int, edges, classes) -> ColorableGraph:
+    """A ColorableGraph with its adjacency masks, or the ValueError of the first fault.
+
+    Checks what generate_3colorable builds by construction: at least three
+    vertices, a class in {0, 1, 2} for each, and canonical edges (u < v,
+    in range, no duplicates) that join different classes.
+    """
+    if n < 3:
+        raise ValueError("need at least three vertices")
+    if len(classes) != n:
+        raise ValueError("classes must assign every vertex")
+    if any(c not in (0, 1, 2) for c in classes):
+        raise ValueError("witness classes must be 0, 1, or 2")
+    adj = [0] * n
+    for u, v in edges:
+        if not 0 <= u < v < n:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range")
+            raise ValueError(f"edge ({u},{v}) must be ordered u < v")
+        if adj[u] >> v & 1:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        if classes[u] == classes[v]:
+            raise ValueError(f"edge ({u},{v}) joins one witness class")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return ColorableGraph(n, tuple(edges), tuple(classes), adj)
 
 
 # ---------------------------------------------------------------------------

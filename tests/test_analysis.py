@@ -30,10 +30,6 @@ def test_hoeffding_margin_formula_and_validation():
     )
     with pytest.raises(EmptySampleError):
         hoeffding_margin(0)
-    with pytest.raises(ValueError):
-        hoeffding_margin(10, 1.0)
-    with pytest.raises(ValueError):
-        hoeffding_margin(10, 0.0)
 
 
 def test_drift_estimate_on_fixed_paths():
@@ -143,8 +139,6 @@ def test_compare_bound_counts_censored_as_surviving():
 def test_compare_bound_validation():
     with pytest.raises(EmptySampleError):
         compare_bound([], STD_UNIT, tau_grid=[1.0])
-    with pytest.raises(ValueError):
-        compare_bound([sample(0, 1)], STD_UNIT, tau_grid=[])
 
 
 def test_summary_table_fixed_cases():
@@ -202,7 +196,5 @@ def test_histogram_excludes_censored_and_validates():
     hist = histogram_export(samples, bin_count=5)
     assert hist.sample_count == 2
     assert hist.censored_excluded == 1
-    with pytest.raises(ValueError):
-        histogram_export(samples, bin_count=0)
     with pytest.raises(EmptySampleError):
         histogram_export([sample(0, 5, censored=True)])

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import inf, nan, sqrt
+from math import inf, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -294,7 +294,6 @@ def test_search_matches_iterated_single_steps(seed, n, mode, threshold, record, 
     assert fast_stream.next_u64() == ref.next_u64()
     if record:
         assert fast.trajectory.values == values
-        assert fast.trajectory.censored == fast.censored
     else:
         assert fast.trajectory is None
 
@@ -359,13 +358,6 @@ def test_plain_run_reaches_the_optimum_and_records_distance():
     assert all(v >= 0 for v in values)
 
 
-def test_run_until_opt_validation():
-    with pytest.raises(ValueError):
-        run_until_opt(HALVES4, RngStream(1), cap=-1)
-    with pytest.raises(ValueError):
-        run_until_opt(HALVES4, RngStream(1), cap=10, payoff="bare")
-
-
 def test_forgetting_threshold_zero_stops_at_once():
     result = run_forgetting(HALVES4, RngStream(1), threshold=0, cap=100)
     assert result.iterations == 0
@@ -399,15 +391,6 @@ def test_forgetting_records_distance_from_zero():
     if not result.censored:
         assert values[-1] >= 3
     assert all(abs(p - q) <= 1 for p, q in zip(values, values[1:]))
-
-
-def test_forgetting_validation():
-    with pytest.raises(ValueError):
-        run_forgetting(HALVES4, RngStream(1), threshold=-1, cap=10)
-    with pytest.raises(ValueError):
-        run_forgetting(HALVES4, RngStream(1), threshold=1, cap=-5)
-    with pytest.raises(ValueError):
-        run_forgetting(HALVES4, RngStream(1), threshold=nan, cap=10)
 
 
 def test_default_cap_scales_with_n_to_the_three_halves():

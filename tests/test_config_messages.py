@@ -314,6 +314,7 @@ CONFIG_CASES = [
     ),
     ("synthetic_fair", "analysis.bound.n", 2.5, "analysis.bound.n: expected an integer, got 2.5"),
     ("synthetic_fair", "analysis.bound.slope", 1, "analysis.bound: unknown field(s) slope"),
+    ("synthetic_fair", "output_dir", "", "config.output_dir: must name a directory"),
 ]
 
 

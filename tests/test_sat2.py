@@ -13,7 +13,7 @@ from driftlab.sat2 import (
     run_walk,
     satisfies,
 )
-from oracles import clause_satisfied, literal_true
+from oracles import check_formula, clause_satisfied, literal_true
 
 XOR_ISH = TwoCnfFormula(
     n=2,
@@ -35,8 +35,6 @@ def test_satisfies_checks_every_clause():
     assert satisfies(XOR_ISH, bytearray([0, 1]))
     assert not satisfies(XOR_ISH, bytearray([0, 0]))
     assert not satisfies(XOR_ISH, bytearray([1, 1]))
-    with pytest.raises(ValueError):
-        satisfies(XOR_ISH, bytearray([1]))
 
 
 literals = st.tuples(st.integers(0, 5), st.booleans())
@@ -55,19 +53,18 @@ def test_satisfies_agrees_with_clause_satisfied(clauses, assignment):
 
 
 def test_formula_validation():
+    check_formula(XOR_ISH)
     with pytest.raises(ValueError):
-        TwoCnfFormula(n=0, clauses=())
+        check_formula(TwoCnfFormula(n=0, clauses=()))
     with pytest.raises(ValueError):
-        TwoCnfFormula(n=2, clauses=(((0, False), (2, False)),))
+        check_formula(TwoCnfFormula(n=2, clauses=(((0, False), (2, False)),)))
     with pytest.raises(ValueError):
-        TwoCnfFormula(n=2, clauses=(((0, False), (1, 0)),))
+        check_formula(TwoCnfFormula(n=2, clauses=(((0, False), (1, 0)),)))
 
 
 def test_agreement_count():
     assert agreement_count(bytearray([1, 0, 1]), bytearray([1, 1, 1])) == 2
     assert agreement_count(b"", b"") == 0
-    with pytest.raises(ValueError):
-        agreement_count(bytearray([1]), bytearray([1, 0]))
 
 
 def test_planted_witness_satisfies_the_formula():
@@ -82,17 +79,10 @@ def test_planted_witness_satisfies_the_formula():
 @pytest.mark.parametrize("n, m", [(2, 1), (12, 30), (50, 150)])
 def test_generated_formula_equals_the_validated_one(n, m):
     formula = generate_planted(RngStream(6), n, m).formula
-    checked = TwoCnfFormula(formula.n, formula.clauses)
-    assert checked == formula
-    assert repr(checked) == repr(formula)
-    assert hash(checked) == hash(formula)
-
-
-def test_planted_generation_validation():
-    with pytest.raises(ValueError):
-        generate_planted(RngStream(1), n=1, m=3)
-    with pytest.raises(ValueError):
-        generate_planted(RngStream(1), n=3, m=0)
+    check_formula(formula)
+    assert (formula.n, formula.m) == (n, m)
+    # hashable all the way down: the clauses are tuples of tuples
+    hash(formula)
 
 
 def test_walk_from_witness_stops_immediately():
@@ -116,15 +106,6 @@ def test_cap_zero_censors_unsatisfied_start():
     result = run_walk(XOR_ISH, bytearray([0, 0]), RngStream(1), cap=0)
     assert result.censored
     assert result.iterations == 0
-
-
-def test_walk_input_validation():
-    with pytest.raises(ValueError):
-        run_walk(XOR_ISH, bytearray([0, 0, 0]), RngStream(1), cap=5)
-    with pytest.raises(ValueError):
-        run_walk(XOR_ISH, bytearray([0, 0]), RngStream(1), cap=-1)
-    with pytest.raises(ValueError):
-        run_walk(XOR_ISH, bytearray([0, 0]), RngStream(1), cap=5, reference=bytearray([1]))
 
 
 def naive_walk(formula, init, stream, cap):

@@ -225,14 +225,23 @@ def int_trajectory(draw, as_float=False):
         values.append(values[-1] + d)
     if as_float:
         values = [float(v) for v in values]
-    if draw(st.booleans()):
-        return Trajectory(values=values, censored=True, cap=len(values) - 1)
     return Trajectory(values=values)
 
 
 int_trajectories = st.lists(
     st.one_of(int_trajectory(), int_trajectory(as_float=True)), max_size=25
 )
+
+#: one censored flag per trajectory of either list strategy
+censored_flags = st.lists(st.booleans(), min_size=25, max_size=25)
+
+
+def samples_of(trajs, censored) -> list[HittingTimeSample]:
+    """Run i stopped after trajectory i's steps, censored if censored[i]."""
+    return [
+        HittingTimeSample(i, len(t.values) - 1, c, i)
+        for i, (t, c) in enumerate(zip(trajs, censored))
+    ] or [HittingTimeSample(0, 1, False, 0)]
 
 fractional_values = st.floats(
     min_value=-200, max_value=200, allow_nan=False, allow_infinity=False
@@ -301,11 +310,9 @@ def test_tallies_equal_the_loops_on_integer_trajectories(trajs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(int_trajectories)
-def test_report_is_byte_equal_to_the_loops_on_integer_trajectories(trajs):
-    samples = [
-        HittingTimeSample(i, len(t.values) - 1, t.censored, i) for i, t in enumerate(trajs)
-    ] or [HittingTimeSample(0, 1, False, 0)]
+@given(int_trajectories, censored_flags)
+def test_report_is_byte_equal_to_the_loops_on_integer_trajectories(trajs, censored):
+    samples = samples_of(trajs, censored)
     block = AnalysisBlock(
         k_list=(0.5, 1.0, 2.0),
         tau_grid=(1.0, 5.0, 20.0),
@@ -360,7 +367,7 @@ def test_tallies_on_fixed_edge_cases():
         [Trajectory(values=[3, 3, 3, 3])],  # holds only: every step is 0
         [Trajectory(values=[-5, -6, -4, -4, 10, -10])],
         [Trajectory(values=[0.5, -0.5, 2.25]), Trajectory(values=[-0.0, 0.0, -0.0])],
-        [Trajectory(values=[0, 1, 2], censored=True, cap=2)] * 30,
+        [Trajectory(values=[0, 1, 2])] * 30,
     ]
     for trajs in cases:
         assert_same(drift_of, estimate_drift, trajs)
@@ -563,11 +570,9 @@ def test_trajectory_reader_errors_match_the_row_scan():
 # Streamed reanalysis.
 
 
-def write_artifacts(directory: str, trajs: list[Trajectory]) -> tuple[str, str]:
+def write_artifacts(directory: str, trajs: list[Trajectory], censored) -> tuple[str, str]:
     """samples.csv and one run_<id>.csv per trajectory, as a recording run writes them."""
-    samples = [
-        HittingTimeSample(i, len(t.values) - 1, t.censored, i) for i, t in enumerate(trajs)
-    ] or [HittingTimeSample(0, 1, False, 0)]
+    samples = samples_of(trajs, censored)
     samples_path = os.path.join(directory, "samples.csv")
     trajectory.write_text(samples_path, trajectory.samples_to_csv(samples))
     trajectory_dir = os.path.join(directory, "trajectories")
@@ -579,15 +584,15 @@ def write_artifacts(directory: str, trajs: list[Trajectory]) -> tuple[str, str]:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(int_trajectories, fractional_trajectories))
-def test_streamed_reanalysis_equals_the_report_over_the_fully_read_list(trajs):
+@given(st.one_of(int_trajectories, fractional_trajectories), censored_flags)
+def test_streamed_reanalysis_equals_the_report_over_the_fully_read_list(trajs, censored):
     block = AnalysisBlock(
         k_list=(1.0, 2.0),
         tau_grid=(1.0, 5.0, 20.0),
         bound=BoundSpec(kind="StandardVariance", b=10, x0=10, delta=0.5),
     )
     with tempfile.TemporaryDirectory() as tmp:
-        samples_path, trajectory_dir = write_artifacts(tmp, trajs)
+        samples_path, trajectory_dir = write_artifacts(tmp, trajs, censored)
         report_path = experiment.analyze_files(
             samples_path, block, trajectory_dir, os.path.join(tmp, "report.json")
         )
@@ -616,7 +621,7 @@ def test_streamed_reanalysis_holds_a_couple_of_trajectories_at_most():
         return traj
 
     with tempfile.TemporaryDirectory() as tmp:
-        samples_path, trajectory_dir = write_artifacts(tmp, trajs)
+        samples_path, trajectory_dir = write_artifacts(tmp, trajs, [False] * 30)
         with mock.patch.object(experiment, "read_trajectory_csv", tracked):
             experiment.analyze_files(samples_path, AnalysisBlock(), trajectory_dir)
         with open(os.path.join(tmp, "report.json")) as fh:

@@ -11,19 +11,6 @@ from driftlab.trajectory import (
 )
 
 
-def test_trajectory_requires_a_starting_value():
-    with pytest.raises(ValueError):
-        Trajectory(values=[])
-
-
-def test_censored_trajectory_length_contract():
-    Trajectory(values=[1.0, 2.0, 3.0], censored=True, cap=2)
-    with pytest.raises(ValueError):
-        Trajectory(values=[1.0, 2.0], censored=True, cap=2)
-    with pytest.raises(ValueError):
-        Trajectory(values=[1.0, 2.0], censored=True)
-
-
 def test_sample_validation():
     HittingTimeSample(run_id=0, stopping_time=0, censored=False, seed_used=0)
     with pytest.raises(ValueError):
