@@ -11,7 +11,9 @@ independent of the fast path it checks:
 * recolour: a graph built from outside input, with every invariant checked;
 * rwab: the paper's regret ceiling 480*eps*(L + sqrt(L*T)), one challenge
   on its own stream, the round loop with scalar draws and a full ledger,
-  and the list-backed Fisher-Yates draw of the change times.
+  and the list-backed Fisher-Yates draw of the change times;
+* configs: a one-run config read as ``driftlab run`` reads one, since the
+  config reader is the one place that checks what the kernels assume.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from driftlab.bilinear import BilinearParams, SearchPair
+from driftlab.experiment import ExperimentConfig
 from driftlab.recolour import ColorableGraph
 from driftlab.rng import RngStream, below, index_limit
 from driftlab.rwab import BanditEnv, ChallengeOutcome, _challenge
@@ -347,3 +350,14 @@ def change_times_by_list(stream: RngStream, horizon: int, count: int) -> tuple[i
         pool[i], pool[j] = pool[j], pool[i]
     stream.draw_counter += used
     return tuple(sorted(pool[:count]))
+
+
+# ---------------------------------------------------------------------------
+# Configs.  The kernels take their params as given, so a test of what a
+# kernel assumes reads the params through the config reader.
+
+
+def read_config(kind: str, params: dict, **fields) -> ExperimentConfig:
+    """A one-run config of kind with params, cap 10 unless fields set one."""
+    doc = {"kind": kind, "params": params, "runs": 1, "master_seed": 0, "output_dir": "out"}
+    return ExperimentConfig.from_dict({**doc, "cap": 10, **fields})

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import inf, sqrt
+from math import inf, nan, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from driftlab.bilinear import (
     run_search,
     run_until_opt,
 )
+from driftlab.errors import ConfigError
 from driftlab.rng import RngStream
 from oracles import (
     bilinear_value,
@@ -29,6 +30,7 @@ from oracles import (
     dominates,
     manhattan_distance,
     pair_from_bits,
+    read_config,
     rls_pd_step,
 )
 
@@ -358,6 +360,15 @@ def test_plain_run_reaches_the_optimum_and_records_distance():
     assert all(v >= 0 for v in values)
 
 
+def test_run_until_opt_validation():
+    # run_until_opt assumes cap >= 0 and a known payoff: the config reader checks both
+    params = {"n": 4, "alpha": 0.5, "beta": 0.5}
+    with pytest.raises(ConfigError, match=r"^config\.cap: must be nonnegative$"):
+        read_config("rlspd", params, cap=-1)
+    with pytest.raises(ConfigError, match=r"^config\.params\.payoff: choose from "):
+        read_config("rlspd", {**params, "payoff": "bare"})
+
+
 def test_forgetting_threshold_zero_stops_at_once():
     result = run_forgetting(HALVES4, RngStream(1), threshold=0, cap=100)
     assert result.iterations == 0
@@ -391,6 +402,18 @@ def test_forgetting_records_distance_from_zero():
     if not result.censored:
         assert values[-1] >= 3
     assert all(abs(p - q) <= 1 for p, q in zip(values, values[1:]))
+
+
+def test_forgetting_validation():
+    # run_forgetting assumes cap >= 0 and a finite threshold (A + B) sqrt(n)
+    # above 0: the config reader checks cap, A and B
+    params = {"n": 4, "alpha": 0.5, "beta": 0.5, "A": 1.0, "B": 1.0}
+    with pytest.raises(ConfigError, match=r"^config\.params: A and B must be positive$"):
+        read_config("rlspd_forgetting", {**params, "A": -1.0})
+    with pytest.raises(ConfigError, match=r"^config\.cap: must be nonnegative$"):
+        read_config("rlspd_forgetting", params, cap=-5)
+    with pytest.raises(ConfigError, match=r"^config\.params\.B: expected a finite number$"):
+        read_config("rlspd_forgetting", {**params, "B": nan})
 
 
 def test_default_cap_scales_with_n_to_the_three_halves():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlab.errors import ConfigError
 from driftlab.recolour import (
     generate_3colorable,
     random_colouring,
@@ -13,7 +14,7 @@ from driftlab.recolour import (
     seek_monochromatic_triangle,
 )
 from driftlab.rng import RngStream
-from oracles import checked_graph
+from oracles import checked_graph, read_config
 
 TRIANGLE = checked_graph(3, ((0, 1), (0, 2), (1, 2)), (0, 1, 2))
 
@@ -116,6 +117,18 @@ def test_cap_zero_censors_a_monochromatic_start():
     result = run_recolour(TRIANGLE, bytearray([0, 0, 0]), RngStream(3), cap=0)
     assert result.censored
     assert result.iterations == 0
+
+
+def test_run_input_validation():
+    # run_recolour assumes cap >= 0, which the config reader checks, and a
+    # colouring of length n in colours 0 and 1 (the walk keeps one vertex
+    # mask per colour), which random_colouring draws
+    with pytest.raises(ConfigError, match=r"^config\.cap: must be nonnegative$"):
+        read_config("recolour", {"n": 3, "edge_prob": 0.5}, cap=-1)
+    for n in (3, 10, 65):
+        colouring = random_colouring(RngStream(n), n)
+        assert len(colouring) == n
+        assert set(colouring) <= {0, 1}
 
 
 def replay_with_recomputed_potential(graph, init, stream, cap, spec):

@@ -1,6 +1,7 @@
 """Restless two-armed bandit baseline: schedule, challenges, full runs."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import astuple
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from driftlab.errors import ConfigError
 from driftlab.rng import RngStream
 from driftlab.rwab import (
     MAX_CHALLENGE_ITERATIONS,
@@ -18,10 +20,45 @@ from driftlab.rwab import (
 )
 from oracles import (
     change_times_by_list,
+    read_config,
     run_challenge,
     theoretical_regret_bound,
     tuple_comparing_rwab,
 )
+
+
+def rwab_params(**changed):
+    return {"horizon": 10, "changes": 2, "mu1": 0.5, "mu2": 0.5, **changed}
+
+
+ENDLESS = "config.params: mu1 == mu2 == {} makes every challenge endless"
+SLOW = "config.params: mu1 = {}, mu2 = {} move a challenge's walk with probability"
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        # BanditEnv takes these as given: the config reader rejects them
+        (rwab_params(horizon=0), "config.params.horizon: must be at least 2"),
+        (rwab_params(horizon=1, changes=1), "config.params.horizon: must be at least 2"),
+        (rwab_params(mu1=-0.1), "config.params.mu1: must lie in [0, 1]"),
+        (rwab_params(mu2=1.5), "config.params.mu2: must lie in [0, 1]"),
+        (rwab_params(changes=0), "config.params.changes: must lie in [1, horizon - 2]"),
+        (rwab_params(changes=9), "config.params.changes: must lie in [1, horizon - 2]"),
+        (
+            rwab_params(horizon=3, changes=3),
+            "config.params.changes: must lie in [1, horizon - 2]",
+        ),
+        (rwab_params(horizon=50, mu1=0.0, mu2=0.0), ENDLESS.format(0.0)),
+        (rwab_params(horizon=50, mu1=1.0, mu2=1.0), ENDLESS.format(1.0)),
+        (rwab_params(horizon=50, mu1=1e-9, mu2=1e-9), SLOW.format(1e-9, 1e-9)),
+        (rwab_params(horizon=50, mu1=1.0 - 1e-9, mu2=1.0), SLOW.format(1.0 - 1e-9, 1.0)),
+    ],
+    ids=[f"kwargs{i}" for i in range(11)],
+)
+def test_env_validation(params, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        read_config("rwab", params)
 
 
 @pytest.mark.parametrize(
@@ -116,6 +153,16 @@ def test_change_times_at_horizon_1e8_stay_small_in_memory():
     assert peak < 64 * 1024
 
 
+def test_change_time_sampling_validation():
+    # sample_change_times assumes horizon >= 2 and 0 <= count <= horizon - 1;
+    # the config reader asks for 1 <= changes <= horizon - 2
+    with pytest.raises(ConfigError, match=r"^config\.params\.horizon: must be at least 2$"):
+        read_config("rwab", rwab_params(horizon=0, changes=0))
+    for changes in (-1, 10):
+        with pytest.raises(ConfigError, match=r"^config\.params\.changes: must lie in "):
+            read_config("rwab", rwab_params(changes=changes))
+
+
 def test_change_time_sampling_is_uniform():
     horizon, count, draws = 1000, 5, 10**4
     hits = [0] * (horizon + 1)
@@ -207,6 +254,15 @@ def test_run_matches_tuple_comparing_loop(horizon, share, mu1, mu2, accounting, 
     expected = (ref.total_regret, ref.swaps, ref.mistakes, ref.sub_eras, ref.rounds)
     assert astuple(ledger) == expected
     assert fast.draw_counter == slow.draw_counter
+
+
+def test_run_requires_a_change_and_a_known_accounting():
+    # run_rwab assumes at least one change and a known accounting: the
+    # config reader checks both
+    with pytest.raises(ConfigError, match=r"^config\.params\.changes: must lie in "):
+        read_config("rwab", rwab_params(changes=0))
+    with pytest.raises(ConfigError, match=r"^config\.params\.accounting: choose from "):
+        read_config("rwab", rwab_params(accounting="optimistic"))
 
 
 def test_regret_bound_anchor_values():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlab.errors import ConfigError
 from driftlab.rng import RngStream
 from driftlab.sat2 import (
     TwoCnfFormula,
@@ -13,7 +14,7 @@ from driftlab.sat2 import (
     run_walk,
     satisfies,
 )
-from oracles import check_formula, clause_satisfied, literal_true
+from oracles import check_formula, clause_satisfied, literal_true, read_config
 
 XOR_ISH = TwoCnfFormula(
     n=2,
@@ -85,6 +86,15 @@ def test_generated_formula_equals_the_validated_one(n, m):
     hash(formula)
 
 
+def test_planted_generation_validation():
+    # generate_planted assumes n >= 2 (at n = 1 every clause draws u == v
+    # and the draw never ends) and m >= 1: the config reader checks both
+    with pytest.raises(ConfigError, match=r"^config\.params\.n: must be at least 2$"):
+        read_config("sat2", {"n": 1, "m": 3})
+    with pytest.raises(ConfigError, match=r"^config\.params\.m: must be at least 1$"):
+        read_config("sat2", {"n": 3, "m": 0})
+
+
 def test_walk_from_witness_stops_immediately():
     inst = generate_planted(RngStream(4), n=10, m=25)
     result = run_walk(inst.formula, inst.witness, RngStream(5), cap=100)
@@ -106,6 +116,18 @@ def test_cap_zero_censors_unsatisfied_start():
     result = run_walk(XOR_ISH, bytearray([0, 0]), RngStream(1), cap=0)
     assert result.censored
     assert result.iterations == 0
+
+
+def test_walk_input_validation():
+    # run_walk assumes cap >= 0, which the config reader checks, and an init
+    # and a reference of length n, which the replication draws and plants
+    with pytest.raises(ConfigError, match=r"^config\.cap: must be nonnegative$"):
+        read_config("sat2", {"n": 3, "m": 2}, cap=-1)
+    for n in (2, 7, 40):
+        stream = RngStream(n)
+        instance = generate_planted(stream, n, 3 * n)
+        init = random_assignment(stream, n)
+        assert len(init) == len(instance.witness) == instance.formula.n == n
 
 
 def naive_walk(formula, init, stream, cap):

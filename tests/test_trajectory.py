@@ -2,6 +2,7 @@
 
 import pytest
 
+from driftlab.experiment import run_replication
 from driftlab.trajectory import (
     HittingTimeSample,
     Trajectory,
@@ -9,6 +10,46 @@ from driftlab.trajectory import (
     samples_to_csv,
     trajectory_to_csv,
 )
+from oracles import read_config
+
+#: small params of every kind that records trajectories
+RECORDING = [
+    ("synthetic_fair", {"b": 6, "x0": 3}),
+    ("synthetic_biased", {"b": 6, "x0": 3, "p_up": 0.75}),
+    ("synthetic_lazy", {"b": 6, "x0": 3, "delta": 0.5}),
+    ("sat2", {"n": 8, "m": 20}),
+    ("recolour", {"n": 9, "edge_prob": 0.5}),
+    ("rlspd", {"n": 8, "alpha": 0.5, "beta": 0.5}),
+    ("rlspd_forgetting", {"n": 8, "alpha": 0.5, "beta": 0.5, "A": 1.0, "B": 1.0}),
+]
+
+
+def recorded_runs(cap, runs):
+    """Replications 0..runs-1 of each kind in RECORDING at cap, recorded."""
+    for kind, params in RECORDING:
+        config = read_config(kind, params, cap=cap, record_trajectories=True)
+        for run_id in range(runs):
+            yield kind, run_replication(config, run_id)
+
+
+def test_trajectory_requires_a_starting_value():
+    # Trajectory no longer checks it: every simulator records step 0 itself
+    for kind, rep in recorded_runs(cap=0, runs=3):
+        assert rep.sample.stopping_time == 0
+        assert len(rep.trajectory.values) == 1
+        if kind.startswith("synthetic_"):
+            assert list(rep.trajectory.values) == [3]
+
+
+def test_censored_trajectory_length_contract():
+    # a run that stops at T records T + 1 values; a censored one stops at cap
+    censored = set()
+    for _, rep in recorded_runs(cap=3, runs=12):
+        assert len(rep.trajectory.values) == rep.sample.stopping_time + 1
+        if rep.sample.censored:
+            assert rep.sample.stopping_time == 3
+        censored.add(rep.sample.censored)
+    assert censored == {False, True}
 
 
 def test_sample_validation():

@@ -1,5 +1,6 @@
 """Walk simulators against their exact mean oracles and draw contracts."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from driftlab.rng import RngStream
 from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
-from oracles import biased_walk_mean_dp, fair_walk_mean, lazy_walk_mean_dp
+from oracles import biased_walk_mean_dp, fair_walk_mean, lazy_walk_mean_dp, read_config
 
 
 def test_fair_walk_started_on_boundary_stops_immediately():
@@ -184,16 +185,44 @@ def test_cap_zero_from_interior_censors_at_zero():
     assert sample.stopping_time == 0
 
 
+BAD_START = "config.params: need b >= 1 and 0 <= x0 <= b"
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: biased_walk_mean_dp(3, 1, 0.5),
-        lambda: lazy_walk_mean_dp(0, 0, 0.5),
-        lambda: fair_walk_mean(3, 5),
+        # the simulators assume these params valid: the config reader rejects them
+        (lambda: read_config("synthetic_fair", {"b": 0, "x0": 0}), BAD_START),
+        (lambda: read_config("synthetic_fair", {"b": 3, "x0": 4}), BAD_START),
+        (lambda: read_config("synthetic_fair", {"b": 3, "x0": -1}), BAD_START),
+        (
+            lambda: read_config("synthetic_fair", {"b": 3, "x0": 1}, cap=-1),
+            "config.cap: must be nonnegative",
+        ),
+        (
+            lambda: read_config("synthetic_biased", {"b": 3, "x0": 1, "p_up": 0.5}),
+            "config.params.p_up: must lie in (0.5, 1]",
+        ),
+        (
+            lambda: read_config("synthetic_biased", {"b": 3, "x0": 1, "p_up": 1.2}),
+            "config.params.p_up: must lie in (0.5, 1]",
+        ),
+        (
+            lambda: read_config("synthetic_lazy", {"b": 3, "x0": 1, "delta": 0.0}),
+            "config.params.delta: must lie in (0, 1]",
+        ),
+        (
+            lambda: read_config("synthetic_lazy", {"b": 3, "x0": 1, "delta": 1.0001}),
+            "config.params.delta: must lie in (0, 1]",
+        ),
+        (lambda: biased_walk_mean_dp(3, 1, 0.5), "p_up must lie in (1/2, 1], got 0.5"),
+        (lambda: lazy_walk_mean_dp(0, 0, 0.5), "need b >= 1 and 0 <= x0 <= b"),
+        (lambda: fair_walk_mean(3, 5), "need b >= 1 and 0 <= x0 <= b"),
     ],
+    ids=[f"call{i}" for i in range(11)],
 )
-def test_parameter_validation(call):
-    with pytest.raises(ValueError):
+def test_parameter_validation(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
