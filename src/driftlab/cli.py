@@ -12,13 +12,13 @@ import json
 import sys
 
 from driftlab.bounds import BoundSpec, tail_probability_upper
-from driftlab.errors import ConfigError, FormatError
+from driftlab.errors import FormatError
 from driftlab.experiment import (
     AnalysisBlock,
+    BoundTable,
     ExperimentConfig,
     analyze_files,
-    number_list,
-    parse_bound_spec,
+    from_json,
     run_experiment,
 )
 
@@ -82,19 +82,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    obj = _load_json(args.spec)
-    if not isinstance(obj, dict):
-        raise ConfigError("bounds spec: expected an object")
-    extra = sorted(set(obj) - {"bound", "tau_grid"})
-    if extra:
-        raise ConfigError(f"bounds spec: unknown field(s) {', '.join(extra)}")
-    if "bound" not in obj:
-        raise ConfigError("bounds spec: missing field bound")
-    grid = number_list(obj.get("tau_grid"), "bounds spec.tau_grid")
-    if not grid:
-        raise ConfigError("bounds spec.tau_grid: expected a nonempty list")
-    spec = parse_bound_spec(obj["bound"])
-    sys.stdout.write(bounds_csv(spec, grid))
+    table = from_json(BoundTable, _load_json(args.spec), "bounds spec")
+    sys.stdout.write(bounds_csv(table.bound, table.tau_grid))
     return EXIT_OK
 
 

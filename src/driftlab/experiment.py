@@ -197,9 +197,16 @@ class AnalysisBlock:
             raise ConfigError(f"{where}.histogram_bins: must be positive")
 
 
-def parse_bound_spec(obj: dict, where: str = "bound") -> BoundSpec:
-    """Build a BoundSpec from a JSON object, naming the offending field."""
-    return from_json(BoundSpec, obj, where)
+@dataclass(frozen=True)
+class BoundTable:
+    """The spec of ``driftlab bounds``: one bound evaluated over tau_grid."""
+
+    bound: BoundSpec
+    tau_grid: tuple[float, ...]
+
+    def check(self, where: str) -> None:
+        if not self.tau_grid:
+            raise ConfigError(f"{where}.tau_grid: expected a nonempty list")
 
 
 # ---------------------------------------------------------------------------

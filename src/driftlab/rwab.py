@@ -7,7 +7,7 @@ pulled repeatedly while the reward-difference walk S accumulates, until S
 reaches +1 (keep the preference) or falls to -sqrt(T/L) (swap).  A
 challenge runs to completion within its round: the horizon clock counts
 loop rounds, not pulls, so changes land between rounds and never interrupt
-a challenge.
+a challenge.  run_rwab plays it all, challenges included, in one loop.
 
 Regret accounting follows the preferred arm.  In "mean_gap" mode every
 pull of a+ while it is not the better arm costs the mean gap; a challenge
@@ -111,53 +111,6 @@ class RegretLedger:
     rounds: int
 
 
-@dataclass
-class ChallengeOutcome:
-    """One completed challenge: final preference order and its cost."""
-
-    a_plus: int
-    a_minus: int
-    swap: bool
-    inner_rounds: int
-    regret: float
-
-
-def _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, realized) -> ChallengeOutcome:
-    """One challenge: pull both arms until the difference walk S leaves (-s, 1).
-
-    The means stay fixed for the whole challenge (it completes within one
-    horizon round).  Each inner iteration draws both arms once, adds
-    r+ - r- to S, and charges the a+ pull's regret.  Exit at S >= 1 keeps
-    the order, at S <= -s swaps it.
-
-    draw returns the stream's next raw word.  An arm pays 1 when a word
-    falls below its bound, bounds[arm] = below(mu[arm]), which is exactly
-    when a next_uniform() draw would fall below mu[arm].  Each inner
-    iteration takes two words; the caller moves draw_counter.  run_rwab
-    passes the draw of its own words() iterator, so a run keeps one
-    iterator over its stream from the first round to the last.
-    """
-    mu_plus, mu_minus = mu[a_plus], mu[a_minus]
-    w_plus, w_minus = bounds[a_plus], bounds[a_minus]
-    misranked = mu_plus < mu_minus
-    gap = mu_minus - mu_plus
-    s_val = 0.0
-    inner = 0
-    regret = 0.0
-    while True:
-        r_plus = 1.0 if draw() < w_plus else 0.0
-        r_minus = 1.0 if draw() < w_minus else 0.0
-        s_val += r_plus - r_minus
-        inner += 1
-        if misranked:
-            # the better arm's realized draw is r_minus, already in hand
-            regret += (r_minus - r_plus) if realized else gap
-        if s_val >= 1.0:
-            return ChallengeOutcome(a_plus, a_minus, False, inner, regret)
-        if s_val <= -s_threshold:
-            return ChallengeOutcome(a_minus, a_plus, True, inner, regret)
-
-
 def run_rwab(
     env: BanditEnv,
     stream: RngStream,
@@ -168,6 +121,11 @@ def run_rwab(
     The number of changes L = len(env.change_times) sets the challenge
     probability sqrt(L/T) and the swap threshold sqrt(T/L), so at least
     one change is required.  accounting is one of ACCOUNTING_MODES.
+
+    Every draw reads one words() iterator: an arm pays 1 when a word falls
+    below bounds[arm] = below(mu[arm]), as a next_uniform() draw would fall
+    below mu[arm].  A challenge sums its charges into the round's regret
+    before the total takes it, the order the pinned sums were made in.
     """
     ell = len(env.change_times)
     horizon = env.horizon
@@ -200,17 +158,27 @@ def run_rwab(
             gap = mu[a_minus] - mu[a_plus]
             fresh = False
         if draw() < challenge:
-            out = _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, realized)
-            used += 2 * out.inner_rounds
-            if out.swap:
+            # pull both arms until the difference walk S leaves (-s, 1):
+            # S >= 1 keeps a+, S <= -s swaps; the means stay fixed meanwhile
+            w_plus, w_minus = bounds[a_plus], bounds[a_minus]
+            s_val = 0.0
+            round_regret = 0.0
+            while -s_threshold < s_val < 1.0:
+                r_plus = 1.0 if draw() < w_plus else 0.0
+                r_minus = 1.0 if draw() < w_minus else 0.0
+                s_val += r_plus - r_minus
+                used += 2
+                if misranked:
+                    # the better arm's realized draw is r_minus, already in hand
+                    round_regret += (r_minus - r_plus) if realized else gap
+            if s_val <= -s_threshold:
                 swaps += 1
                 # no change can land mid-challenge, so a swap that starts
                 # from the better arm is always a mistake
                 if not misranked:
                     mistakes += 1
+                a_plus, a_minus = a_minus, a_plus
                 fresh = True
-            a_plus, a_minus = out.a_plus, out.a_minus
-            round_regret = out.regret
         elif misranked:
             if realized:
                 r_plus = 1.0 if draw() < bounds[a_plus] else 0.0

@@ -10,8 +10,9 @@ independent of the fast path it checks:
 * sat2: literal and clause semantics, and the invariants of a formula;
 * recolour: a graph built from outside input, with every invariant checked;
 * rwab: the paper's regret ceiling 480*eps*(L + sqrt(L*T)), one challenge
-  on its own stream, the round loop with scalar draws and a full ledger,
-  and the list-backed Fisher-Yates draw of the change times;
+  on scalar next_uniform() draws (sharing no code with run_rwab's inline
+  loop), the round loop built on it with a full ledger, and the
+  list-backed Fisher-Yates draw of the change times;
 * configs: a one-run config read as ``driftlab run`` reads one, since the
   config reader is the one place that checks what the kernels assume.
 """
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from driftlab.bilinear import BilinearParams, SearchPair
 from driftlab.experiment import ExperimentConfig
 from driftlab.recolour import ColorableGraph
-from driftlab.rng import RngStream, below, index_limit
-from driftlab.rwab import BanditEnv, ChallengeOutcome, _challenge
+from driftlab.rng import RngStream, index_limit
+from driftlab.rwab import BanditEnv
 from driftlab.sat2 import Clause, Literal, TwoCnfFormula
 
 # ---------------------------------------------------------------------------
@@ -237,6 +238,17 @@ def theoretical_regret_bound(horizon: int, changes: int, eps: float) -> tuple[fl
     return bound, confidence
 
 
+@dataclass
+class ChallengeOutcome:
+    """One completed challenge: final preference order and its cost."""
+
+    a_plus: int
+    a_minus: int
+    swap: bool
+    inner_rounds: int
+    regret: float
+
+
 def run_challenge(
     mu: list[float],
     a_plus: int,
@@ -245,21 +257,32 @@ def run_challenge(
     s_threshold: float,
     accounting: str = "mean_gap",
 ) -> ChallengeOutcome:
-    """One challenge on a fresh words() iterator of stream: run_rwab's _challenge.
+    """One challenge from its definition, on scalar next_uniform() draws.
 
-    Pulls both arms until the difference walk S leaves (-s, 1); exit at
-    S >= 1 keeps the order, at S <= -s swaps it.  Moves draw_counter past
-    the two words of each inner iteration.
+    Each inner iteration pulls a+ then a- (an arm pays 1 when its draw
+    falls below its mean) and adds r+ - r- to the walk S.  While a+ is
+    the worse arm every a+ pull is charged: the mean gap, or in realized
+    mode the better arm's draw r- minus r+.  Exit at S >= 1 keeps the
+    order, at S <= -s swaps it.
     """
-    bounds = {}
     for arm in (a_plus, a_minus):
         if not 0.0 <= mu[arm] <= 1.0:
             raise ValueError(f"arm means must lie in [0, 1], got {mu[arm]!r}")
-        bounds[arm] = below(mu[arm])
-    draw = stream.words().__next__
-    out = _challenge(mu, bounds, a_plus, a_minus, draw, s_threshold, accounting == "realized")
-    stream.draw_counter += 2 * out.inner_rounds
-    return out
+    s_val, inner, regret = 0.0, 0, 0.0
+    while True:
+        r_plus = 1.0 if stream.next_uniform() < mu[a_plus] else 0.0
+        r_minus = 1.0 if stream.next_uniform() < mu[a_minus] else 0.0
+        s_val += r_plus - r_minus
+        inner += 1
+        if mu[a_plus] < mu[a_minus]:
+            if accounting == "realized":
+                regret += r_minus - r_plus
+            else:
+                regret += mu[a_minus] - mu[a_plus]
+        if s_val >= 1.0:
+            return ChallengeOutcome(a_plus, a_minus, False, inner, regret)
+        if s_val <= -s_threshold:
+            return ChallengeOutcome(a_minus, a_plus, True, inner, regret)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from driftlab.analysis import compare_bound, hoeffding_margin
+from driftlab.analysis import compare_bound
 from driftlab.bilinear import BilinearParams, SearchPair
 from driftlab.bounds import BoundSpec, tail_probability_upper
 from driftlab.experiment import ExperimentConfig, read_samples_csv, run_experiment

@@ -9,6 +9,7 @@ it byte for byte, not a fragment of it.
 import copy
 import json
 import math
+import reprlib
 
 import pytest
 
@@ -16,7 +17,15 @@ from driftlab.cli import main
 from driftlab.errors import ConfigError
 from driftlab.experiment import AnalysisBlock, ExperimentConfig
 
-DELETE = object()
+
+class _Delete:
+    """Marks a key to delete; its fixed repr keeps the test ids stable."""
+
+    def __repr__(self):
+        return "DELETE"
+
+
+DELETE = _Delete()
 
 # every key each kind's params accept, set
 PARAMS = {
@@ -54,6 +63,13 @@ def full_config(kind):
     }
 
 
+def case_ids(rows):
+    """An id per row, from its document change alone, never its index."""
+    ids = ["-".join(reprlib.repr(part) for part in row[:-1]) for row in rows]
+    assert len(set(ids)) == len(ids), "two rows share a test id"
+    return ids
+
+
 def changed(obj, path, value):
     """obj with the key at the dotted path set to value, or deleted."""
     *outer, key = path.split(".")
@@ -81,6 +97,7 @@ CHOOSE_BOUND = (
     "'Additive', 'KotzingPolynomial')"
 )
 ENDLESS = {"horizon": 50, "changes": 2, "mu1": 1.0, "mu2": 1.0}
+NEVER_PAYS = dict(ENDLESS, mu1=0.0, mu2=0.0)
 SLOW = {"horizon": 50, "changes": 2, "mu1": 1e-9, "mu2": 1e-9}
 
 CONFIG_CASES = [
@@ -125,6 +142,7 @@ CONFIG_CASES = [
     ("synthetic_fair", "workers", False, "config.workers: expected an integer, got False"),
     ("synthetic_fair", "params", [4, 2], "config.params: expected an object, got [4, 2]"),
     ("synthetic_fair", "params", DELETE, "config.params.b: required field is missing"),
+    ("synthetic_fair", "params.x0", DELETE, "config.params.x0: required field is missing"),
     ("sat2", "params", None, "config.params.n: required field is missing"),
     ("synthetic_fair", "analysis", 3, "analysis: expected an object, got 3"),
     # the walks
@@ -208,6 +226,12 @@ CONFIG_CASES = [
     (
         "rwab",
         "params",
+        NEVER_PAYS,
+        "config.params: mu1 == mu2 == 0.0 makes every challenge endless",
+    ),
+    (
+        "rwab",
+        "params",
         SLOW,
         "config.params: mu1 = 1e-09, mu2 = 1e-09 move a challenge's walk with "
         "probability 2e-09, so a run would need ~2.5e+10 challenge iterations (limit 1e+08)",
@@ -266,6 +290,12 @@ CONFIG_CASES = [
     ),
     (
         "synthetic_fair",
+        "analysis.confidence",
+        math.nan,
+        "analysis.confidence: expected a finite number",
+    ),
+    (
+        "synthetic_fair",
         "analysis.bound",
         DELETE,
         "analysis.bound: required whenever tau_grid is given",
@@ -305,6 +335,12 @@ CONFIG_CASES = [
         "analysis.bound.epsilon: expected a finite number",
     ),
     ("synthetic_fair", "analysis.bound.b", 0, "analysis.bound: Additive requires b > 0, got 0.0"),
+    (
+        "synthetic_fair",
+        "analysis.bound",
+        {"kind": "StandardVariance", "b": 0.0},
+        "analysis.bound: StandardVariance requires b > 0, got 0.0",
+    ),
     ("synthetic_fair", "analysis.bound.b", "10", "analysis.bound.b: expected a number, got '10'"),
     (
         "synthetic_fair",
@@ -321,7 +357,7 @@ CONFIG_CASES = [
 @pytest.mark.parametrize(
     "kind, path, value, message",
     CONFIG_CASES,
-    ids=[f"{kind}-{path}-{i}" for i, (kind, path, _, _) in enumerate(CONFIG_CASES)],
+    ids=case_ids(CONFIG_CASES),
 )
 def test_a_faulty_config_is_rejected_with_its_full_message(kind, path, value, message):
     obj = changed(full_config(kind), path, value)
@@ -330,24 +366,26 @@ def test_a_faulty_config_is_rejected_with_its_full_message(kind, path, value, me
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize(
-    "obj, message",
-    [
-        ([1.0], "analysis: expected an object, got [1.0]"),
-        ({"k_list": [1.0], "bins": 3}, "analysis: unknown field(s) bins"),
-        ({"tau_grid": [1.0]}, "analysis.bound: required whenever tau_grid is given"),
-    ],
-)
+ANALYSIS_CASES = [
+    ([1.0], "analysis: expected an object, got [1.0]"),
+    ({"k_list": [1.0], "bins": 3}, "analysis: unknown field(s) bins"),
+    ({"tau_grid": [1.0]}, "analysis.bound: required whenever tau_grid is given"),
+]
+
+
+@pytest.mark.parametrize("obj, message", ANALYSIS_CASES, ids=case_ids(ANALYSIS_CASES))
 def test_a_faulty_analysis_document_is_rejected_with_its_full_message(obj, message):
     with pytest.raises(ConfigError) as err:
         AnalysisBlock.from_dict(obj)
     assert str(err.value) == message
 
 
+# read by the config reader: each fault reads as it does in a config,
+# with "bounds spec" where a config says "analysis"
 BOUNDS_CASES = [
-    ([1], "bounds spec: expected an object"),
-    ({"tau_grid": [1.0]}, "bounds spec: missing field bound"),
-    ({"bound": ADDITIVE}, "bounds spec.tau_grid: expected a list of nonnegative numbers"),
+    ([1], "bounds spec: expected an object, got [1]"),
+    ({"tau_grid": [1.0]}, "bounds spec.bound: required field is missing"),
+    ({"bound": ADDITIVE}, "bounds spec.tau_grid: required field is missing"),
     (
         {"bound": ADDITIVE, "tau_grid": 5},
         "bounds spec.tau_grid: expected a list of nonnegative numbers",
@@ -358,25 +396,38 @@ BOUNDS_CASES = [
         "bounds spec.tau_grid: expected a finite number",
     ),
     ({"bound": ADDITIVE, "tau_grid": [10**400]}, "bounds spec.tau_grid: expected a finite number"),
-    ({"bound": "Additive", "tau_grid": [1.0]}, "bound: expected an object, got 'Additive'"),
-    ({"bound": {"b": 1.0}, "tau_grid": [1.0]}, "bound.kind: required field is missing"),
-    ({"bound": dict(ADDITIVE, slope=1), "tau_grid": [1.0]}, "bound: unknown field(s) slope"),
+    (
+        {"bound": "Additive", "tau_grid": [1.0]},
+        "bounds spec.bound: expected an object, got 'Additive'",
+    ),
+    (
+        {"bound": {"b": 1.0}, "tau_grid": [1.0]},
+        "bounds spec.bound.kind: required field is missing",
+    ),
+    (
+        {"bound": {"kind": "Additive"}, "tau_grid": [1.0]},
+        "bounds spec.bound: Additive requires b > 0, got 0.0",
+    ),
+    (
+        {"bound": dict(ADDITIVE, slope=1), "tau_grid": [1.0]},
+        "bounds spec.bound: unknown field(s) slope",
+    ),
     (
         {"bound": dict(ADDITIVE, epsilon=math.nan), "tau_grid": [1.0]},
-        "bound.epsilon: expected a finite number",
+        "bounds spec.bound.epsilon: expected a finite number",
     ),
     (
         {"bound": dict(ADDITIVE, b=math.inf), "tau_grid": [1.0]},
-        "bound.b: expected a finite number",
+        "bounds spec.bound.b: expected a finite number",
     ),
     (
         {"bound": {"kind": "KotzingPolynomial", "ell": 1.0, "c": 1.0, "n": 10}, "tau_grid": [1.0]},
-        "bound: KotzingPolynomial requires c > 1",
+        "bounds spec.bound: KotzingPolynomial requires c > 1",
     ),
 ]
 
 
-@pytest.mark.parametrize("spec, message", BOUNDS_CASES)
+@pytest.mark.parametrize("spec, message", BOUNDS_CASES, ids=case_ids(BOUNDS_CASES))
 def test_a_faulty_bounds_spec_exits_two_with_its_full_message(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

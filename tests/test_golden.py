@@ -18,6 +18,11 @@ sha256 of the canonical JSON of all its outputs, and the stream's final
 stop at the same step and word.  Words the pins never meet (rejected
 index words, words on a Bernoulli bound) are planted in a stream at the
 end of this file and checked against scalar draws.
+
+run_rwab keeps its challenge loop inline, so the ``challenge_*`` cases
+now pin the oracle ``run_challenge`` (scalar draws, from the definition)
+and the ``rwab_*`` cases pin the kernel, each checked against the oracle's
+round loop as well.
 """
 
 import hashlib
