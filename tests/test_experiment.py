@@ -54,6 +54,109 @@ def test_config_defaults(tmp_path):
     assert config.analysis.bound is None
 
 
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        (dict(kind="synthetic_unfair"), "config.kind"),
+        (dict(extra_field=1), "unknown field"),
+        (dict(runs=0), "config.runs"),
+        (dict(runs=True), "config.runs: expected an integer"),
+        (dict(master_seed=-1), "config.master_seed"),
+        (dict(master_seed=2**64), "config.master_seed"),
+        (dict(cap=-1), "config.cap"),
+        (dict(workers=0), "config.workers"),
+        (dict(params={"b": 4}), "config.params.x0"),
+        (dict(params={"b": 4, "x0": 9}), "config.params"),
+        (dict(params={"b": 4, "x0": 2, "mystery": 1}), "config.params"),
+        (dict(analysis={"k_list": [1.0, -2.0]}), "analysis.k_list"),
+        (dict(analysis={"confidence": 1.0}), "analysis.confidence"),
+        (dict(analysis={"tau_grid": [10.0]}), "analysis.bound"),
+        (dict(analysis={"histogram_bins": 0}), "analysis.histogram_bins"),
+        (dict(analysis={"surprise": 1}), "analysis"),
+        (
+            dict(analysis={"tau_grid": [1.0], "bound": {"kind": "StandardVariance", "b": 0.0}}),
+            "analysis.bound",
+        ),
+        (dict(analysis={"k_list": [math.nan]}), "analysis.k_list"),
+        (dict(analysis={"k_list": [math.inf]}), "analysis.k_list"),
+        (dict(analysis={"confidence": math.nan}), "analysis.confidence"),
+        (dict(analysis={"tau_grid": [math.inf]}), "analysis.tau_grid"),
+        (dict(analysis={"tau_grid": [10**400]}), "analysis.tau_grid"),
+        (
+            dict(
+                analysis={
+                    "tau_grid": [1.0],
+                    "bound": {"kind": "Additive", "b": 1.0, "epsilon": math.nan},
+                }
+            ),
+            "analysis.bound.epsilon",
+        ),
+        # rwab records no trajectory, so asking for them is a mistake
+        (
+            dict(
+                kind="rwab",
+                params={"horizon": 60, "mu1": 0.2, "mu2": 0.8, "changes": 2},
+                record_trajectories=True,
+            ),
+            "config.record_trajectories",
+        ),
+    ],
+)
+def test_config_rejections_name_the_field(tmp_path, overrides, fragment):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(base_config(tmp_path, **overrides))
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "kind, params, fragment",
+    [
+        ("synthetic_biased", {"b": 4, "x0": 2, "p_up": 0.5}, "p_up"),
+        ("synthetic_lazy", {"b": 4, "x0": 2, "delta": 0.0}, "delta"),
+        ("sat2", {"n": 1, "m": 5}, "config.params.n"),
+        ("sat2", {"n": 10, "m": 0}, "config.params.m"),
+        ("recolour", {"n": 2, "edge_prob": 0.5}, "config.params.n"),
+        ("recolour", {"n": 10, "edge_prob": 1.5}, "edge_prob"),
+        ("rlspd", {"n": 10, "alpha": 0.55, "beta": 0.5}, "config.params"),
+        ("rlspd", {"n": 10, "alpha": 0.5, "beta": 0.5, "payoff": "bare"}, "payoff"),
+        ("rlspd_forgetting", {"n": 10, "alpha": 0.5, "beta": 0.5, "A": 0.0, "B": 1.0}, "A and B"),
+        ("rwab", {"horizon": 10, "mu1": 0.2, "mu2": 0.8, "changes": 9}, "changes"),
+        (
+            "rwab",
+            {"horizon": 100, "mu1": 0.2, "mu2": 0.8, "changes": 5, "accounting": "hopeful"},
+            "accounting",
+        ),
+        # equal certain rewards: a challenge's difference walk never moves
+        ("rwab", {"horizon": 50, "mu1": 1.0, "mu2": 1.0, "changes": 2}, "mu1 == mu2"),
+        ("rwab", {"horizon": 50, "mu1": 0.0, "mu2": 0.0, "changes": 2}, "mu1 == mu2"),
+        # near-equal certain rewards: it moves, but a run would need ~2.5e10 pulls
+        (
+            "rwab",
+            {"horizon": 50, "mu1": 1e-9, "mu2": 1e-9, "changes": 2},
+            "challenge iterations",
+        ),
+        # NaN, infinities and integers too large for a float are not numbers
+        # to run with: a NaN threshold would make every run "forget" at once
+        (
+            "rlspd_forgetting",
+            {"n": 10, "alpha": 0.5, "beta": 0.5, "A": math.nan, "B": 1.0},
+            "config.params.A",
+        ),
+        ("synthetic_biased", {"b": 4, "x0": 2, "p_up": math.nan}, "config.params.p_up"),
+        ("synthetic_lazy", {"b": 4, "x0": 2, "delta": math.inf}, "config.params.delta"),
+        ("synthetic_biased", {"b": 4, "x0": 2, "p_up": 10**400}, "config.params.p_up"),
+        ("recolour", {"n": 10, "edge_prob": math.nan}, "config.params.edge_prob"),
+        ("rlspd", {"n": 10, "alpha": -math.inf, "beta": 0.5}, "config.params.alpha"),
+        ("rlspd", {"n": 10**400, "alpha": 0.5, "beta": 0.5}, "config.params"),
+        ("rwab", {"horizon": 50, "mu1": math.nan, "mu2": 0.5, "changes": 2}, "mu1"),
+    ],
+)
+def test_kind_specific_param_rejections(tmp_path, kind, params, fragment):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(base_config(tmp_path, kind=kind, params=params))
+    assert fragment in str(err.value)
+
+
 def test_cap_requirement_depends_on_kind(tmp_path):
     obj = base_config(tmp_path)
     del obj["cap"]
