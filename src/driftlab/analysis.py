@@ -299,8 +299,6 @@ class Histogram:
     edges: list[float]  # bin_count + 1 edges
     densities: list[float]  # per-bin density; sum(density * width) == 1
     counts: list[int]
-    sample_count: int
-    censored_excluded: int
 
 
 def histogram_export(
@@ -321,10 +319,4 @@ def histogram_export(
     n = len(times)
     densities = [c / (n * width) for c in counts]
     edges = [lo + i * width for i in range(bin_count + 1)]
-    return Histogram(
-        edges=edges,
-        densities=densities,
-        counts=counts,
-        sample_count=n,
-        censored_excluded=len(samples) - n,
-    )
+    return Histogram(edges=edges, densities=densities, counts=counts)

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice, product
-from math import inf, sqrt
+from math import inf
 
 from driftlab.rng import RngStream, below, index_limit
 from driftlab.trajectory import Trajectory
@@ -76,7 +76,7 @@ class BilinearParams:
 
     alpha*n and beta*n must be integers: the optimum region must be
     reachable by single-bit flips, and the quadrant boundaries must fall
-    on count values.
+    on count values.  The bilinear experiment kinds subclass it.
     """
 
     n: int
@@ -158,11 +158,6 @@ class BilinearRunResult:
     censored: bool
     trajectory: Trajectory | None
     quadrant_at_end: int
-
-
-def default_cap(params: BilinearParams) -> int:
-    """20 * n^(3/2), the default runtime allowance for optimum-hitting runs."""
-    return int(20 * params.n * sqrt(params.n))
 
 
 # The byte values a class vector holds: x bit 0, x bit 1, y bit 0, y bit 1.

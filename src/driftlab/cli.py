@@ -47,6 +47,15 @@ def _load_json(path: str):
         raise FormatError(f"{path} is not valid JSON: {exc}", line=exc.lineno) from exc
 
 
+def _bound_check(violated: bool, block: AnalysisBlock) -> int:
+    if violated:
+        print("bound check: VIOLATED")
+        return EXIT_VIOLATION
+    if block.tau_grid:  # AnalysisBlock.check guarantees a bound alongside
+        print("bound check: ok")
+    return EXIT_OK
+
+
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_dict(_load_json(args.config))
     artifacts = run_experiment(config)
@@ -56,29 +65,16 @@ def _cmd_run(args) -> int:
         print(f"histogram: {artifacts.histogram_path}")
     if artifacts.trajectory_dir:
         print(f"trajectories: {artifacts.trajectory_dir}")
-    if artifacts.violated:
-        print("bound check: VIOLATED")
-        return EXIT_VIOLATION
-    if config.analysis.tau_grid:  # from_dict guarantees a bound alongside
-        print("bound check: ok")
-    return EXIT_OK
+    return _bound_check(artifacts.violated, config.analysis)
 
 
 def _cmd_analyze(args) -> int:
     block = AnalysisBlock.from_dict(_load_json(args.analysis))
-    report_path = analyze_files(
+    artifacts = analyze_files(
         args.samples, block, trajectory_dir=args.trajectories, report_path=args.out
     )
-    print(f"report: {report_path}")
-    with open(report_path, "r") as fh:
-        report = json.load(fh)
-    tail = report.get("tail_report")
-    if tail and tail["violated"]:
-        print("bound check: VIOLATED")
-        return EXIT_VIOLATION
-    if tail:
-        print("bound check: ok")
-    return EXIT_OK
+    print(f"report: {artifacts.report_path}")
+    return _bound_check(artifacts.violated, block)
 
 
 def _cmd_bounds(args) -> int:

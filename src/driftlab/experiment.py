@@ -33,13 +33,7 @@ from driftlab.analysis import (
     summary_table,
     tally_transitions,
 )
-from driftlab.bilinear import (
-    PAYOFFS,
-    BilinearParams,
-    default_cap,
-    run_forgetting,
-    run_until_opt,
-)
+from driftlab.bilinear import PAYOFFS, BilinearParams, run_forgetting, run_until_opt
 from driftlab.bounds import BoundSpec
 from driftlab.errors import ConfigError, EmptySampleError, FormatError
 from driftlab.recolour import (
@@ -60,6 +54,7 @@ from driftlab.sat2 import generate_planted, random_assignment, run_walk, satisfi
 from driftlab.trajectory import (
     REGRET_COLUMNS,
     SAMPLE_COLUMNS,
+    TRAJECTORY_HEADER,
     HittingTimeSample,
     Trajectory,
     format_value,
@@ -113,6 +108,8 @@ def _field_specs(cls) -> dict:
     hints = get_type_hints(cls)
     specs = {}
     for f in fields(cls):
+        if not f.init:
+            continue  # derived in __post_init__, not read
         typ = hints[f.name]
         if get_origin(typ) in (Union, UnionType):
             typ = next(arg for arg in get_args(typ) if arg is not type(None))
@@ -140,8 +137,8 @@ def _read(typ, value, where: str, positive: bool):
 def from_json(cls, obj, where: str):
     """Read the JSON object obj into the frozen dataclass cls, naming where.
 
-    obj's keys must be fields of cls.  A field with a default may be omitted
-    or null; each value is read as the field's annotation says, a nested
+    obj's keys must be init fields of cls.  A field with a default may be
+    omitted or null; each value is read as its annotation says, a nested
     dataclass by this function.  The instance's check(where) runs last, when
     cls has one; a ValueError from it or the constructor is named by where.
     """
@@ -211,14 +208,15 @@ class BoundTable:
 
 # ---------------------------------------------------------------------------
 # The experiment kinds, which KINDS maps by name.  A kind is a frozen
-# dataclass whose fields are exactly the keys its params accept.  Its
-# check states each range rule on them once; the simulators and instance
-# types below take the params as given and check nothing again.  Its
-# simulate runs one replication from (stream, cap, record) and returns the
-# scalar (a stopping time or a total regret), the censored flag, the values
-# of its extra samples.csv columns and the trajectory or None.  Simulators
-# are called through this module's globals, so rebinding one of those names
-# reaches every call.
+# dataclass whose init fields are exactly the keys its params accept; a
+# derived init=False field is not a key.  Its check, or its constructor,
+# states each range rule on them once; the simulators and instance types
+# below take the params as given and check nothing again.  Its simulate
+# runs one replication from (stream, cap, record) and returns the scalar
+# (a stopping time or a total regret), the censored flag, the values of
+# its extra samples.csv columns and the trajectory or None.  Simulators
+# are called through this module's globals, so rebinding one of those
+# names reaches every call.
 
 
 #: the largest walk ceiling b: every state up to it is a float that the
@@ -330,19 +328,10 @@ class Recolour(Params):
 
 
 @dataclass(frozen=True)
-class Bilinear(Params):
-    """n, alpha and beta, as BilinearParams checks them; search() runs once."""
+class Bilinear(BilinearParams, Params):
+    """The kind is its own problem, which search() passes to its run loop once."""
 
-    n: int
-    alpha: float
-    beta: float
     columns = ("quadrant_at_end",)
-
-    def problem(self) -> BilinearParams:
-        return BilinearParams(self.n, self.alpha, self.beta)
-
-    def check(self, where: str) -> None:
-        self.problem()
 
     def simulate(self, stream, cap, record):
         result = self.search(stream, cap, record)
@@ -354,15 +343,14 @@ class Rlspd(Bilinear):
     payoff: str = "plain"
 
     def check(self, where: str) -> None:
-        super().check(where)
         if self.payoff not in PAYOFFS:
             raise ConfigError(f"{where}.payoff: choose from {', '.join(PAYOFFS)}")
 
     def default_cap(self) -> int:
-        return default_cap(self.problem())  # bilinear.default_cap, not this method
+        return int(20 * self.n * math.sqrt(self.n))
 
     def search(self, stream, cap, record):
-        return run_until_opt(self.problem(), stream, cap, record=record, payoff=self.payoff)
+        return run_until_opt(self, stream, cap, record=record, payoff=self.payoff)
 
 
 @dataclass(frozen=True)
@@ -371,7 +359,6 @@ class Forgetting(Bilinear):
     B: float
 
     def check(self, where: str) -> None:
-        super().check(where)
         if self.A <= 0 or self.B <= 0:
             raise ConfigError(f"{where}: A and B must be positive")
 
@@ -380,7 +367,7 @@ class Forgetting(Bilinear):
 
     def search(self, stream, cap, record):
         threshold = (self.A + self.B) * math.sqrt(self.n)
-        return run_forgetting(self.problem(), stream, threshold, cap, record=record)
+        return run_forgetting(self, stream, threshold, cap, record=record)
 
 
 @dataclass(frozen=True)
@@ -573,6 +560,18 @@ def build_report(
     return report
 
 
+def write_report(
+    samples: Sequence[HittingTimeSample],
+    block: AnalysisBlock,
+    trajectories: Iterable[Trajectory],
+    path: str,
+) -> bool:
+    """Write build_report's report to path; True when its tail check is violated."""
+    report = build_report(samples, block, trajectories)
+    write_text(path, report_to_json(report))
+    return bool(report["tail_report"] and report["tail_report"]["violated"])
+
+
 def report_to_json(report: dict) -> str:
     """report.json's text: strict JSON, so a non-finite number is a ValueError.
 
@@ -633,9 +632,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
                 trajectory_to_csv(r.trajectory),
             )
 
-    report = build_report(samples, config.analysis, trajectories)
     report_path = os.path.join(out, "report.json")
-    write_text(report_path, report_to_json(report))
+    violated = write_report(samples, config.analysis, trajectories, report_path)
 
     histogram_path = None
     if config.analysis.histogram_bins is not None:
@@ -647,7 +645,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
             histogram_path = os.path.join(out, "histogram.csv")
             write_text(histogram_path, text)
 
-    violated = bool(report["tail_report"] and report["tail_report"]["violated"])
     return ExperimentArtifacts(
         samples_path=samples_path,
         report_path=report_path,
@@ -733,8 +730,6 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
     return samples
 
 
-_TRAJECTORY_HEADER = "step,value\n"
-
 # every ASCII byte but the comma and the line breaks str.splitlines knows,
 # for read_trajectory_csv's row check; the bytes kept are those and every
 # byte of a non-ASCII character
@@ -749,8 +744,9 @@ def read_trajectory_csv(text: str) -> Trajectory:
     is parsed with one split; any other text, and any with a bad value, is
     scanned row by row, which raises the FormatError of the first bad row.
     """
-    if text.startswith(_TRAJECTORY_HEADER) and text.endswith("\n"):
-        body = text[len(_TRAJECTORY_HEADER):]
+    head = f"{TRAJECTORY_HEADER}\n"
+    if text.startswith(head) and text.endswith("\n"):
+        body = text[len(head):]
         # one comma per row: the commas and the newlines alternate, and no
         # other line break or non-ASCII character (surrogatepass lets any
         # str encode) is left to make splitlines see other rows
@@ -768,8 +764,8 @@ def read_trajectory_csv(text: str) -> Trajectory:
 
 def _scan_trajectory_rows(text: str) -> list[float]:
     lines = list(filter(None, text.splitlines()))
-    if not lines or lines[0] != "step,value":
-        raise FormatError("trajectory header must be step,value", line=1)
+    if not lines or lines[0] != TRAJECTORY_HEADER:
+        raise FormatError(f"trajectory header must be {TRAJECTORY_HEADER}", line=1)
     if len(lines) == 1:
         raise FormatError("trajectory has no rows", line=2)
     values = []
@@ -797,12 +793,13 @@ def analyze_files(
     block: AnalysisBlock,
     trajectory_dir: str | None = None,
     report_path: str | None = None,
-) -> str:
-    """Recompute the analysis JSON from stored samples; returns report path.
+) -> ExperimentArtifacts:
+    """Recompute the analysis JSON from stored samples, as run_experiment does.
 
-    The trajectory files are read lazily, in name order, as build_report
-    tallies them, so one file is in memory at a time.  A bad file raises
-    its FormatError before any report is written.
+    Returns the same ExperimentArtifacts, with histogram_path None: only the
+    report is written.  The trajectory files are read lazily, in name
+    order, as build_report tallies them, so one file is in memory at a
+    time.  A bad file raises its FormatError before any report is written.
     """
     with open(samples_path, "r") as fh:
         samples = read_samples_csv(fh.read())
@@ -811,8 +808,12 @@ def analyze_files(
         names = sorted(n for n in os.listdir(trajectory_dir) if n.endswith(".csv"))
         paths = (os.path.join(trajectory_dir, n) for n in names)
         trajectories = map(_read_trajectory_file, paths)
-    report = build_report(samples, block, trajectories)
     if report_path is None:
         report_path = os.path.join(os.path.dirname(samples_path) or ".", "report.json")
-    write_text(report_path, report_to_json(report))
-    return report_path
+    return ExperimentArtifacts(
+        samples_path=samples_path,
+        report_path=report_path,
+        histogram_path=None,
+        trajectory_dir=trajectory_dir,
+        violated=write_report(samples, block, trajectories, report_path),
+    )

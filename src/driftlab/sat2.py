@@ -34,10 +34,6 @@ class TwoCnfFormula:
     n: int
     clauses: tuple[Clause, ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.clauses)
-
 
 def satisfies(formula: TwoCnfFormula, assignment) -> bool:
     # a literal (var, neg) holds when bool(assignment[var]) != neg

@@ -35,17 +35,14 @@ class HittingTimeSample:
     and the true hitting time is only known to be at least that large.
     The bandit experiment reuses the slot for its total regret (a float,
     never censored, negative when the realized rewards beat the means);
-    everything downstream only needs an ordered scalar.
+    everything downstream only needs an ordered scalar.  run_id >= 0 holds
+    by construction, and read_samples_csv rejects a negative one.
     """
 
     run_id: int
     stopping_time: float
     censored: bool
     seed_used: int
-
-    def __post_init__(self):
-        if self.run_id < 0:
-            raise ValueError("run_id must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +87,16 @@ def samples_to_csv(
     return "\n".join(lines) + "\n"
 
 
+TRAJECTORY_HEADER = "step,value"
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """Render one trajectory as CSV text with header step,value.
+    """Render one trajectory as CSV text with header TRAJECTORY_HEADER.
 
     Values are numbers, each written with str (floats in shortest
     round-trip form), one row per step.
     """
-    return "step,value\n" + "".join(map("%s,%s\n".__mod__, enumerate(traj.values)))
+    return f"{TRAJECTORY_HEADER}\n" + "".join(map("%s,%s\n".__mod__, enumerate(traj.values)))
 
 
 def write_text(path: str, text: str) -> None:

@@ -15,7 +15,6 @@ from driftlab.bilinear import (
     BilinearParams,
     SearchPair,
     canonical_opt_pair,
-    default_cap,
     quadrant,
     random_pair,
     run_forgetting,
@@ -23,6 +22,7 @@ from driftlab.bilinear import (
     run_until_opt,
 )
 from driftlab.errors import ConfigError
+from driftlab.experiment import Rlspd
 from driftlab.rng import RngStream
 from oracles import (
     bilinear_value,
@@ -347,9 +347,9 @@ def test_run_from_a_drawn_start_continues_the_same_stream(payoff):
 
 
 def test_plain_run_reaches_the_optimum_and_records_distance():
-    params = BilinearParams(n=16, alpha=0.5, beta=0.5)
+    params = Rlspd(n=16, alpha=0.5, beta=0.5)  # the config kind is its own problem
     result = run_until_opt(
-        params, RngStream(11), cap=default_cap(params), record=True, payoff="plain"
+        params, RngStream(11), cap=params.default_cap(), record=True, payoff="plain"
     )
     assert not result.censored
     assert result.quadrant_at_end == AT_OPTIMUM
@@ -417,8 +417,7 @@ def test_forgetting_validation():
 
 
 def test_default_cap_scales_with_n_to_the_three_halves():
-    params = BilinearParams(n=1000, alpha=0.5, beta=0.5)
-    assert default_cap(params) == int(20 * 1000 * sqrt(1000))
+    assert Rlspd(n=1000, alpha=0.5, beta=0.5).default_cap() == int(20 * 1000 * sqrt(1000))
 
 
 @settings(max_examples=30, deadline=None)

@@ -273,7 +273,7 @@ def test_recorded_trajectories_reanalyze_to_the_same_report(tmp_path):
         config.analysis,
         trajectory_dir=artifacts.trajectory_dir,
         report_path=str(tmp_path / "redo.json"),
-    )
+    ).report_path
     with open(report_path, "rb") as fh:
         assert fh.read() == original
     with open(report_path) as fh:
@@ -345,7 +345,7 @@ def test_recorded_runs_cross_the_pool_byte_for_byte(tmp_path, monkeypatch, kind)
         config.analysis,
         trajectory_dir=str(tmp_path / "w2" / "trajectories"),
         report_path=str(tmp_path / "redo.json"),
-    )
+    ).report_path
     with open(redo, "rb") as fh:
         assert fh.read() == serial["report.json"]
 
@@ -411,7 +411,7 @@ def test_a_walk_ceiling_is_at_most_2_to_the_53(tmp_path, capsys, kind, rate):
         config.analysis,
         trajectory_dir=artifacts.trajectory_dir,
         report_path=str(tmp_path / "redo.json"),
-    )
+    ).report_path
     with open(redo, "rb") as fh, open(artifacts.report_path, "rb") as original:
         assert fh.read() == original.read()
     with open(redo) as fh:
@@ -443,7 +443,7 @@ def test_analyze_files_without_transitions_gets_null_drift_sections(tmp_path, ca
         (trajectories / f"run_{i:05d}.csv").write_text("step,value\n0,0\n")
     report_path = analyze_files(
         str(samples), AnalysisBlock(k_list=(1.0,)), trajectory_dir=str(trajectories)
-    )
+    ).report_path
     with open(report_path) as fh:
         report = json.load(fh)
     assert report["drift_estimate"] is None
@@ -499,7 +499,7 @@ def test_bandit_experiment_uses_its_own_schema(tmp_path):
     report_path = analyze_files(
         artifacts.samples_path, AnalysisBlock(k_list=(1.0,)),
         report_path=str(tmp_path / "regret.json"),
-    )
+    ).report_path
     with open(report_path) as fh:
         assert json.load(fh)["summary_table"]["sample_count"] == 3
 
@@ -606,9 +606,10 @@ def test_read_trajectory_round_trip_and_errors():
 def test_analyze_files_on_hand_written_samples(tmp_path):
     path = tmp_path / "samples.csv"
     path.write_text(sample_rows([1, 1, 1]))
-    report_path = analyze_files(str(path), AnalysisBlock(k_list=(1.0,)))
-    assert report_path == str(tmp_path / "report.json")
-    with open(report_path) as fh:
+    artifacts = analyze_files(str(path), AnalysisBlock(k_list=(1.0,)))
+    assert artifacts.report_path == str(tmp_path / "report.json")
+    assert artifacts.histogram_path is None  # a re-analysis writes the report alone
+    with open(artifacts.report_path) as fh:
         report = json.load(fh)
     assert report["summary_table"]["mean"] == 1.0
     assert report["summary_table"]["freq_at_multiples"] == {"1.0": 1.0}
@@ -645,6 +646,31 @@ def test_cli_run_reports_artifacts_and_exits_zero(tmp_path, capsys):
     assert "samples:" in out
     assert "report:" in out
     assert "bound check: ok" in out
+
+
+# every such run takes at least 2 steps, so Fr(T > 1) is 1, far above this bound
+BROKEN_BOUND = {
+    "tau_grid": [1.0],
+    "bound": {"kind": "TwoAbsorbing", "b": 4.0, "x0": 2.0, "delta": 1000.0},
+}
+
+
+@pytest.mark.parametrize(
+    "analysis, violated", [(HELD_BOUND, False), (BROKEN_BOUND, True)], ids=["held", "broken"]
+)
+def test_run_and_analyze_exit_by_the_reports_verdict(tmp_path, capsys, analysis, violated):
+    code, line = (1, "bound check: VIOLATED") if violated else (0, "bound check: ok")
+    obj = base_config(tmp_path, analysis=analysis)
+    artifacts = run_experiment(ExperimentConfig.from_dict(obj))
+    assert artifacts.violated is violated
+    block = AnalysisBlock.from_dict(analysis)
+    redo = analyze_files(artifacts.samples_path, block, report_path=str(tmp_path / "redo.json"))
+    assert redo.violated is violated
+    assert main(["run", write_json(tmp_path / "config.json", obj)]) == code
+    assert line in capsys.readouterr().out.splitlines()
+    analysis_path = write_json(tmp_path / "analysis.json", analysis)
+    assert main(["analyze", artifacts.samples_path, analysis_path]) == code
+    assert line in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("analysis", [None, {"k_list": [1.0]}, {"tau_grid": []}])

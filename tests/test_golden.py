@@ -536,8 +536,8 @@ def test_reanalysis_with_an_overflowing_step_tail_is_byte_equal(tmp_path):
     trajectories = tmp_path / "trajectories"
     trajectories.mkdir()
     (trajectories / "run_00000.csv").write_text("step,value\n0,0\n1,20000\n")
-    path = analyze_files(str(samples), AnalysisBlock(k_list=(1.0,)), str(trajectories))
-    with open(path) as fh:
+    artifacts = analyze_files(str(samples), AnalysisBlock(k_list=(1.0,)), str(trajectories))
+    with open(artifacts.report_path) as fh:
         assert fh.read() == OVERFLOW_REPORT
 
 

@@ -35,30 +35,29 @@ ENDLESS = "config.params: mu1 == mu2 == {} makes every challenge endless"
 SLOW = "config.params: mu1 = {}, mu2 = {} move a challenge's walk with probability"
 
 
-@pytest.mark.parametrize(
-    "params, message",
-    [
-        # BanditEnv takes these as given: the config reader rejects them
-        (rwab_params(horizon=0), "config.params.horizon: must be at least 2"),
-        (rwab_params(horizon=1, changes=1), "config.params.horizon: must be at least 2"),
-        (rwab_params(mu1=-0.1), "config.params.mu1: must lie in [0, 1]"),
-        (rwab_params(mu2=1.5), "config.params.mu2: must lie in [0, 1]"),
-        (rwab_params(changes=0), "config.params.changes: must lie in [1, horizon - 2]"),
-        (rwab_params(changes=9), "config.params.changes: must lie in [1, horizon - 2]"),
-        (
-            rwab_params(horizon=3, changes=3),
-            "config.params.changes: must lie in [1, horizon - 2]",
-        ),
-        (rwab_params(horizon=50, mu1=0.0, mu2=0.0), ENDLESS.format(0.0)),
-        (rwab_params(horizon=50, mu1=1.0, mu2=1.0), ENDLESS.format(1.0)),
-        (rwab_params(horizon=50, mu1=1e-9, mu2=1e-9), SLOW.format(1e-9, 1e-9)),
-        (rwab_params(horizon=50, mu1=1.0 - 1e-9, mu2=1.0), SLOW.format(1.0 - 1e-9, 1.0)),
-    ],
-    ids=[f"kwargs{i}" for i in range(11)],
-)
-def test_env_validation(params, message):
+# BanditEnv takes these as given: the config reader rejects them.  Each
+# row is the change to rwab_params() and the message it must raise.
+ENV_CASES = [
+    ({"horizon": 0}, "config.params.horizon: must be at least 2"),
+    ({"horizon": 1, "changes": 1}, "config.params.horizon: must be at least 2"),
+    ({"mu1": -0.1}, "config.params.mu1: must lie in [0, 1]"),
+    ({"mu2": 1.5}, "config.params.mu2: must lie in [0, 1]"),
+    ({"changes": 0}, "config.params.changes: must lie in [1, horizon - 2]"),
+    ({"changes": 9}, "config.params.changes: must lie in [1, horizon - 2]"),
+    ({"horizon": 3, "changes": 3}, "config.params.changes: must lie in [1, horizon - 2]"),
+    ({"horizon": 50, "mu1": 0.0, "mu2": 0.0}, ENDLESS.format(0.0)),
+    ({"horizon": 50, "mu1": 1.0, "mu2": 1.0}, ENDLESS.format(1.0)),
+    ({"horizon": 50, "mu1": 1e-9, "mu2": 1e-9}, SLOW.format(1e-9, 1e-9)),
+    ({"horizon": 50, "mu1": 1.0 - 1e-9, "mu2": 1.0}, SLOW.format(1.0 - 1e-9, 1.0)),
+]
+ENV_IDS = ["-".join(f"{k}={v!r}" for k, v in changed.items()) for changed, _ in ENV_CASES]
+assert len(set(ENV_IDS)) == len(ENV_IDS), "two rows share a test id"
+
+
+@pytest.mark.parametrize("changed, message", ENV_CASES, ids=ENV_IDS)
+def test_env_validation(changed, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
-        read_config("rwab", params)
+        read_config("rwab", rwab_params(**changed))
 
 
 @pytest.mark.parametrize(

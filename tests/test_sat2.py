@@ -72,7 +72,7 @@ def test_planted_witness_satisfies_the_formula():
     for seed in range(10):
         inst = generate_planted(RngStream(seed), n=12, m=30)
         assert inst.formula.n == 12
-        assert inst.formula.m == 30
+        assert len(inst.formula.clauses) == 30
         assert satisfies(inst.formula, inst.witness)
         assert all(c[0][0] != c[1][0] for c in inst.formula.clauses)
 
@@ -81,7 +81,7 @@ def test_planted_witness_satisfies_the_formula():
 def test_generated_formula_equals_the_validated_one(n, m):
     formula = generate_planted(RngStream(6), n, m).formula
     check_formula(formula)
-    assert (formula.n, formula.m) == (n, m)
+    assert (formula.n, len(formula.clauses)) == (n, m)
     # hashable all the way down: the clauses are tuples of tuples
     hash(formula)
 

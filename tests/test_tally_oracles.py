@@ -595,7 +595,7 @@ def test_streamed_reanalysis_equals_the_report_over_the_fully_read_list(trajs, c
         samples_path, trajectory_dir = write_artifacts(tmp, trajs, censored)
         report_path = experiment.analyze_files(
             samples_path, block, trajectory_dir, os.path.join(tmp, "report.json")
-        )
+        ).report_path
         with open(report_path) as fh:
             streamed = fh.read()
         with open(samples_path) as fh:

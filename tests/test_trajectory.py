@@ -1,6 +1,5 @@
 """Trajectory bookkeeping, samples, and CSV rendering."""
 
-import pytest
 
 from driftlab.experiment import run_replication
 from driftlab.trajectory import (
@@ -50,12 +49,6 @@ def test_censored_trajectory_length_contract():
             assert rep.sample.stopping_time == 3
         censored.add(rep.sample.censored)
     assert censored == {False, True}
-
-
-def test_sample_validation():
-    HittingTimeSample(run_id=0, stopping_time=0, censored=False, seed_used=0)
-    with pytest.raises(ValueError):
-        HittingTimeSample(run_id=-1, stopping_time=0, censored=False, seed_used=0)
 
 
 def test_format_value_booleans_and_numbers():

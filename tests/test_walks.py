@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -188,39 +189,53 @@ def test_cap_zero_from_interior_censors_at_zero():
 BAD_START = "config.params: need b >= 1 and 0 <= x0 <= b"
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        # the simulators assume these params valid: the config reader rejects them
-        (lambda: read_config("synthetic_fair", {"b": 0, "x0": 0}), BAD_START),
-        (lambda: read_config("synthetic_fair", {"b": 3, "x0": 4}), BAD_START),
-        (lambda: read_config("synthetic_fair", {"b": 3, "x0": -1}), BAD_START),
-        (
-            lambda: read_config("synthetic_fair", {"b": 3, "x0": 1}, cap=-1),
-            "config.cap: must be nonnegative",
-        ),
-        (
-            lambda: read_config("synthetic_biased", {"b": 3, "x0": 1, "p_up": 0.5}),
-            "config.params.p_up: must lie in (0.5, 1]",
-        ),
-        (
-            lambda: read_config("synthetic_biased", {"b": 3, "x0": 1, "p_up": 1.2}),
-            "config.params.p_up: must lie in (0.5, 1]",
-        ),
-        (
-            lambda: read_config("synthetic_lazy", {"b": 3, "x0": 1, "delta": 0.0}),
-            "config.params.delta: must lie in (0, 1]",
-        ),
-        (
-            lambda: read_config("synthetic_lazy", {"b": 3, "x0": 1, "delta": 1.0001}),
-            "config.params.delta: must lie in (0, 1]",
-        ),
-        (lambda: biased_walk_mean_dp(3, 1, 0.5), "p_up must lie in (1/2, 1], got 0.5"),
-        (lambda: lazy_walk_mean_dp(0, 0, 0.5), "need b >= 1 and 0 <= x0 <= b"),
-        (lambda: fair_walk_mean(3, 5), "need b >= 1 and 0 <= x0 <= b"),
-    ],
-    ids=[f"call{i}" for i in range(11)],
+def call_case(message, fn, *args, **fields):
+    """A row that calls fn(*args, **fields), with an id spelt from that call."""
+    parts = [fn.__name__]
+    for arg in args:
+        if isinstance(arg, dict):
+            parts.extend(f"{k}={v!r}" for k, v in arg.items())
+        else:
+            parts.append(arg if isinstance(arg, str) else repr(arg))
+    parts.extend(f"{k}={v!r}" for k, v in fields.items())
+    return pytest.param(partial(fn, *args, **fields), message, id="-".join(parts))
+
+
+# the simulators assume these params valid: the config reader rejects them
+VALIDATION_CASES = [
+    call_case(BAD_START, read_config, "synthetic_fair", {"b": 0, "x0": 0}),
+    call_case(BAD_START, read_config, "synthetic_fair", {"b": 3, "x0": 4}),
+    call_case(BAD_START, read_config, "synthetic_fair", {"b": 3, "x0": -1}),
+    call_case(
+        "config.cap: must be nonnegative",
+        read_config, "synthetic_fair", {"b": 3, "x0": 1}, cap=-1,
+    ),
+    call_case(
+        "config.params.p_up: must lie in (0.5, 1]",
+        read_config, "synthetic_biased", {"b": 3, "x0": 1, "p_up": 0.5},
+    ),
+    call_case(
+        "config.params.p_up: must lie in (0.5, 1]",
+        read_config, "synthetic_biased", {"b": 3, "x0": 1, "p_up": 1.2},
+    ),
+    call_case(
+        "config.params.delta: must lie in (0, 1]",
+        read_config, "synthetic_lazy", {"b": 3, "x0": 1, "delta": 0.0},
+    ),
+    call_case(
+        "config.params.delta: must lie in (0, 1]",
+        read_config, "synthetic_lazy", {"b": 3, "x0": 1, "delta": 1.0001},
+    ),
+    call_case("p_up must lie in (1/2, 1], got 0.5", biased_walk_mean_dp, 3, 1, 0.5),
+    call_case("need b >= 1 and 0 <= x0 <= b", lazy_walk_mean_dp, 0, 0, 0.5),
+    call_case("need b >= 1 and 0 <= x0 <= b", fair_walk_mean, 3, 5),
+]
+assert len({case.id for case in VALIDATION_CASES}) == len(VALIDATION_CASES), (
+    "two rows share a test id"
 )
+
+
+@pytest.mark.parametrize("call, message", VALIDATION_CASES)
 def test_parameter_validation(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
