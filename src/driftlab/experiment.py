@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cache
 from types import UnionType
@@ -58,6 +56,7 @@ from driftlab.trajectory import (
     HittingTimeSample,
     Trajectory,
     format_value,
+    narrowest_int_array,
     samples_to_csv,
     trajectory_to_csv,
     write_text,
@@ -229,7 +228,8 @@ class Params:
 
     samples.csv starts with lead and ends with columns; records says whether
     trajectories can be recorded.  default_cap() gives the cap when the
-    config sets none; None here means the config must set one.
+    config sets none; default_cap is None only for a kind whose config must
+    set cap.
     """
 
     lead = SAMPLE_COLUMNS
@@ -372,8 +372,9 @@ class Forgetting(Bilinear):
 
 @dataclass(frozen=True)
 class Rwab(Params):
-    """A bandit run ends at its horizon, so it takes no cap; its scalar is a
-    regret, which is never censored, and it records no trajectory."""
+    """A bandit run plays every round to its horizon, which is its default
+    cap; simulate ignores the cap.  Its scalar is a regret, which is never
+    censored, and it records no trajectory."""
 
     horizon: int
     changes: int
@@ -396,8 +397,8 @@ class Rwab(Params):
         if self.accounting not in ACCOUNTING_MODES:
             raise ConfigError(f"{where}.accounting: choose from {', '.join(ACCOUNTING_MODES)}")
 
-    def default_cap(self) -> None:
-        return None
+    def default_cap(self) -> int:
+        return self.horizon
 
     def simulate(self, stream, cap, record):
         times = sample_change_times(stream, self.horizon, self.changes)
@@ -481,10 +482,10 @@ def run_replication(config: ExperimentConfig, run_id: int) -> Replication:
     cap = config.cap if config.cap is not None else params.default_cap()
     scalar, censored, extra, traj = params.simulate(stream, cap, config.record_trajectories)
     if traj is not None:
-        # 8 bytes a value with no int object behind it, held until
+        # 1 to 8 bytes a value with no int object behind it, held until
         # run_experiment returns; every recorded value is an int within
         # 2**63 (a walk's within MAX_WALK_B, any other kind's within 2n)
-        traj.values = array("q", traj.values)
+        traj.values = narrowest_int_array(traj.values)
     sample = HittingTimeSample(
         run_id=run_id, stopping_time=scalar, censored=censored, seed_used=run_id
     )
@@ -499,12 +500,15 @@ def collect(config: ExperimentConfig) -> list[Replication]:
     """Execute all replications, in parallel if configured, in run_id order.
 
     The pool has min(workers, runs, cpu_count) processes, since a fork pool
-    starts all of them at its first submit; at one, the runs are serial.
+    starts all of them at its first submit; at one, the runs are serial, and
+    the pool machinery (multiprocessing, socket, subprocess) is not imported.
     """
     ids = range(config.runs)
     workers = min(config.workers, config.runs, os.cpu_count() or 1)
     if workers == 1:
         return [run_replication(config, i) for i in ids]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, config.runs // (workers * 8))
         return list(

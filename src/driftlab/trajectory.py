@@ -9,6 +9,7 @@ target, or that it was cut off at the cap.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,13 +19,32 @@ class Trajectory:
     """Path of a potential: values[t] is the potential after t steps.
 
     values is a sequence of numbers, at least the starting value: a list
-    from the simulators and the trajectory reader, and an array('q') of
-    ints once run_replication holds it, so a stored value costs 8 bytes.
-    Whether the run was censored is its HittingTimeSample's flag; a
-    censored run records cap + 1 values (steps 0..cap).
+    from the simulators and the trajectory reader, and an int array of
+    narrowest_int_array's typecode once run_replication holds it, so a
+    stored value costs 1 to 8 bytes.  Whether the run was censored is its
+    HittingTimeSample's flag; a censored run records cap + 1 values (steps
+    0..cap).
     """
 
     values: Sequence[float]
+
+
+def narrowest_int_array(values: Sequence[int]) -> array:
+    """The ints values as an array of the first typecode in "bhiq" whose
+    signed range holds their min and max.
+
+    Each narrower typecode is tried in turn, and its constructor stops at
+    the first value out of its range; a path that leaves a range early
+    costs about one conversion, where finding min and max would cost two
+    more passes.  A value outside the signed 64-bit range is an
+    OverflowError, as array("q") raises.
+    """
+    for code in "bhi":
+        try:
+            return array(code, values)
+        except OverflowError:
+            pass
+    return array("q", values)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from driftlab.experiment import (
 )
 from driftlab.rng import RngStream
 from driftlab.rwab import ACCOUNTING_MODES
+from driftlab.trajectory import narrowest_int_array
 
 
 def base_config(tmp_path, **overrides):
@@ -171,6 +172,23 @@ def test_cap_requirement_depends_on_kind(tmp_path):
     ExperimentConfig.from_dict(obj)
 
 
+# the smallest params each kind with a default cap accepts
+SMALLEST_DEFAULT_CAP_PARAMS = {
+    "rlspd": {"n": 2, "alpha": 0.5, "beta": 0.5},
+    "rlspd_forgetting": {"n": 2, "alpha": 0.5, "beta": 0.5, "A": 1.0, "B": 1.0},
+    "rwab": {"horizon": 3, "changes": 1, "mu1": 0.0, "mu2": 1.0},
+}
+
+
+def test_a_default_cap_is_a_nonnegative_int():
+    # None marks only a kind whose config must set cap
+    kinds = {kind for kind, entry in KINDS.items() if entry.default_cap is not None}
+    assert kinds == set(SMALLEST_DEFAULT_CAP_PARAMS)
+    for kind, obj in SMALLEST_DEFAULT_CAP_PARAMS.items():
+        cap = experiment.from_json(KINDS[kind], obj, "config.params").default_cap()
+        assert type(cap) is int and cap >= 0, kind
+
+
 def test_single_cell_walk_writes_exact_samples(tmp_path):
     config = ExperimentConfig.from_dict(
         base_config(tmp_path, params={"b": 2, "x0": 1}, runs=3)
@@ -248,7 +266,7 @@ def test_the_pool_holds_min_of_workers_runs_and_cpus(
     tmp_path, monkeypatch, workers, runs, cpus, pool
 ):
     # None: cpu_count() could not tell, and a pool of one runs serially
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "sizes", [])
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
     config = ExperimentConfig.from_dict(base_config(tmp_path, runs=runs, workers=workers))
@@ -350,8 +368,17 @@ def test_recorded_runs_cross_the_pool_byte_for_byte(tmp_path, monkeypatch, kind)
         assert fh.read() == serial["report.json"]
 
 
+def first_typecode_holding(values):
+    """The first of "bhiq" whose signed range holds every one of values."""
+    for code in "bhiq":
+        top = 1 << (8 * array(code).itemsize - 1)
+        if all(-top <= v < top for v in values):
+            return code
+    raise AssertionError("no typecode holds the values")
+
+
 @pytest.mark.parametrize("kind", sorted(RECORDING))
-def test_a_replication_holds_the_simulators_values_as_an_int64_array(tmp_path, kind):
+def test_a_replication_holds_the_simulators_values_in_the_narrowest_int_array(tmp_path, kind):
     config = recording_config(tmp_path, kind)
     entry = KINDS[kind]
     cap = config.cap if config.cap is not None else entry.default_cap(config.params)
@@ -360,8 +387,34 @@ def test_a_replication_holds_the_simulators_values_as_an_int64_array(tmp_path, k
         stream = RngStream(master_seed=config.master_seed, stream_id=run_id)
         own = entry.simulate(config.params, stream, cap, True)[3]
         assert type(own.values) is list
-        assert isinstance(held.values, array) and held.values.typecode == "q"
+        assert isinstance(held.values, array)
+        assert held.values.typecode == first_typecode_holding(own.values)
         assert held.values.tolist() == own.values
+
+
+@pytest.mark.parametrize(
+    "values, typecode",
+    [
+        pytest.param([-128, 127], "b", id="int8-ends"),
+        pytest.param([128], "h", id="128"),
+        pytest.param([-129], "h", id="-129"),
+        pytest.param([-32769], "i", id="-32769"),
+        pytest.param([2**31], "q", id="2**31"),
+        pytest.param([2**53], "q", id="2**53"),
+        pytest.param([-(2**63), 2**63 - 1], "q", id="int64-ends"),
+    ],
+)
+def test_the_narrowest_int_array_takes_the_first_typecode_that_holds_both_ends(
+    values, typecode
+):
+    held = narrowest_int_array(values)
+    assert held.typecode == typecode == first_typecode_holding(values)
+    assert held.tolist() == values
+
+
+def test_no_int_array_holds_a_value_beyond_64_bits():
+    with pytest.raises(OverflowError):
+        narrowest_int_array([0, 2**63])
 
 
 def test_a_held_recorded_value_costs_under_16_bytes(tmp_path):
@@ -385,6 +438,8 @@ def test_a_held_recorded_value_costs_under_16_bytes(tmp_path):
     values = sum(len(r.trajectory.values) for r in reps)
     assert values > 50 * 1000
     assert peak < 16 * values
+    # every state lies in [0, 1000], so each run holds an array('h')
+    assert sum(r.trajectory.values.itemsize * len(r.trajectory.values) for r in reps) == 2 * values
 
 
 @pytest.mark.parametrize(
@@ -885,16 +940,29 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert not os.path.exists(forgetting["output_dir"])
 
 
-def test_importing_the_package_leaves_numpy_unloaded():
-    # numpy's import alone would add ~11 MB of resident memory to every run
+def print_after_importing_the_cli(expr):
+    """What a fresh interpreter prints for expr after import sys, driftlab.cli."""
     src = os.path.dirname(os.path.dirname(driftlab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, driftlab.cli; print('numpy' in sys.modules)"
+    code = f"import sys, driftlab.cli; print({expr})"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # numpy's import alone would add ~11 MB of resident memory to every run
+    assert print_after_importing_the_cli("'numpy' in sys.modules") == "False"
+
+
+def test_importing_the_package_leaves_the_pool_machinery_unloaded():
+    # collect imports the process pool only when it starts one, so a serial
+    # run, bounds and analyze never load multiprocessing, socket or subprocess
+    pool = "('concurrent', 'multiprocessing')"
+    loaded = f"[m for m in sorted(sys.modules) if m.split('.')[0] in {pool}]"
+    assert print_after_importing_the_cli(loaded) == "[]"
 
 
 def test_every_name_the_benchmark_rebinds_exists():
