@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 from driftlab.bounds import BoundSpec, tail_probability_upper
 from driftlab.errors import EmptySampleError
-from driftlab.trajectory import HittingTimeSample, Trajectory
+from driftlab.trajectory import HittingTimeSample
 
 DEFAULT_CONFIDENCE = 0.999
 
@@ -68,15 +68,15 @@ class DriftEstimate:
     per_state_mean: dict[int, float] = field(default_factory=dict)
 
 
-def tally_transitions(trajectories: Iterable[Trajectory]) -> Counter:
+def tally_transitions(trajectories: Iterable[Sequence[float]]) -> Counter:
     """How often each distinct (X_t, X_{t+1}) pair occurs, over every trajectory.
 
-    Reads each trajectory once, as the iterable yields it, and keeps only
-    the tally, so trajectories read lazily are never all held at once.
+    Each trajectory is its sequence of values.  Reads each one once, as the
+    iterable yields it, and keeps only the tally, so trajectories read
+    lazily are never all held at once.
     """
     pairs: Counter = Counter()
-    for traj in trajectories:
-        vals = traj.values
+    for vals in trajectories:
         pairs.update(zip(vals, islice(vals, 1, None)))
     return pairs
 

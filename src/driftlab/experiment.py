@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cache
 from types import UnionType
@@ -41,20 +42,13 @@ from driftlab.recolour import (
     seek_monochromatic_triangle,
 )
 from driftlab.rng import RngStream
-from driftlab.rwab import (
-    ACCOUNTING_MODES,
-    BanditEnv,
-    check_challenges_end,
-    run_rwab,
-    sample_change_times,
-)
+from driftlab.rwab import ACCOUNTING_MODES, check_challenges_end, run_rwab, sample_change_times
 from driftlab.sat2 import generate_planted, random_assignment, run_walk, satisfies
 from driftlab.trajectory import (
     REGRET_COLUMNS,
     SAMPLE_COLUMNS,
     TRAJECTORY_HEADER,
     HittingTimeSample,
-    Trajectory,
     format_value,
     narrowest_int_array,
     samples_to_csv,
@@ -64,6 +58,10 @@ from driftlab.trajectory import (
 from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
 
 DEFAULT_K_LIST = (1.0, 2.0)
+
+#: the most bins a histogram may have: histogram_export holds three lists
+#: of about that length, so 10**11 bins exhaust memory and 10**22 overflow
+MAX_HISTOGRAM_BINS = 10**6
 
 
 def is_finite(value: int | float) -> bool:
@@ -191,6 +189,8 @@ class AnalysisBlock:
             raise ConfigError(f"{where}.bound: required whenever tau_grid is given")
         if self.histogram_bins is not None and self.histogram_bins < 1:
             raise ConfigError(f"{where}.histogram_bins: must be positive")
+        if self.histogram_bins is not None and self.histogram_bins > MAX_HISTOGRAM_BINS:
+            raise ConfigError(f"{where}.histogram_bins: must be at most {MAX_HISTOGRAM_BINS}")
 
 
 @dataclass(frozen=True)
@@ -209,13 +209,12 @@ class BoundTable:
 # The experiment kinds, which KINDS maps by name.  A kind is a frozen
 # dataclass whose init fields are exactly the keys its params accept; a
 # derived init=False field is not a key.  Its check, or its constructor,
-# states each range rule on them once; the simulators and instance types
-# below take the params as given and check nothing again.  Its simulate
-# runs one replication from (stream, cap, record) and returns the scalar
-# (a stopping time or a total regret), the censored flag, the values of
-# its extra samples.csv columns and the trajectory or None.  Simulators
-# are called through this module's globals, so rebinding one of those
-# names reaches every call.
+# states each range rule on them once; the simulators below take the params
+# as given and check nothing again.  Its simulate runs one replication from
+# (stream, cap, record) and returns the scalar (a stopping time or a total
+# regret), the censored flag, the values of its extra samples.csv columns
+# and the kernel's Trajectory or None.  Simulators are called through this
+# module's globals, so rebinding one of those names reaches every call.
 
 
 #: the largest walk ceiling b: every state up to it is a float that the
@@ -299,11 +298,10 @@ class Sat2(Params):
             raise ConfigError(f"{where}.m: must be at least 1")
 
     def simulate(self, stream, cap, record):
-        instance = generate_planted(stream, self.n, self.m)
+        clauses, witness = generate_planted(stream, self.n, self.m)
         init = random_assignment(stream, self.n)
-        reference = instance.witness if record else None
-        result = run_walk(instance.formula, init, stream, cap, reference=reference)
-        satisfied = satisfies(instance.formula, result.assignment)
+        result = run_walk(clauses, init, stream, cap, reference=witness if record else None)
+        satisfied = satisfies(clauses, result.assignment)
         return result.iterations, result.censored, (satisfied,), result.trajectory
 
 
@@ -320,10 +318,10 @@ class Recolour(Params):
             raise ConfigError(f"{where}.edge_prob: must lie in [0, 1]")
 
     def simulate(self, stream, cap, record):
-        graph = generate_3colorable(stream, self.n, self.edge_prob)
+        adj = generate_3colorable(stream, self.n, self.edge_prob)
         init = random_colouring(stream, self.n)
-        result = run_recolour(graph, init, stream, cap, record=record)
-        triangle_free = seek_monochromatic_triangle(graph, result.colouring) is None
+        result = run_recolour(adj, init, stream, cap, record=record)
+        triangle_free = seek_monochromatic_triangle(adj, result.colouring) is None
         return result.iterations, result.censored, (triangle_free,), result.trajectory
 
 
@@ -402,8 +400,7 @@ class Rwab(Params):
 
     def simulate(self, stream, cap, record):
         times = sample_change_times(stream, self.horizon, self.changes)
-        env = BanditEnv(horizon=self.horizon, mu1=self.mu1, mu2=self.mu2, change_times=times)
-        ledger = run_rwab(env, stream, accounting=self.accounting)
+        ledger = run_rwab(stream, self.horizon, self.mu1, self.mu2, times, self.accounting)
         return ledger.total_regret, False, (ledger.swaps, ledger.mistakes, ledger.sub_eras), None
 
 
@@ -471,9 +468,11 @@ class ExperimentConfig:
 
 @dataclass
 class Replication:
+    """One run's sample, extra columns and recorded values (or None)."""
+
     sample: HittingTimeSample
     extra: tuple
-    trajectory: Trajectory | None
+    trajectory: array | None
 
 
 def run_replication(config: ExperimentConfig, run_id: int) -> Replication:
@@ -481,15 +480,14 @@ def run_replication(config: ExperimentConfig, run_id: int) -> Replication:
     params = config.params
     cap = config.cap if config.cap is not None else params.default_cap()
     scalar, censored, extra, traj = params.simulate(stream, cap, config.record_trajectories)
-    if traj is not None:
-        # 1 to 8 bytes a value with no int object behind it, held until
-        # run_experiment returns; every recorded value is an int within
-        # 2**63 (a walk's within MAX_WALK_B, any other kind's within 2n)
-        traj.values = narrowest_int_array(traj.values)
+    # 1 to 8 bytes a value with no int object behind it, held until
+    # run_experiment returns; every recorded value is an int within 2**63
+    # (a walk's within MAX_WALK_B, any other kind's within 2n)
+    values = None if traj is None else narrowest_int_array(traj.values)
     sample = HittingTimeSample(
         run_id=run_id, stopping_time=scalar, censored=censored, seed_used=run_id
     )
-    return Replication(sample=sample, extra=extra, trajectory=traj)
+    return Replication(sample=sample, extra=extra, trajectory=values)
 
 
 def _run_replication_star(args) -> Replication:
@@ -523,7 +521,7 @@ def collect(config: ExperimentConfig) -> list[Replication]:
 def build_report(
     samples: Sequence[HittingTimeSample],
     block: AnalysisBlock,
-    trajectories: Iterable[Trajectory] = (),
+    trajectories: Iterable[Sequence[float]] = (),
 ) -> dict:
     """Assemble the analysis JSON document as a plain dict.
 
@@ -535,8 +533,9 @@ def build_report(
     overflows.  json.dumps writes the float keys of freq_at_multiples and
     the int keys of per_state_mean as repr and str do, as the CSVs do.
 
-    The trajectories are read once, in one tally that both drift sections
-    are computed from; they may be a lazy iterator.
+    Each trajectory is its sequence of values.  They are read once, in one
+    tally that both drift sections are computed from, and may come from a
+    lazy iterator.
     """
     report: dict = {
         "sample_count": len(samples),
@@ -567,7 +566,7 @@ def build_report(
 def write_report(
     samples: Sequence[HittingTimeSample],
     block: AnalysisBlock,
-    trajectories: Iterable[Trajectory],
+    trajectories: Iterable[Sequence[float]],
     path: str,
 ) -> bool:
     """Write build_report's report to path; True when its tail check is violated."""
@@ -579,18 +578,22 @@ def write_report(
 def report_to_json(report: dict) -> str:
     """report.json's text: strict JSON, so a non-finite number is a ValueError.
 
-    The error names the first section that holds one (an overflowed drift
-    moment, say), and nothing is written.
+    The report is dumped once.  Only when that fails are its sections
+    dumped one by one, so the error names the first section that holds a
+    non-finite number (an overflowed drift moment, say); nothing is written.
     """
-    for name, section in report.items():
-        try:
-            json.dumps(section, allow_nan=False)
-        except ValueError:
-            raise ValueError(
-                f"report.json: {name} holds a non-finite number, "
-                "which strict JSON cannot write"
-            ) from None
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        for name, section in report.items():
+            try:
+                json.dumps(section, allow_nan=False)
+            except ValueError:
+                raise ValueError(
+                    f"report.json: {name} holds a non-finite number, "
+                    "which strict JSON cannot write"
+                ) from None
+        raise
 
 
 def histogram_to_csv(samples: Sequence[HittingTimeSample], bins: int) -> str:
@@ -740,8 +743,8 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
 _NOT_COMMA_OR_BREAK = bytes(b for b in range(128) if b not in b",\n\r\x0b\x0c\x1c\x1d\x1e")
 
 
-def read_trajectory_csv(text: str) -> Trajectory:
-    """Parse a step,value CSV; blank lines are skipped, the step column unread.
+def read_trajectory_csv(text: str) -> list[float]:
+    """A step,value CSV's values; blank lines are skipped, the step column unread.
 
     Every value must be a finite number, as in samples.csv.  Text that is
     the header and rows of one comma each, every line ending in a newline,
@@ -762,8 +765,8 @@ def read_trajectory_csv(text: str) -> Trajectory:
                 pass  # a bad value: the scan names its row
             else:
                 if math.isfinite(sum(values)):  # else NaN, an infinity or an overflow
-                    return Trajectory(values=values)
-    return Trajectory(values=_scan_trajectory_rows(text))
+                    return values
+    return _scan_trajectory_rows(text)
 
 
 def _scan_trajectory_rows(text: str) -> list[float]:
@@ -787,7 +790,7 @@ def _scan_trajectory_rows(text: str) -> list[float]:
     return values
 
 
-def _read_trajectory_file(path: str) -> Trajectory:
+def _read_trajectory_file(path: str) -> list[float]:
     with open(path, "r") as fh:
         return read_trajectory_csv(fh.read())
 
@@ -807,7 +810,7 @@ def analyze_files(
     """
     with open(samples_path, "r") as fh:
         samples = read_samples_csv(fh.read())
-    trajectories: Iterable[Trajectory] = ()
+    trajectories: Iterable[list[float]] = ()
     if trajectory_dir is not None:
         names = sorted(n for n in os.listdir(trajectory_dir) if n.endswith(".csv"))
         paths = (os.path.join(trajectory_dir, n) for n in names)

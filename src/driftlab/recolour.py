@@ -1,20 +1,21 @@
 """Random repair of 2-colourings on 3-colourable graphs.
 
-Instances are graphs with a known 3-class witness partition (every edge
-crosses classes, so every triangle takes one vertex from each class).  The
-repair walk 2-colours the vertices and, while any triangle is
-monochromatic, flips a uniformly chosen vertex of the lexicographically
-smallest such triangle.  Tracking two witness classes and a pairing of the
-two colours gives a scalar potential that moves by +-1 with probability
-1/3 each, the shape the two-absorbing-barrier guarantee wants.
+An instance is its list of neighbour bitmasks (Python ints): adj[v] holds
+bit u for each neighbour u of v.  The generator keeps only edges between
+different witness classes v mod 3, so every triangle takes one vertex
+from each class.  The repair walk 2-colours the vertices and, while any
+triangle is monochromatic, flips a uniformly chosen vertex of the
+lexicographically smallest such triangle.  Tracking two witness classes
+and a pairing of the two colours gives a scalar potential that moves by
++-1 with probability 1/3 each, the shape the two-absorbing-barrier
+guarantee wants.
 
-Adjacency is kept as per-vertex bitmasks (Python ints), which makes the
-triangle search a short chain of AND operations.
+The bitmasks make the triangle search a short chain of AND operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -22,53 +23,35 @@ from driftlab.rng import RngStream, below, index_limit
 from driftlab.trajectory import Trajectory
 
 
-@dataclass
-class ColorableGraph:
-    """Graph plus witness 3-partition: classes[v] in {0,1,2}, edges cross-class.
-
-    Edges are canonical (u < v, strictly increasing, no duplicates), and
-    adj[v] is the bitmask of v's neighbours.  generate_3colorable builds
-    instances that way; the constructor checks nothing.
-    """
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    classes: tuple[int, ...]
-    adj: list[int] = field(repr=False)
-
-
 @lru_cache(maxsize=16)
-def _layout(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
-    """Witness classes v mod 3, each u's higher cross-class partners, pair count."""
-    classes = tuple(v % 3 for v in range(n))
+def _layout(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Each u's higher partners in another class mod 3, and the pair count."""
     partners = tuple(
         tuple(v for v in range(u + 1, n) if v % 3 != u % 3) for u in range(n)
     )
-    return classes, partners, sum(map(len, partners))
+    return partners, sum(map(len, partners))
 
 
-def generate_3colorable(stream: RngStream, n: int, edge_prob: float) -> ColorableGraph:
+def generate_3colorable(stream: RngStream, n: int, edge_prob: float) -> list[int]:
     """Random dense instance: classes v mod 3, cross-class edges kept iid.
 
     Every unordered cross-class pair becomes an edge with probability
     edge_prob, examined in lexicographic order: one word per pair, kept
-    when it is below below(edge_prob).  The adjacency masks are built as
-    the edges are kept.
+    when it is below below(edge_prob).  Returns the n neighbour bitmasks,
+    filled as the edges are kept.
     """
-    classes, partners, pairs = _layout(n)
+    partners, pairs = _layout(n)
     keep = below(edge_prob)
     words = stream.words()
-    edges = []
     adj = [0] * n
     for u, higher in enumerate(partners):
         bit = 1 << u
         for v, w in zip(higher, words):
             if w < keep:
-                edges.append((u, v))
                 adj[u] |= 1 << v
                 adj[v] |= bit
     stream.draw_counter += pairs
-    return ColorableGraph(n, tuple(edges), classes, adj)
+    return adj
 
 
 def random_colouring(stream: RngStream, n: int) -> bytearray:
@@ -78,11 +61,9 @@ def random_colouring(stream: RngStream, n: int) -> bytearray:
     return colouring
 
 
-def seek_monochromatic_triangle(
-    graph: ColorableGraph, colouring
-) -> tuple[int, int, int] | None:
+def seek_monochromatic_triangle(adj: list[int], colouring) -> tuple[int, int, int] | None:
     """Lexicographically smallest same-coloured triangle, or None."""
-    return _scan(graph.adj, *_masks(colouring), 0)
+    return _scan(adj, *_masks(colouring), 0)
 
 
 def _masks(colouring) -> tuple[int, int]:
@@ -124,7 +105,7 @@ class RecolourResult:
 
 
 def run_recolour(
-    graph: ColorableGraph,
+    adj: list[int],
     init,
     stream: RngStream,
     cap: int,
@@ -134,22 +115,19 @@ def run_recolour(
 
     The two colour masks are kept across flips, and each search after a
     flip resumes the lexicographic scan where a new triangle could first
-    appear instead of at vertex 0.  init holds graph.n colours, each 0
+    appear instead of at vertex 0.  init holds len(adj) colours, each 0
     or 1.
 
     With record, the trajectory of
     Y_t = #{v in class 0 : colour(v) = 0} + #{v in class 1 : colour(v) = 1}
-    is recorded.
+    is recorded, v's class being v % 3.
     """
-    n = graph.n
     colouring = bytearray(init)
 
-    classes = graph.classes
     if record:
-        y = sum(1 for v in range(n) if classes[v] < 2 and colouring[v] == classes[v])
+        y = sum(1 for v in range(len(adj)) if v % 3 < 2 and colouring[v] == v % 3)
         values: list[float] = [y]
 
-    adj = graph.adj
     zeros, ones = _masks(colouring)
     # next_index(3) on raw words: reject at the limit, then take w % 3
     limit = index_limit(3)
@@ -182,8 +160,8 @@ def run_recolour(
         start = (below_tri & -below_tri).bit_length() - 1 if below_tri else tri[0]
         t += 1
         if record:
-            if classes[v] < 2:
-                y += 1 if colouring[v] == classes[v] else -1
+            if v % 3 < 2:
+                y += 1 if colouring[v] == v % 3 else -1
             values.append(y)
 
     stream.draw_counter += t + rejected

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from driftlab.rng import RngStream, below, index_limit
 
@@ -57,20 +58,6 @@ def check_challenges_end(horizon: int, mu1: float, mu2: float) -> None:
             f"{q:.3g}, so a run would need ~{horizon / q:.3g} challenge iterations "
             f"(limit {MAX_CHALLENGE_ITERATIONS:.0e})"
         )
-
-
-@dataclass(frozen=True)
-class BanditEnv:
-    """Horizon, change schedule, and the two arms' initial means.
-
-    Unchecked: the rwab config reader checks the horizon and means, and
-    sample_change_times draws distinct change times in [2, horizon].
-    """
-
-    horizon: int
-    mu1: float
-    mu2: float
-    change_times: tuple[int, ...]
 
 
 def sample_change_times(stream: RngStream, horizon: int, count: int) -> tuple[int, ...]:
@@ -112,29 +99,34 @@ class RegretLedger:
 
 
 def run_rwab(
-    env: BanditEnv,
     stream: RngStream,
+    horizon: int,
+    mu1: float,
+    mu2: float,
+    change_times: Sequence[int],
     accounting: str = "mean_gap",
 ) -> RegretLedger:
-    """Play the full horizon; returns totals and bookkeeping.
+    """Play rounds 1..horizon from the arm means mu1, mu2; totals and bookkeeping.
 
-    The number of changes L = len(env.change_times) sets the challenge
-    probability sqrt(L/T) and the swap threshold sqrt(T/L), so at least
-    one change is required.  accounting is one of ACCOUNTING_MODES.
+    The means swap at each of the distinct change_times in [2, horizon],
+    as sample_change_times draws them; the rwab config reader checks the
+    horizon and the means.  The number of changes L = len(change_times)
+    sets the challenge probability sqrt(L/T) and the swap threshold
+    sqrt(T/L), so at least one change is required.  accounting is one of
+    ACCOUNTING_MODES.
 
     Every draw reads one words() iterator: an arm pays 1 when a word falls
     below bounds[arm] = below(mu[arm]), as a next_uniform() draw would fall
     below mu[arm].  A challenge sums its charges into the round's regret
     before the total takes it, the order the pinned sums were made in.
     """
-    ell = len(env.change_times)
-    horizon = env.horizon
+    ell = len(change_times)
     p = math.sqrt(ell / horizon)
     s_threshold = math.sqrt(horizon / ell)
-    change_set = frozenset(env.change_times)
+    change_set = frozenset(change_times)
 
-    mu = [env.mu1, env.mu2]
-    bounds = [below(env.mu1), below(env.mu2)]
+    mu = [mu1, mu2]
+    bounds = [below(mu1), below(mu2)]
     challenge = below(p)
     a_plus, a_minus = 0, 1
     total = 0.0

@@ -7,14 +7,16 @@ assignment the agreement count rises with probability at least 1/2 per
 step, which is what makes the quadratic-time guarantee work; passing that
 witness as ``reference`` records the agreement trajectory.
 
-Literals are (variable, negated) pairs with 0-based variables; assignments
-are bytearrays of 0/1.
+A formula is its clauses, a tuple of Clause pairs; a literal is a
+(variable, negated) pair with a 0-based variable and a bool flag, and an
+assignment is a bytearray of 0/1 with one entry per variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import Sequence
 
 from driftlab.rng import RngStream, below, index_limit
 from driftlab.trajectory import Trajectory
@@ -23,23 +25,11 @@ Literal = tuple[int, bool]
 Clause = tuple[Literal, Literal]
 
 
-@dataclass(frozen=True)
-class TwoCnfFormula:
-    """A 2-CNF formula: n variables, clauses of exactly two literals.
-
-    Variables lie in [0, n) and negation flags are bools; the constructor
-    checks nothing (generate_planted builds formulas that way).
-    """
-
-    n: int
-    clauses: tuple[Clause, ...]
-
-
-def satisfies(formula: TwoCnfFormula, assignment) -> bool:
+def satisfies(clauses: Sequence[Clause], assignment) -> bool:
     # a literal (var, neg) holds when bool(assignment[var]) != neg
     return all(
         (assignment[u] != 0) != nu or (assignment[v] != 0) != nv
-        for (u, nu), (v, nv) in formula.clauses
+        for (u, nu), (v, nv) in clauses
     )
 
 
@@ -55,18 +45,13 @@ def random_assignment(stream: RngStream, n: int) -> bytearray:
     return bits
 
 
-@dataclass(frozen=True)
-class PlantedInstance:
-    formula: TwoCnfFormula
-    witness: bytes
+def generate_planted(stream: RngStream, n: int, m: int) -> tuple[tuple[Clause, ...], bytes]:
+    """The m clauses of a random satisfiable instance, and its witness.
 
-
-def generate_planted(stream: RngStream, n: int, m: int) -> PlantedInstance:
-    """Random satisfiable instance: uniform witness, clauses it satisfies.
-
-    Each clause draws two distinct variables and uniform polarities,
-    redrawing until the witness satisfies it (acceptance chance 3/4 per
-    draw, so this terminates quickly).  The draws are those of
+    The witness is a uniform assignment of the n variables.  Each clause
+    draws two distinct variables and uniform polarities, redrawing until
+    the witness satisfies it (acceptance chance 3/4 per draw, so this
+    terminates quickly).  The draws are those of
     next_index(n), next_index(n), then next_index(2) twice, taken from raw
     words: a variable rejects words at or above index_limit(n) and takes
     w % n, a polarity is w & 1.  n must be at least 2, as the config
@@ -97,8 +82,7 @@ def generate_planted(stream: RngStream, n: int, m: int) -> PlantedInstance:
         if witness[u] != nu or witness[v] != nv:
             clauses.append(((u, nu == 1), (v, nv == 1)))
     stream.draw_counter += used
-    formula = TwoCnfFormula(n, tuple(clauses))
-    return PlantedInstance(formula=formula, witness=witness)
+    return tuple(clauses), witness
 
 
 @dataclass
@@ -110,7 +94,7 @@ class WalkResult:
 
 
 def run_walk(
-    formula: TwoCnfFormula,
+    clauses: Sequence[Clause],
     init,
     stream: RngStream,
     cap: int,
@@ -120,14 +104,12 @@ def run_walk(
 
     A bytearray holds one violated flag per clause, so unsat.find(1) is the
     lowest-index violated clause, and a flip only re-evaluates the clauses
-    containing the flipped variable.  init and reference hold formula.n
-    entries each.
+    containing the flipped variable.  init holds one entry per variable,
+    and so does reference.
     """
-    n = formula.n
     assignment = bytearray(init)
 
-    clauses = formula.clauses
-    occ: list[list[int]] = [[] for _ in range(n)]
+    occ: list[list[int]] = [[] for _ in range(len(init))]
     for idx, clause in enumerate(clauses):
         occ[clause[0][0]].append(idx)
         if clause[1][0] != clause[0][0]:

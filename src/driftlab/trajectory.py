@@ -1,9 +1,11 @@
 """Recorded runs and their hitting times.
 
-A Trajectory is the sampled path of a scalar potential, one value per step
-starting at step 0.  A HittingTimeSample is the one-number summary a
-simulator hands to the statistics layer: when the run first reached its
-target, or that it was cut off at the cap.
+A Trajectory is what a kernel returns for the sampled path of a scalar
+potential, one value per step starting at step 0.  A run keeps only its
+values, and everything downstream of the kernels takes those.  A
+HittingTimeSample is the one-number summary a simulator hands to the
+statistics layer: when the run first reached its target, or that it was
+cut off at the cap.
 """
 
 from __future__ import annotations
@@ -16,17 +18,16 @@ from typing import Iterable, Sequence
 
 @dataclass
 class Trajectory:
-    """Path of a potential: values[t] is the potential after t steps.
+    """What a kernel returns; a run keeps its values.
 
-    values is a sequence of numbers, at least the starting value: a list
-    from the simulators and the trajectory reader, and an int array of
-    narrowest_int_array's typecode once run_replication holds it, so a
-    stored value costs 1 to 8 bytes.  Whether the run was censored is its
-    HittingTimeSample's flag; a censored run records cap + 1 values (steps
-    0..cap).
+    values[t] is the potential after t steps, a list of ints that holds at
+    least the starting value.  run_replication keeps them as
+    narrowest_int_array's array, so a stored value costs 1 to 8 bytes.
+    Whether the run was censored is its HittingTimeSample's flag; a
+    censored run records cap + 1 values (steps 0..cap).
     """
 
-    values: Sequence[float]
+    values: list[int]
 
 
 def narrowest_int_array(values: Sequence[int]) -> array:
@@ -110,13 +111,13 @@ def samples_to_csv(
 TRAJECTORY_HEADER = "step,value"
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Render one trajectory as CSV text with header TRAJECTORY_HEADER.
+def trajectory_to_csv(values: Sequence[float]) -> str:
+    """Render one trajectory's values as CSV text with header TRAJECTORY_HEADER.
 
     Values are numbers, each written with str (floats in shortest
     round-trip form), one row per step.
     """
-    return f"{TRAJECTORY_HEADER}\n" + "".join(map("%s,%s\n".__mod__, enumerate(traj.values)))
+    return f"{TRAJECTORY_HEADER}\n" + "".join(map("%s,%s\n".__mod__, enumerate(values)))
 
 
 def write_text(path: str, text: str) -> None:

@@ -7,8 +7,10 @@ independent of the fast path it checks:
 * walks: exact expected hitting times from the one-step recurrences;
 * bilinear: the integer-scaled payoff n^3 * g, the pairwise-dominance
   chain and the single-flip RLS-PD step that ``run_search`` is pinned to;
-* sat2: literal and clause semantics, and the invariants of a formula;
-* recolour: a graph built from outside input, with every invariant checked;
+* sat2: literal and clause semantics, and the invariants of a formula's
+  clauses;
+* recolour: adjacency masks built from outside edges, with every invariant
+  checked, and the edge list read back from the masks;
 * rwab: the paper's regret ceiling 480*eps*(L + sqrt(L*T)), one challenge
   on scalar next_uniform() draws (sharing no code with run_rwab's inline
   loop), the round loop built on it with a full ledger, and the
@@ -24,10 +26,8 @@ from dataclasses import dataclass
 
 from driftlab.bilinear import BilinearParams, SearchPair
 from driftlab.experiment import ExperimentConfig
-from driftlab.recolour import ColorableGraph
 from driftlab.rng import RngStream, index_limit
-from driftlab.rwab import BanditEnv
-from driftlab.sat2 import Clause, Literal, TwoCnfFormula
+from driftlab.sat2 import Clause, Literal
 
 # ---------------------------------------------------------------------------
 # Walks: exact means, solved from the first-step recurrences by forward
@@ -169,19 +169,19 @@ def clause_satisfied(clause: Clause, assignment) -> bool:
     return literal_true(clause[0], assignment) or literal_true(clause[1], assignment)
 
 
-def check_formula(formula: TwoCnfFormula) -> None:
-    """Raise ValueError unless formula meets TwoCnfFormula's invariants.
+def check_formula(n: int, clauses) -> None:
+    """Raise ValueError unless clauses form a 2-CNF formula over n variables.
 
     At least one variable; every clause two literals, each an in-range
     variable with a bool negation flag.
     """
-    if formula.n < 1:
+    if n < 1:
         raise ValueError("formula needs at least one variable")
-    for idx, clause in enumerate(formula.clauses):
+    for idx, clause in enumerate(clauses):
         if len(clause) != 2:
             raise ValueError(f"clause {idx} must have exactly two literals")
         for var, neg in clause:
-            if not 0 <= var < formula.n:
+            if not 0 <= var < n:
                 raise ValueError(f"clause {idx}: variable {var} out of range")
             if not isinstance(neg, bool):
                 raise ValueError(f"clause {idx}: negation flag must be bool")
@@ -191,19 +191,15 @@ def check_formula(formula: TwoCnfFormula) -> None:
 # Recolouring.
 
 
-def checked_graph(n: int, edges, classes) -> ColorableGraph:
-    """A ColorableGraph with its adjacency masks, or the ValueError of the first fault.
+def checked_graph(n: int, edges) -> list[int]:
+    """The neighbour bitmasks of n vertices joined by edges, or the first fault.
 
     Checks what generate_3colorable builds by construction: at least three
-    vertices, a class in {0, 1, 2} for each, and canonical edges (u < v,
-    in range, no duplicates) that join different classes.
+    vertices, and canonical edges (u < v, in range, no duplicates) that
+    join different witness classes v % 3.
     """
     if n < 3:
         raise ValueError("need at least three vertices")
-    if len(classes) != n:
-        raise ValueError("classes must assign every vertex")
-    if any(c not in (0, 1, 2) for c in classes):
-        raise ValueError("witness classes must be 0, 1, or 2")
     adj = [0] * n
     for u, v in edges:
         if not 0 <= u < v < n:
@@ -212,11 +208,17 @@ def checked_graph(n: int, edges, classes) -> ColorableGraph:
             raise ValueError(f"edge ({u},{v}) must be ordered u < v")
         if adj[u] >> v & 1:
             raise ValueError(f"duplicate edge ({u},{v})")
-        if classes[u] == classes[v]:
+        if u % 3 == v % 3:
             raise ValueError(f"edge ({u},{v}) joins one witness class")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return ColorableGraph(n, tuple(edges), tuple(classes), adj)
+    return adj
+
+
+def edges_of(adj: list[int]) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of the adjacency masks, in lexicographic order."""
+    n = len(adj)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +301,14 @@ class ReferenceLedger:
     per_round: list[float]
 
 
-def tuple_comparing_rwab(env: BanditEnv, stream: RngStream, accounting: str) -> ReferenceLedger:
+def tuple_comparing_rwab(
+    stream: RngStream,
+    horizon: int,
+    mu1: float,
+    mu2: float,
+    change_times,
+    accounting: str,
+) -> ReferenceLedger:
     """run_rwab's policy with scalar draws and per-round bookkeeping.
 
     Compares the (swapped, a+) pair every round to count sub-eras and
@@ -307,18 +316,18 @@ def tuple_comparing_rwab(env: BanditEnv, stream: RngStream, accounting: str) -> 
     only when a sub-era starts.  Also counts the eras, the pulls and each
     round's regret, which run_rwab does not keep.
     """
-    ell, horizon = len(env.change_times), env.horizon
+    ell = len(change_times)
     p = math.sqrt(ell / horizon)
     s_threshold = math.sqrt(horizon / ell)
     realized = accounting == "realized"
-    mu = [env.mu1, env.mu2]
+    mu = [mu1, mu2]
     swapped, a_plus, a_minus = False, 0, 1
     total = 0.0
     pulls = swaps = mistakes = sub_eras = 0
     prev_pair = None
     per_round = []
     for clock in range(1, horizon + 1):
-        if clock in env.change_times:
+        if clock in change_times:
             mu.reverse()
             swapped = not swapped
         if (swapped, a_plus) != prev_pair:

@@ -22,11 +22,12 @@ from driftlab.bounds import BoundSpec, tail_probability_upper
 from driftlab.experiment import ExperimentConfig, read_samples_csv, run_experiment
 from driftlab.recolour import generate_3colorable, random_colouring, run_recolour
 from driftlab.rng import RngStream
-from driftlab.rwab import BanditEnv, run_rwab, sample_change_times
+from driftlab.rwab import run_rwab, sample_change_times
 from oracles import (
     biased_walk_mean_dp,
     copy_pair,
     dominates,
+    edges_of,
     lazy_walk_mean_dp,
     rls_pd_step,
     theoretical_regret_bound,
@@ -210,12 +211,12 @@ def test_criterion_05_recolour_tail_and_exhaustive_triangle_scan(lab):
     # replay every run and rescan its final colouring by brute force
     for i, sample in enumerate(run["samples"]):
         stream = RngStream(2024, stream_id=i)
-        graph = generate_3colorable(stream, 30, 0.9)
+        adj = generate_3colorable(stream, 30, 0.9)
         init = random_colouring(stream, 30)
-        result = run_recolour(graph, init, stream, cap=6 * 30 * 30)
+        result = run_recolour(adj, init, stream, cap=6 * 30 * 30)
         assert result.iterations == sample.stopping_time
         assert not result.censored
-        present = set(graph.edges)
+        present = set(edges_of(adj))
         by_colour = ([], [])
         for v in range(30):
             by_colour[result.colouring[v]].append(v)
@@ -363,8 +364,7 @@ def test_criterion_09_bandit_regret_and_ledger_invariants(lab):
         for i, stored in enumerate(regrets):
             stream = RngStream(808, stream_id=i)
             times = sample_change_times(stream, 1000, changes)
-            env = BanditEnv(horizon=1000, mu1=0.2, mu2=0.8, change_times=times)
-            ledger = run_rwab(env, stream)
+            ledger = run_rwab(stream, 1000, 0.2, 0.8, times)
             assert len(times) == changes
             assert ledger.rounds == 1000
             assert ledger.total_regret == stored

@@ -16,7 +16,7 @@ from driftlab.analysis import (
 from driftlab.bounds import BoundSpec
 from driftlab.errors import EmptySampleError
 from driftlab.rng import RngStream
-from driftlab.trajectory import HittingTimeSample, Trajectory
+from driftlab.trajectory import HittingTimeSample
 from driftlab.walks import simulate_fair_walk, simulate_lazy_walk
 
 
@@ -33,13 +33,13 @@ def test_hoeffding_margin_formula_and_validation():
 
 
 def test_drift_estimate_on_fixed_paths():
-    est = estimate_drift(tally_transitions([Trajectory(values=[0, 1, 2, 3])]))
+    est = estimate_drift(tally_transitions([[0, 1, 2, 3]]))
     assert est.mean_drift == 1.0
     assert est.second_moment == 1.0
     assert est.transitions == 3
     assert est.per_state_mean == {0: 1.0, 1: 1.0, 2: 1.0}
 
-    est = estimate_drift(tally_transitions([Trajectory(values=[3, 2, 2, 4])]))
+    est = estimate_drift(tally_transitions([[3, 2, 2, 4]]))
     assert est.mean_drift == pytest.approx(1 / 3)
     assert est.second_moment == pytest.approx(5 / 3)
     assert est.per_state_mean == {2: 1.0, 3: -1.0}
@@ -49,12 +49,13 @@ def test_drift_estimate_needs_transitions():
     with pytest.raises(EmptySampleError):
         estimate_drift(tally_transitions([]))
     with pytest.raises(EmptySampleError):
-        estimate_drift(tally_transitions([Trajectory(values=[5])]))
+        estimate_drift(tally_transitions([[5]]))
 
 
 def test_drift_estimate_recovers_walk_moments():
     fair = [
         simulate_fair_walk(RngStream(40, stream_id=i), b=10, x0=5, cap=10**5, record=True)[1]
+        .values
         for i in range(200)
     ]
     est = estimate_drift(tally_transitions(fair))
@@ -64,7 +65,7 @@ def test_drift_estimate_recovers_walk_moments():
     lazy = [
         simulate_lazy_walk(
             RngStream(41, stream_id=i), b=10, x0=5, delta=0.5, cap=10**5, record=True
-        )[1]
+        )[1].values
         for i in range(200)
     ]
     est = estimate_drift(tally_transitions(lazy))
@@ -75,7 +76,7 @@ def test_drift_estimate_recovers_walk_moments():
 
 
 def test_step_tail_fit_on_unit_steps():
-    fit = fit_step_tail(tally_transitions([Trajectory(values=list(range(50)))]))
+    fit = fit_step_tail(tally_transitions([list(range(50))]))
     # freq(>= 1) = 1, so r = 1 + eta and the cost (1 + eta)/ln(1 + eta)
     # bottoms out where 1 + eta = e; the grid lands on 1.70
     assert fit.eta == pytest.approx(1.70)
@@ -92,7 +93,7 @@ def test_step_tail_envelope_dominates_the_empirical_tail():
         while stream.next_uniform() < 0.5 and mag < 30:
             mag += 1
         values.append(values[-1] + mag)
-    fit = fit_step_tail(tally_transitions([Trajectory(values=values)]))
+    fit = fit_step_tail(tally_transitions([values]))
     steps = [values[t + 1] - values[t] for t in range(len(values) - 1)]
     n = len(steps)
     for j in range(0, 32):

@@ -305,6 +305,18 @@ CONFIG_CASES = [
     (
         "synthetic_fair",
         "analysis.histogram_bins",
+        10**6 + 1,
+        "analysis.histogram_bins: must be at most 1000000",
+    ),
+    (
+        "synthetic_fair",
+        "analysis.histogram_bins",
+        10**22,
+        "analysis.histogram_bins: must be at most 1000000",
+    ),
+    (
+        "synthetic_fair",
+        "analysis.histogram_bins",
         2.5,
         "analysis.histogram_bins: expected an integer, got 2.5",
     ),

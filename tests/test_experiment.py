@@ -387,9 +387,9 @@ def test_a_replication_holds_the_simulators_values_in_the_narrowest_int_array(tm
         stream = RngStream(master_seed=config.master_seed, stream_id=run_id)
         own = entry.simulate(config.params, stream, cap, True)[3]
         assert type(own.values) is list
-        assert isinstance(held.values, array)
-        assert held.values.typecode == first_typecode_holding(own.values)
-        assert held.values.tolist() == own.values
+        assert isinstance(held, array)
+        assert held.typecode == first_typecode_holding(own.values)
+        assert held.tolist() == own.values
 
 
 @pytest.mark.parametrize(
@@ -435,11 +435,11 @@ def test_a_held_recorded_value_costs_under_16_bytes(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    values = sum(len(r.trajectory.values) for r in reps)
+    values = sum(len(r.trajectory) for r in reps)
     assert values > 50 * 1000
     assert peak < 16 * values
     # every state lies in [0, 1000], so each run holds an array('h')
-    assert sum(r.trajectory.values.itemsize * len(r.trajectory.values) for r in reps) == 2 * values
+    assert sum(r.trajectory.itemsize * len(r.trajectory) for r in reps) == 2 * values
 
 
 @pytest.mark.parametrize(
@@ -645,8 +645,7 @@ def test_read_samples_errors_carry_line_numbers(text, fragment):
 
 
 def test_read_trajectory_round_trip_and_errors():
-    traj = read_trajectory_csv("step,value\n0,5\n1,4.5\n2,4\n")
-    assert traj.values == [5.0, 4.5, 4.0]
+    assert read_trajectory_csv("step,value\n0,5\n1,4.5\n2,4\n") == [5.0, 4.5, 4.0]
     for text, fragment in [
         ("value\n1\n", "line 1"),
         ("step,value\n0\n", "line 2"),
@@ -692,17 +691,6 @@ HELD_BOUND = {
 }
 
 
-def test_cli_run_reports_artifacts_and_exits_zero(tmp_path, capsys):
-    config_path = write_json(
-        tmp_path / "config.json", base_config(tmp_path, analysis=HELD_BOUND)
-    )
-    assert main(["run", config_path]) == 0
-    out = capsys.readouterr().out
-    assert "samples:" in out
-    assert "report:" in out
-    assert "bound check: ok" in out
-
-
 # every such run takes at least 2 steps, so Fr(T > 1) is 1, far above this bound
 BROKEN_BOUND = {
     "tau_grid": [1.0],
@@ -722,7 +710,10 @@ def test_run_and_analyze_exit_by_the_reports_verdict(tmp_path, capsys, analysis,
     redo = analyze_files(artifacts.samples_path, block, report_path=str(tmp_path / "redo.json"))
     assert redo.violated is violated
     assert main(["run", write_json(tmp_path / "config.json", obj)]) == code
-    assert line in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert line in lines
+    assert f"samples: {artifacts.samples_path}" in lines
+    assert f"report: {artifacts.report_path}" in lines
     analysis_path = write_json(tmp_path / "analysis.json", analysis)
     assert main(["analyze", artifacts.samples_path, analysis_path]) == code
     assert line in capsys.readouterr().out.splitlines()
@@ -739,18 +730,16 @@ def test_cli_run_prints_no_bound_check_without_a_tau_grid(tmp_path, capsys, anal
     assert "bound check" not in out
 
 
-def test_cli_analyze_flags_violations(tmp_path, capsys):
-    samples = tmp_path / "samples.csv"
-    samples.write_text(sample_rows([10] * 20))
-    analysis = write_json(
-        tmp_path / "analysis.json",
-        {
-            "tau_grid": [5.0],
-            "bound": {"kind": "StandardVariance", "b": 1.0, "x0": 0.0, "delta": 1.0},
-        },
-    )
-    assert main(["analyze", str(samples), analysis]) == 1
-    assert "bound check: VIOLATED" in capsys.readouterr().out
+def test_cli_run_rejects_an_unbounded_histogram_before_writing(tmp_path, capsys):
+    # the histogram is built after samples.csv and report.json are written,
+    # where 10**22 bins overflowed and 10**11 exhausted memory, each exiting
+    # 1 as if a tail check were violated
+    AnalysisBlock.from_dict({"histogram_bins": experiment.MAX_HISTOGRAM_BINS})
+    for bins in (10**22, experiment.MAX_HISTOGRAM_BINS + 1):
+        obj = base_config(tmp_path, analysis={"histogram_bins": bins})
+        assert main(["run", write_json(tmp_path / "config.json", obj)]) == 2
+        assert "analysis.histogram_bins" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(obj["output_dir"], "samples.csv"))
 
 
 def test_cli_analyze_rejects_a_negative_stopping_time(tmp_path, capsys):
@@ -965,15 +954,74 @@ def test_importing_the_package_leaves_the_pool_machinery_unloaded():
     assert print_after_importing_the_cli(loaded) == "[]"
 
 
-def test_every_name_the_benchmark_rebinds_exists():
-    # perfbench/tracing.py times each layer by rebinding these attributes of
-    # driftlab.experiment; a renamed or deleted one breaks the benchmark
+def load_tracing():
+    """perfbench/tracing.py, loaded by path: it is not part of the package."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    names = [*tracing.WRAPPED, "RngStream", "run_replication", "collect"]
+    return tracing
+
+
+def rebound_names(tracing) -> list[str]:
+    return [*tracing.WRAPPED, "RngStream", "run_replication", "collect"]
+
+
+def test_every_name_the_benchmark_rebinds_exists():
+    # perfbench/tracing.py times each layer by rebinding these attributes of
+    # driftlab.experiment; a renamed or deleted one breaks the benchmark
+    names = rebound_names(load_tracing())
     assert [n for n in names if not hasattr(experiment, n)] == []
+
+
+#: one tiny serial config of every kind, each of which takes a step
+TRACED_PARAMS = {
+    "synthetic_fair": {"b": 4, "x0": 2},
+    "synthetic_biased": {"b": 4, "x0": 0, "p_up": 0.75},
+    "synthetic_lazy": {"b": 4, "x0": 4, "delta": 0.5},
+    "sat2": {"n": 8, "m": 20},
+    "recolour": {"n": 9, "edge_prob": 0.9},
+    "rlspd": {"n": 8, "alpha": 0.5, "beta": 0.5},
+    "rlspd_forgetting": {"n": 8, "alpha": 0.5, "beta": 0.5, "A": 1.0, "B": 1.0},
+    "rwab": {"horizon": 60, "changes": 2, "mu1": 0.2, "mu2": 0.8},
+}
+
+
+def test_the_tracer_reads_what_every_kernel_returns(tmp_path):
+    # the benchmark's traced runs read attributes of each kernel's result:
+    # a walk's stopping time, the other kernels' iterations and rounds, and
+    # each bilinear run's recorded values when it replays the run
+    assert sorted(TRACED_PARAMS) == sorted(KINDS)
+    tracing = load_tracing()
+    saved = {name: getattr(experiment, name) for name in rebound_names(tracing)}
+    try:
+        instrumentation = tracing.Instrumentation(experiment)
+        for kind, params in TRACED_PARAMS.items():
+            obj = base_config(
+                tmp_path,
+                kind=kind,
+                params=params,
+                runs=3,
+                cap=1000,
+                output_dir=str(tmp_path / kind),
+                record_trajectories=KINDS[kind].records,
+            )
+            experiment.run_experiment(ExperimentConfig.from_dict(obj))
+        fair = str(tmp_path / "synthetic_fair")
+        experiment.analyze_files(
+            os.path.join(fair, "samples.csv"), AnalysisBlock(), os.path.join(fair, "trajectories")
+        )
+        summary = instrumentation.summary()
+    finally:
+        for name, original in saved.items():
+            setattr(experiment, name, original)
+    work = {k: v for k, v in summary["counts"].items() if k.endswith(".steps")}
+    work["rwab.rounds"] = summary["counts"]["rwab.rounds"]
+    kernels = ["bilinear.steps", "recolour.steps", "rwab.rounds", "sat2.steps", "walks.steps"]
+    assert sorted(work) == kernels
+    assert all(count > 0 for count in work.values()), work
+    assert summary["bilinear_accepted"] > 0
+    assert summary["replications"] == 3 * len(TRACED_PARAMS)
 
 
 def test_cli_missing_files_exit_three(tmp_path, capsys):

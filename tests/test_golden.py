@@ -47,12 +47,13 @@ from driftlab.recolour import (
     seek_monochromatic_triangle,
 )
 from driftlab.rng import RngStream, below, index_limit
-from driftlab.rwab import BanditEnv, run_rwab, sample_change_times
+from driftlab.rwab import run_rwab, sample_change_times
 from driftlab.sat2 import generate_planted, random_assignment, run_walk
 from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
 from oracles import (
     clause_satisfied,
     copy_pair,
+    edges_of,
     manhattan_distance,
     rls_pd_step,
     run_challenge,
@@ -106,10 +107,9 @@ def _rwab_case(accounting, horizon, mu1, mu2, changes):
     def case(seed, start):
         stream = RngStream(master_seed=seed, stream_id=5, draw_counter=start)
         times = sample_change_times(stream, horizon, changes)
-        env = BanditEnv(horizon=horizon, mu1=mu1, mu2=mu2, change_times=times)
         ref_stream = RngStream(master_seed=seed, stream_id=5, draw_counter=stream.draw_counter)
-        ledger = run_rwab(env, stream, accounting=accounting)
-        ref = tuple_comparing_rwab(env, ref_stream, accounting)
+        ledger = run_rwab(stream, horizon, mu1, mu2, times, accounting=accounting)
+        ref = tuple_comparing_rwab(ref_stream, horizon, mu1, mu2, times, accounting)
         assert (ledger.total_regret, ledger.swaps, ledger.mistakes) == (
             ref.total_regret, ref.swaps, ref.mistakes
         )
@@ -133,12 +133,12 @@ def _rwab_case(accounting, horizon, mu1, mu2, changes):
 def _sat2_case(n, m, cap):
     def case(seed, start):
         stream = RngStream(master_seed=seed, stream_id=9, draw_counter=start)
-        instance = generate_planted(stream, n, m)
+        clauses, witness = generate_planted(stream, n, m)
         init = random_assignment(stream, n)
-        result = run_walk(instance.formula, init, stream, cap, reference=instance.witness)
+        result = run_walk(clauses, init, stream, cap, reference=witness)
         outputs = [
-            instance.formula.clauses,
-            instance.witness.hex(),
+            clauses,
+            witness.hex(),
             init.hex(),
             result.assignment.hex(),
             result.iterations,
@@ -153,11 +153,11 @@ def _sat2_case(n, m, cap):
 def _recolour_case(n, edge_prob, cap):
     def case(seed, start):
         stream = RngStream(master_seed=seed, stream_id=11, draw_counter=start)
-        graph = generate_3colorable(stream, n, edge_prob)
+        adj = generate_3colorable(stream, n, edge_prob)
         init = random_colouring(stream, n)
-        result = run_recolour(graph, init, stream, cap, record=True)
+        result = run_recolour(adj, init, stream, cap, record=True)
         outputs = [
-            graph.edges,
+            edges_of(adj),
             init.hex(),
             result.colouring.hex(),
             result.iterations,
@@ -590,23 +590,23 @@ def test_generate_planted_matches_scalar_draws_through_rejected_words(n, start):
     planted = {start + n + i: edge[i % 4] for i in range(300) if i % 3 and edge[i % 4] is not None}
     planted[start] = below(0.5)  # the first witness bit, on its bound
     fast, slow = _Rigged(5, start, planted), _Rigged(5, start, planted)
-    instance = generate_planted(fast, n, 40)
-    assert (instance.witness, instance.formula.clauses) == _planted_by_scalar_draws(slow, n, 40)
+    clauses, witness = generate_planted(fast, n, 40)
+    assert (witness, clauses) == _planted_by_scalar_draws(slow, n, 40)
     assert fast.draw_counter == slow.draw_counter
     assert fast.next_u64() == slow.next_u64()
 
 
 @pytest.mark.parametrize("start", STARTS)
 def test_recolour_pick_matches_next_index_through_rejected_words(start):
-    graph = generate_3colorable(RngStream(master_seed=3, stream_id=1), 15, 0.8)
+    adj = generate_3colorable(RngStream(master_seed=3, stream_id=1), 15, 0.8)
     init = random_colouring(RngStream(master_seed=3, stream_id=2), 15)
     # index_limit(3) is 2**64 - 1: TOP is the one rejected word
     planted = {start + i: TOP for i in range(0, 60, 4)}
     planted.update({start + i: TOP - 1 for i in range(1, 60, 8)})
     fast, slow = _Rigged(7, start, planted), _Rigged(7, start, planted)
-    result = run_recolour(graph, init, fast, 1000)
+    result = run_recolour(adj, init, fast, 1000)
     colouring, t = bytearray(init), 0
-    while (tri := seek_monochromatic_triangle(graph, colouring)) is not None:
+    while (tri := seek_monochromatic_triangle(adj, colouring)) is not None:
         colouring[tri[slow.next_index(3)]] ^= 1
         t += 1
     assert (result.colouring, result.iterations) == (colouring, t)

@@ -13,7 +13,6 @@ from driftlab.errors import ConfigError
 from driftlab.rng import RngStream
 from driftlab.rwab import (
     MAX_CHALLENGE_ITERATIONS,
-    BanditEnv,
     check_challenges_end,
     run_rwab,
     sample_change_times,
@@ -35,7 +34,7 @@ ENDLESS = "config.params: mu1 == mu2 == {} makes every challenge endless"
 SLOW = "config.params: mu1 = {}, mu2 = {} move a challenge's walk with probability"
 
 
-# BanditEnv takes these as given: the config reader rejects them.  Each
+# run_rwab takes these as given: the config reader rejects them.  Each
 # row is the change to rwab_params() and the message it must raise.
 ENV_CASES = [
     ({"horizon": 0}, "config.params.horizon: must be at least 2"),
@@ -203,8 +202,9 @@ def test_challenge_zero_gap_costs_nothing():
 
 
 def env_for(seed, horizon, changes):
+    """run_rwab's arguments after the stream: horizon, means, change times."""
     times = sample_change_times(RngStream(seed, stream_id=1000), horizon, changes)
-    return BanditEnv(horizon=horizon, mu1=0.2, mu2=0.8, change_times=times)
+    return horizon, 0.2, 0.8, times
 
 
 @pytest.mark.parametrize("accounting", ["mean_gap", "realized"])
@@ -212,7 +212,7 @@ def env_for(seed, horizon, changes):
 def test_run_ledger_invariants(accounting, horizon, changes):
     for seed in range(5):
         env = env_for(seed, horizon, changes)
-        ledger = run_rwab(env, RngStream(seed), accounting=accounting)
+        ledger = run_rwab(RngStream(seed), *env, accounting=accounting)
         assert ledger.rounds == horizon
         assert ledger.mistakes <= ledger.swaps
         # every change breaks a sub-era; every extra break needs a swap
@@ -223,8 +223,8 @@ def test_run_ledger_invariants(accounting, horizon, changes):
 
 def test_run_is_deterministic():
     env = env_for(3, 300, 4)
-    a = run_rwab(env, RngStream(17))
-    b = run_rwab(env, RngStream(17))
+    a = run_rwab(RngStream(17), *env)
+    b = run_rwab(RngStream(17), *env)
     assert a == b
 
 
@@ -246,10 +246,9 @@ def test_run_matches_tuple_comparing_loop(horizon, share, mu1, mu2, accounting, 
     assume(mu1 * (1 - mu2) + mu2 * (1 - mu1) >= 0.05)
     changes = 1 + int(share * min(horizon - 2, 40))
     times = sample_change_times(RngStream(seed, stream_id=1000), horizon, changes)
-    env = BanditEnv(horizon=horizon, mu1=mu1, mu2=mu2, change_times=times)
     fast, slow = RngStream(seed), RngStream(seed)
-    ledger = run_rwab(env, fast, accounting=accounting)
-    ref = tuple_comparing_rwab(env, slow, accounting)
+    ledger = run_rwab(fast, horizon, mu1, mu2, times, accounting=accounting)
+    ref = tuple_comparing_rwab(slow, horizon, mu1, mu2, times, accounting)
     expected = (ref.total_regret, ref.swaps, ref.mistakes, ref.sub_eras, ref.rounds)
     assert astuple(ledger) == expected
     assert fast.draw_counter == slow.draw_counter

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from driftlab.errors import ConfigError
 from driftlab.rng import RngStream
 from driftlab.sat2 import (
-    TwoCnfFormula,
     agreement_count,
     generate_planted,
     random_assignment,
@@ -16,10 +15,7 @@ from driftlab.sat2 import (
 )
 from oracles import check_formula, clause_satisfied, literal_true, read_config
 
-XOR_ISH = TwoCnfFormula(
-    n=2,
-    clauses=(((0, False), (1, False)), ((0, True), (1, True))),
-)
+XOR_ISH = (((0, False), (1, False)), ((0, True), (1, True)))
 
 
 def test_literal_and_clause_semantics():
@@ -48,19 +44,18 @@ literals = st.tuples(st.integers(0, 5), st.booleans())
 )
 def test_satisfies_agrees_with_clause_satisfied(clauses, assignment):
     # any nonzero byte is a true variable, as in literal_true
-    formula = TwoCnfFormula(6, tuple(clauses))
-    expected = all(clause_satisfied(c, assignment) for c in formula.clauses)
-    assert satisfies(formula, assignment) == expected
+    expected = all(clause_satisfied(c, assignment) for c in clauses)
+    assert satisfies(clauses, assignment) == expected
 
 
 def test_formula_validation():
-    check_formula(XOR_ISH)
+    check_formula(2, XOR_ISH)
     with pytest.raises(ValueError):
-        check_formula(TwoCnfFormula(n=0, clauses=()))
+        check_formula(0, ())
     with pytest.raises(ValueError):
-        check_formula(TwoCnfFormula(n=2, clauses=(((0, False), (2, False)),)))
+        check_formula(2, (((0, False), (2, False)),))
     with pytest.raises(ValueError):
-        check_formula(TwoCnfFormula(n=2, clauses=(((0, False), (1, 0)),)))
+        check_formula(2, (((0, False), (1, 0)),))
 
 
 def test_agreement_count():
@@ -70,20 +65,20 @@ def test_agreement_count():
 
 def test_planted_witness_satisfies_the_formula():
     for seed in range(10):
-        inst = generate_planted(RngStream(seed), n=12, m=30)
-        assert inst.formula.n == 12
-        assert len(inst.formula.clauses) == 30
-        assert satisfies(inst.formula, inst.witness)
-        assert all(c[0][0] != c[1][0] for c in inst.formula.clauses)
+        clauses, witness = generate_planted(RngStream(seed), n=12, m=30)
+        assert len(witness) == 12
+        assert len(clauses) == 30
+        assert satisfies(clauses, witness)
+        assert all(c[0][0] != c[1][0] for c in clauses)
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (12, 30), (50, 150)])
 def test_generated_formula_equals_the_validated_one(n, m):
-    formula = generate_planted(RngStream(6), n, m).formula
-    check_formula(formula)
-    assert (formula.n, len(formula.clauses)) == (n, m)
+    clauses, witness = generate_planted(RngStream(6), n, m)
+    check_formula(n, clauses)
+    assert (len(witness), len(clauses)) == (n, m)
     # hashable all the way down: the clauses are tuples of tuples
-    hash(formula)
+    hash(clauses)
 
 
 def test_planted_generation_validation():
@@ -96,20 +91,20 @@ def test_planted_generation_validation():
 
 
 def test_walk_from_witness_stops_immediately():
-    inst = generate_planted(RngStream(4), n=10, m=25)
-    result = run_walk(inst.formula, inst.witness, RngStream(5), cap=100)
+    clauses, witness = generate_planted(RngStream(4), n=10, m=25)
+    result = run_walk(clauses, witness, RngStream(5), cap=100)
     assert result.iterations == 0
     assert not result.censored
-    assert bytes(result.assignment) == inst.witness
+    assert bytes(result.assignment) == witness
 
 
 def test_walk_reaches_a_satisfying_assignment():
     for seed in range(8):
-        inst = generate_planted(RngStream(seed), n=15, m=40)
+        clauses, _ = generate_planted(RngStream(seed), n=15, m=40)
         init = random_assignment(RngStream(seed, stream_id=1), 15)
-        result = run_walk(inst.formula, init, RngStream(seed, stream_id=2), cap=6 * 15 * 15)
+        result = run_walk(clauses, init, RngStream(seed, stream_id=2), cap=6 * 15 * 15)
         assert not result.censored
-        assert satisfies(inst.formula, result.assignment)
+        assert satisfies(clauses, result.assignment)
 
 
 def test_cap_zero_censors_unsatisfied_start():
@@ -125,12 +120,13 @@ def test_walk_input_validation():
         read_config("sat2", {"n": 3, "m": 2}, cap=-1)
     for n in (2, 7, 40):
         stream = RngStream(n)
-        instance = generate_planted(stream, n, 3 * n)
+        clauses, witness = generate_planted(stream, n, 3 * n)
         init = random_assignment(stream, n)
-        assert len(init) == len(instance.witness) == instance.formula.n == n
+        assert len(init) == len(witness) == n
+        check_formula(n, clauses)
 
 
-def naive_walk(formula, init, stream, cap):
+def naive_walk(clauses, init, stream, cap):
     """Same policy with none of the bookkeeping: rescan every clause per step.
 
     Returns the final assignment, the step count and whether a clause is
@@ -140,7 +136,7 @@ def naive_walk(formula, init, stream, cap):
     t = 0
     while True:
         chosen = next(
-            (c for c in formula.clauses if not clause_satisfied(c, assignment)), None
+            (c for c in clauses if not clause_satisfied(c, assignment)), None
         )
         if chosen is None or t >= cap:
             return assignment, t, chosen is not None
@@ -151,15 +147,15 @@ def naive_walk(formula, init, stream, cap):
 
 def test_walk_matches_naive_rescan_walk_draw_for_draw():
     for seed in range(12):
-        inst = generate_planted(RngStream(seed), n=15, m=45)
+        clauses, _ = generate_planted(RngStream(seed), n=15, m=45)
         init = random_assignment(RngStream(seed, stream_id=7), 15)
-        _, needed, _ = naive_walk(inst.formula, init, RngStream(seed, stream_id=8), 6 * 15 * 15)
+        _, needed, _ = naive_walk(clauses, init, RngStream(seed, stream_id=8), 6 * 15 * 15)
         # the full run, then caps that stop it before it is satisfied
         for cap in {6 * 15 * 15, needed - 1, needed // 2}:
             fast_stream, slow_stream = RngStream(seed, stream_id=8), RngStream(seed, stream_id=8)
-            fast = run_walk(inst.formula, init, fast_stream, cap=cap)
+            fast = run_walk(clauses, init, fast_stream, cap=cap)
             slow_assignment, slow_t, slow_censored = naive_walk(
-                inst.formula, init, slow_stream, cap=cap
+                clauses, init, slow_stream, cap=cap
             )
             assert bytes(fast.assignment) == bytes(slow_assignment)
             assert fast.iterations == slow_t
@@ -168,14 +164,12 @@ def test_walk_matches_naive_rescan_walk_draw_for_draw():
 
 
 def test_agreement_trajectory_moves_by_one_per_flip():
-    inst = generate_planted(RngStream(21), n=12, m=35)
+    clauses, witness = generate_planted(RngStream(21), n=12, m=35)
     init = random_assignment(RngStream(22), 12)
-    result = run_walk(
-        inst.formula, init, RngStream(23), cap=6 * 12 * 12, reference=inst.witness
-    )
+    result = run_walk(clauses, init, RngStream(23), cap=6 * 12 * 12, reference=witness)
     values = result.trajectory.values
-    assert values[0] == agreement_count(init, inst.witness)
-    assert values[-1] == agreement_count(result.assignment, inst.witness)
+    assert values[0] == agreement_count(init, witness)
+    assert values[-1] == agreement_count(result.assignment, witness)
     assert len(values) == result.iterations + 1
     assert all(abs(p - q) == 1 for p, q in zip(values, values[1:]))
 

@@ -3,7 +3,9 @@
 The oracles below are the transition-by-transition estimators, the
 per-threshold rescans and the row-by-row CSV codecs that the tallies and
 bulk string operations replaced, kept verbatim; the row-scan reader also
-carries the one rule added since, that every value is finite.  Both
+carries the one rule added since, that every value is finite.  The
+package passes a trajectory as its list of values, and the oracles take a
+Trajectory, so each list is wrapped only where an oracle is called.  Both
 estimators are called on one tally_transitions, as build_report calls
 them.  On integer-valued trajectories (all a simulator records) every
 estimate and report must be byte-equal to the oracles; on fractional ones
@@ -207,6 +209,16 @@ def read_trajectory_csv(text: str) -> Trajectory:
     return Trajectory(values=values)
 
 
+def as_trajectories(value_lists) -> list[Trajectory]:
+    """The oracles' input: each list of values as the Trajectory they read."""
+    return [Trajectory(values=values) for values in value_lists]
+
+
+def read_values(text: str) -> list[float]:
+    """The row-scan reader's values, as the package's reader returns them."""
+    return read_trajectory_csv(text).values
+
+
 # ---------------------------------------------------------------------------
 # Strategies.
 
@@ -225,7 +237,7 @@ def int_trajectory(draw, as_float=False):
         values.append(values[-1] + d)
     if as_float:
         values = [float(v) for v in values]
-    return Trajectory(values=values)
+    return values
 
 
 int_trajectories = st.lists(
@@ -239,7 +251,7 @@ censored_flags = st.lists(st.booleans(), min_size=25, max_size=25)
 def samples_of(trajs, censored) -> list[HittingTimeSample]:
     """Run i stopped after trajectory i's steps, censored if censored[i]."""
     return [
-        HittingTimeSample(i, len(t.values) - 1, c, i)
+        HittingTimeSample(i, len(t) - 1, c, i)
         for i, (t, c) in enumerate(zip(trajs, censored))
     ] or [HittingTimeSample(0, 1, False, 0)]
 
@@ -247,11 +259,7 @@ fractional_values = st.floats(
     min_value=-200, max_value=200, allow_nan=False, allow_infinity=False
 )
 fractional_trajectories = st.lists(
-    st.lists(fractional_values, min_size=1, max_size=40).map(
-        lambda values: Trajectory(values=values)
-    ),
-    min_size=1,
-    max_size=15,
+    st.lists(fractional_values, min_size=1, max_size=40), min_size=1, max_size=15
 )
 
 
@@ -291,7 +299,7 @@ def outcome(fn, *args):
 
 def assert_same(new_fn, old_fn, trajs):
     """Both raise alike, or every field is bit-equal."""
-    new, old = outcome(new_fn, trajs), outcome(old_fn, trajs)
+    new, old = outcome(new_fn, trajs), outcome(old_fn, as_trajectories(trajs))
     if old[0] == "raised":
         assert new == old
     else:
@@ -322,7 +330,7 @@ def test_report_is_byte_equal_to_the_loops_on_integer_trajectories(trajs, censor
     # the oracles take the trajectories themselves, not their tally
     with mock.patch.multiple(
         experiment,
-        tally_transitions=list,
+        tally_transitions=as_trajectories,
         estimate_drift=estimate_drift,
         fit_step_tail=fit_step_tail,
         compare_bound=compare_bound,
@@ -336,7 +344,7 @@ def test_report_is_byte_equal_to_the_loops_on_integer_trajectories(trajs, censor
 @given(fractional_trajectories)
 def test_tallies_match_the_loops_on_fractional_trajectories(trajs):
     new = outcome(drift_of, trajs)
-    old = outcome(estimate_drift, trajs)
+    old = outcome(estimate_drift, as_trajectories(trajs))
     if old[0] == "raised":
         assert new == old
         return
@@ -344,9 +352,9 @@ def test_tallies_match_the_loops_on_fractional_trajectories(trajs):
     assert new.transitions == old.transitions
     # the sums may cancel, so compare within 1e-12 of the summed magnitudes
     steps = [
-        (math.floor(t.values[i]), t.values[i + 1] - t.values[i])
+        (math.floor(t[i]), t[i + 1] - t[i])
         for t in trajs
-        for i in range(len(t.values) - 1)
+        for i in range(len(t) - 1)
     ]
     scale = sum(abs(d) for _, d in steps) / len(steps)
     assert math.isclose(new.mean_drift, old.mean_drift, rel_tol=1e-12, abs_tol=1e-12 * scale)
@@ -363,11 +371,11 @@ def test_tallies_match_the_loops_on_fractional_trajectories(trajs):
 
 def test_tallies_on_fixed_edge_cases():
     cases = [
-        [Trajectory(values=[7])],  # one value, no transition
-        [Trajectory(values=[3, 3, 3, 3])],  # holds only: every step is 0
-        [Trajectory(values=[-5, -6, -4, -4, 10, -10])],
-        [Trajectory(values=[0.5, -0.5, 2.25]), Trajectory(values=[-0.0, 0.0, -0.0])],
-        [Trajectory(values=[0, 1, 2])] * 30,
+        [[7]],  # one value, no transition
+        [[3, 3, 3, 3]],  # holds only: every step is 0
+        [[-5, -6, -4, -4, 10, -10]],
+        [[0.5, -0.5, 2.25], [-0.0, 0.0, -0.0]],
+        [[0, 1, 2]] * 30,
     ]
     for trajs in cases:
         assert_same(drift_of, estimate_drift, trajs)
@@ -375,12 +383,12 @@ def test_tallies_on_fixed_edge_cases():
     # (1 + eta)**1000 overflows a float exactly for the etas above 1.0
     # (2**1000 < 1.8e308 < 2.05**1000): the loop form raised OverflowError,
     # the tally skips those etas and equals the loop form over the rest
-    trajs = [Trajectory(values=[0, -1000])]
+    trajs = [[0, -1000]]
     finite = [eta for eta in DEFAULT_ETA_GRID if eta <= 1.0]
     assert_same(drift_of, estimate_drift, trajs)
     assert_same(step_tail_of, partial(fit_step_tail, eta_grid=finite), trajs)
     # at a magnitude of 20,000 every eta overflows, and there is no fit
-    assert step_tail_of([Trajectory(values=[0, 20000])]) is None
+    assert step_tail_of([[0, 20000]]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +435,13 @@ csv_values = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(csv_values, min_size=1, max_size=50))
 def test_trajectory_csv_is_byte_equal_to_the_row_loop(values):
-    traj = Trajectory(values=values)
-    assert trajectory.trajectory_to_csv(traj) == trajectory_to_csv(traj)
+    assert trajectory.trajectory_to_csv(values) == trajectory_to_csv(Trajectory(values=values))
 
 
 def test_trajectory_csv_fixed_values():
-    traj = Trajectory(values=[1e16, -0.0, 1e-7, 0.1 + 0.2, 3, -4, 2.5])
-    text = trajectory.trajectory_to_csv(traj)
-    assert text == trajectory_to_csv(traj)
+    values = [1e16, -0.0, 1e-7, 0.1 + 0.2, 3, -4, 2.5]
+    text = trajectory.trajectory_to_csv(values)
+    assert text == trajectory_to_csv(Trajectory(values=values))
     assert text == (
         "step,value\n0,1e+16\n1,-0.0\n2,1e-07\n3,0.30000000000000004\n4,3\n5,-4\n6,2.5\n"
     )
@@ -442,7 +449,7 @@ def test_trajectory_csv_fixed_values():
 
 def read_outcome(fn, text):
     got = outcome(fn, text)
-    return got if got[0] == "raised" else ("ok", repr(got[1].values))
+    return got if got[0] == "raised" else ("ok", repr(got[1]))
 
 
 #: every line break str.splitlines knows but "\n"; float() strips the
@@ -492,7 +499,7 @@ def trajectory_texts(draw):
 @given(trajectory_texts())
 def test_trajectory_reader_matches_the_row_scan(text):
     assert read_outcome(experiment.read_trajectory_csv, text) == read_outcome(
-        read_trajectory_csv, text
+        read_values, text
     )
 
 
@@ -519,16 +526,16 @@ def written_texts(draw):
 @given(written_texts())
 def test_written_form_with_one_change_reads_like_the_row_scan(text):
     assert read_outcome(experiment.read_trajectory_csv, text) == read_outcome(
-        read_trajectory_csv, text
+        read_values, text
     )
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(csv_values, min_size=1, max_size=50))
 def test_written_trajectories_read_back_like_the_row_scan(values):
-    text = trajectory.trajectory_to_csv(Trajectory(values=values))
+    text = trajectory.trajectory_to_csv(values)
     assert read_outcome(experiment.read_trajectory_csv, text) == read_outcome(
-        read_trajectory_csv, text
+        read_values, text
     )
 
 
@@ -554,7 +561,7 @@ def test_trajectory_reader_errors_match_the_row_scan():
         "step,value\n0,1e308\n1,1e308\n",  # finite values whose sum overflows
     ]:
         new = read_outcome(experiment.read_trajectory_csv, text)
-        assert new == read_outcome(read_trajectory_csv, text)
+        assert new == read_outcome(read_values, text)
     assert read_outcome(experiment.read_trajectory_csv, "step,value\n\n0,1\n\n\n1,x\n") == (
         "raised", FormatError, "line 3: bad value 'x'", 3
     )
@@ -570,7 +577,7 @@ def test_trajectory_reader_errors_match_the_row_scan():
 # Streamed reanalysis.
 
 
-def write_artifacts(directory: str, trajs: list[Trajectory], censored) -> tuple[str, str]:
+def write_artifacts(directory: str, trajs: list[list], censored) -> tuple[str, str]:
     """samples.csv and one run_<id>.csv per trajectory, as a recording run writes them."""
     samples = samples_of(trajs, censored)
     samples_path = os.path.join(directory, "samples.csv")
@@ -607,18 +614,22 @@ def test_streamed_reanalysis_equals_the_report_over_the_fully_read_list(trajs, c
     assert streamed == report_to_json(build_report(samples, block, read))
 
 
+class Held(list):
+    """A list of values that, unlike a plain list, can be weak-referenced."""
+
+
 def test_streamed_reanalysis_holds_a_couple_of_trajectories_at_most():
-    trajs = [Trajectory(values=list(range(i, i + 50))) for i in range(30)]
+    trajs = [list(range(i, i + 50)) for i in range(30)]
     original = experiment.read_trajectory_csv
     refs: list[weakref.ref] = []
     most_alive = 0
 
     def tracked(text):
         nonlocal most_alive
-        traj = original(text)
-        refs.append(weakref.ref(traj))
+        values = Held(original(text))
+        refs.append(weakref.ref(values))
         most_alive = max(most_alive, sum(ref() is not None for ref in refs))
-        return traj
+        return values
 
     with tempfile.TemporaryDirectory() as tmp:
         samples_path, trajectory_dir = write_artifacts(tmp, trajs, [False] * 30)

@@ -4,7 +4,6 @@
 from driftlab.experiment import run_replication
 from driftlab.trajectory import (
     HittingTimeSample,
-    Trajectory,
     format_value,
     samples_to_csv,
     trajectory_to_csv,
@@ -35,16 +34,16 @@ def test_trajectory_requires_a_starting_value():
     # Trajectory no longer checks it: every simulator records step 0 itself
     for kind, rep in recorded_runs(cap=0, runs=3):
         assert rep.sample.stopping_time == 0
-        assert len(rep.trajectory.values) == 1
+        assert len(rep.trajectory) == 1
         if kind.startswith("synthetic_"):
-            assert list(rep.trajectory.values) == [3]
+            assert list(rep.trajectory) == [3]
 
 
 def test_censored_trajectory_length_contract():
     # a run that stops at T records T + 1 values; a censored one stops at cap
     censored = set()
     for _, rep in recorded_runs(cap=3, runs=12):
-        assert len(rep.trajectory.values) == rep.sample.stopping_time + 1
+        assert len(rep.trajectory) == rep.sample.stopping_time + 1
         if rep.sample.censored:
             assert rep.sample.stopping_time == 3
         censored.add(rep.sample.censored)
@@ -76,8 +75,7 @@ def test_samples_to_csv_extra_columns():
 
 
 def test_trajectory_to_csv_round_trip_floats():
-    traj = Trajectory(values=[1.0, 0.30000000000000004])
-    lines = trajectory_to_csv(traj).splitlines()
+    lines = trajectory_to_csv([1.0, 0.30000000000000004]).splitlines()
     assert lines[0] == "step,value"
     # shortest round-trip repr: parsing back recovers the exact float
     assert float(lines[2].split(",")[1]) == 0.30000000000000004
