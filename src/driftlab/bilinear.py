@@ -50,8 +50,13 @@ The plain payoff keeps four more, the tied flips that leave a plateau,
 each with m +1: x:1 at (<, =), y:1 at (=, <), y:0 at (=, >) and x:0 at
 (>, =).
 
+The search state is one bytearray of 2n classes: x bits, then y bits + 2.
 Progress is measured by the Manhattan distance of the count pair to the
-optimum; quadrant() names which side of the optimum a pair sits on.
+optimum.  A run ends on the side of the optimum its region names:
+0 at the optimum; 1 with |x| short of beta*n and |y| at or above alpha*n;
+2 with |x| at or above and |y| above; 3 with |x| at or above and |y| at or
+below; 4 with both strictly below.  The column |x| = beta*n below the
+optimum belongs to 3, so the five labels partition the count pairs.
 """
 
 from __future__ import annotations
@@ -62,9 +67,6 @@ from math import inf
 
 from driftlab.rng import RngStream, below, index_limit
 from driftlab.trajectory import Trajectory
-
-#: quadrant() return value for points in the optimum region.
-AT_OPTIMUM = 0
 
 #: acceptance payoffs run_until_opt understands.
 PAYOFFS = ("plain", "corrected")
@@ -99,61 +101,8 @@ class BilinearParams:
 
 
 @dataclass
-class SearchPair:
-    """One (x, y) state with cached one-counts."""
-
-    x: bytearray
-    y: bytearray
-    ones_x: int
-    ones_y: int
-
-
-def random_pair(stream: RngStream, params: BilinearParams) -> SearchPair:
-    """Uniform bits, x first: a bit is 1 when its word is below below(0.5)."""
-    n = params.n
-    one = below(0.5).__gt__
-    words = stream.words()
-    x = bytearray(map(one, islice(words, n)))
-    y = bytearray(map(one, islice(words, n)))
-    stream.draw_counter += 2 * n
-    return SearchPair(x=x, y=y, ones_x=sum(x), ones_y=sum(y))
-
-
-def canonical_opt_pair(params: BilinearParams) -> SearchPair:
-    """The optimum representative with the leading bits of each vector set."""
-    x = bytearray(params.n)
-    y = bytearray(params.n)
-    for i in range(params.bn):
-        x[i] = 1
-    for i in range(params.an):
-        y[i] = 1
-    return SearchPair(x=x, y=y, ones_x=params.bn, ones_y=params.an)
-
-
-def quadrant(params: BilinearParams, pair: SearchPair) -> int:
-    """Side of the optimum a pair sits on: AT_OPTIMUM or 1..4.
-
-    1: x short of target, y at-or-above.  2: x at-or-above, y above.
-    3: x at-or-above, y at-or-below.  4: both strictly below.  The
-    boundary column |x| = beta*n below the optimum belongs to quadrant 3,
-    which keeps the five labels a partition of all count pairs.
-    """
-    ox, oy = pair.ones_x, pair.ones_y
-    an, bn = params.an, params.bn
-    if ox == bn and oy == an:
-        return AT_OPTIMUM
-    if ox < bn and oy >= an:
-        return 1
-    if ox >= bn and oy > an:
-        return 2
-    if ox >= bn and oy <= an:
-        return 3
-    return 4
-
-
-@dataclass
 class BilinearRunResult:
-    pair: SearchPair
+    classes: bytearray
     iterations: int
     censored: bool
     trajectory: Trajectory | None
@@ -165,7 +114,9 @@ class BilinearRunResult:
 _X_ONES = (1, -1, 0, 0)  # change of |x| when a position of each class flips
 _Y_ONES = (0, 0, 1, -1)
 _PLUS_TWO = bytes((b + 2) % 256 for b in range(256))
-_MINUS_TWO = bytes((b - 2) % 256 for b in range(256))
+# the side label of each region r // 4 = 3 * (sign(|x| - beta*n) + 1) +
+# (sign(|y| - alpha*n) + 1), as the module docstring names them
+_QUADRANT = bytes((4, 1, 1, 3, 0, 2, 3, 3, 2))
 
 
 def _flip_tables(plain: bool) -> tuple[tuple[bool, ...], tuple[int, ...]]:
@@ -199,7 +150,7 @@ def _sides(n: int, target: int, unit: int) -> bytes:
 def run_search(
     params: BilinearParams,
     stream: RngStream,
-    pair: SearchPair,
+    classes: bytearray,
     cap: int,
     lo: float,
     hi: float,
@@ -209,11 +160,11 @@ def run_search(
     """Single-flip dominance steps while lo < m < hi and fewer than cap steps.
 
     m is the Manhattan distance of the count pair to the optimum; the
-    trajectory, when recorded, is m after each step.  The pair is updated
-    in place.  Flip positions are next_index(2n) draws taken from
-    stream.words(): a word at or above index_limit(2n)
-    is rejected and the next one read, a kept word w gives w % 2n, and
-    draw_counter moves once, past the last word used.
+    trajectory, when recorded, is m after each step.  classes, the x bits
+    then the y bits + 2, is updated in place.  Flip positions are
+    next_index(2n) draws taken from stream.words(): a word at or above
+    index_limit(2n) is rejected and the next one read, a kept word w gives
+    w % 2n, and draw_counter moves once, past the last word used.
 
     Acceptance is the dominance chain reduced to a sign test.  The payoff
     terms move in units of n^3 and the correction terms are O(n^2), so off
@@ -228,22 +179,21 @@ def run_search(
     The rule depends only on the region (sign(|x| - beta*n),
     sign(|y| - alpha*n)) and on the flipped position's class (an x or a y
     bit, 0 or 1), so the loop looks it up in a 9 x 4 table per payoff
-    (_flip_tables; the module docstring prints it).  During the run the
-    two vectors live in one bytearray of classes, x bits then y bits + 2,
-    and the region offset is sx[|x|] + sy[|y|] from two tables of n + 1
-    bytes.  A step reads the class and one table entry; a kept flip then
-    stores the new class and updates m, the counts and the region.  The
-    range test on m runs only after a kept flip, the only time m moves,
-    and a recording run notes the step and m of each kept flip and fills
-    in the steps between them at the end.
+    (_flip_tables; the module docstring prints it).  The region offset
+    is sx[|x|] + sy[|y|] from two tables of n + 1 bytes, and the result
+    names the side of the last region.  A step reads the class and one
+    table entry; a kept flip then stores the new class and updates m, the
+    counts and the region.  The range test on m runs only after a kept
+    flip, the only time m moves, and a recording run notes the step and m
+    of each kept flip and fills in the steps between them at the end.
     """
     n, an, bn = params.n, params.an, params.bn
     accept, dm = _FLIP_TABLES[plain]
     x_ones, y_ones = _X_ONES, _Y_ONES
     sx = _sides(n, bn, 12)
     sy = _sides(n, an, 4)
-    cls = pair.x + pair.y.translate(_PLUS_TWO)
-    ox, oy = pair.ones_x, pair.ones_y
+    cls = classes  # the loop's name for it
+    ox, oy = classes.count(1, 0, n), classes.count(3, n)
     m = m0 = abs(bn - ox) + abs(an - oy)
     r = sx[ox] + sy[oy]
     kept = [] if record else None  # (step, m after it) of each kept flip
@@ -271,17 +221,13 @@ def run_search(
                 if not lo < m < hi:
                     break
         stream.draw_counter += t + rejected
-    pair.x[:] = cls[:n]
-    pair.y[:] = cls[n:].translate(_MINUS_TWO)
-    pair.ones_x, pair.ones_y = ox, oy
-    censored = lo < m < hi
     traj = Trajectory(values=_fill_steps(m0, kept, t)) if record else None
     return BilinearRunResult(
-        pair=pair,
+        classes=classes,
         iterations=t,
-        censored=censored,
+        censored=lo < m < hi,
         trajectory=traj,
-        quadrant_at_end=quadrant(params, pair),
+        quadrant_at_end=_QUADRANT[r // 4],
     )
 
 
@@ -302,14 +248,18 @@ def run_until_opt(
     record: bool = False,
     payoff: str = "plain",
 ) -> BilinearRunResult:
-    """Search from a drawn pair until the optimum region or cap.
+    """Search from drawn bits until the optimum region or cap.
 
-    payoff picks the acceptance ranking: "plain" compares the bare
-    objective, "corrected" the objective with its tie-breaking terms (see
-    the module docstring).
+    The 2n start bits, x then y, are 1 where their word is below
+    below(0.5).  payoff picks the acceptance ranking: "plain" compares the
+    bare objective, "corrected" the objective with its tie-breaking terms
+    (see the module docstring).
     """
-    pair = random_pair(stream, params)
-    return run_search(params, stream, pair, cap, 0, inf, payoff == "plain", record)
+    n = params.n
+    bits = bytearray(map(below(0.5).__gt__, islice(stream.words(), 2 * n)))
+    stream.draw_counter += 2 * n
+    classes = bits[:n] + bits[n:].translate(_PLUS_TWO)
+    return run_search(params, stream, classes, cap, 0, inf, payoff == "plain", record)
 
 
 def run_forgetting(
@@ -319,11 +269,13 @@ def run_forgetting(
     cap: int,
     record: bool = False,
 ) -> BilinearRunResult:
-    """Start at the canonical optimum; run until Manhattan distance >= threshold.
+    """Start at the optimum with the leading bits of x and y set; run until
+    the Manhattan distance reaches threshold.
 
     Measures how long the corrected dominance rule retains the optimum once
     reached: the error terms allow drifting moves along the optimum
     boundary, so the distance performs a slow random walk away from zero.
     """
-    pair = canonical_opt_pair(params)
-    return run_search(params, stream, pair, cap, -1, threshold, False, record)
+    n, an, bn = params.n, params.an, params.bn
+    classes = bytearray(b"\1" * bn + b"\0" * (n - bn) + b"\3" * an + b"\2" * (n - an))
+    return run_search(params, stream, classes, cap, -1, threshold, False, record)

@@ -21,11 +21,15 @@ probability.  Families:
   Logarithms here are natural.
 
 Tail values are clamped into [0, 1]; a clamped bound is vacuous, not wrong.
+Neither evaluator raises on a spec BoundSpec accepts: a tail past the
+float range is its limit, 0.0 or 1.0, and an expected time that
+overflows is inf.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 KINDS = (
@@ -82,11 +86,18 @@ class BoundSpec:
 
 
 def expected_time_upper(spec: BoundSpec) -> float:
-    """Expected-hitting-time ceiling for the given bound family."""
-    if spec.kind == "NegativeDriftVariance":
-        return (spec.b**2 - (spec.b - spec.x0) ** 2) / spec.delta
-    if spec.kind == "StandardVariance":
-        return (spec.b**2 - spec.x0**2) / spec.delta
+    """Expected-hitting-time ceiling for the given bound family.
+
+    inf where b**2 lies past the float range; every other step that
+    overflows ends at inf by itself.
+    """
+    try:
+        if spec.kind == "NegativeDriftVariance":
+            return (spec.b**2 - (spec.b - spec.x0) ** 2) / spec.delta
+        if spec.kind == "StandardVariance":
+            return (spec.b**2 - spec.x0**2) / spec.delta
+    except OverflowError:
+        return math.inf
     if spec.kind == "TwoAbsorbing":
         return spec.x0 * (spec.b - spec.x0) / spec.delta
     if spec.kind == "Additive":
@@ -95,19 +106,49 @@ def expected_time_upper(spec: BoundSpec) -> float:
     raise ValueError(f"{spec.kind} provides no expected-time bound")
 
 
+_NORMAL = sys.float_info.min  # the least positive normal float
+
+
+def _exp_tail(scale: float, tau: float, rate: float, b: float, power: int) -> float:
+    """exp(-scale * tau * rate / (e * b**power)) for b > 0.
+
+    The float expression is kept while its numerator (unless 0), b**power
+    and e * b**power are normal floats, so no step rounds twice or leaves
+    the float range.  Otherwise the mantissas and the binary exponents
+    are combined apart (frexp, ldexp), and an exponent past the float
+    range gives the tail's limit, 0.0 or 1.0.
+    """
+    num = -scale * tau * rate
+    try:
+        b_power = b**power
+    except OverflowError:
+        b_power = math.inf
+    den = math.e * b_power
+    if (num == 0 or _NORMAL <= -num < math.inf) and _NORMAL <= b_power and den < math.inf:
+        return math.exp(num / den)
+    (mt, et), (mr, er), (mb, eb) = map(math.frexp, (tau, rate, b))
+    mantissa = scale * mt * mr / (math.e * mb**power)
+    try:
+        return math.exp(-math.ldexp(mantissa, et + er - power * eb))
+    except OverflowError:  # the exponent lies below the float range
+        return 0.0
+
+
 def tail_probability_upper(spec: BoundSpec, tau: float) -> float:
     """Probability ceiling for the event {T at least tau}, clamped to [0, 1]."""
     if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau!r}")
     if spec.kind in ("NegativeDriftVariance", "StandardVariance"):
-        raw = math.exp(-tau * spec.delta / (math.e * spec.b**2))
+        raw = _exp_tail(1.0, tau, spec.delta, spec.b, 2)
     elif spec.kind == "TwoAbsorbing":
-        raw = math.exp(-2.0 * tau * spec.delta / (math.e * spec.b**2))
+        raw = _exp_tail(2.0, tau, spec.delta, spec.b, 2)
     elif spec.kind == "Additive":
-        raw = math.exp(-tau * spec.epsilon / (math.e * spec.b))
+        raw = _exp_tail(1.0, tau, spec.epsilon, spec.b, 1)
     else:  # KotzingPolynomial
-        r = tau / spec.n**2
-        if r <= 1.0:
+        if tau <= spec.n**2:  # exact, also where n**2 is past the float range
             return 1.0
-        raw = r ** (-1.0 / (spec.ell * math.log(spec.c)))
+        r = tau / spec.n**2
+        scale = spec.ell * math.log(spec.c)
+        # a scale that underflows to 0 puts the exponent below the float range
+        raw = r ** (-1.0 / scale if scale else -math.inf)
     return min(1.0, max(0.0, raw))

@@ -5,8 +5,10 @@ function is evidence for a kernel, written from the definition and kept
 independent of the fast path it checks:
 
 * walks: exact expected hitting times from the one-step recurrences;
-* bilinear: the integer-scaled payoff n^3 * g, the pairwise-dominance
-  chain and the single-flip RLS-PD step that ``run_search`` is pinned to;
+* bilinear: the search state as an (x, y) pair with its one-counts, the
+  side of the optimum a pair sits on, the start bits on scalar draws, the
+  integer-scaled payoff n^3 * g, the pairwise-dominance chain and the
+  single-flip RLS-PD step that ``run_search`` is pinned to;
 * sat2: literal and clause semantics, and the invariants of a formula's
   clauses;
 * recolour: adjacency masks built from outside edges, with every invariant
@@ -15,6 +17,7 @@ independent of the fast path it checks:
   on scalar next_uniform() draws (sharing no code with run_rwab's inline
   loop), the round loop built on it with a full ledger, and the
   list-backed Fisher-Yates draw of the change times;
+* bounds: the exponent of each tail bound from exact rational inputs;
 * configs: a one-run config read as ``driftlab run`` reads one, since the
   config reader is the one place that checks what the kernels assume.
 """
@@ -23,8 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from driftlab.bilinear import BilinearParams, SearchPair
+from driftlab.bilinear import BilinearParams
+from driftlab.bounds import BoundSpec
 from driftlab.experiment import ExperimentConfig
 from driftlab.rng import RngStream, index_limit
 from driftlab.sat2 import Clause, Literal
@@ -81,7 +86,18 @@ def lazy_walk_mean_dp(b: int, x0: int, delta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bilinear payoff and the dominance step.
+# Bilinear state, payoff and the dominance step.  run_search holds one class
+# vector, x bits then y bits + 2; these references hold the two vectors apart.
+
+
+@dataclass
+class SearchPair:
+    """One (x, y) state with cached one-counts."""
+
+    x: bytearray
+    y: bytearray
+    ones_x: int
+    ones_y: int
 
 
 def pair_from_bits(x, y) -> SearchPair:
@@ -95,6 +111,50 @@ def pair_from_bits(x, y) -> SearchPair:
 def copy_pair(pair: SearchPair) -> SearchPair:
     """A SearchPair that shares no bytes with pair."""
     return SearchPair(bytearray(pair.x), bytearray(pair.y), pair.ones_x, pair.ones_y)
+
+
+def pair_with_counts(params: BilinearParams, ox: int, oy: int) -> SearchPair:
+    """The pair with the leading ox bits of x and oy bits of y set."""
+    n = params.n
+    return pair_from_bits([1] * ox + [0] * (n - ox), [1] * oy + [0] * (n - oy))
+
+
+def classes_of(pair: SearchPair) -> bytearray:
+    """run_search's class vector of a pair: the x bits, then the y bits + 2."""
+    return bytearray(pair.x) + bytearray(b + 2 for b in pair.y)
+
+
+def pair_of(classes, n: int) -> SearchPair:
+    """The pair a class vector of 2n classes holds; raises on a stray class."""
+    return pair_from_bits(classes[:n], [c - 2 for c in classes[n:]])
+
+
+def random_pair(stream: RngStream, params: BilinearParams) -> SearchPair:
+    """Uniform start bits, x then y, on scalar draws: 1 when next_uniform() < 0.5."""
+    n = params.n
+    bits = [stream.next_uniform() < 0.5 for _ in range(2 * n)]
+    return pair_from_bits(bits[:n], bits[n:])
+
+
+def quadrant(params: BilinearParams, pair: SearchPair) -> int:
+    """Side of the optimum a pair sits on: 0 at the optimum, else 1..4.
+
+    1: x short of target, y at-or-above.  2: x at-or-above, y above.
+    3: x at-or-above, y at-or-below.  4: both strictly below.  The
+    boundary column |x| = beta*n below the optimum belongs to quadrant 3,
+    which keeps the five labels a partition of all count pairs.
+    """
+    ox, oy = pair.ones_x, pair.ones_y
+    an, bn = params.an, params.bn
+    if ox == bn and oy == an:
+        return 0
+    if ox < bn and oy >= an:
+        return 1
+    if ox >= bn and oy > an:
+        return 2
+    if ox >= bn and oy <= an:
+        return 3
+    return 4
 
 
 def _scaled_value(params: BilinearParams, ox: int, oy: int) -> int:
@@ -382,6 +442,42 @@ def change_times_by_list(stream: RngStream, horizon: int, count: int) -> tuple[i
         pool[i], pool[j] = pool[j], pool[i]
     stream.draw_counter += used
     return tuple(sorted(pool[:count]))
+
+
+# ---------------------------------------------------------------------------
+# Tail bounds.
+
+
+def _rounded(q: Fraction) -> float:
+    """q rounded to a float, +-inf past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def tail_exponent(spec: BoundSpec, tau: float) -> float:
+    """The natural log of spec's tail bound at tau, before clamping to [0, 1].
+
+    Every rational step runs on exact Fractions of the float fields, so no
+    intermediate overflows, underflows or rounds; only e, the logarithms
+    and the one final rounding are floats.  0.0 where the polynomial tail
+    is vacuous (tau <= n^2).
+    """
+    t = Fraction(tau)
+    if spec.kind == "KotzingPolynomial":
+        r = t / spec.n**2
+        if r <= 1:
+            return 0.0
+        log_r = math.log1p(float(r - 1))  # no digits lost where r is close to 1
+        return _rounded(-Fraction(log_r) / (Fraction(spec.ell) * Fraction(math.log(spec.c))))
+    if spec.kind == "Additive":
+        rate = t * Fraction(spec.epsilon) / Fraction(spec.b)
+    else:
+        rate = t * Fraction(spec.delta) / Fraction(spec.b) ** 2
+        if spec.kind == "TwoAbsorbing":
+            rate *= 2
+    return _rounded(-rate / Fraction(math.e))
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,14 @@ from itertools import combinations
 import pytest
 
 from driftlab.analysis import compare_bound
-from driftlab.bilinear import BilinearParams, SearchPair
+from driftlab.bilinear import BilinearParams
 from driftlab.bounds import BoundSpec, tail_probability_upper
 from driftlab.experiment import ExperimentConfig, read_samples_csv, run_experiment
 from driftlab.recolour import generate_3colorable, random_colouring, run_recolour
 from driftlab.rng import RngStream
 from driftlab.rwab import run_rwab, sample_change_times
 from oracles import (
+    SearchPair,
     biased_walk_mean_dp,
     copy_pair,
     dominates,

@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 
 from driftlab.bilinear import (
     _FLIP_TABLES,
-    AT_OPTIMUM,
     PAYOFFS,
     BilinearParams,
-    SearchPair,
-    canonical_opt_pair,
-    quadrant,
-    random_pair,
     run_forgetting,
     run_search,
     run_until_opt,
@@ -26,26 +21,22 @@ from driftlab.experiment import Rlspd
 from driftlab.rng import RngStream
 from oracles import (
     bilinear_value,
+    classes_of,
     copy_pair,
     dominates,
     manhattan_distance,
     pair_from_bits,
+    pair_of,
+    pair_with_counts,
+    quadrant,
+    random_pair,
     read_config,
     rls_pd_step,
 )
 
 HALVES4 = BilinearParams(n=4, alpha=0.5, beta=0.5)
 THIRDS6 = BilinearParams(n=6, alpha=1 / 3, beta=2 / 3)
-
-
-def pair_with_counts(params, ox, oy):
-    x = bytearray(params.n)
-    y = bytearray(params.n)
-    for i in range(ox):
-        x[i] = 1
-    for i in range(oy):
-        y[i] = 1
-    return SearchPair(x=x, y=y, ones_x=ox, ones_y=oy)
+TENTHS10 = BilinearParams(n=10, alpha=0.3, beta=0.6)
 
 
 def value_by_fractions(params, ox, oy):
@@ -132,14 +123,12 @@ def test_flip_sign_rules_match_dominance_everywhere(params):
                 stream = RngStream(0, draw_counter=counter)
                 # lo = -1 takes the step at the optimum as well
                 got = run_search(
-                    params, stream, pair_with_counts(params, ox, oy), 1, -1, inf,
+                    params, stream, classes_of(pair_with_counts(params, ox, oy)), 1, -1, inf,
                     plain=payoff == "plain",
-                ).pair
+                ).classes
                 ref = RngStream(0, draw_counter=counter)
                 want = oracle(params, pair_with_counts(params, ox, oy), ref)
-                assert (bytes(got.x), bytes(got.y), got.ones_x, got.ones_y) == (
-                    bytes(want.x), bytes(want.y), want.ones_x, want.ones_y
-                ), (payoff, ox, oy, pos)
+                assert got == classes_of(want), (payoff, ox, oy, pos)
                 assert stream.draw_counter == ref.draw_counter
 
 
@@ -178,11 +167,33 @@ def test_search_pair_from_bits_and_copy():
         pair_from_bits([0, 2], [0, 0])
 
 
-def test_canonical_opt_pair_sits_at_the_optimum():
-    p = canonical_opt_pair(THIRDS6)
-    assert (p.ones_x, p.ones_y) == (4, 2)
+def test_class_vector_round_trip():
+    p = pair_from_bits([1, 0, 1, 1], [0, 0, 0, 1])
+    classes = classes_of(p)
+    assert classes == bytearray([1, 0, 1, 1, 2, 2, 2, 3])
+    assert pair_of(classes, 4) == p
+    with pytest.raises(ValueError):
+        pair_of(bytearray([1, 0, 3, 1, 2, 2, 2, 3]), 4)  # a y class among the x bits
+
+
+def test_forgetting_starts_at_the_optimum_with_leading_bits_set():
+    result = run_forgetting(THIRDS6, RngStream(0), threshold=0, cap=100)
+    assert result.iterations == 0
+    p = pair_of(result.classes, THIRDS6.n)
+    assert p == pair_with_counts(THIRDS6, 4, 2)
     assert manhattan_distance(THIRDS6, p) == 0
-    assert quadrant(THIRDS6, p) == AT_OPTIMUM
+    assert result.quadrant_at_end == quadrant(THIRDS6, p) == 0
+
+
+@pytest.mark.parametrize("params", [HALVES4, THIRDS6, TENTHS10])
+def test_quadrant_table_matches_the_oracle_at_every_count_pair(params):
+    # a run of no steps reads its label off the region it starts in; every
+    # count pair of every size covers all nine regions
+    for ox, oy in product(range(params.n + 1), repeat=2):
+        pair = pair_with_counts(params, ox, oy)
+        result = run_search(params, RngStream(0), classes_of(pair), 0, -1, inf, False)
+        assert result.iterations == 0
+        assert result.quadrant_at_end == quadrant(params, pair), (ox, oy)
 
 
 def test_quadrant_labels():
@@ -204,11 +215,13 @@ def test_quadrant_labels():
         assert quadrant(HALVES4, pair_with_counts(HALVES4, ox, oy)) in (0, 1, 2, 3, 4)
 
 
-def test_random_pair_consumes_two_n_draws():
+def test_start_vector_consumes_two_n_draws():
     stream = RngStream(6)
-    p = random_pair(stream, THIRDS6)
+    classes = run_until_opt(THIRDS6, stream, cap=0).classes
     assert stream.draw_counter == 12
-    assert p.ones_x == sum(p.x) and p.ones_y == sum(p.y)
+    ref = RngStream(6)
+    assert pair_of(classes, THIRDS6.n) == random_pair(ref, THIRDS6)
+    assert ref.draw_counter == 12
 
 
 def test_rls_pd_step_restores_state_on_reject():
@@ -233,7 +246,7 @@ def test_corrected_run_matches_iterated_single_steps():
         init = random_pair(RngStream(seed, stream_id=1), params)
         cap = 4000
         fast_stream = RngStream(seed, stream_id=2)
-        fast = run_search(params, fast_stream, copy_pair(init), cap, 0, inf, False)
+        fast = run_search(params, fast_stream, classes_of(init), cap, 0, inf, False)
         pair = copy_pair(init)
         stream = RngStream(seed, stream_id=2)
         t = 0
@@ -241,8 +254,7 @@ def test_corrected_run_matches_iterated_single_steps():
             pair, _ = rls_pd_step(params, pair, stream)
             t += 1
         assert fast.iterations == t
-        assert bytes(fast.pair.x) == bytes(pair.x)
-        assert bytes(fast.pair.y) == bytes(pair.y)
+        assert fast.classes == classes_of(pair)
         assert fast.censored == (manhattan_distance(params, pair) != 0)
         assert fast_stream.draw_counter == stream.draw_counter
 
@@ -268,7 +280,7 @@ def test_search_matches_iterated_single_steps(seed, n, mode, threshold, record, 
     params = BilinearParams(n, *SEARCH_PARAMS[n])
     step = plain_step if mode == "plain" else (lambda *args: rls_pd_step(*args)[0])
     if mode == "forgetting":
-        init, hi = canonical_opt_pair(params), threshold
+        init, hi = pair_with_counts(params, params.bn, params.an), threshold
     else:
         init, hi = random_pair(RngStream(seed, stream_id=1), params), inf
     fast_stream, ref = RngStream(seed), RngStream(seed)
@@ -279,7 +291,7 @@ def test_search_matches_iterated_single_steps(seed, n, mode, threshold, record, 
         fast = run_forgetting(params, fast_stream, threshold, cap, record=record)
     else:
         fast = run_search(
-            params, fast_stream, copy_pair(init), cap, 0, inf, mode == "plain", record
+            params, fast_stream, classes_of(init), cap, 0, inf, mode == "plain", record
         )
     pair = copy_pair(init)
     values = [manhattan_distance(params, pair)]
@@ -288,8 +300,8 @@ def test_search_matches_iterated_single_steps(seed, n, mode, threshold, record, 
         pair = step(params, pair, ref)
         values.append(manhattan_distance(params, pair))
     assert fast.iterations == len(values) - 1
-    assert (bytes(fast.pair.x), bytes(fast.pair.y)) == (bytes(pair.x), bytes(pair.y))
-    assert (fast.pair.ones_x, fast.pair.ones_y) == (pair.ones_x, pair.ones_y)
+    assert fast.classes == classes_of(pair)
+    assert pair_of(fast.classes, n) == pair
     assert fast.censored == (lo < values[-1] < hi)
     assert fast.quadrant_at_end == quadrant(params, pair)
     assert fast_stream.draw_counter == ref.draw_counter
@@ -323,9 +335,9 @@ def plain_step(params, pair, stream):
 
 @pytest.mark.parametrize("payoff", PAYOFFS)
 def test_run_from_a_drawn_start_continues_the_same_stream(payoff):
-    # run_until_opt draws the start pair on the scalar path (2n = 1000 words),
-    # then the walk's block draws pick up at that counter and cross the
-    # first block boundary at word 1024
+    # run_until_opt draws the 2n = 1000 start bits from one words() iterator,
+    # here checked against scalar draws; then the walk's block draws pick up
+    # at that counter and cross the first block boundary at word 1024
     params = BilinearParams(n=500, alpha=0.5, beta=0.5)
     step = plain_step if payoff == "plain" else (lambda *args: rls_pd_step(*args)[0])
     for seed in range(10):
@@ -339,8 +351,7 @@ def test_run_from_a_drawn_start_continues_the_same_stream(payoff):
             pair = step(params, pair, ref)
             t += 1
         assert fast.iterations == t
-        assert bytes(fast.pair.x) == bytes(pair.x)
-        assert bytes(fast.pair.y) == bytes(pair.y)
+        assert fast.classes == classes_of(pair)
         assert stream.draw_counter == ref.draw_counter
         fresh = RngStream(seed, stream_id=4, draw_counter=stream.draw_counter)
         assert stream.next_u64() == fresh.next_u64()
@@ -352,7 +363,7 @@ def test_plain_run_reaches_the_optimum_and_records_distance():
         params, RngStream(11), cap=params.default_cap(), record=True, payoff="plain"
     )
     assert not result.censored
-    assert result.quadrant_at_end == AT_OPTIMUM
+    assert result.quadrant_at_end == 0
     values = result.trajectory.values
     assert values[-1] == 0
     assert len(values) == result.iterations + 1
@@ -382,15 +393,14 @@ def test_forgetting_matches_iterated_single_steps():
         cap = 5000
         fast_stream = RngStream(seed, stream_id=3)
         fast = run_forgetting(params, fast_stream, threshold, cap=cap)
-        pair = canonical_opt_pair(params)
+        pair = pair_with_counts(params, params.bn, params.an)
         stream = RngStream(seed, stream_id=3)
         t = 0
         while manhattan_distance(params, pair) < threshold and t < cap:
             pair, _ = rls_pd_step(params, pair, stream)
             t += 1
         assert fast.iterations == t
-        assert bytes(fast.pair.x) == bytes(pair.x)
-        assert bytes(fast.pair.y) == bytes(pair.y)
+        assert fast.classes == classes_of(pair)
         assert fast_stream.draw_counter == stream.draw_counter
 
 

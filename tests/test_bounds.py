@@ -3,10 +3,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftlab.bounds import BoundSpec, expected_time_upper, tail_probability_upper
+from driftlab.bounds import KINDS, BoundSpec, expected_time_upper, tail_probability_upper
+from oracles import tail_exponent
 
 E = math.e
 
@@ -112,6 +113,59 @@ def test_tail_two_absorbing_squares_the_standard_bound():
 def test_tail_nonincreasing_in_tau(tau, later):
     spec = BoundSpec(kind="StandardVariance", b=10, x0=5, delta=0.5)
     assert tail_probability_upper(spec, tau * later) <= tail_probability_upper(spec, tau)
+
+
+# --- fields at the ends of the float range ---------------------------------
+
+EXTREME = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def extreme_specs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "KotzingPolynomial":
+        c = draw(st.floats(min_value=1.0, max_value=1e300, exclude_min=True))
+        return BoundSpec(kind, ell=draw(EXTREME), c=c, n=draw(st.integers(2, 10**400)))
+    b = draw(EXTREME)
+    rate = {"epsilon" if kind == "Additive" else "delta": draw(EXTREME)}
+    return BoundSpec(kind, b=b, x0=b * draw(st.floats(0.0, 1.0)), **rate)
+
+
+def rounding_slack(spec, exponent):
+    """Relative error the float evaluation may carry at this exact exponent.
+
+    A few roundings per step scale with the exponent.  The polynomial tail
+    also rounds r = tau / n^2 by up to half an ulp, which moves the
+    exponent by up to 2**-53 / (ell * ln c).
+    """
+    slack = 1e-12 * max(1.0, -exponent)
+    if spec.kind == "KotzingPolynomial":
+        slack += 2**-52 / max(spec.ell * math.log(spec.c), 1e-300)
+    return slack
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=extreme_specs(), tau=EXTREME)
+# the three specs whose evaluation raised: b**2 and n**2 overflow a float,
+# and ell * ln c underflows to 0
+@example(spec=BoundSpec("TwoAbsorbing", b=1e200, x0=0.0, delta=1.0), tau=1.0)
+@example(spec=BoundSpec("StandardVariance", b=1e200, x0=0.0, delta=1.0), tau=1.0)
+@example(spec=BoundSpec("NegativeDriftVariance", b=1e200, x0=0.0, delta=1.0), tau=1.0)
+@example(spec=BoundSpec("KotzingPolynomial", ell=1.0, c=E, n=10**400), tau=1e300)
+@example(spec=BoundSpec("KotzingPolynomial", ell=5e-324, c=1.0000000000000002, n=2), tau=10.0)
+# tau * delta and b * b both overflow, where the bound is 0.996
+@example(spec=BoundSpec("StandardVariance", b=1e160, x0=0.0, delta=1e10), tau=1e308)
+def test_tail_at_extreme_fields_matches_the_exact_exponent(spec, tau):
+    got = tail_probability_upper(spec, tau)
+    assert 0.0 <= got <= 1.0
+    exponent = tail_exponent(spec, tau)
+    want = min(1.0, math.exp(exponent))
+    assert math.isclose(got, want, rel_tol=rounding_slack(spec, exponent), abs_tol=1e-300)
+
+
+@pytest.mark.parametrize("kind", ["NegativeDriftVariance", "StandardVariance"])
+def test_expected_time_is_inf_where_b_squared_overflows(kind):
+    assert expected_time_upper(BoundSpec(kind, b=1e200, x0=0.0, delta=1.0)) == math.inf
 
 
 # --- validation -------------------------------------------------------------

@@ -851,6 +851,39 @@ def test_cli_bounds_prints_the_table(tmp_path, capsys):
     assert capsys.readouterr().out == "tau,bound\n2.71828,0.36788\n"
 
 
+KOTZING = "KotzingPolynomial"
+
+# b**2 lies past the float range, so each tail is its limit 1.0
+HUGE_B_BOUND = {
+    "tau_grid": [1.0],
+    "bound": {"kind": "TwoAbsorbing", "b": 1e200, "x0": 0.0, "delta": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "bound, tau, row",
+    [
+        (HUGE_B_BOUND["bound"], 1.0, "1.00000,1.00000"),
+        ({"kind": "StandardVariance", "b": 1e200, "delta": 1.0}, 1.0, "1.00000,1.00000"),
+        ({"kind": "NegativeDriftVariance", "b": 1e200, "delta": 1.0}, 1.0, "1.00000,1.00000"),
+        # n**2 has no float; ell * ln c underflows to 0
+        ({"kind": KOTZING, "ell": 1.0, "c": 2.0, "n": 10**400}, 1.0, "1.00000,1.00000"),
+        ({"kind": KOTZING, "ell": 5e-324, "c": 1 + 2**-52, "n": 2}, 10.0, "10.00000,0.00000"),
+    ],
+    ids=["two_absorbing", "standard", "negative_drift", "kotzing_n", "kotzing_ell"],
+)
+def test_cli_bounds_evaluates_fields_past_the_float_range(tmp_path, capsys, bound, tau, row):
+    spec = write_json(tmp_path / "spec.json", {"bound": bound, "tau_grid": [tau]})
+    assert main(["bounds", spec]) == 0
+    assert capsys.readouterr().out == f"tau,bound\n{row}\n"
+
+
+def test_cli_run_checks_a_bound_past_the_float_range(tmp_path, capsys):
+    config = base_config(tmp_path, analysis=HUGE_B_BOUND)
+    assert main(["run", write_json(tmp_path / "config.json", config)]) == 0
+    assert "bound check: ok" in capsys.readouterr().out.splitlines()
+
+
 def test_cli_bounds_rejects_an_unknown_key(tmp_path, capsys):
     spec = {
         "bound": {"kind": "Additive", "b": 10, "epsilon": 1},

@@ -32,13 +32,7 @@ from itertools import count
 
 import pytest
 
-from driftlab.bilinear import (
-    BilinearParams,
-    canonical_opt_pair,
-    random_pair,
-    run_forgetting,
-    run_search,
-)
+from driftlab.bilinear import BilinearParams, run_forgetting, run_search, run_until_opt
 from driftlab.experiment import AnalysisBlock, ExperimentConfig, analyze_files, run_experiment
 from driftlab.recolour import (
     generate_3colorable,
@@ -51,10 +45,14 @@ from driftlab.rwab import run_rwab, sample_change_times
 from driftlab.sat2 import generate_planted, random_assignment, run_walk
 from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
 from oracles import (
+    classes_of,
     clause_satisfied,
     copy_pair,
     edges_of,
     manhattan_distance,
+    pair_of,
+    pair_with_counts,
+    random_pair,
     rls_pd_step,
     run_challenge,
     tuple_comparing_rwab,
@@ -94,7 +92,9 @@ def _challenge_case(accounting, mu, a_plus, s_threshold):
 def _pair_case(n, alpha, beta):
     def case(seed, start):
         stream = RngStream(master_seed=seed, stream_id=13, draw_counter=start)
-        pair = random_pair(stream, BilinearParams(n=n, alpha=alpha, beta=beta))
+        # a run of no steps returns its drawn start vector
+        start_vector = run_until_opt(BilinearParams(n, alpha, beta), stream, cap=0).classes
+        pair = pair_of(start_vector, n)
         outputs = [pair.x.hex(), pair.y.hex(), pair.ones_x, pair.ones_y]
         return pair.ones_x + pair.ones_y, _digest(outputs), stream.draw_counter
 
@@ -695,11 +695,11 @@ def test_bilinear_search_matches_next_index_through_rejected_words(mode, hi, sta
     if mode == "forgetting":
         lo = -1
         result = run_forgetting(params, fast, hi, cap)
-        pair = canonical_opt_pair(params)
+        pair = pair_with_counts(params, params.bn, params.an)
     else:
         lo = 0
         pair = random_pair(RngStream(19, stream_id=1), params)
-        result = run_search(params, fast, copy_pair(pair), cap, 0, math.inf, mode == "plain")
+        result = run_search(params, fast, classes_of(pair), cap, 0, math.inf, mode == "plain")
     step = _plain_step if mode == "plain" else lambda *args: rls_pd_step(*args)[0]
     t = 0
     while lo < manhattan_distance(params, pair) < hi and t < cap:
@@ -707,6 +707,6 @@ def test_bilinear_search_matches_next_index_through_rejected_words(mode, hi, sta
         t += 1
     assert fast.draw_counter - start > result.iterations + 3  # rejected words were met
     assert result.iterations == t
-    assert (result.pair.x, result.pair.y) == (pair.x, pair.y)
+    assert result.classes == classes_of(pair)
     assert fast.draw_counter == slow.draw_counter
     assert fast.next_u64() == slow.next_u64()
