@@ -16,23 +16,22 @@ Every simulator records integer values, and on integer-valued trajectories
 the tallied sums are exact, so the results equal a transition-by-transition
 sum.  Fractional values are summed in the tally's first-occurrence order,
 which is deterministic but may differ from the sequential sum in the last
-bits; the step tail only counts, so it is exact for any values.  The sample
-summaries likewise tally the finished times once and count each threshold
-with ``bisect`` over the sorted distinct times instead of rescanning every
-sample.
+bits; the step tail only counts, so it is exact for any values.
+
+Each analysis returns its report section, or None when there is nothing
+to report: no finished sample for the summary and the histogram, no
+tallied transition for the drift estimate and the step tail.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Iterable, Sequence
 
 from driftlab.bounds import BoundSpec, tail_probability_upper
-from driftlab.errors import EmptySampleError
 from driftlab.trajectory import HittingTimeSample
 
 DEFAULT_CONFIDENCE = 0.999
@@ -45,7 +44,7 @@ def hoeffding_margin(n: int, confidence: float = DEFAULT_CONFIDENCE) -> float:
     probability by more than this with probability at most 1 - confidence.
     """
     if n <= 0:
-        raise EmptySampleError("margin needs at least one sample")
+        raise ValueError("margin needs at least one sample")
     return math.sqrt(math.log(1.0 / (1.0 - confidence)) / (2.0 * n))
 
 
@@ -81,15 +80,15 @@ def tally_transitions(trajectories: Iterable[Sequence[float]]) -> Counter:
     return pairs
 
 
-def estimate_drift(pairs: Counter) -> DriftEstimate:
-    """Mean drift and second moment over every tallied transition.
+def estimate_drift(pairs: Counter) -> DriftEstimate | None:
+    """Mean drift and second moment over every tallied transition, or None.
 
     Sums d * count per distinct pair of tally_transitions.  Exact for
     integer-valued trajectories (whose sums stay below 2**53); fractional
     ones are summed in first-occurrence order.
     """
     if not pairs:
-        raise EmptySampleError("no transitions recorded; cannot estimate drift")
+        return None
     total = 0.0
     total_sq = 0.0
     count = 0
@@ -139,8 +138,8 @@ def fit_step_tail(pairs: Counter) -> StepTailFit | None:
     forces r >= 1.  The winner minimizes r / ln(1 + eta).
 
     An eta for which (1 + eta)^m or r / ln(1 + eta) overflows a float
-    cannot win: its range constant is infinite.  None means every eta
-    overflows, which a step magnitude above ~14,500 brings about.
+    cannot win: its range constant is infinite.  None means no transition,
+    or that every eta overflows, as it does past a step magnitude of ~14,500.
 
     The pairs of tally_transitions fold into one count per magnitude
     |y - x|, so the exceedance points are exact counts for any input.
@@ -150,7 +149,7 @@ def fit_step_tail(pairs: Counter) -> StepTailFit | None:
         by_magnitude[abs(y - x)] += c
     n = sum(by_magnitude.values())
     if not n:
-        raise EmptySampleError("no transitions recorded; cannot fit step tail")
+        return None
     # distinct magnitudes with exceedance frequencies: freq(|step| >= m)
     points: list[tuple[float, float]] = [(0.0, 1.0)]
     below = 0
@@ -175,17 +174,6 @@ def fit_step_tail(pairs: Counter) -> StepTailFit | None:
 
 # ---------------------------------------------------------------------------
 # Tail comparison against a closed-form bound.
-
-
-def _ascending_tally(times: Sequence[float]) -> tuple[list[float], list[int]]:
-    """The distinct times ascending, and below[i]: how many times lie below the i-th.
-
-    below has one more entry, the total.  NaN is dropped: no comparison
-    with a threshold holds for it.
-    """
-    tally = Counter(times)
-    distinct = sorted(t for t in tally if t == t)
-    return distinct, [0, *accumulate(tally[t] for t in distinct)]
 
 
 @dataclass
@@ -229,16 +217,14 @@ def compare_bound(
     is violated when the empirical frequency exceeds bound + margin.
     """
     if not samples:
-        raise EmptySampleError("tail comparison needs at least one sample")
+        raise ValueError("tail comparison needs at least one sample")
     n = len(samples)
     margin = hoeffding_margin(n, confidence)
     finished = [s.stopping_time for s in samples if not s.censored]
     censored = n - len(finished)
-    times, below = _ascending_tally(finished)
     grid = []
     for tau in tau_grid:
-        exceed = censored + below[-1] - below[bisect_left(times, tau)]
-        emp = exceed / n
+        emp = (censored + sum(t >= tau for t in finished)) / n
         bound = tail_probability_upper(spec, tau)
         grid.append(
             TailPoint(
@@ -266,26 +252,22 @@ class SummaryTable:
 
 def summary_table(
     samples: Sequence[HittingTimeSample], k_list: Sequence[float]
-) -> SummaryTable:
-    """Mean of non-censored times plus Fr(T <= k * mean) per k.
+) -> SummaryTable | None:
+    """Mean of non-censored times plus Fr(T <= k * mean) per k, or None.
 
     Frequencies are over all runs, censored ones counting as never below
-    any threshold, so they are conservative and nondecreasing in k.
+    any threshold, so they are conservative and nondecreasing in k.  A NaN
+    limit (a NaN time, or 0 * inf) is reached by no time.
     """
-    if not samples:
-        raise EmptySampleError("summary needs at least one sample")
     finished = [s.stopping_time for s in samples if not s.censored]
     if not finished:
-        raise EmptySampleError("all samples censored; mean undefined")
+        return None
     mean = sum(finished) / len(finished)  # in sample order: regrets are floats
     n = len(samples)
-    times, below = _ascending_tally(finished)
     freq = {}
     for k in k_list:
         limit = k * mean
-        # a NaN limit (a NaN time, or 0 * inf) is reached by no time
-        hit = below[bisect_right(times, limit)] if limit == limit else 0
-        freq[float(k)] = hit / n
+        freq[float(k)] = sum(t <= limit for t in finished) / n
     return SummaryTable(
         mean=mean,
         freq_at_multiples=freq,
@@ -303,11 +285,11 @@ class Histogram:
 
 def histogram_export(
     samples: Sequence[HittingTimeSample], bin_count: int = 50
-) -> Histogram:
-    """Equal-width density histogram of non-censored stopping times."""
+) -> Histogram | None:
+    """Equal-width density histogram of non-censored stopping times, or None."""
     times = [s.stopping_time for s in samples if not s.censored]
     if not times:
-        raise EmptySampleError("histogram needs at least one non-censored sample")
+        return None
     lo, hi = float(min(times)), float(max(times))
     if hi == lo:
         hi = lo + 1.0  # degenerate sample: one unit-width bin holds everything

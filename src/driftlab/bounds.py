@@ -21,9 +21,9 @@ probability.  Families:
   Logarithms here are natural.
 
 Tail values are clamped into [0, 1]; a clamped bound is vacuous, not wrong.
-Neither evaluator raises on a spec BoundSpec accepts: a tail past the
-float range is its limit, 0.0 or 1.0, and an expected time that
-overflows is inf.
+Neither evaluator raises on a spec BoundSpec accepts, but for the expected
+time of KotzingPolynomial, which has none: a tail past the float range is
+its limit, 0.0 or 1.0, and an expected time past it is inf.
 """
 
 from __future__ import annotations
@@ -85,23 +85,42 @@ class BoundSpec:
                 raise ValueError("Additive requires epsilon > 0")
 
 
+def _product_over(p: float, b: float, q: float, delta: float) -> float:
+    """p * (b + q) / delta for p >= 0, b > 0, b + q >= 0 and delta > 0.
+
+    The mantissas and the binary exponents are combined apart (frexp), and
+    a sum past the float range is halved first, so no step overflows or
+    underflows: the result lies within a few roundings of the exact
+    quotient, is 0.0 when p or b + q is 0 (never 0 * inf), and is inf only
+    where the quotient lies past the float range.
+    """
+    s, halved = b + q, 0
+    if s == math.inf:
+        s, halved = 0.5 * b + 0.5 * q, 1
+    if not p or not s:
+        return 0.0
+    (mp, ep), (ms, es), (md, ed) = map(math.frexp, (p, s, delta))
+    m, e = math.frexp(mp * ms / md)
+    e += ep + es + halved - ed
+    return math.ldexp(m, e) if e <= 1024 else math.inf
+
+
 def expected_time_upper(spec: BoundSpec) -> float:
     """Expected-hitting-time ceiling for the given bound family.
 
-    inf where b**2 lies past the float range; every other step that
-    overflows ends at inf by itself.
+    The differences of squares are evaluated factored, b^2 - (b - x0)^2 as
+    x0 * (2b - x0) and b^2 - x0^2 as (b - x0) * (b + x0), so they do not
+    cancel; inf where the exact ceiling lies past the float range.
     """
-    try:
-        if spec.kind == "NegativeDriftVariance":
-            return (spec.b**2 - (spec.b - spec.x0) ** 2) / spec.delta
-        if spec.kind == "StandardVariance":
-            return (spec.b**2 - spec.x0**2) / spec.delta
-    except OverflowError:
-        return math.inf
+    b, x0 = spec.b, spec.x0
+    if spec.kind == "NegativeDriftVariance":
+        return _product_over(x0, b, b - x0, spec.delta)
+    if spec.kind == "StandardVariance":
+        return _product_over(b - x0, b, x0, spec.delta)
     if spec.kind == "TwoAbsorbing":
-        return spec.x0 * (spec.b - spec.x0) / spec.delta
+        return _product_over(x0, b, -x0, spec.delta)
     if spec.kind == "Additive":
-        return (spec.b - spec.x0) / spec.epsilon
+        return (b - x0) / spec.epsilon
     # KotzingPolynomial comes with a tail only; there is no mean guarantee.
     raise ValueError(f"{spec.kind} provides no expected-time bound")
 

@@ -13,7 +13,3 @@ class FormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class EmptySampleError(ValueError):
-    """An analysis routine was handed an empty sample."""

@@ -10,6 +10,8 @@ replication has finished.
 Artifacts per experiment: ``samples.csv`` (one row per replication),
 ``report.json`` (summary, optional tail comparison, optional drift
 sections), optional per-run trajectory CSVs, and an optional histogram CSV.
+They are written into a partial directory that then replaces output_dir
+whole, so output_dir holds one complete run's artifacts.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from array import array
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cache
@@ -34,7 +37,7 @@ from driftlab.analysis import (
 )
 from driftlab.bilinear import PAYOFFS, BilinearParams, run_forgetting, run_until_opt
 from driftlab.bounds import BoundSpec
-from driftlab.errors import ConfigError, EmptySampleError, FormatError
+from driftlab.errors import ConfigError, FormatError
 from driftlab.recolour import (
     generate_3colorable,
     random_colouring,
@@ -525,8 +528,8 @@ def build_report(
 ) -> dict:
     """Assemble the analysis JSON document as a plain dict.
 
-    After the two counts come four sections, each the asdict of its
-    analysis dataclass (fields in declaration order) or None: summary_table
+    After the two counts come four sections, each the asdict of what its
+    analysis returns (fields in declaration order) or None: summary_table
     when every sample is censored, tail_report unless the block carries a
     grid and a bound, the drift sections unless the trajectories hold a
     transition, and step_tail_fit also when every envelope on its grid
@@ -537,30 +540,26 @@ def build_report(
     tally that both drift sections are computed from, and may come from a
     lazy iterator.
     """
-    report: dict = {
-        "sample_count": len(samples),
-        "censored_count": sum(1 for s in samples if s.censored),
-        "summary_table": None,
-        "tail_report": None,
-        "drift_estimate": None,
-        "step_tail_fit": None,
-    }
-    try:
-        report["summary_table"] = asdict(summary_table(samples, block.k_list))
-    except EmptySampleError:
-        pass  # every sample censored: no mean
+    summary = summary_table(samples, block.k_list)
+    tail = None
     if block.tau_grid:
         tail = compare_bound(samples, block.bound, block.tau_grid, block.confidence)
-        report["tail_report"] = asdict(tail)
     pairs = tally_transitions(trajectories)
-    try:
-        report["drift_estimate"] = asdict(estimate_drift(pairs))
-    except EmptySampleError:
-        return report  # no trajectories, or not one transition among them
-    step = fit_step_tail(pairs)
-    if step is not None:  # None: every envelope on the grid overflows
-        report["step_tail_fit"] = asdict(step)
-    return report
+    drift = step = None
+    if pairs:
+        drift, step = estimate_drift(pairs), fit_step_tail(pairs)
+    return {
+        "sample_count": len(samples),
+        "censored_count": sum(1 for s in samples if s.censored),
+        "summary_table": _section(summary),
+        "tail_report": _section(tail),
+        "drift_estimate": _section(drift),
+        "step_tail_fit": _section(step),
+    }
+
+
+def _section(result) -> dict | None:
+    return None if result is None else asdict(result)
 
 
 def write_report(
@@ -596,8 +595,11 @@ def report_to_json(report: dict) -> str:
         raise
 
 
-def histogram_to_csv(samples: Sequence[HittingTimeSample], bins: int) -> str:
+def histogram_to_csv(samples: Sequence[HittingTimeSample], bins: int) -> str | None:
+    """histogram.csv's text; None when no sample finished, so nothing is binned."""
     hist = histogram_export(samples, bins)
+    if hist is None:
+        return None
     lines = ["bin_left,bin_right,count,density"]
     for i, count in enumerate(hist.counts):
         lines.append(
@@ -616,47 +618,109 @@ class ExperimentArtifacts:
     violated: bool
 
 
+#: the files a run writes at the top of its output directory, and the
+#: directory of its trajectory files, each named run_*.csv
+ARTIFACT_FILES = ("samples.csv", "report.json", "histogram.csv")
+TRAJECTORY_DIR = "trajectories"
+
+
+def _foreign_path(out: str) -> str | None:
+    """The first path under out, in name order, that no run writes; None
+    when out does not exist or holds only a run's artifacts.
+
+    out itself is foreign when it is not a directory, or is a symlink.
+    """
+    if not os.path.lexists(out):
+        return None
+    if os.path.islink(out) or not os.path.isdir(out):
+        return out
+    for entry in sorted(os.scandir(out), key=lambda e: e.name):
+        if entry.name == TRAJECTORY_DIR and entry.is_dir(follow_symlinks=False):
+            for run in sorted(os.scandir(entry.path), key=lambda e: e.name):
+                is_run = run.name.startswith("run_") and run.name.endswith(".csv")
+                if not (is_run and run.is_file(follow_symlinks=False)):
+                    return run.path
+        elif not (entry.name in ARTIFACT_FILES and entry.is_file(follow_symlinks=False)):
+            return entry.path
+    return None
+
+
+def _move_into_place(partial: str, out: str) -> None:
+    """Rename the complete directory partial to out, replacing an old out.
+
+    The old out is renamed aside first and deleted last, so out always
+    holds one run's artifacts in full; if partial cannot be renamed in,
+    the old out is renamed back.
+    """
+    if not os.path.lexists(out):
+        os.rename(partial, out)
+        return
+    aside = f"{out}.old-{os.getpid()}"
+    os.rename(out, aside)
+    try:
+        os.rename(partial, out)
+    except BaseException:
+        os.rename(aside, out)
+        raise
+    shutil.rmtree(aside)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
-    """Simulate, analyse, and write every artifact for one config."""
+    """Simulate, analyse, and write every artifact for one config.
+
+    The artifacts are written into the sibling directory
+    <output_dir>.partial-<pid> and then moved into place whole, replacing
+    an output_dir that holds only a run's artifacts.  An output_dir holding
+    anything else is a ConfigError raised before any run is simulated; a
+    run that fails leaves output_dir as it was and no partial directory.
+    """
+    out = os.path.abspath(config.output_dir)
+    foreign = _foreign_path(out)
+    if foreign is not None:
+        raise ConfigError(
+            f"config.output_dir: {foreign} is not an artifact of a run; "
+            "move it or choose another directory"
+        )
     replications = collect(config)
     samples = [r.sample for r in replications]
     extras = [r.extra for r in replications]
     trajectories = [r.trajectory for r in replications if r.trajectory is not None]
 
-    out = config.output_dir
-    samples_path = os.path.join(out, "samples.csv")
+    partial = f"{out}.partial-{os.getpid()}"
+    os.makedirs(partial)  # not exist_ok: a leftover is no one's to write into or delete
     params = config.params
-    write_text(samples_path, samples_to_csv(samples, params.columns, extras, lead=params.lead))
+    try:
+        write_text(
+            os.path.join(partial, "samples.csv"),
+            samples_to_csv(samples, params.columns, extras, lead=params.lead),
+        )
+        if config.record_trajectories:
+            for r in replications:
+                if r.trajectory is not None:
+                    write_text(
+                        os.path.join(partial, TRAJECTORY_DIR, f"run_{r.sample.run_id:05d}.csv"),
+                        trajectory_to_csv(r.trajectory),
+                    )
+        violated = write_report(
+            samples, config.analysis, trajectories, os.path.join(partial, "report.json")
+        )
+        bins = config.analysis.histogram_bins
+        histogram = None if bins is None else histogram_to_csv(samples, bins)
+        if histogram is not None:
+            write_text(os.path.join(partial, "histogram.csv"), histogram)
+        _move_into_place(partial, out)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
 
-    trajectory_dir = None
-    if config.record_trajectories:
-        trajectory_dir = os.path.join(out, "trajectories")
-        for r in replications:
-            if r.trajectory is None:
-                continue
-            write_text(
-                os.path.join(trajectory_dir, f"run_{r.sample.run_id:05d}.csv"),
-                trajectory_to_csv(r.trajectory),
-            )
-
-    report_path = os.path.join(out, "report.json")
-    violated = write_report(samples, config.analysis, trajectories, report_path)
-
-    histogram_path = None
-    if config.analysis.histogram_bins is not None:
-        try:
-            text = histogram_to_csv(samples, config.analysis.histogram_bins)
-        except EmptySampleError:
-            text = None  # every run censored: nothing to bin
-        if text is not None:
-            histogram_path = os.path.join(out, "histogram.csv")
-            write_text(histogram_path, text)
+    def final(name: str) -> str:
+        return os.path.join(config.output_dir, name)
 
     return ExperimentArtifacts(
-        samples_path=samples_path,
-        report_path=report_path,
-        histogram_path=histogram_path,
-        trajectory_dir=trajectory_dir,
+        samples_path=final("samples.csv"),
+        report_path=final("report.json"),
+        histogram_path=final("histogram.csv") if histogram is not None else None,
+        trajectory_dir=final(TRAJECTORY_DIR) if config.record_trajectories else None,
         violated=violated,
     )
 

@@ -17,7 +17,8 @@ independent of the fast path it checks:
   on scalar next_uniform() draws (sharing no code with run_rwab's inline
   loop), the round loop built on it with a full ledger, and the
   list-backed Fisher-Yates draw of the change times;
-* bounds: the exponent of each tail bound from exact rational inputs;
+* bounds: the exponent of each tail bound and each expected-time ceiling
+  from exact rational inputs;
 * configs: a one-run config read as ``driftlab run`` reads one, since the
   config reader is the one place that checks what the kernels assume.
 """
@@ -478,6 +479,24 @@ def tail_exponent(spec: BoundSpec, tau: float) -> float:
         if spec.kind == "TwoAbsorbing":
             rate *= 2
     return _rounded(-rate / Fraction(math.e))
+
+
+def expected_time(spec: BoundSpec) -> float:
+    """spec's expected-time ceiling from exact Fractions of its fields.
+
+    The differences of squares are taken as written, b^2 - (b - x0)^2 and
+    b^2 - x0^2, and rounded once: +inf past the float range.
+    """
+    b, x0 = Fraction(spec.b), Fraction(spec.x0)
+    if spec.kind == "Additive":
+        return _rounded((b - x0) / Fraction(spec.epsilon))
+    if spec.kind == "NegativeDriftVariance":
+        numerator = b**2 - (b - x0) ** 2
+    elif spec.kind == "StandardVariance":
+        numerator = b**2 - x0**2
+    else:  # TwoAbsorbing
+        numerator = x0 * (b - x0)
+    return _rounded(numerator / Fraction(spec.delta))
 
 
 # ---------------------------------------------------------------------------

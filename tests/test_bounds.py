@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftlab.bounds import KINDS, BoundSpec, expected_time_upper, tail_probability_upper
-from oracles import tail_exponent
+from oracles import expected_time, tail_exponent
 
 E = math.e
 
@@ -121,8 +121,8 @@ EXTREME = st.floats(min_value=1e-300, max_value=1e300)
 
 
 @st.composite
-def extreme_specs(draw):
-    kind = draw(st.sampled_from(KINDS))
+def extreme_specs(draw, kinds=st.sampled_from(KINDS)):
+    kind = draw(kinds)
     if kind == "KotzingPolynomial":
         c = draw(st.floats(min_value=1.0, max_value=1e300, exclude_min=True))
         return BoundSpec(kind, ell=draw(EXTREME), c=c, n=draw(st.integers(2, 10**400)))
@@ -163,9 +163,45 @@ def test_tail_at_extreme_fields_matches_the_exact_exponent(spec, tau):
     assert math.isclose(got, want, rel_tol=rounding_slack(spec, exponent), abs_tol=1e-300)
 
 
-@pytest.mark.parametrize("kind", ["NegativeDriftVariance", "StandardVariance"])
+#: the start at which each variance ceiling is b^2 / delta
+FULL_RANGE_X0 = {"NegativeDriftVariance": 1e200, "StandardVariance": 0.0}
+
+
+@pytest.mark.parametrize("kind", sorted(FULL_RANGE_X0))
 def test_expected_time_is_inf_where_b_squared_overflows(kind):
-    assert expected_time_upper(BoundSpec(kind, b=1e200, x0=0.0, delta=1.0)) == math.inf
+    spec = BoundSpec(kind, b=1e200, x0=FULL_RANGE_X0[kind], delta=1.0)
+    assert expected_time_upper(spec) == math.inf
+
+
+#: the kinds with an expected-time ceiling
+MEAN_KINDS = [kind for kind in KINDS if kind != "KotzingPolynomial"]
+NEAR_1E10 = math.nextafter(1e10, 0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=extreme_specs(st.sampled_from(MEAN_KINDS)))
+# b^2 - (b - x0)^2 and b^2 - x0^2 cancelled: 0.0 where the ceiling is 2,
+# 32768.0 where it is 38146.97...
+@example(spec=BoundSpec("NegativeDriftVariance", b=1e10, x0=1e-10, delta=1.0))
+@example(spec=BoundSpec("StandardVariance", b=1e10, x0=NEAR_1E10, delta=1.0))
+# a factor of 0 times a factor past the float range, 0 * inf, is NaN
+@example(spec=BoundSpec("StandardVariance", b=1e308, x0=1e308, delta=1.0))
+@example(spec=BoundSpec("NegativeDriftVariance", b=1e308, x0=0.0, delta=1.0))
+# the product past the float range, the quotient within it; b + x0 too
+@example(spec=BoundSpec("TwoAbsorbing", b=1e300, x0=5e299, delta=1e300))
+@example(spec=BoundSpec("StandardVariance", b=1e308, x0=1e308 - 1e298, delta=1e300))
+def test_expected_time_matches_the_exact_ceiling(spec):
+    got = expected_time_upper(spec)
+    want = expected_time(spec)
+    assert not math.isnan(got)
+    assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-320)
+
+
+def test_expected_time_does_not_cancel():
+    spec = BoundSpec("NegativeDriftVariance", b=1e10, x0=1e-10, delta=1.0)
+    assert expected_time_upper(spec) == 2.0
+    spec = BoundSpec("StandardVariance", b=1e10, x0=NEAR_1E10, delta=1.0)
+    assert expected_time_upper(spec) == 38146.97265625
 
 
 # --- validation -------------------------------------------------------------

@@ -596,6 +596,98 @@ def test_histogram_artifact(tmp_path):
     assert sum(int(row.split(",")[2]) for row in lines[1:]) == 40
 
 
+def rerun_configs(tmp_path):
+    """A 5-run config with trajectories and a histogram, and a 2-run one without."""
+    first = base_config(
+        tmp_path, runs=5, record_trajectories=True, analysis={"histogram_bins": 5}
+    )
+    return first, base_config(tmp_path, runs=2, record_trajectories=True)
+
+
+def test_a_smaller_rerun_leaves_only_the_new_artifacts(tmp_path):
+    first, second = rerun_configs(tmp_path)
+    run_experiment(ExperimentConfig.from_dict(first))
+    artifacts = run_experiment(ExperimentConfig.from_dict(second))
+    written = artifact_bytes(second["output_dir"])
+    assert sorted(written) == [
+        "report.json", "samples.csv", "trajectories/run_00000.csv", "trajectories/run_00001.csv"
+    ]
+    fresh = dict(second, output_dir=str(tmp_path / "fresh"))
+    run_experiment(ExperimentConfig.from_dict(fresh))
+    assert artifact_bytes(fresh["output_dir"]) == written
+    # a re-analysis of the directory reads this run's trajectories alone
+    redo = analyze_files(
+        artifacts.samples_path,
+        AnalysisBlock(),
+        trajectory_dir=artifacts.trajectory_dir,
+        report_path=str(tmp_path / "redo.json"),
+    )
+    with open(redo.report_path, "rb") as fh:
+        assert fh.read() == written["report.json"]
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "out", "redo.json"]
+
+
+def test_a_run_that_fails_leaves_the_old_directory_as_it_was(tmp_path, monkeypatch):
+    first, second = rerun_configs(tmp_path)
+    run_experiment(ExperimentConfig.from_dict(first))
+    before = artifact_bytes(first["output_dir"])
+    original = experiment.write_text
+    written = []
+
+    def fail_after_samples(path, text):
+        if written:
+            raise RuntimeError("injected after samples.csv")
+        original(path, text)
+        written.append(os.path.basename(path))
+
+    monkeypatch.setattr(experiment, "write_text", fail_after_samples)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_experiment(ExperimentConfig.from_dict(second))
+    assert written == ["samples.csv"]
+    assert artifact_bytes(first["output_dir"]) == before
+    assert os.listdir(tmp_path) == ["out"]  # no .partial-* or renamed-aside directory
+
+
+@pytest.mark.parametrize(
+    "foreign, named",
+    [
+        ("notes.txt", "notes.txt"),
+        ("trajectories/notes.txt", "trajectories/notes.txt"),
+        ("trajectories/run_00000.csv/x", "trajectories/run_00000.csv"),
+        ("extra/x", "extra"),
+    ],
+)
+def test_a_foreign_path_exits_two_and_deletes_nothing(
+    tmp_path, monkeypatch, capsys, foreign, named
+):
+    first, second = rerun_configs(tmp_path)
+    run_experiment(ExperimentConfig.from_dict(first))
+    out = tmp_path / "out"
+    path = out / foreign
+    if path.parent.is_file():
+        path.parent.unlink()
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("mine\n")
+    before = artifact_bytes(out)
+
+    def simulate(config):
+        raise AssertionError("simulated before the output directory was checked")
+
+    monkeypatch.setattr(experiment, "collect", simulate)
+    assert main(["run", write_json(tmp_path / "config.json", second)]) == 2
+    assert f"config.output_dir: {out / named} is not an artifact" in capsys.readouterr().err
+    assert artifact_bytes(out) == before
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
+
+
+def test_an_output_dir_that_is_a_file_exits_two(tmp_path, capsys):
+    obj = base_config(tmp_path)
+    (tmp_path / "out").write_text("mine\n")
+    assert main(["run", write_json(tmp_path / "config.json", obj)]) == 2
+    assert "is not an artifact" in capsys.readouterr().err
+    assert (tmp_path / "out").read_text() == "mine\n"
+
+
 def sample_rows(times, censored=None):
     lines = ["run_id,seed,stopping_time,censored"]
     for i, t in enumerate(times):
@@ -674,6 +766,19 @@ def test_build_report_counts_censored_rows():
     report = build_report(samples, AnalysisBlock(k_list=(1.0,)))
     assert report["censored_count"] == 1
     assert report["summary_table"]["mean"] == 3.0
+
+
+def test_build_report_without_a_transition_never_estimates_drift(monkeypatch):
+    def unreachable(pairs):
+        raise AssertionError("called with an empty tally")
+
+    monkeypatch.setattr(experiment, "estimate_drift", unreachable)
+    monkeypatch.setattr(experiment, "fit_step_tail", unreachable)
+    samples = read_samples_csv(sample_rows([2, 4]))
+    for trajectories in ((), [[5]], [[5], [0]]):
+        report = build_report(samples, AnalysisBlock(), trajectories)
+        assert report["drift_estimate"] is None
+        assert report["step_tail_fit"] is None
 
 
 # -- command line ------------------------------------------------------------

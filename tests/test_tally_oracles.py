@@ -2,16 +2,17 @@
 
 The oracles below are the transition-by-transition estimators, the
 per-threshold rescans and the row-by-row CSV codecs that the tallies and
-bulk string operations replaced, kept verbatim; the row-scan reader also
-carries the one rule added since, that every value is finite.  The
-package passes a trajectory as its list of values, and the oracles take a
-Trajectory, so each list is wrapped only where an oracle is called.  Both
-estimators are called on one tally_transitions, as build_report calls
-them.  On integer-valued trajectories (all a simulator records) every
-estimate and report must be byte-equal to the oracles; on fractional ones
-the drift moments may differ in the last bits, because the tallied sums
-are added in another order.  A streamed reanalysis must write the same
-bytes as build_report over the fully read trajectories.
+bulk string operations replaced, kept verbatim but for two rules added
+since: an analysis with nothing to report returns None, and the row-scan
+reader's values must be finite.  The package passes a trajectory as its
+list of values, and the oracles take a Trajectory, so each list is
+wrapped only where an oracle is called.  Both estimators are called on
+one tally_transitions, as build_report calls them.  On integer-valued
+trajectories (all a simulator records) every estimate and report must be
+byte-equal to the oracles; on fractional ones the drift moments may
+differ in the last bits, because the tallied sums are added in another
+order.  A streamed reanalysis must write the same bytes as build_report
+over the fully read trajectories.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from driftlab.analysis import (
     hoeffding_margin,
 )
 from driftlab.bounds import BoundSpec, tail_probability_upper
-from driftlab.errors import EmptySampleError, FormatError
+from driftlab.errors import FormatError
 from driftlab.experiment import AnalysisBlock, build_report, report_to_json
 from driftlab.trajectory import HittingTimeSample, Trajectory, format_value
 
@@ -48,7 +49,7 @@ from driftlab.trajectory import HittingTimeSample, Trajectory, format_value
 # Oracles: the loop forms, verbatim.
 
 
-def estimate_drift(trajectories: Iterable[Trajectory]) -> DriftEstimate:
+def estimate_drift(trajectories: Iterable[Trajectory]) -> DriftEstimate | None:
     total = 0.0
     total_sq = 0.0
     count = 0
@@ -65,7 +66,7 @@ def estimate_drift(trajectories: Iterable[Trajectory]) -> DriftEstimate:
             by_state_sum[s] = by_state_sum.get(s, 0.0) + d
             by_state_n[s] = by_state_n.get(s, 0) + 1
     if count == 0:
-        raise EmptySampleError("no transitions recorded; cannot estimate drift")
+        return None
     per_state = {s: by_state_sum[s] / by_state_n[s] for s in sorted(by_state_sum)}
     return DriftEstimate(
         mean_drift=total / count,
@@ -77,7 +78,7 @@ def estimate_drift(trajectories: Iterable[Trajectory]) -> DriftEstimate:
 
 def fit_step_tail(
     trajectories: Iterable[Trajectory], eta_grid: Sequence[float] = DEFAULT_ETA_GRID
-) -> StepTailFit:
+) -> StepTailFit | None:
     """Fit the geometric step-tail envelope over a grid of decay rates.
 
     For each eta the smallest feasible r is max over observed magnitudes m
@@ -93,7 +94,7 @@ def fit_step_tail(
         vals = traj.values
         magnitudes.extend(abs(vals[t + 1] - vals[t]) for t in range(len(vals) - 1))
     if not magnitudes:
-        raise EmptySampleError("no transitions recorded; cannot fit step tail")
+        return None
     n = len(magnitudes)
     magnitudes.sort()
     # distinct magnitudes with exceedance counts: freq(|step| >= m)
@@ -133,7 +134,7 @@ def compare_bound(
     is violated when the empirical frequency exceeds bound + margin.
     """
     if not samples:
-        raise EmptySampleError("tail comparison needs at least one sample")
+        raise ValueError("tail comparison needs at least one sample")
     if not tau_grid:
         raise ValueError("tau_grid must be nonempty")
     n = len(samples)
@@ -157,17 +158,15 @@ def compare_bound(
 
 def summary_table(
     samples: Sequence[HittingTimeSample], k_list: Sequence[float]
-) -> SummaryTable:
+) -> SummaryTable | None:
     """Mean of non-censored times plus Fr(T <= k * mean) per k.
 
     Frequencies are over all runs, censored ones counting as never below
     any threshold, so they are conservative and nondecreasing in k.
     """
-    if not samples:
-        raise EmptySampleError("summary needs at least one sample")
     finished = [s.stopping_time for s in samples if not s.censored]
     if not finished:
-        raise EmptySampleError("all samples censored; mean undefined")
+        return None
     mean = sum(finished) / len(finished)
     n = len(samples)
     freq = {}
@@ -278,8 +277,10 @@ def bits(x) -> bytes:
     return struct.pack("<d", x) if isinstance(x, float) else repr(x).encode()
 
 
-def fields(est) -> list:
+def fields(est) -> list | None:
     """Every field of a DriftEstimate or StepTailFit, number types kept."""
+    if est is None:
+        return None
     out = []
     for name, value in vars(est).items():
         if isinstance(value, dict):
@@ -343,12 +344,11 @@ def test_report_is_byte_equal_to_the_loops_on_integer_trajectories(trajs, censor
 @settings(max_examples=200, deadline=None)
 @given(fractional_trajectories)
 def test_tallies_match_the_loops_on_fractional_trajectories(trajs):
-    new = outcome(drift_of, trajs)
-    old = outcome(estimate_drift, as_trajectories(trajs))
-    if old[0] == "raised":
-        assert new == old
+    new = drift_of(trajs)
+    old = estimate_drift(as_trajectories(trajs))
+    if old is None:
+        assert new is None
         return
-    new, old = new[1], old[1]
     assert new.transitions == old.transitions
     # the sums may cancel, so compare within 1e-12 of the summed magnitudes
     steps = [
