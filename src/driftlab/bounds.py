@@ -166,8 +166,10 @@ def tail_probability_upper(spec: BoundSpec, tau: float) -> float:
     else:  # KotzingPolynomial
         if tau <= spec.n**2:  # exact, also where n**2 is past the float range
             return 1.0
-        r = tau / spec.n**2
         scale = spec.ell * math.log(spec.c)
-        # a scale that underflows to 0 puts the exponent below the float range
-        raw = r ** (-1.0 / scale if scale else -math.inf)
+        if not scale or tau == math.inf:  # the exponent lies below the float range
+            return 0.0
+        # ln r from r - 1 = (p - q n^2) / (q n^2), rounded once: no digit lost near r = 1
+        p, q = tau.as_integer_ratio()
+        raw = math.exp(-math.log1p((p - q * spec.n**2) / (q * spec.n**2)) / scale)
     return min(1.0, max(0.0, raw))

@@ -10,18 +10,19 @@ replication has finished.
 Artifacts per experiment: ``samples.csv`` (one row per replication),
 ``report.json`` (summary, optional tail comparison, optional drift
 sections), optional per-run trajectory CSVs, and an optional histogram CSV.
+Their names and text formats, written and read, are driftlab.trajectory's.
 They are written into a partial directory that then replaces output_dir
 whole, so output_dir holds one complete run's artifacts.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
 from array import array
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from fnmatch import fnmatchcase
 from functools import cache
 from types import UnionType
 from typing import Iterable, Sequence, Union, get_args, get_origin, get_type_hints
@@ -37,7 +38,7 @@ from driftlab.analysis import (
 )
 from driftlab.bilinear import PAYOFFS, BilinearParams, run_forgetting, run_until_opt
 from driftlab.bounds import BoundSpec
-from driftlab.errors import ConfigError, FormatError
+from driftlab.errors import ConfigError
 from driftlab.recolour import (
     generate_3colorable,
     random_colouring,
@@ -48,13 +49,23 @@ from driftlab.rng import RngStream
 from driftlab.rwab import ACCOUNTING_MODES, check_challenges_end, run_rwab, sample_change_times
 from driftlab.sat2 import generate_planted, random_assignment, run_walk, satisfies
 from driftlab.trajectory import (
+    ARTIFACT_FILES,
+    HISTOGRAM_FILE,
     REGRET_COLUMNS,
+    REPORT_FILE,
     SAMPLE_COLUMNS,
-    TRAJECTORY_HEADER,
+    SAMPLES_FILE,
+    TRAJECTORY_DIR,
+    TRAJECTORY_FILE,
     HittingTimeSample,
-    format_value,
+    histogram_to_csv,
+    is_finite,
     narrowest_int_array,
+    read_samples_csv,
+    read_trajectory_csv,
+    report_to_json,
     samples_to_csv,
+    trajectory_texts,
     trajectory_to_csv,
     write_text,
 )
@@ -65,14 +76,6 @@ DEFAULT_K_LIST = (1.0, 2.0)
 #: the most bins a histogram may have: histogram_export holds three lists
 #: of about that length, so 10**11 bins exhaust memory and 10**22 overflow
 MAX_HISTOGRAM_BINS = 10**6
-
-
-def is_finite(value: int | float) -> bool:
-    """False for NaN, the infinities and integers too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def finite_number(value, where: str) -> float:
@@ -533,8 +536,7 @@ def build_report(
     when every sample is censored, tail_report unless the block carries a
     grid and a bound, the drift sections unless the trajectories hold a
     transition, and step_tail_fit also when every envelope on its grid
-    overflows.  json.dumps writes the float keys of freq_at_multiples and
-    the int keys of per_state_mean as repr and str do, as the CSVs do.
+    overflows.
 
     Each trajectory is its sequence of values.  They are read once, in one
     tally that both drift sections are computed from, and may come from a
@@ -574,41 +576,6 @@ def write_report(
     return bool(report["tail_report"] and report["tail_report"]["violated"])
 
 
-def report_to_json(report: dict) -> str:
-    """report.json's text: strict JSON, so a non-finite number is a ValueError.
-
-    The report is dumped once.  Only when that fails are its sections
-    dumped one by one, so the error names the first section that holds a
-    non-finite number (an overflowed drift moment, say); nothing is written.
-    """
-    try:
-        return json.dumps(report, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        for name, section in report.items():
-            try:
-                json.dumps(section, allow_nan=False)
-            except ValueError:
-                raise ValueError(
-                    f"report.json: {name} holds a non-finite number, "
-                    "which strict JSON cannot write"
-                ) from None
-        raise
-
-
-def histogram_to_csv(samples: Sequence[HittingTimeSample], bins: int) -> str | None:
-    """histogram.csv's text; None when no sample finished, so nothing is binned."""
-    hist = histogram_export(samples, bins)
-    if hist is None:
-        return None
-    lines = ["bin_left,bin_right,count,density"]
-    for i, count in enumerate(hist.counts):
-        lines.append(
-            f"{format_value(hist.edges[i])},{format_value(hist.edges[i + 1])},"
-            f"{count},{format_value(hist.densities[i])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class ExperimentArtifacts:
     samples_path: str
@@ -616,12 +583,6 @@ class ExperimentArtifacts:
     histogram_path: str | None
     trajectory_dir: str | None
     violated: bool
-
-
-#: the files a run writes at the top of its output directory, and the
-#: directory of its trajectory files, each named run_*.csv
-ARTIFACT_FILES = ("samples.csv", "report.json", "histogram.csv")
-TRAJECTORY_DIR = "trajectories"
 
 
 def _foreign_path(out: str) -> str | None:
@@ -637,7 +598,7 @@ def _foreign_path(out: str) -> str | None:
     for entry in sorted(os.scandir(out), key=lambda e: e.name):
         if entry.name == TRAJECTORY_DIR and entry.is_dir(follow_symlinks=False):
             for run in sorted(os.scandir(entry.path), key=lambda e: e.name):
-                is_run = run.name.startswith("run_") and run.name.endswith(".csv")
+                is_run = fnmatchcase(run.name, TRAJECTORY_FILE.replace("%05d", "*"))
                 if not (is_run and run.is_file(follow_symlinks=False)):
                     return run.path
         elif not (entry.name in ARTIFACT_FILES and entry.is_file(follow_symlinks=False)):
@@ -690,24 +651,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
     os.makedirs(partial)  # not exist_ok: a leftover is no one's to write into or delete
     params = config.params
     try:
-        write_text(
-            os.path.join(partial, "samples.csv"),
-            samples_to_csv(samples, params.columns, extras, lead=params.lead),
-        )
-        if config.record_trajectories:
-            for r in replications:
-                if r.trajectory is not None:
-                    write_text(
-                        os.path.join(partial, TRAJECTORY_DIR, f"run_{r.sample.run_id:05d}.csv"),
-                        trajectory_to_csv(r.trajectory),
-                    )
-        violated = write_report(
-            samples, config.analysis, trajectories, os.path.join(partial, "report.json")
-        )
+        text = samples_to_csv(samples, params.columns, extras, lead=params.lead)
+        write_text(os.path.join(partial, SAMPLES_FILE), text)
+        for r in replications:
+            if r.trajectory is not None:  # recorded
+                path = os.path.join(partial, TRAJECTORY_DIR, TRAJECTORY_FILE % r.sample.run_id)
+                write_text(path, trajectory_to_csv(r.trajectory))
+        report_path = os.path.join(partial, REPORT_FILE)
+        violated = write_report(samples, config.analysis, trajectories, report_path)
         bins = config.analysis.histogram_bins
-        histogram = None if bins is None else histogram_to_csv(samples, bins)
-        if histogram is not None:
-            write_text(os.path.join(partial, "histogram.csv"), histogram)
+        histogram = None if bins is None else histogram_export(samples, bins)
+        if histogram is not None:  # else no sample finished, and nothing is binned
+            write_text(os.path.join(partial, HISTOGRAM_FILE), histogram_to_csv(histogram))
         _move_into_place(partial, out)
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
@@ -717,9 +672,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
         return os.path.join(config.output_dir, name)
 
     return ExperimentArtifacts(
-        samples_path=final("samples.csv"),
-        report_path=final("report.json"),
-        histogram_path=final("histogram.csv") if histogram is not None else None,
+        samples_path=final(SAMPLES_FILE),
+        report_path=final(REPORT_FILE),
+        histogram_path=final(HISTOGRAM_FILE) if histogram is not None else None,
         trajectory_dir=final(TRAJECTORY_DIR) if config.record_trajectories else None,
         violated=violated,
     )
@@ -727,136 +682,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
 
 # ---------------------------------------------------------------------------
 # Re-analysis of stored samples.
-
-
-def _parse_scalar(text: str, name: str, line: int) -> int | float:
-    """An int or float cell that is_finite accepts, or a FormatError."""
-    try:
-        value = int(text)
-    except ValueError:
-        try:
-            value = float(text)
-        except ValueError:
-            raise FormatError(f"bad {name} {text!r}", line=line) from None
-    if not is_finite(value):
-        raise FormatError(f"{name} must be a finite number, got {text!r}", line=line)
-    return value
-
-
-def read_samples_csv(text: str) -> list[HittingTimeSample]:
-    """Parse a samples CSV back into memory, ignoring diagnostic columns.
-
-    The header starts with SAMPLE_COLUMNS or REGRET_COLUMNS; regret rows
-    have no censored flag and are never censored.  Every value is finite
-    (the rule finite_number applies to configs); a stopping time is
-    nonnegative, a regret may be negative.  run_ids are nonnegative and
-    distinct.
-    """
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty samples file", line=1)
-    header = tuple(lines[0].split(","))
-    leads = (SAMPLE_COLUMNS, REGRET_COLUMNS)
-    lead = next((lead for lead in leads if header[: len(lead)] == lead), None)
-    if lead is None:
-        raise FormatError(
-            "header must start with " + " or ".join(",".join(lead) for lead in leads),
-            line=1,
-        )
-    width = len(lead)
-    samples = []
-    seen = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw:
-            continue
-        cells = raw.split(",")
-        if len(cells) < width:
-            raise FormatError(f"row has fewer than {width} columns", line=lineno)
-        flag = cells[3] if lead is SAMPLE_COLUMNS else "false"
-        if flag not in ("true", "false"):
-            raise FormatError(f"bad censored flag {flag!r}", line=lineno)
-        try:
-            run_id = int(cells[0])
-            seed = int(cells[1])
-        except ValueError:
-            raise FormatError("run_id and seed must be integers", line=lineno) from None
-        if run_id < 0:
-            raise FormatError(f"negative run_id {cells[0]!r}", line=lineno)
-        if run_id in seen:
-            raise FormatError(f"repeated run_id {run_id}", line=lineno)
-        seen.add(run_id)
-        value = _parse_scalar(cells[2], lead[2], lineno)
-        if value < 0 and lead is SAMPLE_COLUMNS:
-            raise FormatError(f"negative stopping_time {cells[2]!r}", line=lineno)
-        samples.append(
-            HittingTimeSample(
-                run_id=run_id,
-                stopping_time=value,
-                censored=flag == "true",
-                seed_used=seed,
-            )
-        )
-    if not samples:
-        raise FormatError("no sample rows", line=2)
-    return samples
-
-
-# every ASCII byte but the comma and the line breaks str.splitlines knows,
-# for read_trajectory_csv's row check; the bytes kept are those and every
-# byte of a non-ASCII character
-_NOT_COMMA_OR_BREAK = bytes(b for b in range(128) if b not in b",\n\r\x0b\x0c\x1c\x1d\x1e")
-
-
-def read_trajectory_csv(text: str) -> list[float]:
-    """A step,value CSV's values; blank lines are skipped, the step column unread.
-
-    Every value must be a finite number, as in samples.csv.  Text that is
-    the header and rows of one comma each, every line ending in a newline,
-    is parsed with one split; any other text, and any with a bad value, is
-    scanned row by row, which raises the FormatError of the first bad row.
-    """
-    head = f"{TRAJECTORY_HEADER}\n"
-    if text.startswith(head) and text.endswith("\n"):
-        body = text[len(head):]
-        # one comma per row: the commas and the newlines alternate, and no
-        # other line break or non-ASCII character (surrogatepass lets any
-        # str encode) is left to make splitlines see other rows
-        marks = body.encode("utf-8", "surrogatepass").translate(None, _NOT_COMMA_OR_BREAK)
-        if marks and marks == b",\n" * (len(marks) // 2):
-            try:
-                values = list(map(float, body.replace("\n", ",").split(",")[1::2]))
-            except ValueError:
-                pass  # a bad value: the scan names its row
-            else:
-                if math.isfinite(sum(values)):  # else NaN, an infinity or an overflow
-                    return values
-    return _scan_trajectory_rows(text)
-
-
-def _scan_trajectory_rows(text: str) -> list[float]:
-    lines = list(filter(None, text.splitlines()))
-    if not lines or lines[0] != TRAJECTORY_HEADER:
-        raise FormatError(f"trajectory header must be {TRAJECTORY_HEADER}", line=1)
-    if len(lines) == 1:
-        raise FormatError("trajectory has no rows", line=2)
-    values = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        cells = raw.split(",")
-        if len(cells) != 2:
-            raise FormatError("trajectory row must have two columns", line=lineno)
-        try:
-            value = float(cells[1])
-        except ValueError:
-            raise FormatError(f"bad value {cells[1]!r}", line=lineno) from None
-        if not math.isfinite(value):
-            raise FormatError(f"value must be a finite number, got {cells[1]!r}", line=lineno)
-        values.append(value)
-    return values
-
-
-def _read_trajectory_file(path: str) -> list[float]:
-    with open(path, "r") as fh:
-        return read_trajectory_csv(fh.read())
 
 
 def analyze_files(
@@ -876,11 +701,9 @@ def analyze_files(
         samples = read_samples_csv(fh.read())
     trajectories: Iterable[list[float]] = ()
     if trajectory_dir is not None:
-        names = sorted(n for n in os.listdir(trajectory_dir) if n.endswith(".csv"))
-        paths = (os.path.join(trajectory_dir, n) for n in names)
-        trajectories = map(_read_trajectory_file, paths)
+        trajectories = map(read_trajectory_csv, trajectory_texts(trajectory_dir))
     if report_path is None:
-        report_path = os.path.join(os.path.dirname(samples_path) or ".", "report.json")
+        report_path = os.path.join(os.path.dirname(samples_path) or ".", REPORT_FILE)
     return ExperimentArtifacts(
         samples_path=samples_path,
         report_path=report_path,

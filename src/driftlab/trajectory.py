@@ -1,4 +1,4 @@
-"""Recorded runs and their hitting times.
+"""Recorded runs, their hitting times, and the files a run writes.
 
 A Trajectory is what a kernel returns for the sampled path of a scalar
 potential, one value per step starting at step 0.  A run keeps only its
@@ -6,14 +6,22 @@ values, and everything downstream of the kernels takes those.  A
 HittingTimeSample is the one-number summary a simulator hands to the
 statistics layer: when the run first reached its target, or that it was
 cut off at the cap.
+
+Each artifact's name and text format is stated here once, its reader
+beside its writer: samples.csv and the trajectory CSVs, which driftlab
+analyze reads back, report.json and histogram.csv.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+from driftlab.errors import FormatError
 
 
 @dataclass
@@ -67,20 +75,33 @@ class HittingTimeSample:
 
 
 # ---------------------------------------------------------------------------
-# CSV export.  Floats are written in shortest round-trip form (Python's str),
-# so identical data always produces identical bytes.
+# The artifacts.  Floats are written in shortest round-trip form (Python's
+# str), so identical data always produces identical bytes.
+
+#: the files a run writes at the top of its output directory, and the
+#: directory of its trajectory files, one TRAJECTORY_FILE % run_id each
+SAMPLES_FILE = "samples.csv"
+REPORT_FILE = "report.json"
+HISTOGRAM_FILE = "histogram.csv"
+ARTIFACT_FILES = (SAMPLES_FILE, REPORT_FILE, HISTOGRAM_FILE)
+TRAJECTORY_DIR = "trajectories"
+TRAJECTORY_FILE = "run_%05d.csv"
+
+#: leading samples.csv columns of a stopping time, and of a scalar that is
+#: never censored (a bandit's total regret), which has no censored flag;
+#: and the trajectory CSV's header
+SAMPLE_COLUMNS = ("run_id", "seed", "stopping_time", "censored")
+REGRET_COLUMNS = ("run_id", "seed", "total_regret")
+TRAJECTORY_HEADER = "step,value"
+
+#: a bool cell's text (the censored flag, a diagnostic column), False's first
+BOOL_TEXT = ("false", "true")
 
 
 def format_value(v) -> str:
     if isinstance(v, bool):
-        return "true" if v else "false"
+        return BOOL_TEXT[v]
     return str(v)
-
-
-#: leading samples.csv columns of a stopping time, and of a scalar that is
-#: never censored (a bandit's total regret), which has no censored flag
-SAMPLE_COLUMNS = ("run_id", "seed", "stopping_time", "censored")
-REGRET_COLUMNS = ("run_id", "seed", "total_regret")
 
 
 def samples_to_csv(
@@ -95,20 +116,14 @@ def samples_to_csv(
     append per-run diagnostic columns; extra_rows must be aligned with
     samples by position.
     """
-    header = [*lead, *extra_header]
-    width = len(lead)
-    lines = [",".join(header)]
+    lines = [",".join([*lead, *extra_header])]
     extras = list(extra_rows)
     for i, s in enumerate(samples):
-        row = [str(s.run_id), str(s.seed_used), str(s.stopping_time),
-               format_value(s.censored)][:width]
+        row = [s.run_id, s.seed_used, s.stopping_time, s.censored][: len(lead)]
         if extras:
-            row.extend(format_value(v) for v in extras[i])
-        lines.append(",".join(row))
+            row.extend(extras[i])
+        lines.append(",".join(map(format_value, row)))
     return "\n".join(lines) + "\n"
-
-
-TRAJECTORY_HEADER = "step,value"
 
 
 def trajectory_to_csv(values: Sequence[float]) -> str:
@@ -125,3 +140,162 @@ def write_text(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
+
+
+def report_to_json(report: dict) -> str:
+    """report.json's text: strict JSON, so a non-finite number is a ValueError.
+
+    Float and int keys are written as repr and str write them, as in the
+    CSVs.  Only when the one dump fails are the sections dumped one by one,
+    so the error names the first that holds a non-finite number (an
+    overflowed drift moment, say); nothing is written.
+    """
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        for name, section in report.items():
+            try:
+                json.dumps(section, allow_nan=False)
+            except ValueError:
+                raise ValueError(
+                    f"report.json: {name} holds a non-finite number, "
+                    "which strict JSON cannot write"
+                ) from None
+        raise
+
+
+def histogram_to_csv(hist) -> str:
+    """histogram.csv's text: one row per bin of analysis.histogram_export's Histogram."""
+    rows = zip(hist.edges, hist.edges[1:], hist.counts, hist.densities)
+    return "bin_left,bin_right,count,density\n" + "".join(map("%s,%s,%s,%s\n".__mod__, rows))
+
+
+def is_finite(value: int | float) -> bool:
+    """False for NaN, the infinities and integers too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _parse_scalar(text: str, name: str, line: int) -> int | float:
+    """An int or float cell that is_finite accepts, or a FormatError."""
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            raise FormatError(f"bad {name} {text!r}", line=line) from None
+    if not is_finite(value):
+        raise FormatError(f"{name} must be a finite number, got {text!r}", line=line)
+    return value
+
+
+def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each nonblank line of text, the header first;
+    a blank line is counted, so an error names its file's line."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line:
+            yield lineno, line.split(",")
+
+
+def read_samples_csv(text: str) -> list[HittingTimeSample]:
+    """Parse a samples CSV back into memory, ignoring diagnostic columns.
+
+    The first line is the header, which starts with SAMPLE_COLUMNS or
+    REGRET_COLUMNS; regret rows have no censored flag and are never
+    censored.  Every value is finite (the rule the config reader applies);
+    a stopping time is nonnegative, a regret may be negative.  run_ids are
+    nonnegative and distinct.
+    """
+    if not text:
+        raise FormatError("empty samples file", line=1)
+    rows = _rows(text)
+    first, header = next(rows, (1, []))
+    leads = (SAMPLE_COLUMNS, REGRET_COLUMNS)
+    lead = next((lead for lead in leads if tuple(header[: len(lead)]) == lead), None)
+    if lead is None or first != 1:
+        expected = " or ".join(",".join(lead) for lead in leads)
+        raise FormatError(f"header must start with {expected}", line=1)
+    width = len(lead)
+    samples = []
+    seen = set()
+    for lineno, cells in rows:
+        if len(cells) < width:
+            raise FormatError(f"row has fewer than {width} columns", line=lineno)
+        flag = cells[3] if lead is SAMPLE_COLUMNS else BOOL_TEXT[False]
+        if flag not in BOOL_TEXT:
+            raise FormatError(f"bad censored flag {flag!r}", line=lineno)
+        try:
+            run_id, seed = int(cells[0]), int(cells[1])
+        except ValueError:
+            raise FormatError("run_id and seed must be integers", line=lineno) from None
+        if run_id < 0:
+            raise FormatError(f"negative run_id {cells[0]!r}", line=lineno)
+        if run_id in seen:
+            raise FormatError(f"repeated run_id {run_id}", line=lineno)
+        seen.add(run_id)
+        value = _parse_scalar(cells[2], lead[2], lineno)
+        if value < 0 and lead is SAMPLE_COLUMNS:
+            raise FormatError(f"negative stopping_time {cells[2]!r}", line=lineno)
+        samples.append(HittingTimeSample(run_id, value, flag == BOOL_TEXT[True], seed))
+    if not samples:
+        raise FormatError("no sample rows", line=2)
+    return samples
+
+
+# every ASCII byte but the comma and the line breaks str.splitlines knows,
+# for read_trajectory_csv's row check; the bytes kept are those and every
+# byte of a non-ASCII character
+_NOT_COMMA_OR_BREAK = bytes(b for b in range(128) if b not in b",\n\r\x0b\x0c\x1c\x1d\x1e")
+
+
+def read_trajectory_csv(text: str) -> list[float]:
+    """A step,value CSV's values; blank lines are skipped, the step column unread.
+
+    Every value must be a finite number, as in samples.csv.  Text that is
+    the header and rows of one comma each, every line ending in a newline,
+    is parsed with one split; any other text, and any with a bad value, is
+    read row by row, which raises the FormatError of the first bad row.
+    """
+    head = f"{TRAJECTORY_HEADER}\n"
+    if text.startswith(head) and text.endswith("\n"):
+        body = text[len(head):]
+        # one comma per row: the commas and the newlines alternate, and no
+        # other line break or non-ASCII character (surrogatepass lets any
+        # str encode) is left to make splitlines see other rows
+        marks = body.encode("utf-8", "surrogatepass").translate(None, _NOT_COMMA_OR_BREAK)
+        if marks and marks == b",\n" * (len(marks) // 2):
+            try:
+                values = list(map(float, body.replace("\n", ",").split(",")[1::2]))
+            except ValueError:
+                pass  # a bad value: the row walk names its row
+            else:
+                if math.isfinite(sum(values)):  # else NaN, an infinity or an overflow
+                    return values
+    rows = _rows(text)
+    if next(rows, (1, None))[1] != TRAJECTORY_HEADER.split(","):
+        raise FormatError(f"trajectory header must be {TRAJECTORY_HEADER}", line=1)
+    values = []
+    for lineno, cells in rows:
+        if len(cells) != 2:
+            raise FormatError("trajectory row must have two columns", line=lineno)
+        try:
+            value = float(cells[1])
+        except ValueError:
+            raise FormatError(f"bad value {cells[1]!r}", line=lineno) from None
+        if not math.isfinite(value):
+            raise FormatError(f"value must be a finite number, got {cells[1]!r}", line=lineno)
+        values.append(value)
+    if not values:
+        raise FormatError("trajectory has no rows", line=2)
+    return values
+
+
+def trajectory_texts(directory: str) -> Iterator[str]:
+    """The text of each CSV file in directory, in name order, one at a time."""
+    for name in sorted(n for n in os.listdir(directory) if n.endswith(".csv")):
+        with open(os.path.join(directory, name)) as fh:
+            text = fh.read()
+        yield text  # with the file closed

@@ -19,10 +19,11 @@ import pytest
 from driftlab.analysis import compare_bound
 from driftlab.bilinear import BilinearParams
 from driftlab.bounds import BoundSpec, tail_probability_upper
-from driftlab.experiment import ExperimentConfig, read_samples_csv, run_experiment
+from driftlab.experiment import ExperimentConfig, run_experiment
 from driftlab.recolour import generate_3colorable, random_colouring, run_recolour
 from driftlab.rng import RngStream
 from driftlab.rwab import run_rwab, sample_change_times
+from driftlab.trajectory import read_samples_csv
 from oracles import (
     SearchPair,
     biased_walk_mean_dp,

@@ -25,13 +25,16 @@ from driftlab.experiment import (
     ExperimentConfig,
     analyze_files,
     build_report,
-    read_samples_csv,
-    read_trajectory_csv,
     run_experiment,
 )
 from driftlab.rng import RngStream
 from driftlab.rwab import ACCOUNTING_MODES
-from driftlab.trajectory import narrowest_int_array
+from driftlab.trajectory import (
+    narrowest_int_array,
+    read_samples_csv,
+    read_trajectory_csv,
+    report_to_json,
+)
 
 
 def base_config(tmp_path, **overrides):
@@ -922,11 +925,11 @@ def test_cli_analyze_refuses_a_drift_moment_that_overflows(tmp_path, capsys):
 
 def test_report_to_json_is_strict_and_names_the_section():
     report = {"sample_count": 1, "summary_table": {"mean": 1.0}, "tail_report": None}
-    assert json.loads(experiment.report_to_json(report)) == report
+    assert json.loads(report_to_json(report)) == report
     for bad in (math.inf, -math.inf, math.nan):
         report["summary_table"]["freq_at_multiples"] = {1.0: bad}
         with pytest.raises(ValueError, match="^report.json: summary_table holds"):
-            experiment.report_to_json(report)
+            report_to_json(report)
 
 
 def test_read_samples_accepts_a_negative_regret():

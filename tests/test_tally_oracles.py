@@ -42,8 +42,8 @@ from driftlab.analysis import (
 )
 from driftlab.bounds import BoundSpec, tail_probability_upper
 from driftlab.errors import FormatError
-from driftlab.experiment import AnalysisBlock, build_report, report_to_json
-from driftlab.trajectory import HittingTimeSample, Trajectory, format_value
+from driftlab.experiment import AnalysisBlock, build_report
+from driftlab.trajectory import HittingTimeSample, Trajectory, format_value, report_to_json
 
 # ---------------------------------------------------------------------------
 # Oracles: the loop forms, verbatim.
@@ -189,11 +189,12 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def read_trajectory_csv(text: str) -> Trajectory:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "step,value":
+    # each nonblank line with its number in the file, blank lines counted
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln]
+    if not lines or lines[0][1] != "step,value":
         raise FormatError("trajectory header must be step,value", line=1)
     values = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in lines[1:]:
         cells = raw.split(",")
         if len(cells) != 2:
             raise FormatError("trajectory row must have two columns", line=lineno)
@@ -498,7 +499,7 @@ def trajectory_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(trajectory_texts())
 def test_trajectory_reader_matches_the_row_scan(text):
-    assert read_outcome(experiment.read_trajectory_csv, text) == read_outcome(
+    assert read_outcome(trajectory.read_trajectory_csv, text) == read_outcome(
         read_values, text
     )
 
@@ -525,7 +526,7 @@ def written_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(written_texts())
 def test_written_form_with_one_change_reads_like_the_row_scan(text):
-    assert read_outcome(experiment.read_trajectory_csv, text) == read_outcome(
+    assert read_outcome(trajectory.read_trajectory_csv, text) == read_outcome(
         read_values, text
     )
 
@@ -534,7 +535,7 @@ def test_written_form_with_one_change_reads_like_the_row_scan(text):
 @given(st.lists(csv_values, min_size=1, max_size=50))
 def test_written_trajectories_read_back_like_the_row_scan(values):
     text = trajectory.trajectory_to_csv(values)
-    assert read_outcome(experiment.read_trajectory_csv, text) == read_outcome(
+    assert read_outcome(trajectory.read_trajectory_csv, text) == read_outcome(
         read_values, text
     )
 
@@ -544,7 +545,7 @@ def test_trajectory_reader_errors_match_the_row_scan():
         "step,value\n0,1\n1\n",  # a row with no comma
         "step,value\n0,1\n1,2,3\n",  # a row with two commas
         "step,value\n0,1\n1,abc\n",  # a bad value
-        "step,value\n\n0,1\n\n\n1,x\n",  # blank lines do not count as lines
+        "step,value\n\n0,1\n\n\n1,x\n",  # blank lines count as lines
         "step,value\n",  # header only
         "step,value\n\n\n",
         "",
@@ -560,15 +561,15 @@ def test_trajectory_reader_errors_match_the_row_scan():
         "step,value\n0,nan\n1,x\n",  # the first bad row is named
         "step,value\n0,1e308\n1,1e308\n",  # finite values whose sum overflows
     ]:
-        new = read_outcome(experiment.read_trajectory_csv, text)
+        new = read_outcome(trajectory.read_trajectory_csv, text)
         assert new == read_outcome(read_values, text)
-    assert read_outcome(experiment.read_trajectory_csv, "step,value\n\n0,1\n\n\n1,x\n") == (
-        "raised", FormatError, "line 3: bad value 'x'", 3
+    assert read_outcome(trajectory.read_trajectory_csv, "step,value\n\n0,1\n\n\n1,x\n") == (
+        "raised", FormatError, "line 6: bad value 'x'", 6
     )
-    assert read_outcome(experiment.read_trajectory_csv, "step,value\n0,1\n1,-inf\n") == (
+    assert read_outcome(trajectory.read_trajectory_csv, "step,value\n0,1\n1,-inf\n") == (
         "raised", FormatError, "line 3: value must be a finite number, got '-inf'", 3
     )
-    assert read_outcome(experiment.read_trajectory_csv, "step,value\n0,1e308\n1,1e308\n") == (
+    assert read_outcome(trajectory.read_trajectory_csv, "step,value\n0,1e308\n1,1e308\n") == (
         "ok", "[1e+308, 1e+308]"
     )
 
@@ -606,11 +607,11 @@ def test_streamed_reanalysis_equals_the_report_over_the_fully_read_list(trajs, c
         with open(report_path) as fh:
             streamed = fh.read()
         with open(samples_path) as fh:
-            samples = experiment.read_samples_csv(fh.read())
+            samples = trajectory.read_samples_csv(fh.read())
         read = []
         for name in sorted(os.listdir(trajectory_dir)):
             with open(os.path.join(trajectory_dir, name)) as fh:
-                read.append(experiment.read_trajectory_csv(fh.read()))
+                read.append(trajectory.read_trajectory_csv(fh.read()))
     assert streamed == report_to_json(build_report(samples, block, read))
 
 

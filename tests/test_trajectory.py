@@ -1,10 +1,15 @@
 """Trajectory bookkeeping, samples, and CSV rendering."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.experiment import run_replication
 from driftlab.trajectory import (
+    REGRET_COLUMNS,
+    SAMPLE_COLUMNS,
     HittingTimeSample,
     format_value,
+    read_samples_csv,
     samples_to_csv,
     trajectory_to_csv,
 )
@@ -72,6 +77,42 @@ def test_samples_to_csv_extra_columns():
     samples = [HittingTimeSample(run_id=0, stopping_time=7, censored=False, seed_used=0)]
     text = samples_to_csv(samples, ("flag",), [(True,)])
     assert text.splitlines() == ["run_id,seed,stopping_time,censored,flag", "0,0,7,false,true"]
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+#: a stopping time is a nonnegative int or float; a regret may be negative
+stopping_times = st.one_of(st.integers(0, 10**20), finite_floats.map(abs))
+regrets = st.one_of(st.integers(-(10**20), 10**20), finite_floats)
+
+
+@st.composite
+def written_samples(draw):
+    """samples_to_csv's arguments: samples under either lead, 0-3 extra columns."""
+    lead = draw(st.sampled_from([SAMPLE_COLUMNS, REGRET_COLUMNS]))
+    regret = lead is REGRET_COLUMNS
+    run_ids = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=20, unique=True))
+    samples = [
+        HittingTimeSample(
+            run_id=run_id,
+            stopping_time=draw(regrets if regret else stopping_times),
+            censored=False if regret else draw(st.booleans()),
+            seed_used=draw(st.integers(0, 2**64 - 1)),
+        )
+        for run_id in run_ids
+    ]
+    width = draw(st.integers(0, 3))
+    cell = st.one_of(st.booleans(), st.integers(), finite_floats)
+    rows = [draw(st.lists(cell, min_size=width, max_size=width)) for _ in samples]
+    return samples, [f"extra_{j}" for j in range(width)], rows, lead
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_samples())
+def test_samples_csv_reads_back_the_samples_it_wrote(written):
+    samples, header, rows, lead = written
+    text = samples_to_csv(samples, header, rows, lead=lead)
+    # repr tells an int from the equal float, so each value keeps its type
+    assert list(map(repr, read_samples_csv(text))) == list(map(repr, samples))
 
 
 def test_trajectory_to_csv_round_trip_floats():
