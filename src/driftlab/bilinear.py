@@ -62,10 +62,10 @@ optimum belongs to 3, so the five labels partition the count pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 from math import inf
 
-from driftlab.rng import RngStream, below, index_limit
+from driftlab.rng import RngStream, bits, index_limit
 from driftlab.trajectory import Trajectory
 
 #: acceptance payoffs run_until_opt understands.
@@ -250,15 +250,13 @@ def run_until_opt(
 ) -> BilinearRunResult:
     """Search from drawn bits until the optimum region or cap.
 
-    The 2n start bits, x then y, are 1 where their word is below
-    below(0.5).  payoff picks the acceptance ranking: "plain" compares the
-    bare objective, "corrected" the objective with its tie-breaking terms
-    (see the module docstring).
+    The 2n start bits, x then y, are one rng.bits draw.  payoff picks the
+    acceptance ranking: "plain" compares the bare objective, "corrected"
+    the objective with its tie-breaking terms (see the module docstring).
     """
     n = params.n
-    bits = bytearray(map(below(0.5).__gt__, islice(stream.words(), 2 * n)))
-    stream.draw_counter += 2 * n
-    classes = bits[:n] + bits[n:].translate(_PLUS_TWO)
+    drawn = bits(stream, 2 * n)
+    classes = drawn[:n] + drawn[n:].translate(_PLUS_TWO)
     return run_search(params, stream, classes, cap, 0, inf, payoff == "plain", record)
 
 

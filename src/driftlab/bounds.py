@@ -20,6 +20,9 @@ probability.  Families:
   Pr(T >= r * n^2) <= (1/r)^(1 / (ell * ln c)) at tau = r * n^2.
   Logarithms here are natural.
 
+The first four families' tails are exp(-scale * tau * rate / (e * b**power));
+the table _TAILS holds each one's rate field (required > 0), scale and power.
+
 Tail values are clamped into [0, 1]; a clamped bound is vacuous, not wrong.
 Neither evaluator raises on a spec BoundSpec accepts, but for the expected
 time of KotzingPolynomial, which has none: a tail past the float range is
@@ -32,15 +35,13 @@ import math
 import sys
 from dataclasses import dataclass
 
-KINDS = (
-    "NegativeDriftVariance",
-    "StandardVariance",
-    "TwoAbsorbing",
-    "Additive",
-    "KotzingPolynomial",
-)
-
-_NEEDS_DELTA = {"NegativeDriftVariance", "StandardVariance", "TwoAbsorbing"}
+_TAILS = {
+    "NegativeDriftVariance": ("delta", 1.0, 2),
+    "StandardVariance": ("delta", 1.0, 2),
+    "TwoAbsorbing": ("delta", 2.0, 2),
+    "Additive": ("epsilon", 1.0, 1),
+}
+KINDS = (*_TAILS, "KotzingPolynomial")
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,10 @@ class BoundSpec:
             raise ValueError(f"{self.kind} requires b > 0, got {self.b!r}")
         if not 0 <= self.x0 <= self.b:
             raise ValueError(f"x0 must lie in [0, b], got {self.x0!r}")
-        if self.kind in _NEEDS_DELTA:
-            if self.delta is None or not self.delta > 0:
-                raise ValueError(f"{self.kind} requires delta > 0")
-        if self.kind == "Additive":
-            if self.epsilon is None or not self.epsilon > 0:
-                raise ValueError("Additive requires epsilon > 0")
+        name = _TAILS[self.kind][0]
+        rate = getattr(self, name)
+        if rate is None or not rate > 0:
+            raise ValueError(f"{self.kind} requires {name} > 0")
 
 
 def _product_over(p: float, b: float, q: float, delta: float) -> float:
@@ -157,12 +156,9 @@ def tail_probability_upper(spec: BoundSpec, tau: float) -> float:
     """Probability ceiling for the event {T at least tau}, clamped to [0, 1]."""
     if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau!r}")
-    if spec.kind in ("NegativeDriftVariance", "StandardVariance"):
-        raw = _exp_tail(1.0, tau, spec.delta, spec.b, 2)
-    elif spec.kind == "TwoAbsorbing":
-        raw = _exp_tail(2.0, tau, spec.delta, spec.b, 2)
-    elif spec.kind == "Additive":
-        raw = _exp_tail(1.0, tau, spec.epsilon, spec.b, 1)
+    if spec.kind in _TAILS:
+        name, scale, power = _TAILS[spec.kind]
+        raw = _exp_tail(scale, tau, getattr(spec, name), spec.b, power)
     else:  # KotzingPolynomial
         if tau <= spec.n**2:  # exact, also where n**2 is past the float range
             return 1.0

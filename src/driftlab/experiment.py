@@ -22,7 +22,6 @@ import os
 import shutil
 from array import array
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from fnmatch import fnmatchcase
 from functools import cache
 from types import UnionType
 from typing import Iterable, Sequence, Union, get_args, get_origin, get_type_hints
@@ -60,6 +59,7 @@ from driftlab.trajectory import (
     HittingTimeSample,
     histogram_to_csv,
     is_finite,
+    is_trajectory_file,
     narrowest_int_array,
     read_samples_csv,
     read_trajectory_csv,
@@ -598,8 +598,7 @@ def _foreign_path(out: str) -> str | None:
     for entry in sorted(os.scandir(out), key=lambda e: e.name):
         if entry.name == TRAJECTORY_DIR and entry.is_dir(follow_symlinks=False):
             for run in sorted(os.scandir(entry.path), key=lambda e: e.name):
-                is_run = fnmatchcase(run.name, TRAJECTORY_FILE.replace("%05d", "*"))
-                if not (is_run and run.is_file(follow_symlinks=False)):
+                if not (is_trajectory_file(run.name) and run.is_file(follow_symlinks=False)):
                     return run.path
         elif not (entry.name in ARTIFACT_FILES and entry.is_file(follow_symlinks=False)):
             return entry.path

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
-from driftlab.rng import RngStream, below, index_limit
+from driftlab.rng import RngStream, below, bits, index_limit
 from driftlab.trajectory import Trajectory
 
 
@@ -54,11 +53,7 @@ def generate_3colorable(stream: RngStream, n: int, edge_prob: float) -> list[int
     return adj
 
 
-def random_colouring(stream: RngStream, n: int) -> bytearray:
-    """n uniform colours: a vertex is 1 when its word is below below(0.5)."""
-    colouring = bytearray(map(below(0.5).__gt__, islice(stream.words(), n)))
-    stream.draw_counter += n
-    return colouring
+random_colouring = bits  # (stream, n): a uniform 2-colouring of n vertices
 
 
 def seek_monochromatic_triangle(adj: list[int], colouring) -> tuple[int, int, int] | None:

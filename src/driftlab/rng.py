@@ -29,7 +29,8 @@ words from ``words()`` and test them against integer bounds: a
 Bernoulli(p) draw is ``w < below(p)``, and an index in {0..k-1} rejects
 ``w >= index_limit(k)`` and takes ``w % k``, so each draw equals the
 scalar call's.  ``words()`` never moves ``draw_counter``: a kernel counts
-the words it takes and sets the counter once, where it stops.
+the words it takes and sets the counter once, where it stops.  ``bits``
+is the one draw of a run's uniform start bits.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
@@ -182,3 +183,10 @@ class RngStream:
         after other draws, make a fresh one.
         """
         return chain.from_iterable(_blocks(self._key, self.draw_counter))
+
+
+def bits(stream: RngStream, n: int) -> bytearray:
+    """n bits, each next_uniform() < 0.5 of its word; draw_counter moves n words."""
+    drawn = bytearray(map(below(0.5).__gt__, islice(stream.words(), n)))
+    stream.draw_counter += n
+    return drawn

@@ -15,10 +15,9 @@ assignment is a bytearray of 0/1 with one entry per variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
-from driftlab.rng import RngStream, below, index_limit
+from driftlab.rng import RngStream, bits, index_limit
 from driftlab.trajectory import Trajectory
 
 Literal = tuple[int, bool]
@@ -38,11 +37,7 @@ def agreement_count(a, b) -> int:
     return sum(1 for x, y in zip(a, b) if bool(x) == bool(y))
 
 
-def random_assignment(stream: RngStream, n: int) -> bytearray:
-    """n uniform bits: a bit is 1 when its word is below below(0.5)."""
-    bits = bytearray(map(below(0.5).__gt__, islice(stream.words(), n)))
-    stream.draw_counter += n
-    return bits
+random_assignment = bits  # (stream, n): a uniform assignment of n variables
 
 
 def generate_planted(stream: RngStream, n: int, m: int) -> tuple[tuple[Clause, ...], bytes]:

@@ -87,6 +87,14 @@ ARTIFACT_FILES = (SAMPLES_FILE, REPORT_FILE, HISTOGRAM_FILE)
 TRAJECTORY_DIR = "trajectories"
 TRAJECTORY_FILE = "run_%05d.csv"
 
+
+def is_trajectory_file(name: str) -> bool:
+    """Whether name is TRAJECTORY_FILE % run_id for a run_id >= 0, of any length."""
+    head, tail = TRAJECTORY_FILE.split("%05d")
+    digits = name.removeprefix(head).removesuffix(tail)
+    return digits.isdecimal() and TRAJECTORY_FILE % int(digits) == name
+
+
 #: leading samples.csv columns of a stopping time, and of a scalar that is
 #: never censored (a bandit's total regret), which has no censored flag;
 #: and the trajectory CSV's header

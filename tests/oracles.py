@@ -4,7 +4,8 @@ Nothing here runs under a ``driftlab`` command or the benchmark.  Each
 function is evidence for a kernel, written from the definition and kept
 independent of the fast path it checks:
 
-* walks: exact expected hitting times from the one-step recurrences;
+* walks: exact expected hitting times from the one-step recurrences, and
+  the exact survival P(T > t) by a forward DP over the unabsorbed mass;
 * bilinear: the search state as an (x, y) pair with its one-counts, the
   side of the optimum a pair sits on, the start bits on scalar draws, the
   integer-scaled payoff n^3 * g, the pairwise-dominance chain and the
@@ -84,6 +85,45 @@ def lazy_walk_mean_dp(b: int, x0: int, delta: float) -> float:
     for x in range(b - 1, 0, -1):
         e[x] = e[x + 1] + 2.0 / delta
     return float(sum(e[1 : x0 + 1]))
+
+
+def _walk_moves(kind: str, b: int, p_up: float = 0.5, delta: float = 1.0) -> dict:
+    """Each transient state of a synthetic walk -> its [(next state, probability)]."""
+    if kind == "synthetic_fair":  # absorbed at 0 and b
+        return {x: [(x - 1, 0.5), (x + 1, 0.5)] for x in range(1, b)}
+    if kind == "synthetic_biased":  # forced up from 0, absorbed at b
+        moves = {x: [(x + 1, p_up), (x - 1, 1.0 - p_up)] for x in range(1, b)}
+        return {0: [(1, 1.0)], **moves}
+    if kind != "synthetic_lazy":
+        raise ValueError(f"not a walk: {kind!r}")
+    # absorbed at 0; at b the up-move is folded into the hold
+    moves = {x: [(x - 1, delta / 2), (x + 1, delta / 2), (x, 1.0 - delta)] for x in range(1, b)}
+    moves[b] = [(b - 1, delta), (b, 1.0 - delta)]
+    return moves
+
+
+def walk_survival(kind: str, params: dict, steps: int) -> list[float]:
+    """P(T > t) for t = 0..steps of a synthetic walk with these config params.
+
+    A forward DP over the mass not yet absorbed: mass[x] is the probability
+    of standing at transient state x after t steps, never absorbed; each
+    step pushes it along _walk_moves and drops what lands on an absorbing
+    state, and P(T > t) is what is left.  O(b * steps), exact up to float
+    rounding, and independent of the simulators' draws.
+    """
+    rates = {k: v for k, v in params.items() if k in ("p_up", "delta")}
+    moves = _walk_moves(kind, params["b"], **rates)
+    mass = {params["x0"]: 1.0} if params["x0"] in moves else {}
+    survival = [math.fsum(mass.values())]
+    for _ in range(steps):
+        after = dict.fromkeys(moves, 0.0)
+        for x, m in mass.items():
+            for y, p in moves[x]:
+                if y in after:
+                    after[y] += m * p
+        mass = after
+        survival.append(math.fsum(mass.values()))
+    return survival
 
 
 # ---------------------------------------------------------------------------

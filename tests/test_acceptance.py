@@ -11,6 +11,7 @@ run pytest with -s to see the measured numbers on passing tests.
 import math
 import statistics
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +34,7 @@ from oracles import (
     lazy_walk_mean_dp,
     rls_pd_step,
     theoretical_regret_bound,
+    walk_survival,
 )
 
 E = math.e
@@ -176,6 +178,23 @@ def test_criterion_03_lazy_walk_mean_and_variance_tail(lab):
         f"criterion 3: PASS - lazy walk mean {mean:.2f} within 5% of {oracle:.0f}, "
         f"no tail violation on 5-point grid, {run['duration']:.1f}s"
     )
+
+
+@pytest.mark.parametrize("name", ["fair", "biased", "lazy"])
+def test_walk_survival_lies_in_the_dkw_band_of_the_exact_law(lab, name):
+    # Dvoretzky-Kiefer-Wolfowitz with Massart's constant: for n iid draws,
+    # Pr(sup_t |empirical - exact| > eps) <= 2 exp(-2 n eps^2) = alpha
+    alpha = 1e-6
+    config, samples = EXPERIMENTS[name], lab[name]["samples"]
+    n = len(samples)
+    eps = math.sqrt(math.log(2 / alpha) / (2 * n))
+    assert not any(s.censored for s in samples)
+    times = sorted(s.stopping_time for s in samples)
+    # past the longest run the empirical survival is 0 and the exact one falls
+    exact = walk_survival(config["kind"], config["params"], times[-1])
+    gap = max(abs((n - bisect_right(times, t)) / n - s) for t, s in enumerate(exact))
+    assert gap <= eps
+    print(f"{name} walk: PASS - sup_t |empirical - exact| {gap:.4f} <= {eps:.4f}")
 
 
 def test_criterion_04_sat2_quadratic_tail_and_solutions(lab):

@@ -657,6 +657,9 @@ def test_a_run_that_fails_leaves_the_old_directory_as_it_was(tmp_path, monkeypat
         ("notes.txt", "notes.txt"),
         ("trajectories/notes.txt", "trajectories/notes.txt"),
         ("trajectories/run_00000.csv/x", "trajectories/run_00000.csv"),
+        ("trajectories/run_notes.csv", "trajectories/run_notes.csv"),
+        ("trajectories/run_7.csv", "trajectories/run_7.csv"),
+        ("trajectories/run_000001.csv", "trajectories/run_000001.csv"),
         ("extra/x", "extra"),
     ],
 )

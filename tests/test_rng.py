@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.rng import RngStream, _GOLDEN, _blocks, _mix64, below, index_limit
+from driftlab.rng import RngStream, _GOLDEN, _blocks, _mix64, below, bits, index_limit
 
 MASK = (1 << 64) - 1
 
@@ -374,3 +374,17 @@ def test_a_stream_that_has_drawn_equals_a_fresh_one_at_its_counter():
 def test_blocks_double_from_64_to_1024_from_any_start(start):
     key = RngStream(master_seed=5)._key
     assert [len(b) for b in islice(_blocks(key, start), 6)] == [64, 128, 256, 512, 1024, 1024]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=MASK),
+    sid=st.integers(min_value=0, max_value=2**32),
+    start=st.one_of(st.sampled_from(GROWTH_EDGES), st.integers(min_value=0, max_value=2**63)),
+    n=st.sampled_from([0, 1, 63, 64, 65, 191, 192, 2000]),
+)
+@settings(max_examples=60, deadline=None)
+def test_bits_are_scalar_coin_flips_and_move_the_counter_n_words(seed, sid, start, n):
+    stream = RngStream(master_seed=seed, stream_id=sid, draw_counter=start)
+    scalar = RngStream(master_seed=seed, stream_id=sid, draw_counter=start)
+    assert bits(stream, n) == bytearray(scalar.next_uniform() < 0.5 for _ in range(n))
+    assert stream.draw_counter == scalar.draw_counter == start + n

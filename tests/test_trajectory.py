@@ -7,8 +7,10 @@ from driftlab.experiment import run_replication
 from driftlab.trajectory import (
     REGRET_COLUMNS,
     SAMPLE_COLUMNS,
+    TRAJECTORY_FILE,
     HittingTimeSample,
     format_value,
+    is_trajectory_file,
     read_samples_csv,
     samples_to_csv,
     trajectory_to_csv,
@@ -120,3 +122,11 @@ def test_trajectory_to_csv_round_trip_floats():
     assert lines[0] == "step,value"
     # shortest round-trip repr: parsing back recovers the exact float
     assert float(lines[2].split(",")[1]) == 0.30000000000000004
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+def test_a_trajectory_file_is_named_by_its_run_id_alone(run_id):
+    name = TRAJECTORY_FILE % run_id
+    assert is_trajectory_file(name)  # also past 99999, where the id outgrows the padding
+    assert not is_trajectory_file(name.replace("_", "_0"))  # one zero too many
+    assert is_trajectory_file(f"run_{run_id}.csv") == (run_id >= 10**4)  # unpadded

@@ -1,5 +1,6 @@
 """Walk simulators against their exact mean oracles and draw contracts."""
 
+import math
 import re
 from fractions import Fraction
 from functools import partial
@@ -8,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.rng import RngStream
+from driftlab.rng import RngStream, below
 from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
-from oracles import biased_walk_mean_dp, fair_walk_mean, lazy_walk_mean_dp, read_config
+from oracles import (
+    biased_walk_mean_dp,
+    fair_walk_mean,
+    lazy_walk_mean_dp,
+    read_config,
+    walk_survival,
+)
 
 
 def test_fair_walk_started_on_boundary_stops_immediately():
@@ -274,3 +281,86 @@ def test_lazy_walk_path_stays_in_range_with_small_steps(seed, b, data):
     assert all(0 <= v <= b for v in traj.values)
     if not sample.censored:
         assert traj.values[-1] == 0
+
+
+# -- exact survival ----------------------------------------------------------
+
+# kind -> its simulator, and the probabilities whose below() bounds cut the
+# words into the cells that decide its moves
+WALKS = {
+    "synthetic_fair": (simulate_fair_walk, lambda params: [0.5]),
+    "synthetic_biased": (simulate_biased_walk, lambda params: [params["p_up"]]),
+    "synthetic_lazy": (simulate_lazy_walk, lambda params: [params["delta"] / 2, params["delta"]]),
+}
+
+
+class OneWord:
+    """A stream whose words() yields one given word: enough for one step."""
+
+    stream_id = draw_counter = 0
+
+    def __init__(self, word):
+        self.word = word
+
+    def words(self):
+        return iter((self.word,))
+
+
+def survival_by_paths(kind, params, steps):
+    """P(T > t) for t = 0..steps, summed path by path over the kernel's own steps.
+
+    Each step draws one word; a word from each cell the kernel's bounds cut
+    [0, 2**64) into stands for its cell, weighted by the cell's share.  The
+    kernel run for one step from x on that word gives the next state and
+    whether the walk is still alive.  Every alive path adds its weight at
+    each step it survives, with no state merged: up to 3**steps paths.
+    """
+    simulate, cuts = WALKS[kind]
+    rates = {k: v for k, v in params.items() if k not in ("b", "x0")}
+    edges = sorted({0, 1 << 64, *map(below, cuts(params))})
+    cells = [(lo, (hi - lo) / (1 << 64)) for lo, hi in zip(edges, edges[1:])]
+
+    def run(x, cap, word=0):
+        sample, traj = simulate(OneWord(word), b=params["b"], x0=x, cap=cap, record=True, **rates)
+        return traj.values[-1], sample.censored
+
+    moves = {x: [(*run(x, 1, word), p) for word, p in cells] for x in range(params["b"] + 1)}
+    survival = [0.0] * (steps + 1)
+
+    def walk(x, t, weight):
+        survival[t] += weight
+        if t < steps:
+            for y, alive, p in moves[x]:
+                if alive:
+                    walk(y, t + 1, weight * p)
+
+    if run(params["x0"], 0)[1]:  # censored at cap 0: not absorbed at the start
+        walk(params["x0"], 0, 1.0)
+    return survival
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(WALKS)),
+    b=st.integers(min_value=1, max_value=6),
+    steps=st.integers(min_value=0, max_value=12),
+    data=st.data(),
+)
+def test_survival_dp_matches_path_enumeration(kind, b, steps, data):
+    params = {"b": b, "x0": data.draw(st.integers(min_value=0, max_value=b))}
+    if kind == "synthetic_biased":
+        params["p_up"] = data.draw(st.floats(min_value=0.5, max_value=1.0, exclude_min=True))
+    if kind == "synthetic_lazy":
+        params["delta"] = data.draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    exact = walk_survival(kind, params, steps)
+    assert exact == pytest.approx(survival_by_paths(kind, params, steps), abs=1e-12)
+
+
+def test_survival_sums_to_the_mean():
+    # E[T] = sum over t >= 0 of P(T > t); the tails past 5000 steps are negligible
+    for kind, params, mean in [
+        ("synthetic_fair", {"b": 20, "x0": 10}, fair_walk_mean(20, 10)),
+        ("synthetic_biased", {"b": 50, "x0": 0, "p_up": 0.75}, biased_walk_mean_dp(50, 0, 0.75)),
+        ("synthetic_lazy", {"b": 10, "x0": 10, "delta": 0.5}, lazy_walk_mean_dp(10, 10, 0.5)),
+    ]:
+        assert math.fsum(walk_survival(kind, params, 5000)) == pytest.approx(mean, rel=1e-9)
