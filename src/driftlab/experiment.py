@@ -65,6 +65,7 @@ from driftlab.trajectory import (
     read_trajectory_csv,
     report_to_json,
     samples_to_csv,
+    trajectory_csv_pieces,
     trajectory_texts,
     trajectory_to_csv,
     write_text,
@@ -652,10 +653,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
     try:
         text = samples_to_csv(samples, params.columns, extras, lead=params.lead)
         write_text(os.path.join(partial, SAMPLES_FILE), text)
+        pieces = trajectory_csv_pieces(trajectories)
         for r in replications:
             if r.trajectory is not None:  # recorded
                 path = os.path.join(partial, TRAJECTORY_DIR, TRAJECTORY_FILE % r.sample.run_id)
-                write_text(path, trajectory_to_csv(r.trajectory))
+                write_text(path, trajectory_to_csv(r.trajectory, pieces))
+        del pieces
         report_path = os.path.join(partial, REPORT_FILE)
         violated = write_report(samples, config.analysis, trajectories, report_path)
         bins = config.analysis.histogram_bins

@@ -19,6 +19,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from driftlab.errors import FormatError
@@ -76,7 +77,8 @@ class HittingTimeSample:
 
 # ---------------------------------------------------------------------------
 # The artifacts.  Floats are written in shortest round-trip form (Python's
-# str), so identical data always produces identical bytes.
+# str), and a trajectory's ints in decimal, so identical data always
+# produces identical bytes.
 
 #: the files a run writes at the top of its output directory, and the
 #: directory of its trajectory files, one TRAJECTORY_FILE % run_id each
@@ -134,13 +136,34 @@ def samples_to_csv(
     return "\n".join(lines) + "\n"
 
 
-def trajectory_to_csv(values: Sequence[float]) -> str:
-    """Render one trajectory's values as CSV text with header TRAJECTORY_HEADER.
+#: a run's trajectory CSV texts: "%d," % t for each row index t below the
+#: longest trajectory's length, and "%d\n" % v by each distinct value v
+CsvPieces = tuple[list[str], dict[int, str]]
 
-    Values are numbers, each written with str (floats in shortest
-    round-trip form), one row per step.
+
+def trajectory_csv_pieces(trajectories: Sequence[Sequence[int]]) -> CsvPieces:
+    """The row texts every trajectory_to_csv of one run joins, each formatted once.
+
+    They hold one string per row index of the longest trajectory and one
+    per distinct value, so a run writing many files converts each index
+    and each state to text once, not once per file.  The caller keeps them
+    only while it writes the run's files.  No trajectories give no pieces.
     """
-    return f"{TRAJECTORY_HEADER}\n" + "".join(map("%s,%s\n".__mod__, enumerate(values)))
+    longest = max(map(len, trajectories), default=0)
+    steps = list(map("%d,".__mod__, range(longest)))
+    return steps, {v: "%d\n" % v for v in set().union(*trajectories)}
+
+
+def trajectory_to_csv(values: Sequence[int], pieces: CsvPieces) -> str:
+    """Render one int trajectory as CSV text with header TRAJECTORY_HEADER.
+
+    One row per step, its index and its value in decimal, joined from
+    pieces, which trajectory_csv_pieces built from trajectories including
+    this one.
+    """
+    steps, texts = pieces
+    rows = chain.from_iterable(zip(steps, map(texts.__getitem__, values)))
+    return f"{TRAJECTORY_HEADER}\n" + "".join(rows)
 
 
 def write_text(path: str, text: str) -> None:

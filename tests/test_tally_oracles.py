@@ -12,7 +12,9 @@ trajectories (all a simulator records) every estimate and report must be
 byte-equal to the oracles; on fractional ones the drift moments may
 differ in the last bits, because the tallied sums are added in another
 order.  A streamed reanalysis must write the same bytes as build_report
-over the fully read trajectories.
+over the fully read trajectories.  The package writes int trajectories
+only, so the row-loop writer also writes the float text the reader tests
+read back.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import partial
 from typing import Iterable, Sequence
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +47,7 @@ from driftlab.bounds import BoundSpec, tail_probability_upper
 from driftlab.errors import FormatError
 from driftlab.experiment import AnalysisBlock, build_report
 from driftlab.trajectory import HittingTimeSample, Trajectory, format_value, report_to_json
+from test_experiment import RECORDING, recording_config
 
 # ---------------------------------------------------------------------------
 # Oracles: the loop forms, verbatim.
@@ -432,20 +436,56 @@ csv_values = st.one_of(
     st.sampled_from([1e16, -0.0, 1e-7, 0.1 + 0.2, 0.0, -1e300, 5e-324]),
 )
 
+#: the largest value each of the typecodes "bhiq" holds
+TYPECODE_TOPS = [2**7 - 1, 2**15 - 1, 2**31 - 1, 2**63 - 1]
+
+
+@st.composite
+def held_trajectory(draw):
+    """A recorded trajectory as a run holds it, in narrowest_int_array's array."""
+    top = draw(st.sampled_from(TYPECODE_TOPS))
+    values = draw(
+        st.lists(st.one_of(int_steps, st.integers(-top - 1, top)), min_size=1, max_size=60)
+    )
+    return trajectory.narrowest_int_array(values)
+
+
+def written_with_shared_pieces(trajs) -> list[str]:
+    """Each trajectory's text, written with one trajectory_csv_pieces shared by all."""
+    pieces = trajectory.trajectory_csv_pieces(trajs)
+    texts = [trajectory.trajectory_to_csv(values, pieces) for values in trajs]
+    assert texts == [trajectory_to_csv(Trajectory(values=list(values))) for values in trajs]
+    return texts
+
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(csv_values, min_size=1, max_size=50))
-def test_trajectory_csv_is_byte_equal_to_the_row_loop(values):
-    assert trajectory.trajectory_to_csv(values) == trajectory_to_csv(Trajectory(values=values))
+@given(st.lists(held_trajectory(), min_size=1, max_size=8))
+def test_trajectory_csv_is_byte_equal_to_the_row_loop(trajs):
+    written_with_shared_pieces(trajs)
 
 
 def test_trajectory_csv_fixed_values():
-    values = [1e16, -0.0, 1e-7, 0.1 + 0.2, 3, -4, 2.5]
-    text = trajectory.trajectory_to_csv(values)
-    assert text == trajectory_to_csv(Trajectory(values=values))
-    assert text == (
-        "step,value\n0,1e+16\n1,-0.0\n2,1e-07\n3,0.30000000000000004\n4,3\n5,-4\n6,2.5\n"
-    )
+    trajs = [[3, -4, 0, 127], [300, -300], [-128, 128, -32769], [2**31, -(2**63)]]
+    held = list(map(trajectory.narrowest_int_array, trajs))
+    assert [a.typecode for a in held] == ["b", "h", "i", "q"]
+    assert written_with_shared_pieces(held) == [
+        "step,value\n0,3\n1,-4\n2,0\n3,127\n",
+        "step,value\n0,300\n1,-300\n",
+        "step,value\n0,-128\n1,128\n2,-32769\n",
+        "step,value\n0,2147483648\n1,-9223372036854775808\n",
+    ]
+    # a run that records nothing still builds its pieces: none
+    assert trajectory.trajectory_csv_pieces([]) == ([], {})
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDING))
+def test_each_trajectory_file_is_the_row_loop_text_of_its_run(tmp_path, kind):
+    config = recording_config(tmp_path, kind)
+    directory = experiment.run_experiment(config).trajectory_dir
+    for run_id in range(config.runs):
+        values = experiment.run_replication(config, run_id).trajectory.tolist()
+        with open(os.path.join(directory, trajectory.TRAJECTORY_FILE % run_id), "rb") as fh:
+            assert fh.read() == trajectory_to_csv(Trajectory(values=values)).encode()
 
 
 def read_outcome(fn, text):
@@ -534,7 +574,7 @@ def test_written_form_with_one_change_reads_like_the_row_scan(text):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(csv_values, min_size=1, max_size=50))
 def test_written_trajectories_read_back_like_the_row_scan(values):
-    text = trajectory.trajectory_to_csv(values)
+    text = trajectory_to_csv(Trajectory(values=values))
     assert read_outcome(trajectory.read_trajectory_csv, text) == read_outcome(
         read_values, text
     )
@@ -587,7 +627,7 @@ def write_artifacts(directory: str, trajs: list[list], censored) -> tuple[str, s
     os.makedirs(trajectory_dir)
     for i, traj in enumerate(trajs):
         path = os.path.join(trajectory_dir, f"run_{i:05d}.csv")
-        trajectory.write_text(path, trajectory.trajectory_to_csv(traj))
+        trajectory.write_text(path, trajectory_to_csv(Trajectory(values=traj)))
     return samples_path, trajectory_dir
 
 

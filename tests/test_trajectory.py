@@ -12,8 +12,8 @@ from driftlab.trajectory import (
     format_value,
     is_trajectory_file,
     read_samples_csv,
+    read_trajectory_csv,
     samples_to_csv,
-    trajectory_to_csv,
 )
 from oracles import read_config
 
@@ -117,11 +117,11 @@ def test_samples_csv_reads_back_the_samples_it_wrote(written):
     assert list(map(repr, read_samples_csv(text))) == list(map(repr, samples))
 
 
-def test_trajectory_to_csv_round_trip_floats():
-    lines = trajectory_to_csv([1.0, 0.30000000000000004]).splitlines()
-    assert lines[0] == "step,value"
-    # shortest round-trip repr: parsing back recovers the exact float
-    assert float(lines[2].split(",")[1]) == 0.30000000000000004
+def test_read_trajectory_csv_round_trips_floats():
+    values = [1.0, 0.30000000000000004, -0.0, 1e16, 5e-324]
+    text = "step,value\n" + "".join(f"{t},{v}\n" for t, v in enumerate(values))
+    # shortest round-trip repr: parsing back recovers each exact float
+    assert list(map(repr, read_trajectory_csv(text))) == list(map(repr, values))
 
 
 @given(st.integers(min_value=0, max_value=10**9))

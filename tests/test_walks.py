@@ -2,6 +2,7 @@
 
 import math
 import re
+from array import array
 from fractions import Fraction
 from functools import partial
 
@@ -314,6 +315,8 @@ def survival_by_paths(kind, params, steps):
     kernel run for one step from x on that word gives the next state and
     whether the walk is still alive.  Every alive path adds its weight at
     each step it survives, with no state merged: up to 3**steps paths.
+    Each step's weights are summed with math.fsum, since adding that many
+    one by one drifts by about 1e-12.
     """
     simulate, cuts = WALKS[kind]
     rates = {k: v for k, v in params.items() if k not in ("b", "x0")}
@@ -325,10 +328,10 @@ def survival_by_paths(kind, params, steps):
         return traj.values[-1], sample.censored
 
     moves = {x: [(*run(x, 1, word), p) for word, p in cells] for x in range(params["b"] + 1)}
-    survival = [0.0] * (steps + 1)
+    weights = [array("d") for _ in range(steps + 1)]
 
     def walk(x, t, weight):
-        survival[t] += weight
+        weights[t].append(weight)
         if t < steps:
             for y, alive, p in moves[x]:
                 if alive:
@@ -336,7 +339,7 @@ def survival_by_paths(kind, params, steps):
 
     if run(params["x0"], 0)[1]:  # censored at cap 0: not absorbed at the start
         walk(params["x0"], 0, 1.0)
-    return survival
+    return list(map(math.fsum, weights))
 
 
 @settings(max_examples=40, deadline=None)
