@@ -23,10 +23,16 @@ probability.  Families:
 The first four families' tails are exp(-scale * tau * rate / (e * b**power));
 the table _TAILS holds each one's rate field (required > 0), scale and power.
 
-Tail values are clamped into [0, 1]; a clamped bound is vacuous, not wrong.
-Neither evaluator raises on a spec BoundSpec accepts, but for the expected
-time of KotzingPolynomial, which has none: a tail past the float range is
-its limit, 0.0 or 1.0, and an expected time past it is inf.
+Every field is finite.  A bound is the float formula wherever each of its
+steps stays a normal float; elsewhere it is the exact rational value of
+the formula on the fields, from fractions.Fraction, rounded to a float
+once.  Only the code that takes Fractions imports fractions, so a run
+whose bounds stay in the float range does not pay for loading it.  A
+value past the float range is the bound's limit: a tail of 0.0 or 1.0,
+an expected time of inf.  Tail values are clamped into [0, 1]; a
+clamped bound is vacuous, not wrong.  Neither evaluator raises on a spec
+BoundSpec accepts, but for the expected time of KotzingPolynomial, which
+has none.
 """
 
 from __future__ import annotations
@@ -66,6 +72,10 @@ class BoundSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}; choose from {KINDS}")
+        for name in ("b", "x0", "delta", "epsilon", "ell", "c"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.kind} requires a finite {name}, got {value!r}")
         if self.kind == "KotzingPolynomial":
             if self.ell is None or not self.ell > 0:
                 raise ValueError("KotzingPolynomial requires ell > 0")
@@ -84,44 +94,27 @@ class BoundSpec:
             raise ValueError(f"{self.kind} requires {name} > 0")
 
 
-def _product_over(p: float, b: float, q: float, delta: float) -> float:
-    """p * (b + q) / delta for p >= 0, b > 0, b + q >= 0 and delta > 0.
-
-    The mantissas and the binary exponents are combined apart (frexp), and
-    a sum past the float range is halved first, so no step overflows or
-    underflows: the result lies within a few roundings of the exact
-    quotient, is 0.0 when p or b + q is 0 (never 0 * inf), and is inf only
-    where the quotient lies past the float range.
-    """
-    s, halved = b + q, 0
-    if s == math.inf:
-        s, halved = 0.5 * b + 0.5 * q, 1
-    if not p or not s:
-        return 0.0
-    (mp, ep), (ms, es), (md, ed) = map(math.frexp, (p, s, delta))
-    m, e = math.frexp(mp * ms / md)
-    e += ep + es + halved - ed
-    return math.ldexp(m, e) if e <= 1024 else math.inf
-
-
 def expected_time_upper(spec: BoundSpec) -> float:
     """Expected-hitting-time ceiling for the given bound family.
 
-    The differences of squares are evaluated factored, b^2 - (b - x0)^2 as
-    x0 * (2b - x0) and b^2 - x0^2 as (b - x0) * (b + x0), so they do not
-    cancel; inf where the exact ceiling lies past the float range.
+    b^2 - (b - x0)^2, b^2 - x0^2, x0 * (b - x0) or b - x0 over the family's
+    rate field, on Fractions throughout: no step cancels or overflows.
     """
-    b, x0 = spec.b, spec.x0
-    if spec.kind == "NegativeDriftVariance":
-        return _product_over(x0, b, b - x0, spec.delta)
-    if spec.kind == "StandardVariance":
-        return _product_over(b - x0, b, x0, spec.delta)
-    if spec.kind == "TwoAbsorbing":
-        return _product_over(x0, b, -x0, spec.delta)
-    if spec.kind == "Additive":
-        return (b - x0) / spec.epsilon
-    # KotzingPolynomial comes with a tail only; there is no mean guarantee.
-    raise ValueError(f"{spec.kind} provides no expected-time bound")
+    if spec.kind not in _TAILS:
+        # KotzingPolynomial comes with a tail only; there is no mean guarantee.
+        raise ValueError(f"{spec.kind} provides no expected-time bound")
+    from fractions import Fraction
+    b, x0 = Fraction(spec.b), Fraction(spec.x0)
+    numerator = {
+        "NegativeDriftVariance": b**2 - (b - x0) ** 2,
+        "StandardVariance": b**2 - x0**2,
+        "TwoAbsorbing": x0 * (b - x0),
+        "Additive": b - x0,
+    }[spec.kind]
+    try:
+        return float(numerator / Fraction(getattr(spec, _TAILS[spec.kind][0])))
+    except OverflowError:
+        return math.inf
 
 
 _NORMAL = sys.float_info.min  # the least positive normal float
@@ -130,11 +123,8 @@ _NORMAL = sys.float_info.min  # the least positive normal float
 def _exp_tail(scale: float, tau: float, rate: float, b: float, power: int) -> float:
     """exp(-scale * tau * rate / (e * b**power)) for b > 0.
 
-    The float expression is kept while its numerator (unless 0), b**power
-    and e * b**power are normal floats, so no step rounds twice or leaves
-    the float range.  Otherwise the mantissas and the binary exponents
-    are combined apart (frexp, ldexp), and an exponent past the float
-    range gives the tail's limit, 0.0 or 1.0.
+    The float expression holds while its numerator (unless 0), b**power
+    and e * b**power are normal floats; past that, Fractions.
     """
     num = -scale * tau * rate
     try:
@@ -144,10 +134,10 @@ def _exp_tail(scale: float, tau: float, rate: float, b: float, power: int) -> fl
     den = math.e * b_power
     if (num == 0 or _NORMAL <= -num < math.inf) and _NORMAL <= b_power and den < math.inf:
         return math.exp(num / den)
-    (mt, et), (mr, er), (mb, eb) = map(math.frexp, (tau, rate, b))
-    mantissa = scale * mt * mr / (math.e * mb**power)
-    try:
-        return math.exp(-math.ldexp(mantissa, et + er - power * eb))
+    from fractions import Fraction
+    try:  # Fraction(inf) and a float past the range both raise
+        product = Fraction(scale) * Fraction(rate) * Fraction(tau)
+        return math.exp(-float(product / (Fraction(math.e) * Fraction(b) ** power)))
     except OverflowError:  # the exponent lies below the float range
         return 0.0
 
@@ -165,7 +155,7 @@ def tail_probability_upper(spec: BoundSpec, tau: float) -> float:
         scale = spec.ell * math.log(spec.c)
         if not scale or tau == math.inf:  # the exponent lies below the float range
             return 0.0
-        # ln r from r - 1 = (p - q n^2) / (q n^2), rounded once: no digit lost near r = 1
-        p, q = tau.as_integer_ratio()
-        raw = math.exp(-math.log1p((p - q * spec.n**2) / (q * spec.n**2)) / scale)
+        from fractions import Fraction
+        # ln r from r - 1 rounded once: no digit lost near r = 1
+        raw = math.exp(-math.log1p(float(Fraction(tau) / spec.n**2 - 1)) / scale)
     return min(1.0, max(0.0, raw))

@@ -21,7 +21,8 @@ independent of the fast path it checks:
 * bounds: the exponent of each tail bound and each expected-time ceiling
   from exact rational inputs;
 * configs: a one-run config read as ``driftlab run`` reads one, since the
-  config reader is the one place that checks what the kernels assume.
+  config reader is the one place that checks what the kernels assume, and
+  the tiny params of every kind that records trajectories.
 """
 
 from __future__ import annotations
@@ -542,6 +543,19 @@ def expected_time(spec: BoundSpec) -> float:
 # ---------------------------------------------------------------------------
 # Configs.  The kernels take their params as given, so a test of what a
 # kernel assumes reads the params through the config reader.
+
+
+#: each kind that records trajectories -> tiny params and the cap its
+#: config sets (None: the kind's default cap)
+RECORDING = {
+    "sat2": ({"n": 6, "m": 10}, 200),
+    "recolour": ({"n": 7, "edge_prob": 0.5}, 200),
+    "rlspd": ({"n": 8, "alpha": 0.5, "beta": 0.5}, None),
+    "rlspd_forgetting": ({"n": 16, "alpha": 0.5, "beta": 0.5, "A": 1.0, "B": 1.0}, None),
+    "synthetic_fair": ({"b": 6, "x0": 3}, 200),
+    "synthetic_biased": ({"b": 6, "x0": 0, "p_up": 0.75}, 200),
+    "synthetic_lazy": ({"b": 6, "x0": 6, "delta": 0.5}, 200),
+}
 
 
 def read_config(kind: str, params: dict, **fields) -> ExperimentConfig:

@@ -1,9 +1,10 @@
 """Closed-form bound formulas against hand-derived anchor values."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftlab.bounds import KINDS, BoundSpec, expected_time_upper, tail_probability_upper
@@ -105,6 +106,21 @@ def test_tail_two_absorbing_squares_the_standard_bound():
         )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BoundSpec("NegativeDriftVariance", b=3, x0=1, delta=0.25),
+        BoundSpec("StandardVariance", b=3, x0=1, delta=0.25),
+        BoundSpec("TwoAbsorbing", b=3, x0=1, delta=0.25),
+        BoundSpec("Additive", b=3, x0=1, epsilon=0.25),
+        BoundSpec("KotzingPolynomial", ell=1.0, c=E, n=10),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_tail_at_infinite_tau_is_zero(spec):
+    assert tail_probability_upper(spec, math.inf) == 0.0
+
+
 @given(
     tau=st.floats(min_value=0.1, max_value=1e5),
     later=st.floats(min_value=1.01, max_value=10.0),
@@ -129,6 +145,10 @@ def extreme_specs(draw, kinds=st.sampled_from(KINDS)):
     b = draw(EXTREME)
     rate = {"epsilon" if kind == "Additive" else "delta": draw(EXTREME)}
     return BoundSpec(kind, b=b, x0=b * draw(st.floats(0.0, 1.0)), **rate)
+
+
+#: the kinds with an expected-time ceiling and an exponential tail
+MEAN_KINDS = [kind for kind in KINDS if kind != "KotzingPolynomial"]
 
 
 def rounding_slack(exponent):
@@ -160,6 +180,45 @@ def test_tail_at_extreme_fields_matches_the_exact_exponent(spec, tau):
     assert math.isclose(got, want, rel_tol=rounding_slack(exponent), abs_tol=1e-300)
 
 
+def off_the_float_formula(spec, tau):
+    """Whether scale * tau * rate or b**power of an exponential tail leaves
+    the normal float range, as the evaluator computes them."""
+    if spec.kind == "Additive":
+        numerator, b_power = tau * spec.epsilon, spec.b
+    else:
+        scale = 2.0 if spec.kind == "TwoAbsorbing" else 1.0
+        numerator, b_power = scale * tau * spec.delta, spec.b * spec.b
+    return not (sys.float_info.min <= numerator < math.inf and sys.float_info.min <= b_power)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=extreme_specs(st.sampled_from(MEAN_KINDS)), tau=EXTREME)
+# b^2 and tau * delta below the normal range: the mantissa and exponent
+# evaluation gave 5.6839216326970575e-142
+@example(
+    spec=BoundSpec(
+        "TwoAbsorbing",
+        b=3.1924028130848014e-161,
+        x0=2.051211884338888e-161,
+        delta=6.123942677060064e-207,
+    ),
+    tau=7.356285783928851e-113,
+)
+# tau * delta past the float range: it gave 3.533810036471156e-34
+@example(
+    spec=BoundSpec(
+        "TwoAbsorbing",
+        b=7.5272115123580755e267,
+        x0=6.523125543848659e267,
+        delta=1.3106167270263427e241,
+    ),
+    tau=4.52576124052493e296,
+)
+def test_tail_off_the_float_formula_is_the_exact_value(spec, tau):
+    assume(off_the_float_formula(spec, tau))
+    assert tail_probability_upper(spec, tau) == math.exp(tail_exponent(spec, tau))
+
+
 #: the start at which each variance ceiling is b^2 / delta
 FULL_RANGE_X0 = {"NegativeDriftVariance": 1e200, "StandardVariance": 0.0}
 
@@ -170,8 +229,6 @@ def test_expected_time_is_inf_where_b_squared_overflows(kind):
     assert expected_time_upper(spec) == math.inf
 
 
-#: the kinds with an expected-time ceiling
-MEAN_KINDS = [kind for kind in KINDS if kind != "KotzingPolynomial"]
 NEAR_1E10 = math.nextafter(1e10, 0.0)
 
 
@@ -188,10 +245,7 @@ NEAR_1E10 = math.nextafter(1e10, 0.0)
 @example(spec=BoundSpec("TwoAbsorbing", b=1e300, x0=5e299, delta=1e300))
 @example(spec=BoundSpec("StandardVariance", b=1e308, x0=1e308 - 1e298, delta=1e300))
 def test_expected_time_matches_the_exact_ceiling(spec):
-    got = expected_time_upper(spec)
-    want = expected_time(spec)
-    assert not math.isnan(got)
-    assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-320)
+    assert expected_time_upper(spec) == expected_time(spec)
 
 
 def test_expected_time_does_not_cancel():
@@ -234,6 +288,24 @@ def test_spec_rejects_bad_geometry():
     ):
         with pytest.raises(ValueError):
             BoundSpec(**kwargs)
+
+
+#: a valid spec that sets each float field
+FIELD_SPECS = {
+    "b": dict(kind="StandardVariance", b=1.0, x0=0.0, delta=1.0),
+    "x0": dict(kind="StandardVariance", b=1.0, x0=0.0, delta=1.0),
+    "delta": dict(kind="TwoAbsorbing", b=1.0, x0=0.0, delta=1.0),
+    "epsilon": dict(kind="Additive", b=1.0, x0=0.0, epsilon=1.0),
+    "ell": dict(kind="KotzingPolynomial", ell=1.0, c=E, n=10),
+    "c": dict(kind="KotzingPolynomial", ell=1.0, c=E, n=10),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(FIELD_SPECS))
+def test_spec_rejects_an_infinite_field(name, value):
+    with pytest.raises(ValueError, match=f"requires a finite {name}, got {value!r}"):
+        BoundSpec(**{**FIELD_SPECS[name], name: value})
 
 
 def test_tail_rejects_negative_tau():

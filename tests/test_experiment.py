@@ -35,6 +35,7 @@ from driftlab.trajectory import (
     read_trajectory_csv,
     report_to_json,
 )
+from oracles import RECORDING
 
 
 def base_config(tmp_path, **overrides):
@@ -299,18 +300,6 @@ def test_recorded_trajectories_reanalyze_to_the_same_report(tmp_path):
         assert fh.read() == original
     with open(report_path) as fh:
         assert json.load(fh)["drift_estimate"] is not None
-
-
-# a tiny recording config for every kind that records: params and cap
-RECORDING = {
-    "sat2": ({"n": 6, "m": 10}, 200),
-    "recolour": ({"n": 7, "edge_prob": 0.5}, 200),
-    "rlspd": ({"n": 8, "alpha": 0.5, "beta": 0.5}, None),
-    "rlspd_forgetting": ({"n": 16, "alpha": 0.5, "beta": 0.5, "A": 1.0, "B": 1.0}, None),
-    "synthetic_fair": ({"b": 6, "x0": 3}, 200),
-    "synthetic_biased": ({"b": 6, "x0": 0, "p_up": 0.75}, 200),
-    "synthetic_lazy": ({"b": 6, "x0": 6, "delta": 0.5}, 200),
-}
 
 
 def recording_config(tmp_path, kind, out="out", **overrides):

@@ -47,7 +47,8 @@ from driftlab.bounds import BoundSpec, tail_probability_upper
 from driftlab.errors import FormatError
 from driftlab.experiment import AnalysisBlock, build_report
 from driftlab.trajectory import HittingTimeSample, Trajectory, format_value, report_to_json
-from test_experiment import RECORDING, recording_config
+from oracles import RECORDING
+from test_experiment import recording_config
 
 # ---------------------------------------------------------------------------
 # Oracles: the loop forms, verbatim.

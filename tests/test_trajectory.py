@@ -15,23 +15,12 @@ from driftlab.trajectory import (
     read_trajectory_csv,
     samples_to_csv,
 )
-from oracles import read_config
-
-#: small params of every kind that records trajectories
-RECORDING = [
-    ("synthetic_fair", {"b": 6, "x0": 3}),
-    ("synthetic_biased", {"b": 6, "x0": 3, "p_up": 0.75}),
-    ("synthetic_lazy", {"b": 6, "x0": 3, "delta": 0.5}),
-    ("sat2", {"n": 8, "m": 20}),
-    ("recolour", {"n": 9, "edge_prob": 0.5}),
-    ("rlspd", {"n": 8, "alpha": 0.5, "beta": 0.5}),
-    ("rlspd_forgetting", {"n": 8, "alpha": 0.5, "beta": 0.5, "A": 1.0, "B": 1.0}),
-]
+from oracles import RECORDING, read_config
 
 
 def recorded_runs(cap, runs):
     """Replications 0..runs-1 of each kind in RECORDING at cap, recorded."""
-    for kind, params in RECORDING:
+    for kind, (params, _) in RECORDING.items():
         config = read_config(kind, params, cap=cap, record_trajectories=True)
         for run_id in range(runs):
             yield kind, run_replication(config, run_id)
@@ -43,7 +32,7 @@ def test_trajectory_requires_a_starting_value():
         assert rep.sample.stopping_time == 0
         assert len(rep.trajectory) == 1
         if kind.startswith("synthetic_"):
-            assert list(rep.trajectory) == [3]
+            assert list(rep.trajectory) == [RECORDING[kind][0]["x0"]]
 
 
 def test_censored_trajectory_length_contract():

@@ -367,3 +367,11 @@ def test_survival_sums_to_the_mean():
         ("synthetic_lazy", {"b": 10, "x0": 10, "delta": 0.5}, lazy_walk_mean_dp(10, 10, 0.5)),
     ]:
         assert math.fsum(walk_survival(kind, params, 5000)) == pytest.approx(mean, rel=1e-9)
+
+
+@pytest.mark.parametrize("b, x0, t", [(20, 10, 1000), (7, 2, 400), (4, 1, 100)])
+def test_fair_survival_decays_at_the_top_eigenvalue(b, x0, t):
+    # the absorbing chain's top eigenvalue is cos(pi / b); the walk has
+    # period 2, so the decay is read over two steps
+    survival = walk_survival("synthetic_fair", {"b": b, "x0": x0}, t + 2)
+    assert survival[t + 2] / survival[t] == pytest.approx(math.cos(math.pi / b) ** 2, rel=1e-9)
