@@ -28,7 +28,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
+from operator import add
 from typing import Iterable, Sequence
 
 from driftlab.bounds import BoundSpec, tail_probability_upper
@@ -262,7 +264,9 @@ def summary_table(
     finished = [s.stopping_time for s in samples if not s.censored]
     if not finished:
         return None
-    mean = sum(finished) / len(finished)  # in sample order: regrets are floats
+    # left to right in sample order: regrets are floats, and sum() adds
+    # floats with compensation from Python 3.12 on
+    mean = reduce(add, finished, 0) / len(finished)
     n = len(samples)
     freq = {}
     for k in k_list:

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import inf
+from math import ceil, floor, inf
 
 from driftlab.rng import RngStream, bits, index_limit
 from driftlab.trajectory import Trajectory
@@ -142,9 +142,9 @@ def _flip_tables(plain: bool) -> tuple[tuple[bool, ...], tuple[int, ...]]:
 _FLIP_TABLES = {plain: _flip_tables(plain) for plain in (False, True)}
 
 
-def _sides(n: int, target: int, unit: int) -> bytes:
+def _sides(n: int, target: int, unit: int) -> tuple[int, ...]:
     """unit * (sign(count - target) + 1) for each count 0..n."""
-    return bytes([0]) * target + bytes([unit]) + bytes([2 * unit]) * (n - target)
+    return (0,) * target + (unit,) + (2 * unit,) * (n - target)
 
 
 def run_search(
@@ -180,19 +180,24 @@ def run_search(
     sign(|y| - alpha*n)) and on the flipped position's class (an x or a y
     bit, 0 or 1), so the loop looks it up in a 9 x 4 table per payoff
     (_flip_tables; the module docstring prints it).  The region offset
-    is sx[|x|] + sy[|y|] from two tables of n + 1 bytes, and the result
+    is sx[|x|] + sy[|y|] from two tuples of n + 1 entries, and the result
     names the side of the last region.  A step reads the class and one
     table entry; a kept flip then stores the new class and updates m, the
     counts and the region.  The range test on m runs only after a kept
     flip, the only time m moves, and a recording run notes the step and m
     of each kept flip and fills in the steps between them at the end.
+
+    The loop works on a list copy of classes, on tuples and on integer
+    range bounds: the interpreter specializes list and tuple subscripts
+    and int comparisons, not bytearray or bytes subscripts or int-float
+    comparisons.  Where the loop stops, the list is written back into
+    classes, so the result holds the caller's bytearray, updated.
     """
     n, an, bn = params.n, params.an, params.bn
     accept, dm = _FLIP_TABLES[plain]
     x_ones, y_ones = _X_ONES, _Y_ONES
     sx = _sides(n, bn, 12)
     sy = _sides(n, an, 4)
-    cls = classes  # the loop's name for it
     ox, oy = classes.count(1, 0, n), classes.count(3, n)
     m = m0 = abs(bn - ox) + abs(an - oy)
     r = sx[ox] + sy[oy]
@@ -203,6 +208,10 @@ def run_search(
         k = 2 * n
         limit = index_limit(k)
         words = stream.words()
+        cls = list(classes)
+        # m is an integer in [0, 2n]: these bounds give the same range test
+        lo = -1 if lo < 0 else floor(lo)
+        hi = 2 * n + 1 if hi > 2 * n else ceil(hi)
         rejected = 0
         for t, w in zip(range(1, cap + 1), words):
             while w >= limit:
@@ -220,6 +229,7 @@ def run_search(
                     kept.append((t, m))
                 if not lo < m < hi:
                     break
+        classes[:] = cls
         stream.draw_counter += t + rejected
     traj = Trajectory(values=_fill_steps(m0, kept, t)) if record else None
     return BilinearRunResult(

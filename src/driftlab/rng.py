@@ -21,7 +21,9 @@ triple and the key derived from it (the counter-based design of
 Random123, Salmon et al., SC'11).
 ``next_u64`` computes the formula above for one word.  Each ``words()``
 iterator computes its own blocks from the counter it started at: 64
-words, then doubling up to 1024, and 1024 from then on.
+words, then doubling up to 1024, and 1024 from then on.  The counters of
+the next 1024-word block are the current ones plus 1024 * GOLDEN, so the
+full blocks advance their packed counter lanes by one addition.
 
 The scalar methods read one word at a time: ``next_uniform`` scales one
 word and ``next_index`` rejects and reduces words.  The kernels read raw
@@ -62,6 +64,8 @@ _STEPS = int.from_bytes(
     ),
     "little",
 )
+# _BLOCK * GOLDEN in every lane: the counters of the next full block
+_STRIDE = ((_BLOCK * _GOLDEN) & _MASK64) * _ONES
 
 
 def _mix64(z: int) -> int:
@@ -76,20 +80,12 @@ def _mix64(z: int) -> int:
 _TABLES = {_BLOCK: (_ONES, _LANES, _STEPS)}
 
 
-def _block(key: int, counter: int, size: int = _BLOCK) -> array:
-    """The size (<= _BLOCK) words a stream with this key draws after counter.
+def _mixed(z: int, lanes: int, size: int) -> array:
+    """The words _mix64 makes of the size counters packed in z.
 
-    Lane i starts as key + (counter + 1 + i) * GOLDEN and goes through
-    _mix64.  Each shift spills the low bits of lane i+1 into the unused
-    top half of lane i; masking before each multiply drops the spill.
+    Each shift spills the low bits of lane i+1 into the unused top half of
+    lane i; masking before each multiply drops the spill.
     """
-    tables = _TABLES.get(size)
-    if tables is None:
-        mask = (1 << (size * _LANE_BYTES * 8)) - 1
-        tables = _TABLES[size] = tuple(t & mask for t in _TABLES[_BLOCK])
-    ones, lanes, steps = tables
-    base = (key + (counter + 1) * _GOLDEN) & _MASK64
-    z = (base * ones + steps) & lanes
     z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
     z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
     z ^= z >> 31
@@ -98,6 +94,21 @@ def _block(key: int, counter: int, size: int = _BLOCK) -> array:
         words.byteswap()
     # every lane is its word followed by the spill of the last shift
     return words[::2]
+
+
+def _block(key: int, counter: int, size: int) -> array:
+    """The size (<= _BLOCK) words a stream with this key draws after counter.
+
+    Lane i starts as key + (counter + 1 + i) * GOLDEN and goes through
+    _mix64.
+    """
+    tables = _TABLES.get(size)
+    if tables is None:
+        mask = (1 << (size * _LANE_BYTES * 8)) - 1
+        tables = _TABLES[size] = tuple(t & mask for t in _TABLES[_BLOCK])
+    ones, lanes, steps = tables
+    base = (key + (counter + 1) * _GOLDEN) & _MASK64
+    return _mixed((base * ones + steps) & lanes, lanes, size)
 
 
 def below(p: float) -> int:
@@ -121,12 +132,20 @@ def index_limit(k: int) -> int:
 
 
 def _blocks(key: int, n: int) -> Iterator[array]:
-    """The blocks of words drawn after position n: 64 words, doubling up to _BLOCK."""
+    """The blocks of words drawn after position n: 64 words, doubling up to _BLOCK.
+
+    From the first full block on, the packed counters step by _STRIDE: one
+    masked addition moves every lane _BLOCK counters on.
+    """
     size = _MIN_BLOCK
-    while True:
+    while size < _BLOCK:
         yield _block(key, n, size)
         n += size
-        size = min(2 * size, _BLOCK)
+        size *= 2
+    z = (((key + (n + 1) * _GOLDEN) & _MASK64) * _ONES + _STEPS) & _LANES
+    while True:
+        yield _mixed(z, _LANES, _BLOCK)
+        z = (z + _STRIDE) & _LANES
 
 
 @dataclass

@@ -149,6 +149,14 @@ def test_summary_table_fixed_cases():
     assert table.freq_at_multiples == {1.0: 0.5}
 
 
+def test_summary_table_mean_adds_left_to_right_in_sample_order():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum would keep the 1.0
+    table = summary_table([sample(0, 1e16), sample(1, 1.0), sample(2, -1e16)], k_list=[1.0])
+    assert table.mean == 0.0
+    # the sum starts from 0, as sum() does, so a lone -0.0 gives a mean of 0.0
+    assert math.copysign(1.0, summary_table([sample(0, -0.0)], k_list=[]).mean) == 1.0
+
+
 def test_summary_table_censoring_is_conservative():
     samples = [sample(0, 2), sample(1, 4), sample(2, 9, censored=True)]
     table = summary_table(samples, k_list=[1.0, 2.0])

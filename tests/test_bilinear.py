@@ -312,6 +312,48 @@ def test_search_matches_iterated_single_steps(seed, n, mode, threshold, record, 
         assert fast.trajectory is None
 
 
+@pytest.mark.parametrize("payoff", PAYOFFS)
+@pytest.mark.parametrize(
+    "case", ["cap 0", "start outside the range", "first kept flip", "fractional range", "capped"]
+)
+def test_search_writes_its_classes_back_on_every_exit(payoff, case):
+    # the loop works on a list copy; each way out leaves the caller's
+    # bytearray, as result.classes, holding the oracle's pair
+    params = TENTHS10
+    step = plain_step if payoff == "plain" else (lambda *args: rls_pd_step(*args)[0])
+    for seed in range(5):
+        init = random_pair(RngStream(seed, stream_id=1), params)
+        m0 = manhattan_distance(params, init)
+        lo, hi, cap = 0, inf, 1000
+        if case == "cap 0":
+            cap = 0
+        elif case == "start outside the range":
+            init = pair_with_counts(params, params.bn, params.an)  # m = 0, not above lo
+        elif case == "first kept flip":
+            lo, hi = m0 - 1, m0 + 1  # a kept flip moves m by one
+        elif case == "fractional range":
+            lo, hi = m0 - 1.5, m0 + 1.5  # the loop compares m with integer bounds
+        else:
+            lo, cap = -1, 3  # m never leaves (-1, inf)
+        classes = classes_of(init)
+        stream, ref = RngStream(seed), RngStream(seed)
+        result = run_search(params, stream, classes, cap, lo, hi, payoff == "plain")
+        pair, t = copy_pair(init), 0
+        while lo < manhattan_distance(params, pair) < hi and t < cap:
+            pair = step(params, pair, ref)
+            t += 1
+        assert result.classes is classes
+        assert classes == classes_of(pair)
+        assert result.iterations == t
+        assert stream.draw_counter == ref.draw_counter
+        if case in ("first kept flip", "fractional range"):
+            assert pair != init and t >= 1
+        elif case == "capped":
+            assert result.censored and t == cap
+        else:
+            assert t == 0
+
+
 def plain_value(params, ox, oy):
     """The plain payoff: the bare objective, without correction terms."""
     return oy * (ox - params.bn) - params.an * ox

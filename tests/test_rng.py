@@ -373,7 +373,22 @@ def test_a_stream_that_has_drawn_equals_a_fresh_one_at_its_counter():
 @pytest.mark.parametrize("start", [0, 10, 1984, MASK - 3000])
 def test_blocks_double_from_64_to_1024_from_any_start(start):
     key = RngStream(master_seed=5)._key
-    assert [len(b) for b in islice(_blocks(key, start), 6)] == [64, 128, 256, 512, 1024, 1024]
+    sizes = [len(b) for b in islice(_blocks(key, start), 8)]
+    assert sizes == [64, 128, 256, 512, 1024, 1024, 1024, 1024]
+
+
+# the ramp of 64 + 128 + 256 + 512 words, then five full blocks whose
+# counters are the previous block's stepped by 1024 * GOLDEN
+RAMP_AND_FIVE_FULL_BLOCKS = 960 + 5 * 1024
+
+
+@pytest.mark.parametrize("start", [0, *GROWTH_EDGES, 2**63, MASK - 4000])
+def test_stepped_full_blocks_match_formula(start):
+    # from MASK - 4000 the counters pass 2**64 inside a full block
+    words = RngStream(master_seed=2024, stream_id=9, draw_counter=start).words()
+    oracle = FormulaStream(2024, 9, start)
+    for _ in range(RAMP_AND_FIVE_FULL_BLOCKS):
+        assert next(words) == oracle.next_u64()
 
 
 @given(
