@@ -228,6 +228,25 @@ class BoundTable:
 #: trajectory reader reads back exactly, and a signed 64-bit int
 MAX_WALK_B = 2**53
 
+#: the most steps a config may ask for: runs times each run's cap (or its
+#: kind's default cap).  The largest acceptance config asks for 10**10
+#: (10**4 walks with cap 10**6); at the kernels' 10**6 to 10**7 steps a
+#: second, 10**11 is hours to a day.  runs is at most MAX_HELD, so runs
+#: with cap 0 stay far below it too.
+MAX_STEPS = 10**11
+
+#: the most entries a run holds at once: its samples, one per run, or
+#: one instance's variables, clauses, vertex pairs or vector entries.
+#: Each takes tens to hundreds of bytes, so 10**7 of them take at most a
+#: few GB.
+MAX_HELD = 10**7
+
+
+def check_held(where: str, count: int) -> None:
+    """A ConfigError naming where when its count is above MAX_HELD."""
+    if count > MAX_HELD:
+        raise ConfigError(f"{where}: must be at most 10**7 = {MAX_HELD}")
+
 
 class Params:
     """The defaults a kind inherits.
@@ -303,6 +322,8 @@ class Sat2(Params):
             raise ConfigError(f"{where}.n: must be at least 2")
         if self.m < 1:
             raise ConfigError(f"{where}.m: must be at least 1")
+        check_held(f"{where}.n", self.n)
+        check_held(f"{where}.m", self.m)
 
     def simulate(self, stream, cap, record):
         clauses, witness = generate_planted(stream, self.n, self.m)
@@ -321,6 +342,11 @@ class Recolour(Params):
     def check(self, where: str) -> None:
         if self.n < 3:
             raise ConfigError(f"{where}.n: must be at least 3")
+        # the generator examines every cross-class pair; the masks hold n**2 bits
+        if self.n * (self.n - 1) // 2 > MAX_HELD:
+            raise ConfigError(
+                f"{where}.n: n * (n - 1) / 2 vertex pairs must be at most 10**7 = {MAX_HELD}"
+            )
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ConfigError(f"{where}.edge_prob: must lie in [0, 1]")
 
@@ -338,6 +364,9 @@ class Bilinear(BilinearParams, Params):
 
     columns = ("quadrant_at_end",)
 
+    def check(self, where: str) -> None:
+        check_held(f"{where}.n", self.n)
+
     def simulate(self, stream, cap, record):
         result = self.search(stream, cap, record)
         return result.iterations, result.censored, (result.quadrant_at_end,), result.trajectory
@@ -348,6 +377,7 @@ class Rlspd(Bilinear):
     payoff: str = "plain"
 
     def check(self, where: str) -> None:
+        super().check(where)
         if self.payoff not in PAYOFFS:
             raise ConfigError(f"{where}.payoff: choose from {', '.join(PAYOFFS)}")
 
@@ -364,6 +394,7 @@ class Forgetting(Bilinear):
     B: float
 
     def check(self, where: str) -> None:
+        super().check(where)
         if self.A <= 0 or self.B <= 0:
             raise ConfigError(f"{where}: A and B must be positive")
 
@@ -448,6 +479,14 @@ class ExperimentConfig:
             raise ConfigError("config.cap: required for this kind")
         if config.record_trajectories and not params.records:
             raise ConfigError(f"config.record_trajectories: {config.kind} records no trajectories")
+        cap = params.default_cap() if config.cap is None else config.cap
+        if cap > MAX_STEPS:  # a default one: check() bounds a cap that is set
+            raise ConfigError(
+                f"config.cap: the default cap of these params, {cap} steps, "
+                f"is above 10**11 = {MAX_STEPS}; set a smaller cap"
+            )
+        if config.runs * cap > MAX_STEPS:
+            raise ConfigError(f"config.runs: runs x cap must be at most 10**11 = {MAX_STEPS} steps")
         return replace(config, params=params, analysis=analysis)
 
     def check(self, where: str) -> None:
@@ -457,12 +496,15 @@ class ExperimentConfig:
             )
         if self.runs < 1:
             raise ConfigError(f"{where}.runs: must be at least 1")
+        check_held(f"{where}.runs", self.runs)
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"{where}.master_seed: must fit in 64 unsigned bits")
         if not self.output_dir:
             raise ConfigError(f"{where}.output_dir: must name a directory")
         if self.cap is not None and self.cap < 0:
             raise ConfigError(f"{where}.cap: must be nonnegative")
+        if self.cap is not None and self.cap > MAX_STEPS:
+            raise ConfigError(f"{where}.cap: must be at most 10**11 = {MAX_STEPS}")
         if self.workers < 1:
             raise ConfigError(f"{where}.workers: must be at least 1")
 

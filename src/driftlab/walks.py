@@ -58,22 +58,29 @@ def simulate_biased_walk(
     """Upward-drifting walk, reflecting at 0, stopped on reaching b.
 
     p_up must exceed 1/2 so the additive drift 2*p_up - 1 is positive.  A
-    step from 0 is forced upward and consumes no randomness.
+    step from 0 is forced upward and consumes no randomness; the steps
+    between visits to 0 run over one words() iterator, as the fair walk's do.
     """
     x, t = x0, 0
     values = [x] if record else None
     up = below(p_up)
     forced = 0
-    draw = stream.words().__next__
+    words = stream.words()
     while x < b and t < cap:
-        if x == 0:
+        if not x:
             x = 1
+            t += 1
             forced += 1
+            if record:
+                values.append(x)
         else:
-            x += 1 if draw() < up else -1
-        t += 1
-        if record:
-            values.append(x)
+            # one excursion above 0, a word a step, until it reaches b or 0
+            for t, w in zip(range(t + 1, cap + 1), words):
+                x += 1 if w < up else -1
+                if record:
+                    values.append(x)
+                if not 0 < x < b:
+                    break
     stream.draw_counter += t - forced
     return _finish(stream, t, x < b, values)
 

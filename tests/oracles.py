@@ -4,8 +4,9 @@ Nothing here runs under a ``driftlab`` command or the benchmark.  Each
 function is evidence for a kernel, written from the definition and kept
 independent of the fast path it checks:
 
-* walks: exact expected hitting times from the one-step recurrences, and
-  the exact survival P(T > t) by a forward DP over the unabsorbed mass;
+* walks: exact expected hitting times from the one-step recurrences, the
+  exact survival P(T > t) by a forward DP over the unabsorbed mass, and
+  the biased walk stepped one word at a time;
 * bilinear: the search state as an (x, y) pair with its one-counts, the
   side of the optimum a pair sits on, the start bits on scalar draws, the
   integer-scaled payoff n^3 * g, the pairwise-dominance chain and the
@@ -34,7 +35,7 @@ from fractions import Fraction
 from driftlab.bilinear import BilinearParams
 from driftlab.bounds import BoundSpec
 from driftlab.experiment import ExperimentConfig
-from driftlab.rng import RngStream, index_limit
+from driftlab.rng import RngStream, below, index_limit
 from driftlab.sat2 import Clause, Literal
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,34 @@ def walk_survival(kind: str, params: dict, steps: int) -> list[float]:
         mass = after
         survival.append(math.fsum(mass.values()))
     return survival
+
+
+def biased_walk_by_steps(
+    stream: RngStream, b: int, x0: int, p_up: float, cap: int
+) -> tuple[int, bool, list[int]]:
+    """The biased walk one step at a time: (stopping time, censored, values).
+
+    Every step tests for 0: a forced step up from 0 draws no word, and any
+    other step draws one and moves up when it is below below(p_up).  Sets
+    the stream's draw_counter past the last word drawn.  simulate_biased_walk
+    runs its excursions above 0 over one words() iterator instead, and must
+    agree with this loop on all four.
+    """
+    x, t = x0, 0
+    values = [x]
+    up = below(p_up)
+    forced = 0
+    draw = stream.words().__next__
+    while x < b and t < cap:
+        if x == 0:
+            x = 1
+            forced += 1
+        else:
+            x += 1 if draw() < up else -1
+        t += 1
+        values.append(x)
+    stream.draw_counter += t - forced
+    return t, x < b, values
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,8 @@ CONFIG_CASES = [
     ("synthetic_fair", "runs", True, "config.runs: expected an integer, got True"),
     ("synthetic_fair", "runs", 2.5, "config.runs: expected an integer, got 2.5"),
     ("synthetic_fair", "runs", 0, "config.runs: must be at least 1"),
+    ("synthetic_fair", "runs", 10**7 + 1, "config.runs: must be at most 10**7 = 10000000"),
+    ("synthetic_fair", "runs", 10**400, "config.runs: must be at most 10**7 = 10000000"),
     ("synthetic_fair", "master_seed", DELETE, "config.master_seed: required field is missing"),
     ("synthetic_fair", "master_seed", "5", "config.master_seed: expected an integer, got '5'"),
     ("synthetic_fair", "master_seed", -1, "config.master_seed: must fit in 64 unsigned bits"),
@@ -126,6 +128,14 @@ CONFIG_CASES = [
     ("sat2", "cap", None, "config.cap: required for this kind"),
     ("synthetic_fair", "cap", "100", "config.cap: expected an integer, got '100'"),
     ("synthetic_fair", "cap", -1, "config.cap: must be nonnegative"),
+    ("synthetic_fair", "cap", 10**11 + 1, "config.cap: must be at most 10**11 = 100000000000"),
+    ("synthetic_lazy", "cap", 10**400, "config.cap: must be at most 10**11 = 100000000000"),
+    (
+        "synthetic_fair",
+        "cap",
+        10**11 // 3 + 1,
+        "config.runs: runs x cap must be at most 10**11 = 100000000000 steps",
+    ),
     (
         "synthetic_fair",
         "record_trajectories",
@@ -179,7 +189,15 @@ CONFIG_CASES = [
     ("sat2", "params.m", DELETE, "config.params.m: required field is missing"),
     ("sat2", "params.m", 2.0, "config.params.m: expected an integer, got 2.0"),
     ("sat2", "params.k", 3, "config.params: unknown field(s) k"),
+    ("sat2", "params.n", 10**400, "config.params.n: must be at most 10**7 = 10000000"),
+    ("sat2", "params.m", 10**7 + 1, "config.params.m: must be at most 10**7 = 10000000"),
     ("recolour", "params.n", 2, "config.params.n: must be at least 3"),
+    (
+        "recolour",
+        "params.n",
+        4473,
+        "config.params.n: n * (n - 1) / 2 vertex pairs must be at most 10**7 = 10000000",
+    ),
     ("recolour", "params.edge_prob", 1.5, "config.params.edge_prob: must lie in [0, 1]"),
     ("recolour", "params.edge_prob", -0.5, "config.params.edge_prob: must lie in [0, 1]"),
     (
@@ -194,6 +212,7 @@ CONFIG_CASES = [
     ("rlspd", "params.n", 1, "config.params: need n >= 2"),
     ("rlspd", "params.beta", 1.0, "config.params: beta must lie in (0, 1), got 1.0"),
     ("rlspd", "params.n", 10**400, "config.params: int too large to convert to float"),
+    ("rlspd", "params.n", 10**12, "config.params.n: must be at most 10**7 = 10000000"),
     ("rlspd", "params.alpha", -math.inf, "config.params.alpha: expected a finite number"),
     ("rlspd", "params.alpha", DELETE, "config.params.alpha: required field is missing"),
     ("rlspd", "params.payoff", "bare", "config.params.payoff: choose from plain, corrected"),
@@ -205,6 +224,12 @@ CONFIG_CASES = [
     ("rlspd_forgetting", "params.B", DELETE, "config.params.B: required field is missing"),
     ("rlspd_forgetting", "params.n", 3, "config.params: alpha * n must be integral, got 1.5"),
     ("rlspd_forgetting", "params.payoff", "plain", "config.params: unknown field(s) payoff"),
+    (
+        "rlspd_forgetting",
+        "params.n",
+        10**7 + 2,
+        "config.params.n: must be at most 10**7 = 10000000",
+    ),
     # the bandit, with check_challenges_end's ValueError wrapped
     ("rwab", "params.horizon", 1, "config.params.horizon: must be at least 2"),
     ("rwab", "params.changes", 59, "config.params.changes: must lie in [1, horizon - 2]"),
@@ -376,6 +401,71 @@ def test_a_faulty_config_is_rejected_with_its_full_message(kind, path, value, me
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(obj)
     assert str(err.value) == message
+
+
+def test_configs_at_the_ceilings_are_accepted():
+    at_ceilings = [
+        ("synthetic_fair", {"runs": 10**7}),
+        ("synthetic_fair", {"runs": 10**4, "cap": 10**7}),
+        ("synthetic_fair", {"runs": 1, "cap": 10**11}),
+        ("sat2", {"params.n": 10**7, "params.m": 10**7}),
+        ("recolour", {"params.n": 4472}),
+        ("rlspd", {"params.n": 10**7}),
+    ]
+    for kind, values in at_ceilings:
+        obj = full_config(kind)
+        for path, value in values.items():
+            obj = changed(obj, path, value)
+        ExperimentConfig.from_dict(obj)
+
+
+def test_a_default_cap_above_the_step_ceiling_asks_for_a_cap():
+    obj = changed(full_config("rlspd"), "params.n", 4 * 10**6)
+    del obj["cap"]
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(obj)
+    assert str(err.value) == (
+        "config.cap: the default cap of these params, 160000000000 steps, "
+        "is above 10**11 = 100000000000; set a smaller cap"
+    )
+    # a cap that is set bounds each run, and the default no longer counts
+    ExperimentConfig.from_dict(changed(obj, "cap", 1000))
+
+
+# configs that could never finish: a run of 10**400 replications, a lazy
+# walk that moves with probability 1e-300 a step under cap 10**400, and
+# instances of 10**400 variables or two 10**12-entry vectors
+ENDLESS_CONFIGS = [
+    ("synthetic_fair", {"runs": 10**400}, "config.runs: must be at most 10**7 = 10000000"),
+    (
+        "synthetic_lazy",
+        {"params": {"b": 4, "x0": 2, "delta": 1e-300}, "cap": 10**400},
+        "config.cap: must be at most 10**11 = 100000000000",
+    ),
+    (
+        "sat2",
+        {"params": {"n": 10**400, "m": 25}},
+        "config.params.n: must be at most 10**7 = 10000000",
+    ),
+    (
+        "rlspd",
+        {"params": {"n": 10**12, "alpha": 0.5, "beta": 0.5}, "cap": None},
+        "config.params.n: must be at most 10**7 = 10000000",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, fields, message", ENDLESS_CONFIGS, ids=case_ids(ENDLESS_CONFIGS))
+def test_a_config_that_cannot_end_exits_two_naming_its_field(
+    tmp_path, capsys, monkeypatch, kind, fields, message
+):
+    monkeypatch.chdir(tmp_path)
+    obj = dict(full_config(kind), **fields)
+    (tmp_path / "config.json").write_text(json.dumps(obj))
+    assert main(["run", "config.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 ANALYSIS_CASES = [

@@ -1,20 +1,22 @@
 """The tallied estimators and the bulk CSV codecs against their loop forms.
 
-The oracles below are the transition-by-transition estimators, the
+The oracles below are the transition-by-transition tally and estimators, the
 per-threshold rescans and the row-by-row CSV codecs that the tallies and
 bulk string operations replaced, kept verbatim but for two rules added
 since: an analysis with nothing to report returns None, and the row-scan
 reader's values must be finite.  The package passes a trajectory as its
 list of values, and the oracles take a Trajectory, so each list is
 wrapped only where an oracle is called.  Both estimators are called on
-one tally_transitions, as build_report calls them.  On integer-valued
-trajectories (all a simulator records) every estimate and report must be
-byte-equal to the oracles; on fractional ones the drift moments may
-differ in the last bits, because the tallied sums are added in another
-order.  A streamed reanalysis must write the same bytes as build_report
-over the fully read trajectories.  The package writes int trajectories
-only, so the row-loop writer also writes the float text the reader tests
-read back.
+one tally_transitions, as build_report calls them.  A run passes each
+trajectory as its narrowest int array, whose pairs the package counts
+from windows of its items packed into one int, and the tally must equal
+the row loop's for every typecode.  On integer-valued trajectories (all a simulator
+records) every estimate and report must be byte-equal to the oracles; on
+fractional ones the drift moments may differ in the last bits, because
+the tallied sums are added in another order.  A streamed reanalysis
+must write the same bytes as build_report over the fully read
+trajectories.  The package writes int trajectories only, so the row-loop
+writer also writes the float text the reader tests read back.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ import os
 import struct
 import tempfile
 import weakref
+from array import array
+from collections import Counter
 from functools import partial
+from itertools import accumulate
 from typing import Iterable, Sequence
 from unittest import mock
 
@@ -52,6 +57,15 @@ from test_experiment import recording_config
 
 # ---------------------------------------------------------------------------
 # Oracles: the loop forms, verbatim.
+
+
+def tally_transitions(trajectories: Iterable[Trajectory]) -> Counter:
+    pairs: Counter = Counter()
+    for traj in trajectories:
+        vals = traj.values
+        for t in range(len(vals) - 1):
+            pairs[vals[t], vals[t + 1]] += 1
+    return pairs
 
 
 def estimate_drift(trajectories: Iterable[Trajectory]) -> DriftEstimate | None:
@@ -227,6 +241,10 @@ def read_values(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # Strategies.
 
+#: the largest value each of the typecodes "bhiq" holds
+TYPECODE_TOPS = [2**7 - 1, 2**15 - 1, 2**31 - 1, 2**63 - 1]
+
+
 #: integer states around zero: negative states, holds and jumps past 1
 int_steps = st.one_of(
     st.integers(-2, 2), st.integers(-40, 40), st.sampled_from([-300, 300])
@@ -398,6 +416,81 @@ def test_tallies_on_fixed_edge_cases():
 
 
 # ---------------------------------------------------------------------------
+# The tally of held arrays.
+
+
+@st.composite
+def typed_array(draw, unit_steps=False):
+    """An int array of any "bhiq" typecode, its ends and negatives included.
+
+    With unit_steps its values walk by -1, 0 or +1 from any start that
+    keeps them in range, as every kernel's recorded values do.
+    """
+    code, top = draw(st.sampled_from(list(zip("bhiq", TYPECODE_TOPS))))
+    lo, hi = -top - 1, top
+    size = draw(st.integers(0, 9))
+    ends = st.sampled_from([lo, lo + 1, -1, 0, 1, hi - 1, hi])
+    if not unit_steps:
+        items = st.one_of(ends, st.integers(lo, hi))
+        return array(code, draw(st.lists(items, min_size=size, max_size=size)))
+    start = min(max(draw(st.one_of(ends, st.integers(lo, hi))), lo + size), hi - size)
+    steps = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=size, max_size=size))
+    return array(code, list(accumulate(steps, initial=start))[:size])
+
+
+#: up to 5 held arrays with value lists mixed in among them
+mixed_trajectories = st.tuples(
+    st.lists(typed_array(), max_size=5),
+    st.lists(
+        st.one_of(int_trajectory(as_float=True), st.lists(fractional_values, max_size=9)),
+        max_size=3,
+    ),
+).flatmap(lambda held_and_lists: st.permutations(held_and_lists[0] + held_and_lists[1]))
+#: arrays and the value lists a reader returns for them
+unit_step_trajectories = st.lists(
+    st.one_of(
+        typed_array(unit_steps=True),
+        typed_array(unit_steps=True).map(lambda held: [float(v) for v in held]),
+    ),
+    max_size=8,
+)
+
+
+def assert_tally_is_the_row_loops(trajs):
+    new, old = analysis.tally_transitions(trajs), tally_transitions(as_trajectories(trajs))
+    assert new == old
+    return new, old
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_trajectories)
+def test_tally_equals_the_row_loop_on_arrays_of_every_typecode_and_value_lists(trajs):
+    assert_tally_is_the_row_loops(trajs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_step_trajectories)
+def test_estimates_from_the_packed_tally_equal_those_from_the_row_loop(trajs):
+    # steps of -1, 0 or +1 keep every sum exact, so the tally's order
+    # cannot move a bit of either estimate
+    new, old = assert_tally_is_the_row_loops(trajs)
+    for estimate in (analysis.estimate_drift, analysis.fit_step_tail):
+        assert fields(estimate(new)) == fields(estimate(old))
+
+
+def test_tally_of_fixed_arrays():
+    for code, top in zip("bhiq", TYPECODE_TOPS):
+        lo, hi = -top - 1, top
+        for values in ([], [lo], [lo, hi], [hi, lo, hi], [lo, lo, -1, 0, 1, hi, hi], [-1] * 9):
+            assert_tally_is_the_row_loops([array(code, values)])
+        # one pair from several typecodes and a value list tallies once
+        pairs = analysis.tally_transitions(
+            [array(code, [-1, 0]), array("h", [-1, 0, -1]), [-1.0, 0.0], array("q", [-1, 0])]
+        )
+        assert pairs == {(-1, 0): 4, (0, -1): 1}
+
+
+# ---------------------------------------------------------------------------
 # Threshold counts.
 
 stopping_times = st.one_of(
@@ -436,10 +529,6 @@ csv_values = st.one_of(
     st.floats(),
     st.sampled_from([1e16, -0.0, 1e-7, 0.1 + 0.2, 0.0, -1e300, 5e-324]),
 )
-
-#: the largest value each of the typecodes "bhiq" holds
-TYPECODE_TOPS = [2**7 - 1, 2**15 - 1, 2**31 - 1, 2**63 - 1]
-
 
 @st.composite
 def held_trajectory(draw):

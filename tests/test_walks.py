@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from driftlab.rng import RngStream, below
 from driftlab.walks import simulate_biased_walk, simulate_fair_walk, simulate_lazy_walk
 from oracles import (
+    biased_walk_by_steps,
     biased_walk_mean_dp,
     fair_walk_mean,
     lazy_walk_mean_dp,
@@ -179,6 +180,55 @@ def test_biased_walk_skips_draws_on_forced_steps():
     sample, traj = simulate_biased_walk(stream, b=6, x0=3, p_up=0.6, cap=10**6, record=True)
     forced = sum(1 for v in traj.values[:-1] if v == 0)
     assert stream.draw_counter == sample.stopping_time - forced
+
+
+def assert_biased_walk_matches_steps(seed, stream_id, b, x0, p_up, cap):
+    stream = RngStream(seed, stream_id)
+    sample, traj = simulate_biased_walk(stream, b=b, x0=x0, p_up=p_up, cap=cap, record=True)
+    oracle = RngStream(seed, stream_id)
+    t, censored, values = biased_walk_by_steps(oracle, b, x0, p_up, cap)
+    assert (sample.stopping_time, sample.censored, traj.values) == (t, censored, values)
+    assert stream.draw_counter == oracle.draw_counter
+    # the recorded run and the unrecorded one take the same steps and words
+    bare = RngStream(seed, stream_id)
+    sample, traj = simulate_biased_walk(bare, b=b, x0=x0, p_up=p_up, cap=cap)
+    assert (sample.stopping_time, sample.censored, traj) == (t, censored, None)
+    assert bare.draw_counter == oracle.draw_counter
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stream_id=st.integers(min_value=0, max_value=2**64 - 1),
+    b=st.integers(min_value=1, max_value=8),
+    p_up=st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+    cap=st.integers(min_value=0, max_value=40),
+    data=st.data(),
+)
+def test_biased_walk_equals_the_step_by_step_walk(seed, stream_id, b, p_up, cap, data):
+    x0 = data.draw(st.integers(min_value=0, max_value=b))
+    assert_biased_walk_matches_steps(seed, stream_id, b, x0, p_up, cap)
+
+
+def test_biased_walk_equals_the_step_by_step_walk_around_forced_steps():
+    # from 0 with cap 1: the one forced step, and no word drawn
+    stream = RngStream(21)
+    sample, traj = simulate_biased_walk(stream, b=4, x0=0, p_up=0.75, cap=1, record=True)
+    assert (sample.stopping_time, sample.censored, traj.values) == (1, True, [0, 1])
+    assert stream.draw_counter == 0
+    assert_biased_walk_matches_steps(21, 0, 4, 0, 0.75, 1)
+    # started at b: no step
+    for b in (1, 5):
+        assert_biased_walk_matches_steps(22, 0, b, b, 0.75, 40)
+    # caps on a return to 0, on the forced step out of it and on the step after
+    returns = 0
+    for seed in range(40):
+        _, _, values = biased_walk_by_steps(RngStream(seed), 6, 1, 0.55, 200)
+        for t in (t for t, x in enumerate(values) if x == 0 and t > 0):
+            returns += 1
+            for cap in (t, t + 1, t + 2):
+                assert_biased_walk_matches_steps(seed, 0, 6, 1, 0.55, cap)
+    assert returns > 20
 
 
 def test_cap_censors_and_reports_partial_trajectory():
