@@ -45,6 +45,8 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}", line=exc.lineno) from exc
+    except RecursionError:  # else it would escape main as exit 1, a violation
+        raise FormatError("JSON nested too deeply to read", path=path) from None
 
 
 def _bound_check(violated: bool, block: AnalysisBlock) -> int:

@@ -6,10 +6,14 @@ class ConfigError(ValueError):
 
 
 class FormatError(ValueError):
-    """An input file violates its format; carries the offending line number."""
+    """An input file violates its format; carries the offending line number.
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    The message reads "<path>: line <line>: <reason>", each prefix there
+    when it is known: a parser of text knows the line, and the reader that
+    opened the file adds its path.
+    """
+
+    def __init__(self, reason: str, line: int | None = None, path: str | None = None):
+        self.reason, self.line, self.path = reason, line, path
+        message = reason if line is None else f"line {line}: {reason}"
+        super().__init__(message if path is None else f"{path}: {message}")

@@ -61,12 +61,13 @@ from driftlab.trajectory import (
     is_finite,
     is_trajectory_file,
     narrowest_int_array,
+    read_file,
     read_samples_csv,
     read_trajectory_csv,
     report_to_json,
     samples_to_csv,
     trajectory_csv_pieces,
-    trajectory_texts,
+    trajectory_paths,
     trajectory_to_csv,
     write_text,
 )
@@ -739,13 +740,14 @@ def analyze_files(
     Returns the same ExperimentArtifacts, with histogram_path None: only the
     report is written.  The trajectory files are read lazily, in name
     order, as build_report tallies them, so one file is in memory at a
-    time.  A bad file raises its FormatError before any report is written.
+    time.  A bad file raises its FormatError, naming the file and its
+    line, before any report is written.
     """
-    with open(samples_path, "r") as fh:
-        samples = read_samples_csv(fh.read())
+    samples = read_file(samples_path, read_samples_csv)
     trajectories: Iterable[list[float]] = ()
     if trajectory_dir is not None:
-        trajectories = map(read_trajectory_csv, trajectory_texts(trajectory_dir))
+        paths = trajectory_paths(trajectory_dir)
+        trajectories = (read_file(path, read_trajectory_csv) for path in paths)
     if report_path is None:
         report_path = os.path.join(os.path.dirname(samples_path) or ".", REPORT_FILE)
     return ExperimentArtifacts(

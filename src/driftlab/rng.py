@@ -21,9 +21,14 @@ triple and the key derived from it (the counter-based design of
 Random123, Salmon et al., SC'11).
 ``next_u64`` computes the formula above for one word.  Each ``words()``
 iterator computes its own blocks from the counter it started at: 64
-words, then doubling up to 1024, and 1024 from then on.  The counters of
-the next 1024-word block are the current ones plus 1024 * GOLDEN, so the
-full blocks advance their packed counter lanes by one addition.
+words, then doubling up to 1024, and 1024 from then on.  A block packs
+its words densely into one int, word i at bit 64*i: each xor-shift masks
+off the bits the shift pulls in from the next word, each multiply runs
+on the even and the odd slots apart so a product has the free slot
+above its word to grow in, and the counters are summed as an even and an
+odd half for the same reason.  The counters of the next 1024-word block
+are the current ones plus 1024 * GOLDEN, so the full blocks advance each
+half by one masked addition.
 
 The scalar methods read one word at a time: ``next_uniform`` scales one
 word and ``next_index`` rejects and reduces words.  The kernels read raw
@@ -49,23 +54,27 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # 1 / 2**53, scales a 53-bit integer into [0, 1)
 _INV53 = 1.0 / (1 << 53)
 
-# Block path: up to _BLOCK counters packed into one Python int, lane i at
-# bit 128*i.  A lane holds a 64-bit word, so a lane-wise 64x64-bit product
-# stays below the next lane and one big-int operation steps every lane.
+# Block path: up to _BLOCK words packed densely into one Python int, word i
+# at bit 64*i, so one big-int operation steps every word (see _mixed).
 _BLOCK = 1024
 _MIN_BLOCK = 64
-_LANE_BYTES = 16
-# 1 in every lane; the all-ones word in every lane; i*GOLDEN in lane i
-_ONES = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * _BLOCK, "little")
-_LANES = _MASK64 * _ONES
+_WORD_BYTES = 8
+# 1 in every slot and in every even slot; the low j bits of every slot, for
+# each shift j = 64 - s of _mix64; every even and every odd slot; i*GOLDEN
+# in slot i
+_ONE = int.from_bytes((b"\x01" + bytes(_WORD_BYTES - 1)) * _BLOCK, "little")
+_EVEN_ONE = int.from_bytes((b"\x01" + bytes(2 * _WORD_BYTES - 1)) * (_BLOCK // 2), "little")
+_LOW = {j: ((1 << j) - 1) * _ONE for j in (34, 37, 33)}
+_EVEN = _MASK64 * _EVEN_ONE
+_ODD = _EVEN << 64
 _STEPS = int.from_bytes(
-    b"".join(
-        ((i * _GOLDEN) & _MASK64).to_bytes(_LANE_BYTES, "little") for i in range(_BLOCK)
-    ),
+    b"".join(((i * _GOLDEN) & _MASK64).to_bytes(_WORD_BYTES, "little") for i in range(_BLOCK)),
     "little",
 )
-# _BLOCK * GOLDEN in every lane: the counters of the next full block
-_STRIDE = ((_BLOCK * _GOLDEN) & _MASK64) * _ONES
+# _BLOCK * GOLDEN in every even and every odd slot: the next full block's
+# counters, each half stepped apart so no carry crosses into the next word
+_EVEN_STRIDE = ((_BLOCK * _GOLDEN) & _MASK64) * _EVEN_ONE
+_ODD_STRIDE = _EVEN_STRIDE << 64
 
 
 def _mix64(z: int) -> int:
@@ -75,40 +84,46 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# block size -> (_ONES, _LANES, _STEPS) cut to that many lanes, built at
-# first use so importing the module pays for the full-size tables only
-_TABLES = {_BLOCK: (_ONES, _LANES, _STEPS)}
+def _mixed(d: int, size: int) -> array:
+    """The words _mix64 makes of the size counters packed densely in d.
 
-
-def _mixed(z: int, lanes: int, size: int) -> array:
-    """The words _mix64 makes of the size counters packed in z.
-
-    Each shift spills the low bits of lane i+1 into the unused top half of
-    lane i; masking before each multiply drops the spill.
+    A mask that keeps the low 64 - s bits of each slot drops what the shift
+    by s pulls in from the next word.  The product of an even (odd) word
+    carries into the odd (even) slot above it, which the even (odd) mask
+    drops.  The masks span _BLOCK slots and cut nothing of a shorter d.
     """
-    z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
-    z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
-    z ^= z >> 31
-    words = array("Q", z.to_bytes(size * _LANE_BYTES, "little"))
+    even, odd = _EVEN, _ODD
+    d ^= (d >> 30) & _LOW[34]
+    d = ((d & even) * 0xBF58476D1CE4E5B9 & even) | ((d & odd) * 0xBF58476D1CE4E5B9 & odd)
+    d ^= (d >> 27) & _LOW[37]
+    d = ((d & even) * 0x94D049BB133111EB & even) | ((d & odd) * 0x94D049BB133111EB & odd)
+    d ^= (d >> 31) & _LOW[33]
+    words = array("Q", d.to_bytes(size * _WORD_BYTES, "little"))
     if sys.byteorder == "big":
         words.byteswap()
-    # every lane is its word followed by the spill of the last shift
-    return words[::2]
+    return words
 
 
-def _block(key: int, counter: int, size: int) -> array:
-    """The size (<= _BLOCK) words a stream with this key draws after counter.
+# block size -> _ONE and _STEPS cut to that many slots, each split into its
+# even and its odd half, built at first use
+_TABLES: dict[int, tuple[int, int, int, int]] = {}
 
-    Lane i starts as key + (counter + 1 + i) * GOLDEN and goes through
-    _mix64.
+
+def _counters(key: int, counter: int, size: int) -> tuple[int, int]:
+    """The even and the odd slots of the size (<= _BLOCK) counters after counter.
+
+    Slot i holds key + (counter + 1 + i) * GOLDEN.  Each half is summed
+    apart, so the carry out of a slot lands in the free slot above it and
+    its mask drops it.
     """
     tables = _TABLES.get(size)
     if tables is None:
-        mask = (1 << (size * _LANE_BYTES * 8)) - 1
-        tables = _TABLES[size] = tuple(t & mask for t in _TABLES[_BLOCK])
-    ones, lanes, steps = tables
+        mask = (1 << (size * _WORD_BYTES * 8)) - 1
+        one, steps = _ONE & mask, _STEPS & mask
+        tables = _TABLES[size] = (one & _EVEN, steps & _EVEN, one & _ODD, steps & _ODD)
+    even_one, even_steps, odd_one, odd_steps = tables
     base = (key + (counter + 1) * _GOLDEN) & _MASK64
-    return _mixed((base * ones + steps) & lanes, lanes, size)
+    return (base * even_one + even_steps) & _EVEN, (base * odd_one + odd_steps) & _ODD
 
 
 def below(p: float) -> int:
@@ -134,18 +149,21 @@ def index_limit(k: int) -> int:
 def _blocks(key: int, n: int) -> Iterator[array]:
     """The blocks of words drawn after position n: 64 words, doubling up to _BLOCK.
 
-    From the first full block on, the packed counters step by _STRIDE: one
-    masked addition moves every lane _BLOCK counters on.
+    From the first full block on, each half of the packed counters steps
+    by its stride: one masked addition moves every slot of it _BLOCK
+    counters on.
     """
     size = _MIN_BLOCK
     while size < _BLOCK:
-        yield _block(key, n, size)
+        even, odd = _counters(key, n, size)
+        yield _mixed(even | odd, size)
         n += size
         size *= 2
-    z = (((key + (n + 1) * _GOLDEN) & _MASK64) * _ONES + _STEPS) & _LANES
+    even, odd = _counters(key, n, _BLOCK)
     while True:
-        yield _mixed(z, _LANES, _BLOCK)
-        z = (z + _STRIDE) & _LANES
+        yield _mixed(even | odd, _BLOCK)
+        even = (even + _EVEN_STRIDE) & _EVEN
+        odd = (odd + _ODD_STRIDE) & _ODD
 
 
 @dataclass

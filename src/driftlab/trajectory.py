@@ -19,10 +19,11 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from driftlab.errors import FormatError
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -136,33 +137,46 @@ def samples_to_csv(
     return "\n".join(lines) + "\n"
 
 
-#: a run's trajectory CSV texts: "%d," % t for each row index t below the
-#: longest trajectory's length, and "%d\n" % v by each distinct value v
-CsvPieces = tuple[list[str], dict[int, str]]
+class ValueTexts(dict):
+    """value -> "%d\n" % value, each formatted the first time it is looked up."""
+
+    def __missing__(self, value: int) -> str:
+        self[value] = text = "%d\n" % value
+        return text
+
+
+#: a run's trajectory CSV texts: a row list that holds "%d," % t at each
+#: even index 2t below twice the longest trajectory's length, and the
+#: ValueTexts of the values written so far
+CsvPieces = tuple[list, ValueTexts]
 
 
 def trajectory_csv_pieces(trajectories: Sequence[Sequence[int]]) -> CsvPieces:
-    """The row texts every trajectory_to_csv of one run joins, each formatted once.
+    """The texts every trajectory_to_csv of one run joins, each formatted once.
 
-    They hold one string per row index of the longest trajectory and one
-    per distinct value, so a run writing many files converts each index
-    and each state to text once, not once per file.  The caller keeps them
-    only while it writes the run's files.  No trajectories give no pieces.
+    The row list holds one step text per row index of the longest
+    trajectory, made here from the trajectories' lengths alone; the value
+    texts start empty and gain one text per distinct value as the files
+    are written.  So a run writing many files converts each index and each
+    state to text once, not once per file.  The caller keeps them only
+    while it writes the run's files.  No trajectories give no pieces.
     """
-    longest = max(map(len, trajectories), default=0)
-    steps = list(map("%d,".__mod__, range(longest)))
-    return steps, {v: "%d\n" % v for v in set().union(*trajectories)}
+    rows = [""] * (2 * max(map(len, trajectories), default=0))
+    rows[::2] = map("%d,".__mod__, range(len(rows) // 2))
+    return rows, ValueTexts()
 
 
 def trajectory_to_csv(values: Sequence[int], pieces: CsvPieces) -> str:
     """Render one int trajectory as CSV text with header TRAJECTORY_HEADER.
 
-    One row per step, its index and its value in decimal, joined from
-    pieces, which trajectory_csv_pieces built from trajectories including
-    this one.
+    One row per step, its index and its value in decimal: a copy of the
+    row list's first 2 * len(values) slots, the value texts in its odd
+    slots, joined.  pieces is what trajectory_csv_pieces built from
+    trajectories including this one.
     """
-    steps, texts = pieces
-    rows = chain.from_iterable(zip(steps, map(texts.__getitem__, values)))
+    rows, texts = pieces
+    rows = rows[: 2 * len(values)]
+    rows[1::2] = map(texts.__getitem__, values)
     return f"{TRAJECTORY_HEADER}\n" + "".join(rows)
 
 
@@ -324,9 +338,24 @@ def read_trajectory_csv(text: str) -> list[float]:
     return values
 
 
-def trajectory_texts(directory: str) -> Iterator[str]:
-    """The text of each CSV file in directory, in name order, one at a time."""
-    for name in sorted(n for n in os.listdir(directory) if n.endswith(".csv")):
-        with open(os.path.join(directory, name)) as fh:
+def read_file(path: str, parse: Callable[[str], T]) -> T:
+    """parse of the text of the file at path, every FormatError naming path.
+
+    A file that does not decode is a FormatError with no line; one that
+    parse rejects keeps parse's line.
+    """
+    with open(path) as fh:
+        try:
             text = fh.read()
-        yield text  # with the file closed
+        except UnicodeDecodeError as exc:
+            raise FormatError(str(exc), path=path) from None
+    try:
+        return parse(text)
+    except FormatError as exc:
+        raise FormatError(exc.reason, exc.line, path) from None
+
+
+def trajectory_paths(directory: str) -> list[str]:
+    """The path of each CSV file in directory, in name order."""
+    names = sorted(n for n in os.listdir(directory) if n.endswith(".csv"))
+    return [os.path.join(directory, name) for name in names]

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -908,6 +909,39 @@ def test_cli_analyze_rejects_a_non_finite_trajectory_value(tmp_path, capsys, val
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (b"step,value\n0,0\n1,x\n", "line 3: bad value 'x'"),
+        (b"step,value\n0,0\n1,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["bad-value", "not-utf-8"],
+)
+def test_analyze_errors_name_the_file(tmp_path, capsys, bad, reason):
+    texts = ["step,value\n0,0\n1,1\n"] * 5
+    samples = tmp_path / "samples.csv"
+    samples.write_text(sample_rows([1] * len(texts)))
+    trajectories = tmp_path / "trajectories"
+    trajectories.mkdir()
+    for i, text in enumerate(texts):
+        (trajectories / f"run_{i:05d}.csv").write_text(text)
+    path = trajectories / "run_00003.csv"
+    path.write_bytes(bad)
+    analysis = write_json(tmp_path / "analysis.json", {"k_list": [1.0]})
+    assert main(["analyze", str(samples), analysis, "--trajectories", str(trajectories)]) == 2
+    assert f"error: {path}: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    with pytest.raises(FormatError) as err:
+        analyze_files(str(samples), AnalysisBlock(), str(trajectories))
+    assert err.value.path == str(path)
+    assert err.value.line == (3 if "line" in reason else None)
+    # and a bad samples.csv names itself, keeping its line
+    samples.write_text(sample_rows([1, -3, 2]))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(samples))}: line 3: ") as err:
+        analyze_files(str(samples), AnalysisBlock())
+    assert err.value.line == 3
+
+
 def test_cli_analyze_refuses_a_drift_moment_that_overflows(tmp_path, capsys):
     # both values are finite, but the squared step 1e400 is not
     assert cli_analyze_trajectories(tmp_path, ["step,value\n0,0\n1,1e200\n"]) == 2
@@ -1003,6 +1037,12 @@ def test_cli_malformed_json_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{bad} is not valid JSON" in err
     assert "line 2" in err
+    # json.loads raises RecursionError, which is no ValueError, past its depth
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (["bounds"], ["run"], ["analyze", str(tmp_path / "samples.csv")]):
+        assert main([*argv, str(deep)]) == 2
+        assert f"error: {deep}: JSON nested too deeply to read" in capsys.readouterr().err
 
 
 def test_an_empty_output_dir_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys):

@@ -568,6 +568,32 @@ def test_trajectory_csv_fixed_values():
     assert trajectory.trajectory_csv_pieces([]) == ([], {})
 
 
+class Unscanned(list):
+    """A trajectory whose length can be read but whose values cannot be iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the values of a trajectory were scanned")
+
+
+def test_pieces_read_only_lengths_and_format_each_value_once():
+    trajs = [[5, 6, 5, 7], [7, 8], [5, -1, 9, 9, 9, 2], [-1]]
+    pieces = trajectory.trajectory_csv_pieces(list(map(Unscanned, trajs)))
+    texts = type(pieces[1])
+    missing = texts.__missing__
+    formatted = []
+
+    def counted(self, value):
+        formatted.append(value)
+        return missing(self, value)
+
+    with mock.patch.object(texts, "__missing__", counted):
+        written = [trajectory.trajectory_to_csv(values, pieces) for values in trajs]
+    assert written == [trajectory_to_csv(Trajectory(values=values)) for values in trajs]
+    distinct = {v for values in trajs for v in values}
+    assert sorted(formatted) == sorted(distinct)
+    assert pieces[1] == {v: "%d\n" % v for v in distinct}
+
+
 @pytest.mark.parametrize("kind", sorted(RECORDING))
 def test_each_trajectory_file_is_the_row_loop_text_of_its_run(tmp_path, kind):
     config = recording_config(tmp_path, kind)
