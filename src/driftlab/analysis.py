@@ -14,10 +14,12 @@ estimators take that one tally: the drift sums d * count per distinct pair,
 and the step tail folds the pairs into one count per magnitude |y - x|.
 Every simulator records integer values, and on integer-valued trajectories
 the tallied sums are exact in any order, so the results equal a
-transition-by-transition sum.  Fractional values (a value list, as the
-reader returns) are summed in the tally's first-occurrence order, which is
-deterministic but may differ from the sequential sum in the last bits; the
-step tail only counts, so it is exact for any values.
+transition-by-transition sum.  A run holds each trajectory as an int
+array, and the reader returns a file of integer texts as one too.
+Fractional values (a value list, as the reader returns any other file)
+are summed in the tally's first-occurrence order, which is deterministic
+but may differ from the sequential sum in the last bits; the step tail
+only counts, so it is exact for any values.
 
 Each analysis returns its report section, or None when there is nothing
 to report: no finished sample for the summary and the histogram, no
@@ -87,14 +89,16 @@ def tally_transitions(trajectories: Iterable[Sequence[float]]) -> Counter:
     iterable yields it, and keeps only the tally, so trajectories read
     lazily are never all held at once.
 
-    Value lists (the reader's floats) tally in first-occurrence order.
-    Arrays tally in no stated order.  A ``b``, ``h`` or ``i`` array's bytes
-    are read as "q" items of k = 8, 4 or 2 values, so that Counter counts
-    them at C speed: the windows from offset 0 hold k - 1 pairs each, and
-    the windows from offset k - 1 hold the pair that links two of them
-    first.  Each distinct window is read back into its pairs once, after
-    the last trajectory; the pairs after the last whole window are counted
-    one by one.  A recorded run's windows repeat (its steps are -1, 0 or
+    Value lists (the reader's floats, for a file with a fractional value
+    or one past typecode "i") tally in first-occurrence order.  Arrays (a
+    run's, and the reader's for a file of int texts) tally in no stated
+    order.  A ``b``, ``h`` or ``i`` array's bytes are read as "q" items of
+    k = 8, 4 or 2 values, so that Counter counts them at C speed: the
+    windows from offset 0 hold k - 1 pairs each, and the windows from
+    offset k - 1 hold the pair that links two of them first.  Each
+    distinct window is read back into its pairs once, after the last
+    trajectory; the pairs after the last whole window are counted one by
+    one.  A recorded run's windows repeat (its steps are -1, 0 or
     +1 over a bounded range), so a value costs about 2 / k counts.
     """
     pairs: Counter = Counter()
@@ -135,9 +139,10 @@ def estimate_drift(pairs: Counter) -> DriftEstimate | None:
 
     Sums d * count per distinct pair of tally_transitions, in the tally's
     order: first-occurrence order for value lists, no stated order for
-    arrays.  The order cannot move the result on integer-valued
-    trajectories, whose sums a float adds exactly below 2**53; every
-    recorded kernel steps by -1, 0 or +1, so its sums stay far below that.
+    arrays (a run's, and the reader's for a file of int texts).  The order
+    cannot move the result on integer-valued trajectories, whose sums a
+    float adds exactly below 2**53; every recorded kernel steps by -1, 0 or
+    +1, so its sums stay far below that.
     Fractional values may differ from a sequential sum in the last bits.
     """
     if not pairs:

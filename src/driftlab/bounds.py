@@ -41,6 +41,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from driftlab.errors import shown
+
 _TAILS = {
     "NegativeDriftVariance": ("delta", 1.0, 2),
     "StandardVariance": ("delta", 1.0, 2),
@@ -71,7 +73,7 @@ class BoundSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown bound kind {self.kind!r}; choose from {KINDS}")
+            raise ValueError(f"unknown bound kind {shown(self.kind)}; choose from {KINDS}")
         for name in ("b", "x0", "delta", "epsilon", "ell", "c"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

@@ -21,6 +21,7 @@ from driftlab.experiment import (
     from_json,
     run_experiment,
 )
+from driftlab.trajectory import read_file
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -39,8 +40,7 @@ def bounds_csv(spec: BoundSpec, tau_grid) -> str:
 
 
 def _load_json(path: str):
-    with open(path, "r") as fh:
-        text = fh.read()
+    text = read_file(path, str)  # a file that does not decode is named, like a CSV
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

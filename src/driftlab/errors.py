@@ -1,4 +1,19 @@
-"""Shared exception types."""
+"""Shared exception types, and how a message quotes a value."""
+
+#: the most characters of a value's repr, or of a list of keys, that a
+#: message quotes
+SHOWN_CHARS = 40
+
+
+def cut(text: str) -> str:
+    """text for a message, cut to SHOWN_CHARS characters ending in "..."
+    when longer, so a huge config value makes a short line."""
+    return text if len(text) <= SHOWN_CHARS else text[: SHOWN_CHARS - 3] + "..."
+
+
+def shown(value) -> str:
+    """repr(value), cut for a message."""
+    return cut(repr(value))
 
 
 class ConfigError(ValueError):

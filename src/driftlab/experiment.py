@@ -37,7 +37,7 @@ from driftlab.analysis import (
 )
 from driftlab.bilinear import PAYOFFS, BilinearParams, run_forgetting, run_until_opt
 from driftlab.bounds import BoundSpec
-from driftlab.errors import ConfigError
+from driftlab.errors import ConfigError, cut, shown
 from driftlab.recolour import (
     generate_3colorable,
     random_colouring,
@@ -57,6 +57,7 @@ from driftlab.trajectory import (
     TRAJECTORY_DIR,
     TRAJECTORY_FILE,
     HittingTimeSample,
+    TextValues,
     histogram_to_csv,
     is_finite,
     is_trajectory_file,
@@ -87,7 +88,7 @@ def finite_number(value, where: str) -> float:
     with one reports results that mean nothing.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+        raise ConfigError(f"{where}: expected a number, got {shown(value)}")
     if not is_finite(value):
         raise ConfigError(f"{where}: expected a finite number")
     return float(value)
@@ -128,7 +129,7 @@ def _read(typ, value, where: str, positive: bool):
         # bool is an int subclass; a config saying true where a count
         # belongs is a mistake worth naming
         if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
-            raise ConfigError(f"{where}: expected {_EXPECTED[typ]}, got {value!r}")
+            raise ConfigError(f"{where}: expected {_EXPECTED[typ]}, got {shown(value)}")
         return value
     if typ is float:
         return finite_number(value, where)
@@ -148,11 +149,11 @@ def from_json(cls, obj, where: str):
     cls has one; a ValueError from it or the constructor is named by where.
     """
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object, got {obj!r}")
+        raise ConfigError(f"{where}: expected an object, got {shown(obj)}")
     specs = _field_specs(cls)
     extra = sorted(set(obj).difference(specs))
     if extra:
-        raise ConfigError(f"{where}: unknown field(s) {', '.join(extra)}")
+        raise ConfigError(f"{where}: unknown field(s) {cut(', '.join(extra))}")
     values = {}
     for name, (typ, required, positive) in specs.items():
         if not required and obj.get(name) is None:
@@ -493,7 +494,7 @@ class ExperimentConfig:
     def check(self, where: str) -> None:
         if self.kind not in KINDS:
             raise ConfigError(
-                f"{where}.kind: unknown kind {self.kind!r}; choose from {', '.join(KINDS)}"
+                f"{where}.kind: unknown kind {shown(self.kind)}; choose from {', '.join(KINDS)}"
             )
         if self.runs < 1:
             raise ConfigError(f"{where}.runs: must be at least 1")
@@ -740,14 +741,17 @@ def analyze_files(
     Returns the same ExperimentArtifacts, with histogram_path None: only the
     report is written.  The trajectory files are read lazily, in name
     order, as build_report tallies them, so one file is in memory at a
-    time.  A bad file raises its FormatError, naming the file and its
+    time.  One TextValues serves every file, so a file of integer texts
+    reads back as an int array with each distinct text parsed once per
+    call.  A bad file raises its FormatError, naming the file and its
     line, before any report is written.
     """
     samples = read_file(samples_path, read_samples_csv)
-    trajectories: Iterable[list[float]] = ()
+    trajectories: Iterable[Sequence[float]] = ()
     if trajectory_dir is not None:
         paths = trajectory_paths(trajectory_dir)
-        trajectories = (read_file(path, read_trajectory_csv) for path in paths)
+        ints = TextValues()  # one for every file: each distinct text is parsed once
+        trajectories = (read_file(path, read_trajectory_csv, ints) for path in paths)
     if report_path is None:
         report_path = os.path.join(os.path.dirname(samples_path) or ".", REPORT_FILE)
     return ExperimentArtifacts(

@@ -40,22 +40,23 @@ class Trajectory:
     values: list[int]
 
 
-def narrowest_int_array(values: Sequence[int]) -> array:
-    """The ints values as an array of the first typecode in "bhiq" whose
+def narrowest_int_array(values: Sequence[int], codes: str = "bhiq") -> array:
+    """The ints values as an array of the first typecode in codes whose
     signed range holds their min and max.
 
     Each narrower typecode is tried in turn, and its constructor stops at
     the first value out of its range; a path that leaves a range early
     costs about one conversion, where finding min and max would cost two
-    more passes.  A value outside the signed 64-bit range is an
-    OverflowError, as array("q") raises.
+    more passes.  A value outside the last typecode's range is an
+    OverflowError, as its array constructor raises.
     """
-    for code in "bhi":
+    *narrower, widest = codes
+    for code in narrower:
         try:
             return array(code, values)
         except OverflowError:
             pass
-    return array("q", values)
+    return array(widest, values)
 
 
 @dataclass(frozen=True)
@@ -296,13 +297,37 @@ def read_samples_csv(text: str) -> list[HittingTimeSample]:
 _NOT_COMMA_OR_BREAK = bytes(b for b in range(128) if b not in b",\n\r\x0b\x0c\x1c\x1d\x1e")
 
 
-def read_trajectory_csv(text: str) -> list[float]:
+class TextValues(dict):
+    """text -> int(text), each parsed the first time it is looked up.
+
+    The reader's mirror of ValueTexts; a text that int() rejects raises its
+    ValueError and is not stored.
+    """
+
+    def __missing__(self, text: str) -> int:
+        self[text] = value = int(text)
+        return value
+
+
+def read_trajectory_csv(text: str, ints: TextValues | None = None) -> array | list[float]:
     """A step,value CSV's values; blank lines are skipped, the step column unread.
 
     Every value must be a finite number, as in samples.csv.  Text that is
     the header and rows of one comma each, every line ending in a newline,
     is parsed with one split; any other text, and any with a bad value, is
     read row by row, which raises the FormatError of the first bad row.
+
+    Where every value cell of the split is an integer text that int()
+    reads, and the values fit typecode "i", they are returned as an array
+    of the first typecode in "bhi" that holds them: the form a run holds
+    them in, which the tally counts in packed windows.  ints maps each
+    value text to its int; analyze_files passes one for all the files it
+    reads, so each distinct text is parsed once (a call without one parses
+    into its own).  Every such value is at most 2**31 in magnitude, so it
+    equals the float() of its text, with one difference that neither ==
+    nor a report can tell: "-0" reads as 0, not -0.0.  Any other values, those with a
+    fractional, exponent or out-of-range cell, are returned as a list of
+    floats.
     """
     head = f"{TRAJECTORY_HEADER}\n"
     if text.startswith(head) and text.endswith("\n"):
@@ -312,8 +337,14 @@ def read_trajectory_csv(text: str) -> list[float]:
         # str encode) is left to make splitlines see other rows
         marks = body.encode("utf-8", "surrogatepass").translate(None, _NOT_COMMA_OR_BREAK)
         if marks and marks == b",\n" * (len(marks) // 2):
+            cells = body.replace("\n", ",").split(",")[1::2]
+            parse = (TextValues() if ints is None else ints).__getitem__
             try:
-                values = list(map(float, body.replace("\n", ",").split(",")[1::2]))
+                return narrowest_int_array(list(map(parse, cells)), "bhi")
+            except (ValueError, OverflowError):
+                pass  # a cell int() rejects, or a value past typecode "i"
+            try:
+                values = list(map(float, cells))
             except ValueError:
                 pass  # a bad value: the row walk names its row
             else:
@@ -338,8 +369,9 @@ def read_trajectory_csv(text: str) -> list[float]:
     return values
 
 
-def read_file(path: str, parse: Callable[[str], T]) -> T:
-    """parse of the text of the file at path, every FormatError naming path.
+def read_file(path: str, parse: Callable[..., T], *args) -> T:
+    """parse(text, *args) of the text of the file at path, every FormatError
+    naming path.
 
     A file that does not decode is a FormatError with no line; one that
     parse rejects keeps parse's line.
@@ -350,7 +382,7 @@ def read_file(path: str, parse: Callable[[str], T]) -> T:
         except UnicodeDecodeError as exc:
             raise FormatError(str(exc), path=path) from None
     try:
-        return parse(text)
+        return parse(text, *args)
     except FormatError as exc:
         raise FormatError(exc.reason, exc.line, path) from None
 

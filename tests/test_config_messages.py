@@ -537,3 +537,43 @@ def test_a_faulty_bounds_spec_exits_two_with_its_full_message(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+#: a message quotes at most 40 characters of a value's repr or of the unknown keys
+CUT_CASES = [
+    ([1] * 100_000, f"bounds spec.bound: expected an object, got [{'1, ' * 12}..."),
+    (
+        dict(ADDITIVE, kind="K" * 100_000),
+        f"bounds spec.bound: unknown bound kind '{'K' * 36}...; choose from ",
+    ),
+    (
+        dict(ADDITIVE, b="7" * 100_000),
+        f"bounds spec.bound.b: expected a number, got '{'7' * 36}...",
+    ),
+    (dict(ADDITIVE, b="7" * 39), f"bounds spec.bound.b: expected a number, got '{'7' * 36}..."),
+    (dict(ADDITIVE, b="7" * 38), f"bounds spec.bound.b: expected a number, got '{'7' * 38}'\n"),
+    (
+        dict(ADDITIVE, **{f"k{i:05d}": 1 for i in range(100_000)}),
+        "bounds spec.bound: unknown field(s) k00000, k00001, k00002, k00003, k0000...\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "bound, message",
+    CUT_CASES,
+    ids=[
+        "list-of-100000-ones",
+        "long-kind",
+        "long-string",
+        "repr-of-41",
+        "repr-of-40-in-full",
+        "100000-unknown-keys",
+    ],
+)
+def test_a_message_cuts_a_long_value_to_forty_characters(tmp_path, capsys, bound, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"bound": bound, "tau_grid": [1.0]}))
+    assert main(["bounds", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.encode()) < 200

@@ -361,6 +361,28 @@ def test_recorded_runs_cross_the_pool_byte_for_byte(tmp_path, monkeypatch, kind)
         assert fh.read() == serial["report.json"]
 
 
+@pytest.mark.parametrize("kind", sorted(RECORDING))
+def test_reanalysis_of_the_trajectories_rewritten_as_floats_writes_the_runs_report(
+    tmp_path, kind
+):
+    # every value v as "v.0": the reader's float lists, not its int arrays,
+    # must tally into the same report bytes
+    config = recording_config(tmp_path, kind)
+    artifacts = run_experiment(config)
+    floats = tmp_path / "floats"
+    floats.mkdir()
+    for name in os.listdir(artifacts.trajectory_dir):
+        with open(os.path.join(artifacts.trajectory_dir, name)) as fh:
+            text = fh.read().replace("\n", ".0\n").replace(".0\n", "\n", 1)
+        assert type(read_trajectory_csv(text)) is list
+        (floats / name).write_text(text)
+    redo = analyze_files(
+        artifacts.samples_path, config.analysis, str(floats), str(tmp_path / "redo.json")
+    ).report_path
+    with open(redo, "rb") as fh, open(artifacts.report_path, "rb") as run_report:
+        assert fh.read() == run_report.read()
+
+
 def first_typecode_holding(values):
     """The first of "bhiq" whose signed range holds every one of values."""
     for code in "bhiq":
@@ -733,7 +755,8 @@ def test_read_samples_errors_carry_line_numbers(text, fragment):
 
 
 def test_read_trajectory_round_trip_and_errors():
-    assert read_trajectory_csv("step,value\n0,5\n1,4.5\n2,4\n") == [5.0, 4.5, 4.0]
+    assert repr(read_trajectory_csv("step,value\n0,5\n1,4.5\n2,4\n")) == "[5.0, 4.5, 4.0]"
+    assert repr(read_trajectory_csv("step,value\n0,5\n1,-4\n2,4\n")) == "array('b', [5, -4, 4])"
     for text, fragment in [
         ("value\n1\n", "line 1"),
         ("step,value\n0\n", "line 2"),
@@ -1043,6 +1066,15 @@ def test_cli_malformed_json_exits_two(tmp_path, capsys):
     for argv in (["bounds"], ["run"], ["analyze", str(tmp_path / "samples.csv")]):
         assert main([*argv, str(deep)]) == 2
         assert f"error: {deep}: JSON nested too deeply to read" in capsys.readouterr().err
+
+
+def test_a_json_file_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "config.json"
+    bad.write_bytes(b'{"kind": "synthetic_fair\xff"}\n')
+    for argv in (["bounds"], ["run"], ["analyze", str(tmp_path / "samples.csv")]):
+        assert main([*argv, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff"), err
 
 
 def test_an_empty_output_dir_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys):

@@ -16,7 +16,10 @@ fractional ones the drift moments may differ in the last bits, because
 the tallied sums are added in another order.  A streamed reanalysis
 must write the same bytes as build_report over the fully read
 trajectories.  The package writes int trajectories only, so the row-loop
-writer also writes the float text the reader tests read back.
+writer also writes the float text the reader tests read back.  The
+package reader returns a file of integer texts as an int array, whose
+values must equal the row scan's floats; any other file, as the very
+floats.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from driftlab.errors import FormatError
 from driftlab.experiment import AnalysisBlock, build_report
 from driftlab.trajectory import HittingTimeSample, Trajectory, format_value, report_to_json
 from oracles import RECORDING
-from test_experiment import recording_config
+from test_experiment import first_typecode_holding, recording_config
 
 # ---------------------------------------------------------------------------
 # Oracles: the loop forms, verbatim.
@@ -604,9 +607,15 @@ def test_each_trajectory_file_is_the_row_loop_text_of_its_run(tmp_path, kind):
             assert fh.read() == trajectory_to_csv(Trajectory(values=values)).encode()
 
 
-def read_outcome(fn, text):
-    got = outcome(fn, text)
-    return got if got[0] == "raised" else ("ok", repr(got[1]))
+def assert_reads_like_the_row_scan(text):
+    """The reader raises as the row scan does, or returns its values: a
+    "bhi" array of ints equal to its floats, or the very floats (repr tells
+    -0.0 from 0.0)."""
+    new, old = outcome(trajectory.read_trajectory_csv, text), outcome(read_values, text)
+    if new[0] == "ok" and isinstance(new[1], array):
+        assert new[1].typecode in "bhi" and ("ok", new[1].tolist()) == old
+    else:
+        assert repr(new) == repr(old)
 
 
 #: every line break str.splitlines knows but "\n"; float() strips the
@@ -655,9 +664,7 @@ def trajectory_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(trajectory_texts())
 def test_trajectory_reader_matches_the_row_scan(text):
-    assert read_outcome(trajectory.read_trajectory_csv, text) == read_outcome(
-        read_values, text
-    )
+    assert_reads_like_the_row_scan(text)
 
 
 @st.composite
@@ -682,18 +689,14 @@ def written_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(written_texts())
 def test_written_form_with_one_change_reads_like_the_row_scan(text):
-    assert read_outcome(trajectory.read_trajectory_csv, text) == read_outcome(
-        read_values, text
-    )
+    assert_reads_like_the_row_scan(text)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(csv_values, min_size=1, max_size=50))
 def test_written_trajectories_read_back_like_the_row_scan(values):
     text = trajectory_to_csv(Trajectory(values=values))
-    assert read_outcome(trajectory.read_trajectory_csv, text) == read_outcome(
-        read_values, text
-    )
+    assert_reads_like_the_row_scan(text)
 
 
 def test_trajectory_reader_errors_match_the_row_scan():
@@ -717,17 +720,76 @@ def test_trajectory_reader_errors_match_the_row_scan():
         "step,value\n0,nan\n1,x\n",  # the first bad row is named
         "step,value\n0,1e308\n1,1e308\n",  # finite values whose sum overflows
     ]:
-        new = read_outcome(trajectory.read_trajectory_csv, text)
-        assert new == read_outcome(read_values, text)
-    assert read_outcome(trajectory.read_trajectory_csv, "step,value\n\n0,1\n\n\n1,x\n") == (
+        assert_reads_like_the_row_scan(text)
+    assert outcome(trajectory.read_trajectory_csv, "step,value\n\n0,1\n\n\n1,x\n") == (
         "raised", FormatError, "line 6: bad value 'x'", 6
     )
-    assert read_outcome(trajectory.read_trajectory_csv, "step,value\n0,1\n1,-inf\n") == (
+    assert outcome(trajectory.read_trajectory_csv, "step,value\n0,1\n1,-inf\n") == (
         "raised", FormatError, "line 3: value must be a finite number, got '-inf'", 3
     )
-    assert read_outcome(trajectory.read_trajectory_csv, "step,value\n0,1e308\n1,1e308\n") == (
-        "ok", "[1e+308, 1e+308]"
+    assert outcome(trajectory.read_trajectory_csv, "step,value\n0,1e308\n1,1e308\n") == (
+        "ok", [1e308, 1e308]
     )
+
+
+#: the integer texts int() and float() both read: signs, padding, underscores
+int_texts = st.tuples(
+    st.integers(-(2**31), 2**31 - 1), st.sampled_from(["{}", "{:+d}", " {}", "{}\t", "{:_d}"])
+).map(lambda t: (t[0], t[1].format(t[0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(int_texts, min_size=1, max_size=40), st.booleans())
+def test_integer_texts_read_back_as_the_narrowest_int_array(cells, shared):
+    values = [v for v, _ in cells]
+    text = "step,value\n" + "".join(f"{t},{cell}\n" for t, (_, cell) in enumerate(cells))
+    ints = trajectory.TextValues() if shared else None
+    got = trajectory.read_trajectory_csv(text, ints)
+    assert isinstance(got, array) and got.typecode == first_typecode_holding(values)
+    assert got.tolist() == values == read_values(text)
+    if shared:  # each distinct text parsed once, to its int
+        assert ints == {cell: v for v, cell in cells}
+
+
+@pytest.mark.parametrize(
+    "cell, typecode, value",
+    [
+        ("1.5", None, 1.5),
+        ("1e3", None, 1000.0),
+        ("nan", None, None),  # the row scan's FormatError
+        (str(2**31), None, 2.0**31),
+        (str(-(2**31) - 1), None, -(2.0**31) - 1),
+        (str(2**63), None, 2.0**63),
+        (str(2**31 - 1), "i", 2**31 - 1),
+        (str(-(2**31)), "i", -(2**31)),
+        ("1_0", "b", 10),
+        (" 5", "b", 5),
+        ("+5", "b", 5),
+        ("-0", "b", 0),  # not -0.0, which == and the report cannot tell from 0
+    ],
+)
+def test_a_value_cell_reads_as_an_int_only_where_int_reads_it_into_typecode_i(
+    cell, typecode, value
+):
+    text = f"step,value\n0,{cell}\n1,7\n"
+    assert_reads_like_the_row_scan(text)
+    got = outcome(trajectory.read_trajectory_csv, text)
+    if value is None:
+        assert got[0] == "raised"
+    elif typecode is None:
+        assert type(got[1]) is list and repr(got[1]) == repr([value, 7.0])
+    else:
+        assert repr(got[1]) == repr(array(typecode, [value, 7]))
+
+
+def test_a_shared_text_dict_keeps_the_texts_of_every_file_it_read():
+    ints = trajectory.TextValues()
+    first = trajectory.read_trajectory_csv("step,value\n0,3\n1,4\n", ints)
+    fractional = trajectory.read_trajectory_csv("step,value\n0,4\n1,4.5\n", ints)
+    wide = trajectory.read_trajectory_csv("step,value\n0,4\n1,300\n", ints)
+    assert repr(first) == "array('b', [3, 4])" and repr(wide) == "array('h', [4, 300])"
+    assert fractional == [4.0, 4.5]
+    assert ints == {"3": 3, "4": 4, "300": 300}  # "4.5", which int() rejects, is not kept
 
 
 # ---------------------------------------------------------------------------
@@ -771,19 +833,18 @@ def test_streamed_reanalysis_equals_the_report_over_the_fully_read_list(trajs, c
     assert streamed == report_to_json(build_report(samples, block, read))
 
 
-class Held(list):
-    """A list of values that, unlike a plain list, can be weak-referenced."""
-
-
 def test_streamed_reanalysis_holds_a_couple_of_trajectories_at_most():
     trajs = [list(range(i, i + 50)) for i in range(30)]
     original = experiment.read_trajectory_csv
     refs: list[weakref.ref] = []
+    shared: list = []  # the text dict each read is handed
     most_alive = 0
 
-    def tracked(text):
+    def tracked(text, ints):
         nonlocal most_alive
-        values = Held(original(text))
+        shared.append(ints)
+        values = original(text, ints)
+        assert isinstance(values, array)  # int texts: an array, which is weak-referenceable
         refs.append(weakref.ref(values))
         most_alive = max(most_alive, sum(ref() is not None for ref in refs))
         return values
@@ -796,3 +857,6 @@ def test_streamed_reanalysis_holds_a_couple_of_trajectories_at_most():
             assert '"transitions": 1470' in fh.read()
     assert len(refs) == 30
     assert most_alive <= 2
+    # one dict for every file, so each distinct text is parsed once
+    assert isinstance(shared[0], trajectory.TextValues)
+    assert all(ints is shared[0] for ints in shared)
